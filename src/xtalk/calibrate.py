@@ -14,10 +14,10 @@ import math
 import time as _time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import count
 
 import numpy as np
 
-from .dynamics import QubitState
 from .errors import ConfigError, FitFailureError, LowSignalError, OutOfRangeError
 from .field import (
     CompensationSetting,
@@ -32,7 +32,7 @@ from .pulses import (
     ChannelPulse,
     PulseSegment,
     PulseSequence,
-    simulate,
+    simulate_scan,
     with_pcc,
 )
 
@@ -119,24 +119,18 @@ class FitModel:
             raise ValueError("initial parameters must lie within bounds")
 
 
-class _ShotCounter:
-    """Hands out unique per-measurement indices so repeated scans never share draws."""
+def _measure(seqs, ctx, shots, seed, keys, channel=SPECTATOR) -> np.ndarray:
+    """Populations of ``channel``, one kernel call for the whole scan.
 
-    def __init__(self, seed: int):
-        self.seed = int(seed)
-        self.index = 0
-
-    def next(self) -> tuple[int, int]:
-        self.index += 1
-        return self.seed, self.index
-
-
-def _measure_population(seq, ctx, shots, counter: _ShotCounter | None) -> float:
-    if shots is None or counter is None:
-        return simulate(seq, ctx).populations[SPECTATOR]
-    seed, idx = counter.next()
-    res = simulate(seq, ctx, shots=shots, seed=seed, point_index=idx)
-    return res.sampled[SPECTATOR]
+    With ``shots`` each point is sampled from the stream ``(seed, k)`` for the
+    next ``k`` of ``keys``, a counter shared by repeated scans so that they
+    never share draws; without, the analytic populations are returned.
+    """
+    if not shots:
+        return np.array([r.populations[channel] for r in simulate_scan(seqs, ctx)])
+    idx = [next(keys) for _ in seqs]
+    results = simulate_scan(seqs, ctx, shots=shots, seed=seed, point_indices=idx)
+    return np.array([r.sampled[channel] for r in results])
 
 
 def _target_drive(omega_0: float, duration: float) -> PulseSequence:
@@ -150,11 +144,11 @@ def _compensation_drive(ctx: CrosstalkContext, f_comp: float, duration: float) -
 
 
 def _fit_flop_half_period(
-    make_seq, ctx, t_guess, shots, counter, points
+    make_seq, ctx, t_guess, shots, seed, keys, points
 ) -> tuple[float, FitResult]:
     """Scan pulse duration over one expected period and fit a sinusoid."""
     durations = np.linspace(0.0, 2.0 * t_guess, points + 1)[1:]
-    pops = np.array([_measure_population(make_seq(t), ctx, shots, counter) for t in durations])
+    pops = _measure([make_seq(t) for t in durations], ctx, shots, seed, keys)
     floor = 5.0 * math.sqrt(0.25 / shots) if shots else 1e-9
     if float(np.max(pops) - np.min(pops)) < floor:
         raise LowSignalError("flop contrast below five times the shot-noise floor")
@@ -194,9 +188,8 @@ def measure_pi_time(
     """
     if ctx.f_ct <= 0.0:
         raise LowSignalError("no crosstalk drive, cannot measure a pi time")
-    counter = _ShotCounter(seed) if shots else None
     t_pi, _ = _fit_flop_half_period(
-        lambda t: _target_drive(ctx.omega_0, t), ctx, ctx.t_pi_ct, shots, counter, points
+        lambda t: _target_drive(ctx.omega_0, t), ctx, ctx.t_pi_ct, shots, seed, count(1), points
     )
     return t_pi
 
@@ -222,12 +215,13 @@ def calibrate_amplitude(
     """
     if t_pi_ct <= 0.0:
         raise ValueError("t_pi_ct must be > 0")
-    counter = _ShotCounter(seed + 1) if shots else None
+    keys = count(1)
 
     def mismatch(f_comp: float) -> float:
         guess = math.pi / (f_comp * ctx.f_ct * ctx.omega_0)
         t_meas, _ = _fit_flop_half_period(
-            lambda t: _compensation_drive(ctx, f_comp, t), ctx, guess, shots, counter, points
+            lambda t: _compensation_drive(ctx, f_comp, t), ctx, guess, shots, seed + 1, keys,
+            points,
         )
         return t_meas - t_pi_ct
 
@@ -260,13 +254,10 @@ def _phase_scan_fit(
         raise ValueError("n_periods must be >= 1")
     t_pi = ctx.t_pi_ct if t_pi_ct is None else t_pi_ct
     duration = 2.0 * n_periods * t_pi
-    counter = _ShotCounter(seed + 2) if shots else None
     dials = np.arange(points) * (2.0 * math.pi / points)
-    pops = np.empty(points)
     base = _target_drive(ctx.omega_0, duration)
-    for i, dial in enumerate(dials):
-        seq = with_pcc(base, ctx, CompensationSetting(f_comp, dial))
-        pops[i] = _measure_population(seq, ctx, shots, counter)
+    seqs = [with_pcc(base, ctx, CompensationSetting(f_comp, dial)) for dial in dials]
+    pops = _measure(seqs, ctx, shots, seed + 2, count(1))
 
     def model(params, dial):
         a, kappa, offset = params
@@ -343,18 +334,11 @@ def calibrate_stark_shift(
     """
     if span is None:
         span = 1.5 * ctx.omega_0
-    counter = _ShotCounter(seed + 3) if shots else None
     offsets = np.linspace(-span, span, points)
     t_pi = math.pi / ctx.omega_0
-    pops = np.empty(points)
-    for i, off in enumerate(offsets):
-        seg = PulseSegment(ctx.omega_0, 0.0, off - ctx.stark_shift, t_pi)
-        seq = PulseSequence((ChannelPulse(TARGET, (seg,)),))
-        if shots is None or counter is None:
-            pops[i] = simulate(seq, ctx).populations[TARGET]
-        else:
-            s, idx = counter.next()
-            pops[i] = simulate(seq, ctx, shots=shots, seed=s, point_index=idx).sampled[TARGET]
+    segs = [PulseSegment(ctx.omega_0, 0.0, off - ctx.stark_shift, t_pi) for off in offsets]
+    seqs = [PulseSequence((ChannelPulse(TARGET, (seg,)),)) for seg in segs]
+    pops = _measure(seqs, ctx, shots, seed + 3, count(1), TARGET)
     peak = int(np.argmax(pops))
     if peak in (0, points - 1):
         raise OutOfRangeError("resonance lies at the scan edge, widen the span")
@@ -392,14 +376,12 @@ def recalibration_interval(drift_rate: float, suppression_target: float) -> floa
     return phase_tolerance(suppression_target) / drift_rate
 
 
-def _sk1_spectator_population(f_eff: float, det_ratio: float, n_pulses: int) -> float:
-    from .pulses import pi_train, sequence_unitaries
+def _sk1_spectator_populations(f_eff: float, det_ratio: float, counts) -> list:
+    from .pulses import pi_train
 
     ctx = CrosstalkContext(omega_0=1.0, f_ct=max(f_eff, 1e-12), delta_ct=det_ratio)
-    seq, _ = pi_train("sk1", 1.0, n_pulses)
-    u = sequence_unitaries(seq, ctx)[SPECTATOR]
-    state = QubitState.from_vector(u @ QubitState.ground().vector)
-    return state.excited_population()
+    seqs = [pi_train("sk1", 1.0, int(n))[0] for n in counts]
+    return [res.populations[SPECTATOR] for res in simulate_scan(seqs, ctx)]
 
 
 def fit_crosstalk_model(data, model: FitModel) -> FitResult:
@@ -436,9 +418,7 @@ def fit_crosstalk_model(data, model: FitModel) -> FitResult:
 
         def predict(params):
             f_eff, d, off = params
-            return off + np.array(
-                [_sk1_spectator_population(f_eff, d, int(n)) for n in ns]
-            )
+            return off + np.array(_sk1_spectator_populations(f_eff, d, ns))
 
     # parameters pinned by equal bounds stay fixed (e.g. a known zero
     # detuning, where the model is even in d and the Jacobian degenerates)

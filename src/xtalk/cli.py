@@ -30,7 +30,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="override the seed")
     parser.add_argument("--shots", type=int, default=None, help="override the shot count")
     parser.add_argument("--out", default=None, help="output CSV path (default: stdout)")
-    parser.add_argument("--workers", type=int, default=1, help="scan-point worker threads")
     return parser
 
 
@@ -69,9 +68,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args)
-        if args.workers < 1:
-            raise ConfigError("--workers must be >= 1")
-        result = run_scenario(cfg, workers=args.workers)
+        result = run_scenario(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

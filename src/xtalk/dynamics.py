@@ -24,7 +24,6 @@ __all__ = [
     "SIGMA_Z",
     "rotation_unitary",
     "rz",
-    "frame_segment_unitary",
     "apply",
     "rotation_error",
     "max_rotation_error",
@@ -131,32 +130,10 @@ def rotation_unitary(omega: complex, detuning: float, duration: float) -> np.nda
     )
 
 
-def rz(angle: float) -> np.ndarray:
-    """Z rotation ``exp(-i angle Z / 2)``."""
-    return np.array(
-        [[np.exp(-0.5j * angle), 0.0], [0.0, np.exp(0.5j * angle)]], dtype=complex
-    )
-
-
-def frame_segment_unitary(
-    omega: complex, detuning: float, duration: float, start_time: float = 0.0
-) -> np.ndarray:
-    """Propagator of a drive segment expressed in the qubit's own frame.
-
-    A drive detuned by ``detuning`` keeps a coherent phase reference, so in
-    the qubit frame the segment starting at ``start_time`` is the rotating
-    frame propagator sandwiched between Z rotations.  Composing consecutive
-    segments of one coherent drive telescopes to the continuous evolution,
-    and for a weak far-detuned drive the net effect reduces to the AC Stark
-    phase shift.
-    """
-    if omega == 0:
-        # no light, the qubit frame is inertial
-        return IDENTITY.copy()
-    u = rotation_unitary(omega, detuning, duration)
-    if detuning == 0.0:
-        return u
-    return rz(detuning * (start_time + duration)) @ u @ rz(-detuning * start_time)
+def rz(angle) -> np.ndarray:
+    """Z rotation ``exp(-i angle Z / 2)``; an array of angles gives a stack."""
+    half = np.exp(0.5j * np.multiply.outer(angle, [-1.0, 1.0]))
+    return half[..., None] * IDENTITY
 
 
 def apply(unitary: np.ndarray, state: QubitState) -> QubitState:

@@ -30,10 +30,8 @@ __all__ = [
     "ramsey_phase_probe",
     "wrap_phase",
     "load_presets",
+    "rng",
 ]
-
-TARGET = 0
-SPECTATOR = 1
 
 MITIGATION_FREQ_MHZ = 100.0
 # relative calibration error of the matched drive power; sets the residual
@@ -41,8 +39,13 @@ MITIGATION_FREQ_MHZ = 100.0
 DEFAULT_MATCH_ERROR = 0.2
 
 
-def _rng(seed, *key) -> np.random.Generator:
-    words = [int(seed) & 0xFFFFFFFFFFFFFFFF, *(int(k) & 0xFFFFFFFFFFFFFFFF for k in key)]
+def rng(seed, *key) -> np.random.Generator:
+    """The random stream keyed on ``(seed, *key)``, each word modulo 2**64.
+
+    Every seeded draw in the package comes from here, so it never depends on
+    the order in which scan points are evaluated.
+    """
+    words = [int(w) & 0xFFFFFFFFFFFFFFFF for w in (seed, *key)]
     return np.random.default_rng(np.random.SeedSequence(words))
 
 
@@ -101,7 +104,7 @@ def sample_slow_drift(
     t = np.arange(n_steps + 1) * dt_min
     trace = process.linear_rate * t
     if process.walk_sigma > 0.0 and n_steps > 0:
-        steps = _rng(seed).normal(0.0, math.sqrt(process.diffusion * dt_min), size=n_steps)
+        steps = rng(seed).normal(0.0, math.sqrt(process.diffusion * dt_min), size=n_steps)
         trace = trace + np.concatenate([[0.0], np.cumsum(steps)])
     return trace
 
@@ -282,7 +285,7 @@ def beatnote_phase_measurement(
         raise ValueError("noise_sigma must be >= 0")
     phi = float(true_phase)
     if noise_sigma > 0.0:
-        phi += float(_rng(seed).normal(0.0, noise_sigma))
+        phi += float(rng(seed).normal(0.0, noise_sigma))
     return wrap_phase(phi)
 
 
@@ -295,7 +298,7 @@ def ramsey_phase_probe(delta_phi: float, shots: int, seed: int = 0) -> float:
         raise ValueError("shots must be >= 1")
     p = 0.5 * (1.0 - math.cos(delta_phi))
     p = min(max(p, 0.0), 1.0)
-    return float(_rng(seed).binomial(shots, p)) / shots
+    return float(rng(seed).binomial(shots, p)) / shots
 
 
 _DRIFT_KEYS = {

@@ -5,19 +5,31 @@ the target ion and channel 1 the spectator.  During simulation each ion sees
 its own channel's field plus a fraction ``f_ct`` of the other channel's
 field (the crosstalk), evolved exactly with 2x2 propagators in the ion's own
 frame so that off-resonant light also produces the physical phase shifts.
+
+Simulation has one kernel.  Each sequence is compiled once into a slice
+table: per time slice its start, duration, detuning, the fixed field and
+the spectator channel's term, whose phase moves with the per-shot spectator
+phase offset.  The kernel then evaluates every slice propagator with numpy
+over one batch axis of (scan point x offset), padding shorter points with
+dark slices, and multiplies them slice by slice with stacked ``np.matmul``.
+A scan is one kernel call; :func:`simulate` is its one-point case and
+:func:`sequence_unitaries` its one-offset case.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
-from .dynamics import IDENTITY, QubitState, frame_segment_unitary
+from .dynamics import IDENTITY, QubitState, rz
 from .errors import ChannelConflictError
 from .field import CompensationSetting, CrosstalkContext
+from .noise import rng
 
 __all__ = [
     "TARGET",
@@ -35,6 +47,7 @@ __all__ = [
     "with_pcc",
     "concat",
     "simulate",
+    "simulate_scan",
     "sequence_unitaries",
 ]
 
@@ -83,11 +96,9 @@ class ChannelPulse:
 
 @dataclass(frozen=True)
 class PulseSequence:
-    """Time-aligned channel pulses plus optional shot metadata."""
+    """Time-aligned channel pulses."""
 
     channels: tuple
-    seed: int | None = None
-    shots: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "channels", tuple(self.channels))
@@ -275,13 +286,14 @@ class SimulationResult:
 
 
 def _slices(seq: PulseSequence):
-    """Common time grid: sorted union of all channel segment boundaries."""
+    """Common time grid: sorted union of all channel segment boundaries.
+
+    Yields ``(start, duration, {channel: segment or None})`` per slice.
+    """
     channels = {TARGET: (), SPECTATOR: ()}
     for cp in seq.channels:
         channels[cp.channel] = cp.segments
-    total = max(
-        (sum(s.duration for s in segs) for segs in channels.values()), default=0.0
-    )
+    total = max((sum(s.duration for s in segs) for segs in channels.values()), default=0.0)
     edges = {0.0, total}
     spans = {}
     for ch, segs in channels.items():
@@ -298,7 +310,6 @@ def _slices(seq: PulseSequence):
     for c in cuts[1:]:
         if c - merged[-1] > tol:
             merged.append(c)
-    out = []
     cursor = {ch: 0 for ch in channels}
     for a, b in zip(merged[:-1], merged[1:]):
         active = {}
@@ -313,70 +324,178 @@ def _slices(seq: PulseSequence):
                 lo, hi, s = ch_spans[j]
                 if lo <= a + tol and hi >= b - tol:
                     active[ch] = s
-        out.append((a, b - a, active))
-    return out
+        yield a, b - a, active
 
 
-def _ion_field(ion: int, active: dict, ctx: CrosstalkContext, scale: float,
-               spectator_phase_offset: float):
-    """Effective (complex rabi, detuning) for one ion during one slice.
+# slice-table columns: start, duration, then per ion its detuning, the fixed
+# field (real, imaginary) and the spectator channel's term (in-phase
+# amplitude, axis phase, quadrature amplitude)
+_ION_COLUMNS = 6
+_COLUMNS = 2 + 2 * _ION_COLUMNS
+_BATCH = 1 << 11  # slice propagators evaluated at once, bounds the kernel's memory
 
-    The spectator beam interferes with crosstalk only through the
-    polarization overlap; its orthogonal remainder is added in quadrature.
+
+def _compile(seq: PulseSequence, ctx: CrosstalkContext, scale: float) -> np.ndarray:
+    """Slice table of one sequence, shape ``(slices, _COLUMNS)``.
+
+    The spectator channel's term stays apart: the kernel moves its phase per
+    shot, then adds its orthogonal polarization in quadrature.
     """
-    coherent = 0.0j
-    quadrature = 0.0
-    detunings = []
     p = ctx.pol_overlap
-    for ch, seg in active.items():
-        if seg is None or seg.amplitude <= 0.0:
-            continue
-        amp = scale * seg.amplitude
-        phase = seg.phase
-        det = seg.detuning
-        if ch == SPECTATOR:
-            phase += spectator_phase_offset
-        if ch != ion:
-            # cross illumination
-            amp *= ctx.f_ct
-            phase += ctx.ct_phase
-            det = det + ctx.delta_ct if ion == SPECTATOR else det - ctx.delta_ct
-        if amp <= 0.0:
-            continue
-        if ch == SPECTATOR:
-            coherent += p * amp * complex(math.cos(phase), math.sin(phase))
-            quadrature = math.hypot(quadrature, math.sqrt(max(1.0 - p * p, 0.0)) * amp)
-        else:
-            coherent += amp * complex(math.cos(phase), math.sin(phase))
-        detunings.append(det)
-    if not detunings:
-        return 0.0j, 0.0
-    if max(detunings) - min(detunings) > 1e-6 * (1.0 + abs(detunings[0])):
-        raise ValueError("overlapping drives at different detunings are not supported")
-    omega = coherent
-    if quadrature > 0.0:
-        unit = coherent / abs(coherent) if abs(coherent) > 0.0 else 1.0 + 0.0j
-        omega = coherent + 1.0j * quadrature * unit
-    return omega, detunings[0]
-
-
-def sequence_unitaries(
-    seq: PulseSequence,
-    ctx: CrosstalkContext,
-    scale: float = 1.0,
-    spectator_phase_offset: float = 0.0,
-) -> dict:
-    """Total qubit-frame propagator per ion for the full sequence."""
-    out = {TARGET: IDENTITY.copy(), SPECTATOR: IDENTITY.copy()}
+    q = math.sqrt(max(1.0 - p * p, 0.0))
+    rows = array("d")
     for start, dur, active in _slices(seq):
-        if dur <= 0.0:
-            continue
+        row = [start, dur]
         for ion in (TARGET, SPECTATOR):
-            omega, det = _ion_field(ion, active, ctx, scale, spectator_phase_offset)
-            if omega == 0.0j:
-                continue
-            out[ion] = frame_segment_unitary(omega, det, dur, start) @ out[ion]
-    return out
+            fixed = 0.0j
+            spectator = [0.0, 0.0, 0.0]
+            detunings = []
+            for ch, seg in active.items():
+                if seg is None or seg.amplitude <= 0.0:
+                    continue
+                amp, det = scale * seg.amplitude, seg.detuning
+                if ch != ion:
+                    # cross illumination
+                    amp *= ctx.f_ct
+                    det = det + ctx.delta_ct if ion == SPECTATOR else det - ctx.delta_ct
+                if amp <= 0.0:
+                    continue
+                if ch == SPECTATOR:
+                    spectator = [p * amp, seg.phase, q * amp]
+                else:
+                    phase = seg.phase + ctx.ct_phase if ch != ion else seg.phase
+                    fixed += amp * complex(math.cos(phase), math.sin(phase))
+                detunings.append(det)
+            if detunings and max(detunings) - min(detunings) > 1e-6 * (1.0 + abs(detunings[0])):
+                raise ValueError("overlapping drives at different detunings are not supported")
+            row += [detunings[0] if detunings else 0.0, fixed.real, fixed.imag, *spectator]
+        rows.extend(row)
+    return np.array(rows, dtype=float).reshape(-1, _COLUMNS)
+
+
+def _slice_propagators(table: np.ndarray, offsets: np.ndarray, ct_phase: float) -> np.ndarray:
+    """Qubit-frame propagator of every slice, shape ``(2,) + batch + (2, 2)``.
+
+    ``table`` and ``offsets`` broadcast to the batch shape.  A slice without
+    light leaves the qubit frame inertial, so it is an exact identity.
+    """
+    start, dur, *cols = np.moveaxis(table, -1, 0)
+    out = []
+    for ion in (TARGET, SPECTATOR):
+        det, fixed_re, fixed_im, amp, phase, quad = cols[_ION_COLUMNS * ion:][:_ION_COLUMNS]
+        phase = phase + offsets + ct_phase if ion == TARGET else phase + offsets
+        re = fixed_re + amp * np.cos(phase)
+        im = fixed_im + amp * np.sin(phase)
+        # the orthogonal polarization adds in quadrature: along i * (the
+        # coherent field's direction), or along i when that field vanishes
+        norm = np.hypot(re, im)
+        safe = np.where(norm > 0.0, norm, 1.0)
+        om_re = re - quad * (im / safe)
+        om_im = im + quad * np.where(norm > 0.0, re / safe, 1.0)
+        if not (np.isfinite(om_re).all() and np.isfinite(om_im).all()):
+            raise ValueError("non-finite input")
+        # rotation_unitary elementwise, with its roundings: hypot and
+        # float_power match Python's abs and **
+        dark = (om_re == 0.0) & (om_im == 0.0)
+        gen = np.sqrt(np.float_power(np.hypot(om_re, om_im), 2.0) + np.float_power(det, 2.0))
+        gen = np.where(dark, 1.0, gen)
+        half_angle = 0.5 * gen * dur
+        c, s = np.cos(half_angle), np.sin(half_angle)
+        sx, sy, sz = s * (om_re / gen), s * (om_im / gen), s * (-det / gen)
+        u = np.stack([c - 1.0j * sz, -sy - 1.0j * sx, sy - 1.0j * sx, c + 1.0j * sz], axis=-1)
+        u = u.reshape(u.shape[:-1] + (2, 2))
+        framed = ~dark & (det != 0.0)
+        if framed.any():
+            # a detuned drive keeps its phase reference: in the qubit frame
+            # the slice is sandwiched between Z rotations
+            d, t0, t = (np.broadcast_to(a, framed.shape)[framed] for a in (det, start, dur))
+            u[framed] = rz(d * (t0 + t)) @ u[framed] @ rz(-d * t0)
+        u[dark] = IDENTITY
+        out.append(u)
+    return np.stack(out)
+
+
+def _propagate(tables, offsets: np.ndarray, ct_phase: float):
+    """The kernel: yields each point's total propagators, shape ``(2, n, 2, 2)``.
+
+    Takes one slice table and one row of ``n`` spectator phase offsets (rad)
+    per point, evaluated in batches of ``_BATCH`` propagators (at least one
+    slice of one point).  The product is a sequential left product, so every
+    element is bit-identical to multiplying one point's propagators in turn.
+    """
+    group = max(1, _BATCH // (2 * offsets.shape[1]))
+    for g0 in range(0, len(tables), group):
+        part, shifts = tables[g0: g0 + group], offsets[g0: g0 + group, :, None]
+        n_slices = max(map(len, part))
+        out = np.broadcast_to(IDENTITY, (2,) + shifts.shape[:2] + (2, 2)).copy()
+        step = max(1, _BATCH // out[..., 0, 0].size)
+        for k0 in range(0, n_slices, step):
+            chunk = np.zeros((len(part), 1, min(step, n_slices - k0), _COLUMNS))
+            for row, t in zip(chunk, part):
+                row[0, : len(t[k0: k0 + step])] = t[k0: k0 + step]  # shorter points end dark
+            props = _slice_propagators(chunk, shifts, ct_phase)
+            for k in range(props.shape[3]):
+                out = np.matmul(props[:, :, :, k], out)
+        yield from np.moveaxis(out, 1, 0)
+
+
+def sequence_unitaries(seq: PulseSequence, ctx: CrosstalkContext, scale: float = 1.0) -> dict:
+    """Total qubit-frame propagator per ion for the full sequence."""
+    u = next(_propagate([_compile(seq, ctx, scale)], np.zeros((1, 1)), ctx.ct_phase))
+    return {ch: u[ch, 0] for ch in (TARGET, SPECTATOR)}
+
+
+def simulate_scan(
+    seqs,
+    ctx: CrosstalkContext,
+    initial: dict | None = None,
+    shots: int | None = None,
+    seed: int | None = None,
+    point_indices=None,
+    phase_noise=None,
+    scales=None,
+) -> list:
+    """Evolve one sequence per scan point with a single kernel call.
+
+    Takes :func:`simulate`'s arguments with one ``point_indices`` (default
+    ``0, 1, ...``), ``phase_noise`` and ``scales`` entry per point; ``seqs``
+    may be any iterable.  Returns one :class:`SimulationResult` per point.
+    """
+    scales = repeat(1.0) if scales is None else scales
+    tables = [_compile(seq, ctx, scale) for seq, scale in zip(seqs, scales)]
+    n = len(tables)
+    point_indices = range(n) if point_indices is None else point_indices
+    if shots is not None and shots < 1:
+        raise ValueError("shots must be >= 1")
+    noisy = shots is not None and phase_noise is not None
+    # column 0 is the noiseless evolution, then one column per shot
+    offsets = np.zeros((n, 1 + shots if noisy else 1))
+    if noisy:
+        for row, noise in zip(offsets, phase_noise):
+            if np.size(noise) < shots:
+                raise ValueError("phase_noise must provide one offset per shot")
+            row[1:] = np.asarray(noise, dtype=float)[:shots]
+    vectors = [(initial or {}).get(ch, QubitState.ground()).vector for ch in (TARGET, SPECTATOR)]
+
+    results = []
+    for u, key in zip(_propagate(tables, offsets, ctx.ct_phase), point_indices):
+        states = {ch: QubitState.from_vector(u[ch, 0] @ vectors[ch]) for ch in (TARGET, SPECTATOR)}
+        populations = {ch: states[ch].excited_population() for ch in (TARGET, SPECTATOR)}
+        sampled = None
+        if shots is not None:
+            stream = rng(0 if seed is None else seed, key)
+            if noisy:
+                # one draw per shot and ion: column 0 the target, 1 the spectator
+                c1 = np.array([(u[ch, 1:] @ vectors[ch])[:, 1] for ch in (TARGET, SPECTATOR)])
+                pk = np.clip(np.float_power(np.hypot(c1.real, c1.imag), 2.0), 0.0, 1.0)
+                hits = stream.random((shots, 2)) < pk.T
+                sampled = {ch: int(hits[:, ch].sum()) / shots for ch in (TARGET, SPECTATOR)}
+            else:
+                # analytic populations may round just past 1
+                sampled = {ch: float(stream.binomial(shots, min(max(populations[ch], 0.0), 1.0)))
+                           / shots for ch in (TARGET, SPECTATOR)}
+        results.append(SimulationResult(states=states, populations=populations, sampled=sampled))
+    return results
 
 
 def simulate(
@@ -403,48 +522,13 @@ def simulate(
         If given, draw binomial measurement outcomes per channel.
     seed, point_index : int
         Shot noise is drawn from a generator keyed on ``(seed, point_index)``
-        so scan points are reproducible independent of evaluation order.
+        (``seed`` defaults to 0) so scan points are reproducible independent
+        of evaluation order.
     phase_noise : array-like, optional
         Per-shot phase offsets (rad) applied to the whole spectator channel,
         modeling differential path phase drift between the channels.
     scale : float
         Global amplitude scale applied to every segment.
     """
-    if initial is None:
-        initial = {}
-    states0 = {
-        TARGET: initial.get(TARGET, QubitState.ground()),
-        SPECTATOR: initial.get(SPECTATOR, QubitState.ground()),
-    }
-    unitaries = sequence_unitaries(seq, ctx, scale)
-    states = {ch: QubitState.from_vector(unitaries[ch] @ states0[ch].vector)
-              for ch in (TARGET, SPECTATOR)}
-    populations = {ch: states[ch].excited_population() for ch in (TARGET, SPECTATOR)}
-
-    sampled = None
-    if shots is None:
-        shots = seq.shots
-    if shots is not None:
-        if shots < 1:
-            raise ValueError("shots must be >= 1")
-        if seed is None:
-            seed = seq.seed if seq.seed is not None else 0
-        words = [int(seed) & 0xFFFFFFFFFFFFFFFF, int(point_index) & 0xFFFFFFFFFFFFFFFF]
-        rng = np.random.default_rng(np.random.SeedSequence(words))
-        sampled = {}
-        if phase_noise is None:
-            for ch in (TARGET, SPECTATOR):
-                sampled[ch] = float(rng.binomial(shots, populations[ch])) / shots
-        else:
-            offsets = np.asarray(phase_noise, dtype=float)
-            if offsets.size < shots:
-                raise ValueError("phase_noise must provide one offset per shot")
-            counts = {TARGET: 0, SPECTATOR: 0}
-            for k in range(shots):
-                us = sequence_unitaries(seq, ctx, scale, spectator_phase_offset=offsets[k])
-                for ch in (TARGET, SPECTATOR):
-                    vec = us[ch] @ states0[ch].vector
-                    pk = min(max(abs(vec[1]) ** 2, 0.0), 1.0)
-                    counts[ch] += int(rng.random() < pk)
-            sampled = {ch: counts[ch] / shots for ch in (TARGET, SPECTATOR)}
-    return SimulationResult(states=states, populations=populations, sampled=sampled)
+    noise = None if phase_noise is None else [phase_noise]
+    return simulate_scan([seq], ctx, initial, shots, seed, [point_index], noise, [scale])[0]

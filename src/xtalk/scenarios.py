@@ -13,7 +13,6 @@ import io
 import json
 import math
 import subprocess
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,6 +26,7 @@ from .noise import (
     DriftProcess,
     DEFAULT_MATCH_ERROR,
     duty_cycle_drift_rate,
+    rng,
     sample_slow_drift,
 )
 from .optics import BeamProfile, clipped_focus_profile, gaussian_intensity
@@ -38,8 +38,7 @@ from .pulses import (
     PulseSequence,
     pi_train,
     ramsey_wrap,
-    sequence_unitaries,
-    simulate,
+    simulate_scan,
     with_pcc,
 )
 
@@ -245,24 +244,6 @@ def _binomial_stderr(p: float, shots: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 0.0) / shots)
 
 
-def _point_phase_noise(cfg: ScenarioConfig, index: int):
-    if cfg.noise is None:
-        return None
-    process = (
-        DriftProcess.enclosed() if cfg.noise["preset"] == "enclosed" else DriftProcess.exposed()
-    )
-    dt = float(cfg.noise.get("shot_interval_min", 1e-3))
-    trace = sample_slow_drift(process, dt * cfg.shots, dt, seed=(cfg.seed + 7919) * 65537 + index)
-    return trace[1:]
-
-
-def _map_points(fn, n: int, workers: int = 1) -> list:
-    if workers <= 1:
-        return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n)))
-
-
 def _pulse_counts(cfg: ScenarioConfig) -> list:
     ns = cfg.scan.get("n_values", [1, 2, 4, 8, 16, 32])
     counts = [int(n) for n in ns]
@@ -271,25 +252,36 @@ def _pulse_counts(cfg: ScenarioConfig) -> list:
     return counts
 
 
-def run_x_error(cfg: ScenarioConfig, workers: int = 1) -> ScanResult:
+def _sweep(cfg: ScenarioConfig, x, seqs, channel: int = SPECTATOR, noise: bool = True,
+           scales=None) -> ScanResult:
+    """One kernel call over the scan points: per point the population of
+    ``channel``, its shot estimate and binomial error.  With ``noise`` the
+    configured drift offsets the spectator channel per shot."""
+    phase_noise = None
+    if noise and cfg.noise is not None:
+        preset = cfg.noise["preset"]
+        process = DriftProcess.enclosed() if preset == "enclosed" else DriftProcess.exposed()
+        dt = float(cfg.noise.get("shot_interval_min", 1e-3))
+        phase_noise = [sample_slow_drift(process, dt * cfg.shots, dt,
+                                         seed=(cfg.seed + 7919) * 65537 + i)[1:]
+                       for i in range(len(x))]
+    results = simulate_scan(seqs, cfg.context, shots=cfg.shots, seed=cfg.seed,
+                            phase_noise=phase_noise, scales=scales)
+    pops = [res.populations[channel] for res in results]
+    rows = [(p, res.sampled[channel], _binomial_stderr(p, cfg.shots))
+            for p, res in zip(pops, results)]
+    return _result(cfg, x, rows)
+
+
+def run_x_error(cfg: ScenarioConfig) -> ScanResult:
     """Spectator excited population after N target pi pulses, from ground."""
     counts = _pulse_counts(cfg)
     ctx = cfg.context
-
-    def point(i: int):
-        seq, _ = pi_train(cfg.method, ctx.omega_0, counts[i], ctx, cfg.setting)
-        res = simulate(
-            seq, ctx, shots=cfg.shots, seed=cfg.seed, point_index=i,
-            phase_noise=_point_phase_noise(cfg, i),
-        )
-        p = res.populations[SPECTATOR]
-        return p, res.sampled[SPECTATOR], _binomial_stderr(p, cfg.shots)
-
-    rows = _map_points(point, len(counts), workers)
-    return _result(cfg, np.array(counts, dtype=float), rows)
+    seqs = (pi_train(cfg.method, ctx.omega_0, n, ctx, cfg.setting)[0] for n in counts)
+    return _sweep(cfg, np.array(counts, dtype=float), seqs)
 
 
-def run_z_error(cfg: ScenarioConfig, workers: int = 1) -> ScanResult:
+def run_z_error(cfg: ScenarioConfig) -> ScanResult:
     """Ramsey-wrapped benchmark measuring the spectator in the X basis.
 
     The spectator gets a pi/2 pulse before and after the target pulse train;
@@ -301,26 +293,17 @@ def run_z_error(cfg: ScenarioConfig, workers: int = 1) -> ScanResult:
     """
     counts = _pulse_counts(cfg)
     ctx = cfg.context
-
-    def point(i: int):
-        seq, _ = pi_train(cfg.method, ctx.omega_0, counts[i], ctx, cfg.setting)
-        close_phase = math.pi
-        if cfg.method == "quad":
-            u_spec = sequence_unitaries(seq, ctx)[SPECTATOR]
-            close_phase += -2.0 * math.atan2(u_spec[0, 0].imag, u_spec[0, 0].real)
-        wrapped = ramsey_wrap(seq, ctx.omega_0, 0.0, close_phase)
-        res = simulate(
-            wrapped, ctx, shots=cfg.shots, seed=cfg.seed, point_index=i,
-            phase_noise=_point_phase_noise(cfg, i),
-        )
-        p = res.populations[SPECTATOR]
-        return p, res.sampled[SPECTATOR], _binomial_stderr(p, cfg.shots)
-
-    rows = _map_points(point, len(counts), workers)
-    return _result(cfg, np.array(counts, dtype=float), rows)
+    trains = [pi_train(cfg.method, ctx.omega_0, n, ctx, cfg.setting)[0] for n in counts]
+    close_phases = [math.pi] * len(trains)
+    if cfg.method == "quad":
+        # from the ground state, the final |0> amplitude is the train unitary's u[0, 0]
+        u00 = [res.states[SPECTATOR].c0 for res in simulate_scan(trains, ctx)]
+        close_phases = [math.pi + -2.0 * math.atan2(u.imag, u.real) for u in u00]
+    seqs = (ramsey_wrap(seq, ctx.omega_0, 0.0, close) for seq, close in zip(trains, close_phases))
+    return _sweep(cfg, np.array(counts, dtype=float), seqs)
 
 
-def run_phase_scan(cfg: ScenarioConfig, workers: int = 1) -> ScanResult:
+def run_phase_scan(cfg: ScenarioConfig) -> ScanResult:
     """Spectator population versus compensation phase at t = 2 n crosstalk pi times."""
     points = int(cfg.scan.get("points", 40))
     n_periods = int(cfg.scan.get("n_periods", 1))
@@ -330,19 +313,11 @@ def run_phase_scan(cfg: ScenarioConfig, workers: int = 1) -> ScanResult:
     duration = 2.0 * n_periods * ctx.t_pi_ct
     dials = np.arange(points) * (2.0 * math.pi / points)
     base = PulseSequence((ChannelPulse(TARGET, (PulseSegment(ctx.omega_0, 0.0, 0.0, duration),)),))
-
-    def point(i: int):
-        seq = with_pcc(base, ctx, CompensationSetting(cfg.setting.f_comp, dials[i]))
-        res = simulate(seq, ctx, shots=cfg.shots, seed=cfg.seed, point_index=i,
-                       phase_noise=_point_phase_noise(cfg, i))
-        p = res.populations[SPECTATOR]
-        return p, res.sampled[SPECTATOR], _binomial_stderr(p, cfg.shots)
-
-    rows = _map_points(point, points, workers)
-    return _result(cfg, dials, rows)
+    seqs = (with_pcc(base, ctx, CompensationSetting(cfg.setting.f_comp, d)) for d in dials)
+    return _sweep(cfg, dials, seqs)
 
 
-def run_rabi_scan(cfg: ScenarioConfig, workers: int = 1) -> ScanResult:
+def run_rabi_scan(cfg: ScenarioConfig) -> ScanResult:
     """Rabi flopping versus pulse duration on either channel."""
     observe = cfg.scan.get("observe", "spectator")
     if observe not in ("target", "spectator"):
@@ -355,40 +330,26 @@ def run_rabi_scan(cfg: ScenarioConfig, workers: int = 1) -> ScanResult:
         t_max = 2.0 * ctx.t_pi_ct if channel == SPECTATOR else 4.0 * ctx.t_pi
     points = int(cfg.scan.get("points", 81))
     times = np.linspace(0.0, t_max, points)
-
-    def point(i: int):
-        base = PulseSequence(
-            (ChannelPulse(TARGET, (PulseSegment(ctx.omega_0, 0.0, 0.0, times[i]),)),)
-        )
-        seq = with_pcc(base, ctx, cfg.setting) if cfg.method == "pcc" else base
-        res = simulate(seq, ctx, shots=cfg.shots, seed=cfg.seed, point_index=i)
-        p = res.populations[channel]
-        return p, res.sampled[channel], _binomial_stderr(p, cfg.shots)
-
-    rows = _map_points(point, points, workers)
-    return _result(cfg, times, rows)
+    seqs = []
+    for t in times:
+        seq = PulseSequence((ChannelPulse(TARGET, (PulseSegment(ctx.omega_0, 0.0, 0.0, t),)),))
+        seqs.append(with_pcc(seq, ctx, cfg.setting) if cfg.method == "pcc" else seq)
+    return _sweep(cfg, times, seqs, channel, noise=False)
 
 
-def run_amplitude_scan(cfg: ScenarioConfig, workers: int = 1) -> ScanResult:
+def run_amplitude_scan(cfg: ScenarioConfig) -> ScanResult:
     """Target excited population after a nominal pi pulse versus drive scale."""
     lo = float(cfg.scan.get("scale_min", 0.0))
     hi = float(cfg.scan.get("scale_max", 1.5))
     points = int(cfg.scan.get("points", 61))
     scales = np.linspace(lo, hi, points)
     ctx = cfg.context
-
-    def point(i: int):
-        seq, _ = pi_train(cfg.method, ctx.omega_0, 1, ctx, cfg.setting)
-        res = simulate(seq, ctx, shots=cfg.shots, seed=cfg.seed, point_index=i,
-                       scale=float(scales[i]))
-        p = res.populations[TARGET]
-        return p, res.sampled[TARGET], _binomial_stderr(p, cfg.shots)
-
-    rows = _map_points(point, points, workers)
-    return _result(cfg, scales, rows)
+    seq, _ = pi_train(cfg.method, ctx.omega_0, 1, ctx, cfg.setting)
+    return _sweep(cfg, scales, [seq] * points, TARGET, noise=False,
+                  scales=[float(s) for s in scales])
 
 
-def run_drift_monitor(cfg: ScenarioConfig, workers: int = 1) -> ScanResult:
+def run_drift_monitor(cfg: ScenarioConfig) -> ScanResult:
     """Slow differential-phase trace with a Ramsey-probe estimate per point."""
     preset = cfg.scan.get("preset", "enclosed")
     if preset not in ("enclosed", "exposed"):
@@ -398,24 +359,19 @@ def run_drift_monitor(cfg: ScenarioConfig, workers: int = 1) -> ScanResult:
     process = DriftProcess.enclosed() if preset == "enclosed" else DriftProcess.exposed()
     trace = sample_slow_drift(process, duration, dt, seed=cfg.seed)
     times = np.arange(len(trace)) * dt
-
-    def point(i: int):
-        phi = float(trace[i])
+    rows = []
+    for i, phi in enumerate(trace):
+        phi = float(phi)
         p_true = 0.5 * (1.0 - math.cos(phi))
-        rng = np.random.default_rng(
-            np.random.SeedSequence([cfg.seed & 0xFFFFFFFFFFFFFFFF, i])
-        )
-        p_hat = float(rng.binomial(cfg.shots, min(max(p_true, 0.0), 1.0))) / cfg.shots
+        p_hat = float(rng(cfg.seed, i).binomial(cfg.shots, min(max(p_true, 0.0), 1.0))) / cfg.shots
         phi_hat = math.acos(min(max(1.0 - 2.0 * p_hat, -1.0), 1.0))
         sigma_p = _binomial_stderr(p_hat, cfg.shots)
         slope = 2.0 / max(math.sin(phi_hat), 1e-3)
-        return phi, phi_hat, slope * sigma_p
-
-    rows = _map_points(point, len(trace), workers)
+        rows.append((phi, phi_hat, slope * sigma_p))
     return _result(cfg, times, rows)
 
 
-def run_duty_cycle_sweep(cfg: ScenarioConfig, workers: int = 1) -> ScanResult:
+def run_duty_cycle_sweep(cfg: ScenarioConfig) -> ScanResult:
     """Steady thermal phase drift rate versus duty-cycle ratio."""
     lo = float(cfg.scan.get("ratio_min", 1e-3))
     hi = float(cfg.scan.get("ratio_max", 1.0))
@@ -426,16 +382,11 @@ def run_duty_cycle_sweep(cfg: ScenarioConfig, workers: int = 1) -> ScanResult:
         raise ConfigError("ratios must satisfy 0 < ratio_min <= ratio_max <= 1")
     ratios = np.geomspace(lo, hi, points)
     model = AomModel()
-
-    def point(i: int):
-        rate = duty_cycle_drift_rate(model, float(ratios[i]), mitigated, match_error)
-        return rate, rate, 0.0
-
-    rows = _map_points(point, points, workers)
-    return _result(cfg, ratios, rows)
+    rates = [duty_cycle_drift_rate(model, float(r), mitigated, match_error) for r in ratios]
+    return _result(cfg, ratios, [(rate, rate, 0.0) for rate in rates])
 
 
-def run_beam_profile(cfg: ScenarioConfig, workers: int = 1) -> ScanResult:
+def run_beam_profile(cfg: ScenarioConfig) -> ScanResult:
     """Focal-plane intensity cut: clipped diffraction, device map, or ideal Gaussian."""
     curve = cfg.scan.get("curve", "clipped")
     if curve not in ("clipped", "device", "gaussian"):
@@ -469,9 +420,7 @@ def run_beam_profile(cfg: ScenarioConfig, workers: int = 1) -> ScanResult:
 
 
 def _result(cfg: ScenarioConfig, x: np.ndarray, rows: list) -> ScanResult:
-    mean = np.array([r[0] for r in rows])
-    sampled = np.array([r[1] for r in rows])
-    err = np.array([r[2] for r in rows])
+    mean, sampled, err = (np.array([r[k] for r in rows]) for k in range(3))
     meta = {
         "scenario": cfg.scenario,
         "method": cfg.method,
@@ -494,6 +443,6 @@ _RUNNERS = {
 }
 
 
-def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> ScanResult:
+def run_scenario(cfg: ScenarioConfig) -> ScanResult:
     """Dispatch a validated configuration to its scenario runner."""
-    return _RUNNERS[cfg.scenario](cfg, workers)
+    return _RUNNERS[cfg.scenario](cfg)

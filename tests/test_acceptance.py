@@ -267,8 +267,8 @@ def test_criterion_12_determinism():
             "seed": 99,
         }
         cfg = ScenarioConfig.from_dict(doc)
-        first = run_scenario(cfg, workers=1).to_csv()
-        second = run_scenario(cfg, workers=1).to_csv()
-        third = run_scenario(ScenarioConfig.from_dict(doc), workers=3).to_csv()
+        first = run_scenario(cfg).to_csv()
+        second = run_scenario(cfg).to_csv()
+        third = run_scenario(ScenarioConfig.from_dict(doc)).to_csv()
         assert first == second == third
         assert first.encode("utf-8") == second.encode("utf-8")

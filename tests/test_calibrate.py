@@ -221,12 +221,11 @@ class TestFitCrosstalkModel:
         assert fit.covariance is not None
 
     def test_sk1_numeric_model(self):
-        from xtalk.calibrate import _sk1_spectator_population
+        from xtalk.calibrate import _sk1_spectator_populations
 
         truth = (0.096, 0.1)
-        data = [
-            (n, _sk1_spectator_population(truth[0], truth[1], n)) for n in [1, 2, 3, 4, 5, 6]
-        ]
+        counts = [1, 2, 3, 4, 5, 6]
+        data = list(zip(counts, _sk1_spectator_populations(truth[0], truth[1], counts)))
         model = FitModel(
             model_id="sk1-numeric",
             params=np.array([0.09, 0.08, 0.0]),

@@ -50,15 +50,6 @@ def test_rerun_is_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_workers_do_not_change_bytes(tmp_path):
-    cfg = write_config(tmp_path, {"method": "pcc", "scan": {"points": 12}, "seed": 2})
-    out1 = tmp_path / "w1.csv"
-    out4 = tmp_path / "w4.csv"
-    assert main(["phase-scan", "--config", cfg, "--out", str(out1)]) == EXIT_OK
-    assert main(["phase-scan", "--config", cfg, "--out", str(out4), "--workers", "4"]) == EXIT_OK
-    assert out1.read_bytes() == out4.read_bytes()
-
-
 def test_unknown_key_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, {"scan": {"n_values": [1]}, "omega": 1.0})
     assert main(["x-error", "--config", cfg]) == EXIT_CONFIG
@@ -120,6 +111,16 @@ def test_shots_override(tmp_path, capsys):
     assert stderr_col == pytest.approx(math.sqrt(p * (1 - p) / 123), rel=1e-6)
 
 
-def test_bad_workers_exits_2(tmp_path):
-    cfg = write_config(tmp_path, {"scan": {"n_values": [1]}})
-    assert main(["x-error", "--config", cfg, "--workers", "0"]) == EXIT_CONFIG
+@pytest.mark.parametrize(
+    "scenario, doc",
+    [
+        ("x-error", {"method": "quad", "scan": {"n_values": [17]}}),
+        ("z-error", {"method": "sk1", "scan": {"n_values": [147]}}),
+    ],
+)
+def test_population_rounding_above_one_is_sampled(tmp_path, capsys, scenario, doc):
+    # the target population of these trains rounds just past 1
+    cfg = write_config(tmp_path, doc)
+    assert main([scenario, "--config", cfg]) == EXIT_OK
+    row = capsys.readouterr().out.strip().splitlines()[-1]
+    assert 0.0 <= float(row.split(",")[1]) <= 1.0

@@ -1,0 +1,69 @@
+"""Golden replay: scans and CLI runs must reproduce the recorded references.
+
+The references live in ``perfbench/golden`` and are only read here.  The
+rule is the benchmark's: ``value_mean`` within a relative 1e-12, every
+other column and header line exact, the ``# build:`` line skipped (it
+embeds ``git describe``).  Exact ``value_sampled`` columns pin the shot
+sampling: the per-shot phase offsets, the draws and their order.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from xtalk.cli import EXIT_OK, main
+from xtalk.scenarios import ScenarioConfig, run_scenario
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "perfbench" / "golden"
+CONFIGS = sorted((ROOT / "configs").glob("*.json"))
+RTOL = 1e-12
+
+
+def _scan_units():
+    with open(GOLDEN / "scan_units.json", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _split(csv: str):
+    lines = csv.splitlines()
+    header = [ln for ln in lines if ln.startswith("# ") and not ln.startswith("# build:")]
+    rows = [ln.split(",") for ln in lines if not ln.startswith("# ")]
+    return header, rows
+
+
+def assert_matches(csv: str, reference: str) -> None:
+    header, rows = _split(csv)
+    ref_header, ref_rows = _split(reference)
+    assert header == ref_header
+    assert rows[0] == ref_rows[0] == ["x", "value_mean", "value_sampled", "stderr"]
+    assert len(rows) == len(ref_rows)
+    for row, ref in zip(rows[1:], ref_rows[1:]):
+        assert float(row[1]) == pytest.approx(float(ref[1]), rel=RTOL, abs=0.0), ref[0]
+        assert [row[0], *row[2:]] == [ref[0], *ref[2:]]
+
+
+def _unit_id(unit):
+    doc = unit["doc"]
+    return f"{doc['scenario']}-{doc['method']}-{doc['seed']}"
+
+
+@pytest.mark.parametrize("unit", _scan_units(), ids=_unit_id)
+def test_reference_scan_unit(unit):
+    csv = run_scenario(ScenarioConfig.from_dict(unit["doc"])).to_csv()
+    assert_matches(csv, unit["csv"])
+
+
+def test_reference_units_include_noisy_scans():
+    noisy = [u for u in _scan_units() if "noise" in u["doc"]]
+    assert len(noisy) == 8  # four units of one x-error and one phase-scan
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
+def test_example_config_cli_output(config, tmp_path):
+    scenario = json.loads(config.read_text(encoding="utf-8"))["scenario"]
+    out = tmp_path / "out.csv"
+    assert main([scenario, "--config", str(config), "--seed", "0", "--out", str(out)]) == EXIT_OK
+    reference = (GOLDEN / f"{config.stem}.csv").read_text(encoding="utf-8")
+    assert_matches(out.read_text(encoding="utf-8"), reference)

@@ -238,14 +238,6 @@ class TestSimulate:
         sigma = math.sqrt(p * (1.0 - p) / 100_000)
         assert abs(res.sampled[SPECTATOR] - p) < 5.0 * sigma
 
-    def test_sequence_shot_metadata_used_as_default(self):
-        seq = square_pi(OMEGA)
-        tagged = PulseSequence(seq.channels, seed=21, shots=300)
-        res = simulate(tagged, CTX)
-        assert res.sampled is not None
-        again = simulate(tagged, CTX)
-        assert res.sampled == again.sampled
-
     def test_shot_sampling_deterministic(self):
         a = simulate(square_pi(OMEGA), CTX, shots=500, seed=9, point_index=3)
         b = simulate(square_pi(OMEGA), CTX, shots=500, seed=9, point_index=3)
@@ -296,3 +288,116 @@ class TestSequenceTypes:
         t_target = seq.channel(TARGET).total_duration
         t_spec = seq.channel(SPECTATOR).total_duration
         assert t_target == pytest.approx(t_spec, rel=1e-12)
+
+
+def _frame_z(angle):
+    return np.diag([np.exp(-0.5j * angle), np.exp(0.5j * angle)])
+
+
+def _active(segments, t):
+    """The segment of a channel running at time ``t``, or None."""
+    start = 0.0
+    for seg in segments:
+        if start <= t < start + seg.duration:
+            return seg
+        start += seg.duration
+    return None
+
+
+def reference_unitaries(seq, ctx, scale=1.0, offset=0.0):
+    """Slice-by-slice product of ``rotation_unitary`` in each ion's own frame."""
+    from xtalk.dynamics import rotation_unitary
+
+    channels = {ch: seq.channel(ch).segments for ch in (TARGET, SPECTATOR)}
+    cuts = {0.0}
+    for segs in channels.values():
+        t = 0.0
+        for seg in segs:
+            t += seg.duration
+            cuts.add(t)
+    cuts = sorted(cuts)
+    q = math.sqrt(1.0 - ctx.pol_overlap**2)
+    out = {TARGET: np.eye(2, dtype=complex), SPECTATOR: np.eye(2, dtype=complex)}
+    for t0, t1 in zip(cuts[:-1], cuts[1:]):
+        lit = {ch: _active(segs, 0.5 * (t0 + t1)) for ch, segs in channels.items()}
+        for ion in (TARGET, SPECTATOR):
+            coherent, quad, det = 0.0j, 0.0, None
+            for ch, seg in lit.items():
+                if seg is None or seg.amplitude == 0.0:
+                    continue
+                amp, phase = scale * seg.amplitude, seg.phase
+                delta = seg.detuning
+                if ch == SPECTATOR:
+                    phase += offset
+                if ch != ion:
+                    amp *= ctx.f_ct
+                    phase += ctx.ct_phase
+                    delta += ctx.delta_ct if ion == SPECTATOR else -ctx.delta_ct
+                if ch == SPECTATOR:
+                    coherent += ctx.pol_overlap * amp * np.exp(1j * phase)
+                    quad = q * amp
+                else:
+                    coherent += amp * np.exp(1j * phase)
+                det = delta
+            if det is None:
+                continue
+            omega = coherent + 1j * quad * (coherent / abs(coherent) if coherent else 1.0)
+            u = rotation_unitary(omega, det, t1 - t0)
+            out[ion] = _frame_z(det * t1) @ u @ _frame_z(-det * t0) @ out[ion]
+    return out
+
+
+def random_sequence(rng, ctx):
+    """Misaligned multi-segment channels; overlapping light shares one qubit detuning."""
+    det = rng.choice([0.0, rng.normal() * OMEGA])
+    chans = []
+    for ch, delta in ((TARGET, det), (SPECTATOR, det + ctx.delta_ct)):
+        segs = [
+            PulseSegment(rng.choice([0.0, rng.uniform(0.1, 2.0) * OMEGA]), rng.uniform(-7, 7),
+                         delta, rng.uniform(0.1, 3.0) / OMEGA)
+            for _ in range(rng.integers(1, 6))
+        ]
+        chans.append(ChannelPulse(ch, segs))
+    return PulseSequence(chans)
+
+
+class TestKernel:
+    def test_matches_scalar_reference(self):
+        from xtalk.pulses import _compile, _propagate
+
+        rng = np.random.default_rng(2406)
+        for _ in range(20):
+            ctx = CrosstalkContext(omega_0=OMEGA, f_ct=rng.uniform(0.02, 0.3),
+                                   delta_ct=rng.normal() * 0.3 * OMEGA,
+                                   pol_overlap=rng.uniform(0.2, 0.95),
+                                   ct_phase=rng.uniform(0, 2 * math.pi))
+            seqs = [random_sequence(rng, ctx) for _ in range(3)]
+            scales = rng.uniform(0.5, 1.5, size=3)
+            offsets = rng.normal(size=(3, 4))
+            tables = [_compile(seq, ctx, scale) for seq, scale in zip(seqs, scales)]
+            kernel = _propagate(tables, offsets, ctx.ct_phase)
+            for seq, scale, shifts, u in zip(seqs, scales, offsets, kernel):
+                for j, offset in enumerate(shifts):
+                    ref = reference_unitaries(seq, ctx, scale, offset)
+                    for ion in (TARGET, SPECTATOR):
+                        assert np.max(np.abs(u[ion, j] - ref[ion])) < 1e-12
+
+    def test_padding_is_exact(self):
+        from xtalk.pulses import _compile, _propagate
+
+        tables = [_compile(pi_train("quad", OMEGA, n, CTX)[0], CTX, 1.0) for n in (1, 3)]
+        alone = next(_propagate(tables[:1], np.zeros((1, 1)), CTX.ct_phase))
+        padded = next(_propagate(tables, np.zeros((2, 1)), CTX.ct_phase))
+        assert np.array_equal(alone, padded)
+
+    def test_scan_matches_one_point_simulations(self):
+        from xtalk.pulses import simulate_scan
+
+        setting = CompensationSetting(1.0, math.pi)
+        seqs = [pi_train("pcc", OMEGA, n, CTX, setting)[0] for n in (3, 1)]
+        noise = [np.linspace(0.0, 0.5, 50), np.linspace(-0.3, 0.1, 50)]
+        scan = simulate_scan(seqs, CTX, shots=50, seed=4, point_indices=[7, 8], phase_noise=noise)
+        for res, seq, index, offsets in zip(scan, seqs, (7, 8), noise):
+            alone = simulate(seq, CTX, shots=50, seed=4, point_index=index, phase_noise=offsets)
+            assert res.populations == alone.populations
+            assert res.sampled == alone.sampled
