@@ -172,13 +172,15 @@ def measure_pi_time(
     shots: int | None = DEFAULT_SHOTS,
     seed: int = 0,
     points: int = 20,
+    fits: list | None = None,
 ) -> float:
     """Spectator pi time under crosstalk from a target-channel Rabi scan.
 
     Scans the target drive duration over one expected spectator flop period
     (``points`` samples, ``shots`` measurements each), fits
     ``a sin^2(omega t / 2)`` and returns the fitted half period.  ``shots``
-    of ``None`` uses the analytic populations.
+    of ``None`` uses the analytic populations.  The flop fit is appended to
+    ``fits`` if given.
 
     Raises
     ------
@@ -188,9 +190,11 @@ def measure_pi_time(
     """
     if ctx.f_ct <= 0.0:
         raise LowSignalError("no crosstalk drive, cannot measure a pi time")
-    t_pi, _ = _fit_flop_half_period(
+    t_pi, fit = _fit_flop_half_period(
         lambda t: _target_drive(ctx.omega_0, t), ctx, ctx.t_pi_ct, shots, seed, count(1), points
     )
+    if fits is not None:
+        fits.append(fit)
     return t_pi
 
 
@@ -200,45 +204,52 @@ def calibrate_amplitude(
     shots: int | None = DEFAULT_SHOTS,
     seed: int = 0,
     bracket: tuple = (0.25, 4.0),
-    tol: float = 1e-4,
     points: int = 20,
+    fits: list | None = None,
 ) -> float:
     """Compensation amplitude whose own spectator pi time matches ``t_pi_ct``.
 
-    Bisects the amplitude ratio until the compensation-only pi time equals
-    the measured crosstalk pi time.
+    A compensation-only flop at amplitude ratio ``f`` turns at the rate
+    ``G(f) = sqrt((k f)^2 + delta^2)`` with ``k = f_ct omega_0`` and the
+    programmed detuning ``delta = ctx.delta_ct``.  One flop scan at
+    ``f0 = sqrt(lo hi)`` measures ``t(f0) = pi / G(f0)``; solving for the ``f``
+    with ``G(f) = pi / t_pi_ct`` gives
+    ``f1 = f0 sqrt(((pi / t_pi_ct)^2 - delta^2) / ((pi / t(f0))^2 - delta^2))``,
+    and the same update from a scan at ``f1`` refines it: two scans in all.
+    Both flop fits are appended to ``fits`` if given.
 
     Raises
     ------
     ConfigError
-        If ``bracket`` does not enclose the matching amplitude.
+        If ``bracket`` does not enclose the matching amplitude: an estimate
+        leaves ``(lo, hi)`` or a rate falls at or below the detuning.
     """
     if t_pi_ct <= 0.0:
         raise ValueError("t_pi_ct must be > 0")
-    keys = count(1)
-
-    def mismatch(f_comp: float) -> float:
-        guess = math.pi / (f_comp * ctx.f_ct * ctx.omega_0)
-        t_meas, _ = _fit_flop_half_period(
-            lambda t: _compensation_drive(ctx, f_comp, t), ctx, guess, shots, seed + 1, keys,
-            points,
-        )
-        return t_meas - t_pi_ct
-
     lo, hi = bracket
     if not 0.0 < lo < hi:
         raise ConfigError("bracket must satisfy 0 < lo < hi")
-    m_lo = mismatch(lo)
-    m_hi = mismatch(hi)
-    if not (m_lo > 0.0 > m_hi):
+    delta_sq = ctx.delta_ct**2
+    target_sq = (math.pi / t_pi_ct) ** 2 - delta_sq
+    if target_sq <= 0.0:
         raise ConfigError("bracket does not enclose the matching amplitude")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mismatch(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    keys = count(1)
+    f_comp = math.sqrt(lo * hi)
+    for _ in range(2):
+        guess = math.pi / (f_comp * ctx.f_ct * ctx.omega_0)
+        t_meas, fit = _fit_flop_half_period(
+            lambda t: _compensation_drive(ctx, f_comp, t), ctx, guess, shots, seed + 1, keys,
+            points,
+        )
+        if fits is not None:
+            fits.append(fit)
+        measured_sq = (math.pi / t_meas) ** 2 - delta_sq
+        if measured_sq <= 0.0:
+            raise ConfigError("bracket does not enclose the matching amplitude")
+        f_comp *= math.sqrt(target_sq / measured_sq)
+        if not lo < f_comp < hi:
+            raise ConfigError("bracket does not enclose the matching amplitude")
+    return float(f_comp)
 
 
 def _phase_scan_fit(
@@ -259,19 +270,18 @@ def _phase_scan_fit(
     seqs = [with_pcc(base, ctx, CompensationSetting(f_comp, dial)) for dial in dials]
     pops = _measure(seqs, ctx, shots, seed + 2, count(1))
 
-    def model(params, dial):
-        a, kappa, offset = params
-        mag = effective_magnitude_polarized(f_comp, dial - offset, ctx.pol_overlap)
+    def model(a, kappa, offsets):
+        mag = effective_magnitude_polarized(f_comp, dials - offsets, ctx.pol_overlap)
         return a * np.sin(math.pi * n_periods * kappa * mag) ** 2
 
     def residual(params):
-        return np.array([model(params, d) for d in dials]) - pops
+        a, kappa, offset = params
+        return model(a, kappa, offset) - pops
 
-    # seed the phase from a coarse grid to dodge the periodic local optima
-    best = min(
-        (float(np.dot(residual([1.0, 1.0, c]), residual([1.0, 1.0, c]))), c)
-        for c in dials
-    )[1]
+    # seed the phase from a coarse grid to dodge the periodic local optima:
+    # one row per trial offset; argmin keeps the smallest dial on ties
+    grid = model(1.0, 1.0, dials[:, None]) - pops
+    best = float(dials[np.argmin((grid**2).sum(axis=1))])
     fit = gauss_newton(
         residual,
         np.array([1.0, 1.0, best]),
@@ -447,9 +457,14 @@ def run_full_calibration(
     include_stark: bool = False,
     timestamp: float | None = None,
 ) -> tuple[CalibrationResult, dict]:
-    """Full pi-time, amplitude and phase chain; returns result and diagnostics."""
-    t_pi = measure_pi_time(ctx, shots=shots, seed=seed)
-    f_star = calibrate_amplitude(ctx, t_pi, shots=shots, seed=seed)
+    """Full pi-time, amplitude and phase chain; returns result and diagnostics.
+
+    The diagnostics hold every fit stage: ``pi_time_fit``, the two
+    ``amplitude_fits`` and ``phase_fit``, each a ``FitResult.diagnostics()``.
+    """
+    pi_fits, amplitude_fits = [], []
+    t_pi = measure_pi_time(ctx, shots=shots, seed=seed, fits=pi_fits)
+    f_star = calibrate_amplitude(ctx, t_pi, shots=shots, seed=seed, fits=amplitude_fits)
     dial_star, fit = _phase_scan_fit(
         ctx, f_star, phase_periods, shots, seed, DEFAULT_SCAN_POINTS, t_pi
     )
@@ -464,4 +479,8 @@ def run_full_calibration(
         residual=fit.residual_rms,
         timestamp=_time.time() if timestamp is None else timestamp,
     )
-    return result, {"phase_fit": fit.diagnostics()}
+    return result, {
+        "pi_time_fit": pi_fits[0].diagnostics(),
+        "amplitude_fits": [f.diagnostics() for f in amplitude_fits],
+        "phase_fit": fit.diagnostics(),
+    }

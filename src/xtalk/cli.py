@@ -1,8 +1,10 @@
 """Command line interface: ``xtalk <scenario> --config <path> [options]``.
 
-Exit codes: 0 on success, 2 on configuration errors, 3 on numerical
-failures.  The environment variable ``XTALK_SEED`` overrides the built-in
-default seed; an explicit ``--seed`` flag wins over everything.
+Exit codes: 0 on success, 2 on configuration errors (including any
+``ValueError``, ``OverflowError`` or ``OSError`` raised while loading or
+running), 3 on numerical failures; an error prints one ``stderr`` line.
+The environment variable ``XTALK_SEED`` overrides the built-in default
+seed; an explicit ``--seed`` flag wins over everything.
 """
 
 from __future__ import annotations
@@ -11,8 +13,9 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
-from .errors import ConfigError, NumericalFailureError
+from .errors import ConfigError, NumericalFailureError, XtalkError
 from .scenarios import SCENARIOS, ScenarioConfig, run_scenario
 
 EXIT_OK = 0
@@ -64,17 +67,25 @@ def load_config(path: str, args: argparse.Namespace) -> ScenarioConfig:
     )
 
 
+def _one_line(exc: Exception) -> str:
+    return " ".join(str(exc).split())
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        cfg = load_config(args.config, args)
-        result = run_scenario(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NumericalFailureError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    # a failed run reports one line; the warnings it raised on the way are dropped
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            cfg = load_config(args.config, args)
+            result = run_scenario(cfg)
+        except NumericalFailureError as exc:
+            print(f"numerical failure: {_one_line(exc)}", file=sys.stderr)
+            return EXIT_NUMERICAL
+        except (XtalkError, ValueError, OverflowError, OSError) as exc:
+            print(f"config error: {_one_line(exc)}", file=sys.stderr)
+            return EXIT_CONFIG
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
     if cfg.out:
         result.write_csv(cfg.out)
     else:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "CompensationSetting",
     "CrosstalkContext",
@@ -122,20 +124,26 @@ def effective_magnitude(f_comp: float, delta_phi: float) -> float:
 
 
 def effective_magnitude_polarized(
-    f_comp: float, delta_phi: float, pol_overlap: float = 1.0
-) -> float:
+    f_comp: float, delta_phi: float | np.ndarray, pol_overlap: float = 1.0
+) -> float | np.ndarray:
     """Residual field ratio when the compensation polarization is mismatched.
 
     A fraction ``pol_overlap`` of the compensation field interferes with the
     crosstalk; the orthogonal remainder still drives the ion but adds in
-    quadrature, so it sets a cancellation floor.
+    quadrature, so it sets a cancellation floor.  Elementwise over an array
+    ``delta_phi``.
+
+    The squared ratio ``|1 + p f exp(i delta_phi)|^2 + (1 - p^2) f^2`` is
+    written as a sum of non-negative terms, so it keeps full relative
+    precision near cancellation.
     """
     if not (0.0 <= pol_overlap <= 1.0):
         raise ValueError("pol_overlap must be in [0, 1]")
     p = pol_overlap
-    coherent = abs(1.0 + p * f_comp * complex(math.cos(delta_phi), math.sin(delta_phi)))
-    quadrature = math.sqrt(1.0 - p * p) * f_comp
-    return math.hypot(coherent, quadrature)
+    half = np.cos(0.5 * delta_phi)
+    return np.sqrt(
+        (1.0 - f_comp) ** 2 + 2.0 * f_comp * (1.0 - p) + 4.0 * p * f_comp * half * half
+    )
 
 
 def is_suppressing(f_comp: float, delta_phi: float) -> bool:

@@ -8,6 +8,7 @@ metadata identifying the configuration.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import json
@@ -193,7 +194,9 @@ class ScenarioConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+@functools.cache
 def _build_describe() -> str:
+    """Build id from ``git describe``, spawned once per process."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],

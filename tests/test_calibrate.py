@@ -71,6 +71,39 @@ class TestCalibrateAmplitude:
         _, floor = best_compensation(0.9)
         assert floor == pytest.approx(math.sqrt(1.0 - 0.81), abs=1e-12)
 
+    @pytest.mark.parametrize("detuning", [0.0, 0.03, 0.06])
+    @pytest.mark.parametrize("bracket", [(0.25, 4.0), (0.5, 4.0), (0.3, 1.2)])
+    def test_direct_solve_is_exact(self, detuning, bracket):
+        # the detuned compensation flop turns at sqrt((k f)^2 + delta^2); the
+        # naive update f t(f) / t_pi misses f = 1 at (0.3, 1.2) and 0.06
+        ctx = CrosstalkContext(omega_0=OMEGA, f_ct=0.096, delta_ct=detuning * OMEGA)
+        t_pi = math.pi / math.hypot(ctx.f_ct * OMEGA, ctx.delta_ct)
+        f_star = calibrate_amplitude(ctx, t_pi, shots=None, bracket=bracket)
+        assert type(f_star) is float
+        assert abs(f_star - 1.0) <= 1e-9
+
+    def test_two_flop_scans(self, monkeypatch):
+        from xtalk import calibrate
+
+        scans = []
+        real = calibrate._fit_flop_half_period
+
+        def counting(*args, **kwargs):
+            scans.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(calibrate, "_fit_flop_half_period", counting)
+        fits = []
+        calibrate_amplitude(CTX, CTX.t_pi_ct, shots=200, seed=3, fits=fits)
+        assert len(scans) == 2
+        assert len(fits) == 2
+
+    def test_pi_time_beyond_detuning_floor(self):
+        # no amplitude flops slower than the detuning allows: pi / t < delta
+        ctx = CrosstalkContext(omega_0=OMEGA, f_ct=0.096, delta_ct=0.2 * OMEGA)
+        with pytest.raises(ConfigError):
+            calibrate_amplitude(ctx, ctx.t_pi_ct, shots=None)
+
     def test_non_bracketing_interval(self):
         with pytest.raises(ConfigError):
             calibrate_amplitude(CTX, CTX.t_pi_ct, shots=None, bracket=(2.0, 4.0))
@@ -106,6 +139,40 @@ class TestCalibratePhase:
 
         _, fit = _phase_scan_fit(CTX, 1.0, 1, 200, 11, 40, None)
         assert fit.residual_rms <= 3.0 * math.sqrt(0.25 / 200)
+
+
+    @pytest.mark.parametrize("pol_overlap", [1.0, 0.9])
+    def test_residual_matches_scalar_model(self, monkeypatch, pol_overlap):
+        from xtalk import calibrate
+        from xtalk.field import effective_magnitude_polarized
+
+        seen = {}
+        real_measure, real_fit = calibrate._measure, calibrate.gauss_newton
+
+        def measure(*args, **kwargs):
+            seen["pops"] = real_measure(*args, **kwargs)
+            return seen["pops"]
+
+        def fit(residual, *args, **kwargs):
+            seen["residual"] = residual
+            return real_fit(residual, *args, **kwargs)
+
+        monkeypatch.setattr(calibrate, "_measure", measure)
+        monkeypatch.setattr(calibrate, "gauss_newton", fit)
+        ctx = CrosstalkContext(omega_0=OMEGA, f_ct=0.096, pol_overlap=pol_overlap, ct_phase=1.3)
+        f_comp, n_periods, points = 0.97, 2, 40
+        calibrate_phase(ctx, f_comp, n_periods=n_periods, shots=200, seed=4, points=points)
+        dials = np.arange(points) * (2.0 * math.pi / points)
+        for a, kappa, offset in [(1.0, 1.0, 0.0), (0.8, 1.2, 1.3), (1.4, 0.6, -2.5)]:
+            expected = [
+                a * math.sin(
+                    math.pi * n_periods * kappa
+                    * effective_magnitude_polarized(f_comp, d - offset, pol_overlap)
+                ) ** 2 - pop
+                for d, pop in zip(dials, seen["pops"])
+            ]
+            got = seen["residual"](np.array([a, kappa, offset]))
+            np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
 
 
 class TestCalibrateStarkShift:
@@ -266,6 +333,18 @@ class TestFullChain:
         result, _ = run_full_calibration(ctx, shots=200, seed=12)
         rel = relative_error(result.f_comp_star, result.delta_phi_star - ctx.ct_phase)
         assert rel <= 0.01
+
+    def test_diagnostics_cover_every_stage(self, tmp_path):
+        ctx = CrosstalkContext(omega_0=OMEGA, f_ct=0.096, ct_phase=2.0)
+        result, diag = run_full_calibration(ctx, shots=200, seed=7)
+        assert set(diag) == {"pi_time_fit", "amplitude_fits", "phase_fit"}
+        assert len(diag["amplitude_fits"]) == 2
+        stages = [diag["pi_time_fit"], *diag["amplitude_fits"], diag["phase_fit"]]
+        for stage in stages:
+            assert set(stage) == {"iterations", "converged", "residual_rms", "residual_trace"}
+        save_result(result, tmp_path / "cal.json", diagnostics=diag)
+        side = json.loads((tmp_path / "cal.diag.json").read_text(encoding="utf-8"))
+        assert side == json.loads(json.dumps(diag))
 
     def test_stark_branch(self):
         ctx = CrosstalkContext(

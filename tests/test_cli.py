@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -124,3 +125,24 @@ def test_population_rounding_above_one_is_sampled(tmp_path, capsys, scenario, do
     assert main([scenario, "--config", cfg]) == EXIT_OK
     row = capsys.readouterr().out.strip().splitlines()[-1]
     assert 0.0 <= float(row.split(",")[1]) <= 1.0
+
+
+@pytest.mark.parametrize(
+    "scenario, doc",
+    [
+        ("phase-scan", {"physics": {"f_ct": 0}}),
+        ("phase-scan", {"scan": {"points": "abc"}}),
+        ("x-error", {"physics": {"omega_0_rad_per_s": 1e300}}),
+        ("drift-monitor", {"scan": {"dt_min": 0}}),
+    ],
+)
+def test_invalid_values_exit_2_with_one_line(tmp_path, capsys, scenario, doc):
+    cfg = write_config(tmp_path, doc)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([scenario, "--config", cfg]) == EXIT_CONFIG
+    assert caught == []  # a warning would print more stderr lines
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("config error: ")
+    assert "Traceback" not in err

@@ -152,6 +152,20 @@ class TestPolarization:
                 effective_magnitude(f, dphi), abs=1e-12
             )
 
+    @pytest.mark.parametrize("p", [1.0, 0.9, 0.3])
+    def test_array_form_matches_scalar_form(self, p):
+        dials = np.linspace(-1.0, 2.0 * math.pi + 1.0, 257)
+        for f in (0.0, 0.5, 1.0, 1.7):
+            array = effective_magnitude_polarized(f, dials, p)
+            assert array.shape == dials.shape
+            scalar = [effective_magnitude_polarized(f, float(d), p) for d in dials]
+            np.testing.assert_array_equal(array, scalar)
+            coherent = np.abs(1.0 + p * f * np.exp(1j * dials))
+            assert np.allclose(array, np.hypot(coherent, math.sqrt(1.0 - p * p) * f),
+                               rtol=1e-14, atol=0.0)
+        with pytest.raises(ValueError):
+            effective_magnitude_polarized(1.0, dials, 1.5)
+
     def test_floor_matches_grid_minimum(self):
         p = 0.9
         setting, floor = best_compensation(p)

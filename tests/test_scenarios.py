@@ -304,6 +304,26 @@ class TestDeterminism:
         assert a.value_mean[0] == b.value_mean[0]
         assert a.metadata["config_hash"] != b.metadata["config_hash"]
 
+    def test_build_id_spawns_git_once_per_process(self, monkeypatch):
+        import subprocess
+
+        from xtalk import scenarios
+
+        calls = []
+        real_run = subprocess.run
+
+        def counting_run(*args, **kwargs):
+            calls.append(args)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", counting_run)
+        scenarios._build_describe.cache_clear()
+        cfg = make_cfg("x-error", scan={"n_values": [1]})
+        first = run_scenario(cfg).metadata["build"]
+        second = run_scenario(cfg).metadata["build"]
+        assert first == second
+        assert len(calls) <= 1
+
     def test_noise_block_reproducible(self):
         cfg = make_cfg(
             "x-error",
