@@ -1,10 +1,10 @@
 """Command line interface: ``xtalk <scenario> --config <path> [options]``.
 
 Exit codes: 0 on success, 2 on configuration errors (including any
-``ValueError``, ``OverflowError`` or ``OSError`` raised while loading or
-running), 3 on numerical failures; an error prints one ``stderr`` line.
-The environment variable ``XTALK_SEED`` overrides the built-in default
-seed; an explicit ``--seed`` flag wins over everything.
+``ValueError``, ``OverflowError`` or ``OSError`` raised while loading,
+running or writing the CSV), 3 on numerical failures; an error prints one
+``stderr`` line.  The environment variable ``XTALK_SEED`` overrides the
+built-in default seed; an explicit ``--seed`` flag wins over everything.
 """
 
 from __future__ import annotations
@@ -78,6 +78,10 @@ def main(argv=None) -> int:
         try:
             cfg = load_config(args.config, args)
             result = run_scenario(cfg)
+            if cfg.out:
+                result.write_csv(cfg.out)
+            else:
+                sys.stdout.write(result.to_csv())
         except NumericalFailureError as exc:
             print(f"numerical failure: {_one_line(exc)}", file=sys.stderr)
             return EXIT_NUMERICAL
@@ -86,10 +90,6 @@ def main(argv=None) -> int:
             return EXIT_CONFIG
     for w in caught:
         warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
-    if cfg.out:
-        result.write_csv(cfg.out)
-    else:
-        sys.stdout.write(result.to_csv())
     return EXIT_OK
 
 

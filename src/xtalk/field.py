@@ -118,9 +118,7 @@ def effective_magnitude(f_comp: float, delta_phi: float) -> float:
     """Residual field magnitude ratio |1 + f_comp exp(i delta_phi)|."""
     if f_comp < 0.0:
         raise ValueError("f_comp must be >= 0")
-    return math.sqrt(
-        max(1.0 + f_comp**2 + 2.0 * f_comp * math.cos(delta_phi), 0.0)
-    )
+    return float(effective_magnitude_polarized(f_comp, delta_phi, 1.0))
 
 
 def effective_magnitude_polarized(
@@ -179,7 +177,7 @@ def relative_error(f_comp: float, delta_phi: float) -> float:
     """
     if f_comp < 0.0:
         raise ValueError("f_comp must be >= 0")
-    return max(1.0 + f_comp**2 + 2.0 * f_comp * math.cos(delta_phi), 0.0)
+    return float(effective_magnitude_polarized(f_comp, delta_phi, 1.0)) ** 2
 
 
 def best_compensation(pol_overlap: float = 1.0) -> tuple[CompensationSetting, float]:

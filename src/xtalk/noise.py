@@ -89,6 +89,10 @@ class DriftProcess:
         return 6.0 * self.walk_sigma**2 / self.walk_window
 
 
+# the named drift presets, as accepted by configs and preset files
+DRIFT_PRESETS = {"enclosed": DriftProcess.enclosed, "exposed": DriftProcess.exposed}
+
+
 def sample_slow_drift(
     process: DriftProcess, duration_min: float, dt_min: float, seed: int = 0
 ) -> np.ndarray:
@@ -341,14 +345,10 @@ def load_presets(path) -> dict:
     if "drift" in doc:
         kw = _from_keys(doc["drift"], _DRIFT_KEYS, "drift")
         preset = kw.pop("preset", None)
-        bases = {
-            "enclosed": DriftProcess.enclosed,
-            "exposed": DriftProcess.exposed,
-            None: lambda: DriftProcess(0.0, 0.0),
-        }
-        if preset not in bases:
+        if preset is not None and preset not in DRIFT_PRESETS:
             raise ConfigError(f"unknown drift preset tag {preset!r}")
-        out["drift"] = replace(bases[preset](), **kw)
+        base = DriftProcess(0.0, 0.0) if preset is None else DRIFT_PRESETS[preset]()
+        out["drift"] = replace(base, **kw)
     if "aom" in doc:
         out["aom"] = AomModel(**_from_keys(doc["aom"], _AOM_KEYS, "aom"))
     return out

@@ -14,6 +14,7 @@ import io
 import json
 import math
 import subprocess
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from .errors import ConfigError
 from .field import CompensationSetting, CrosstalkContext
 from .noise import (
     AomModel,
-    DriftProcess,
+    DRIFT_PRESETS,
     DEFAULT_MATCH_ERROR,
     duty_cycle_drift_rate,
     rng,
@@ -45,61 +46,117 @@ from .pulses import (
 
 __all__ = ["ScenarioConfig", "ScanResult", "run_scenario", "SCENARIOS"]
 
-SCENARIOS = (
-    "x-error",
-    "z-error",
-    "phase-scan",
-    "rabi-scan",
-    "amplitude-scan",
-    "drift-monitor",
-    "duty-cycle-sweep",
-    "beam-profile",
-)
 METHODS = ("none", "pcc", "sk1", "quad")
-
-_TOP_KEYS = {"scenario", "method", "physics", "scan", "noise", "shots", "seed", "out"}
-_PHYSICS_KEYS = {
-    "omega_0_rad_per_s",
-    "f_ct",
-    "f_comp",
-    "delta_phi_rad",
-    "delta_ct_rad_per_s",
-    "pol_overlap",
-    "ct_phase_rad",
-    "stark_shift_rad_per_s",
-}
-_NOISE_KEYS = {"preset", "shot_interval_min"}
-_SCAN_KEYS = {
-    "x-error": {"n_values"},
-    "z-error": {"n_values"},
-    "phase-scan": {"points", "n_periods"},
-    "rabi-scan": {"t_max_s", "points", "observe"},
-    "amplitude-scan": {"scale_min", "scale_max", "points"},
-    "drift-monitor": {"preset", "duration_min", "dt_min"},
-    "duty-cycle-sweep": {"ratio_min", "ratio_max", "points", "mitigated", "match_error"},
-    "beam-profile": {
-        "x_min_um",
-        "x_max_um",
-        "points",
-        "curve",
-        "w0_um",
-        "wavelength_nm",
-        "na",
-        "device_csv",
-        "max_refinements",
-    },
-}
 
 DEFAULT_OMEGA_0 = 2.0 * math.pi * 50e3  # rad/s, simulation constant
 DEFAULT_F_CT = 0.096
 
+# The config schema: per section, key -> (kind, default, lower bound).  A kind
+# is int, float (finite), bool, str, dict, list (a non-empty list of ints) or a
+# tuple of choices.  A default of None means no value unless given (or one the
+# runner derives), and null then stands for it; a choice without a default must
+# be given.  CrosstalkContext and CompensationSetting check the physics ranges.
+_PHYSICS = {
+    "omega_0_rad_per_s": (float, DEFAULT_OMEGA_0, ""),
+    "f_ct": (float, DEFAULT_F_CT, ""),
+    "f_comp": (float, 1.0, ""),
+    "delta_phi_rad": (float, math.pi, ""),
+    "delta_ct_rad_per_s": (float, 0.0, ""),
+    "pol_overlap": (float, 1.0, ""),
+    "ct_phase_rad": (float, 0.0, ""),
+    "stark_shift_rad_per_s": (float, 0.0, ""),
+}
+_NOISE = {"preset": (tuple(DRIFT_PRESETS), None, ""), "shot_interval_min": (float, 1e-3, "> 0")}
+_N_VALUES = {"n_values": (list, (1, 2, 4, 8, 16, 32), ">= 1")}
+_SCAN = {
+    "x-error": _N_VALUES,
+    "z-error": _N_VALUES,
+    "phase-scan": {"points": (int, 40, ">= 2"), "n_periods": (int, 1, ">= 1")},
+    "rabi-scan": {
+        "t_max_s": (float, None, ">= 0"),  # None: two spectator or four target pi times
+        "points": (int, 81, ">= 1"),
+        "observe": (("target", "spectator"), "spectator", ""),
+    },
+    "amplitude-scan": {
+        "scale_min": (float, 0.0, ">= 0"),
+        "scale_max": (float, 1.5, ">= 0"),
+        "points": (int, 61, ">= 1"),
+    },
+    "drift-monitor": {
+        "preset": (tuple(DRIFT_PRESETS), "enclosed", ""),
+        "duration_min": (float, 8.0, ">= 0"),
+        "dt_min": (float, 0.1, "> 0"),
+    },
+    "duty-cycle-sweep": {
+        "ratio_min": (float, 1e-3, "> 0"),
+        "ratio_max": (float, 1.0, "> 0"),
+        "points": (int, 13, ">= 1"),
+        "mitigated": (bool, False, ""),
+        "match_error": (float, DEFAULT_MATCH_ERROR, ""),
+    },
+    "beam-profile": {
+        "x_min_um": (float, -10.0, ""),
+        "x_max_um": (float, 10.0, ""),
+        "points": (int, 401, ">= 1"),
+        "curve": (("clipped", "device", "gaussian"), "clipped", ""),
+        "w0_um": (float, 1.6, "> 0"),
+        "wavelength_nm": (float, 729.0, "> 0"),
+        "na": (float, 0.35, "> 0"),
+        "device_csv": (str, None, ""),
+        "max_refinements": (int, 12, ">= 0"),
+    },
+}
+SCENARIOS = tuple(_SCAN)
+_TOP = {
+    "scenario": (SCENARIOS, None, ""),
+    "method": (METHODS, "none", ""),
+    "physics": (dict, {}, ""),
+    "scan": (dict, {}, ""),
+    "noise": (dict, None, ""),
+    "shots": (int, 200, ">= 1"),
+    "seed": (int, 0, ""),
+    "out": (str, None, ""),
+}
+_KIND_TEXT = {int: "an integer", float: "a finite number", bool: "true or false",
+              str: "a string", dict: "an object", list: "a non-empty list of integers"}
 
-def _require_keys(section: dict, allowed: set, what: str) -> None:
-    if not isinstance(section, dict):
-        raise ConfigError(f"{what} must be a JSON object")
-    unknown = set(section) - allowed
+
+def _typed(value, kind) -> bool:
+    if isinstance(kind, tuple):
+        return isinstance(value, str) and value in kind
+    if kind is bool or isinstance(value, bool):
+        return kind is bool and isinstance(value, bool)
+    if kind is float:  # the bound also rejects NaN, inf and ints too large for a float
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if kind is list:
+        return isinstance(value, list) and bool(value) and all(type(n) is int for n in value)
+    return isinstance(value, kind)
+
+
+def _resolve(section: dict, table: dict, what: str) -> dict:
+    """``section`` checked against its schema ``table``, defaults filled in."""
+    unknown = section.keys() - table.keys()
     if unknown:
         raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    out = {}
+    for key, (kind, default, bound) in table.items():
+        value = section.get(key, default)
+        # an absent key takes its default unchecked, but a choice is always checked
+        if value is default and not isinstance(kind, tuple):
+            out[key] = value
+            continue
+        ok = _typed(value, kind)
+        if ok and bound:
+            op, lo = bound.split()
+            ok = all(v > float(lo) if op == ">" else v >= float(lo)
+                     for v in (value if kind is list else (value,)))
+        if not ok:
+            name = key if what == "config" else f"{what}.{key}"
+            text = f"one of {kind}" if isinstance(kind, tuple) else _KIND_TEXT[kind]
+            raise ConfigError(f"{name} must be {text}{' ' + bound if bound else ''}, "
+                              f"got {value!r}")
+        out[key] = float(value) if kind is float else value
+    return out
 
 
 @dataclass(frozen=True)
@@ -126,66 +183,36 @@ class ScenarioConfig:
         out_override: str | None = None,
         default_seed: int = 0,
     ) -> "ScenarioConfig":
-        _require_keys(doc, _TOP_KEYS, "config")
-        scenario = doc.get("scenario")
-        if scenario not in SCENARIOS:
-            raise ConfigError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
-        method = doc.get("method", "none")
-        if method not in METHODS:
-            raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
-
-        phys = dict(doc.get("physics", {}))
-        _require_keys(phys, _PHYSICS_KEYS, "physics")
+        if not isinstance(doc, dict):
+            raise ConfigError("config must be a JSON object")
+        overrides = {"seed": seed_override, "shots": shots_override, "out": out_override}
+        top = {"seed": default_seed, **doc, **{k: v for k, v in overrides.items() if v is not None}}
+        top = _resolve(top, _TOP, "config")
+        scenario = top["scenario"]
+        phys = _resolve(top["physics"], _PHYSICS, "physics")
         try:
             context = CrosstalkContext(
-                omega_0=float(phys.get("omega_0_rad_per_s", DEFAULT_OMEGA_0)),
-                f_ct=float(phys.get("f_ct", DEFAULT_F_CT)),
-                delta_ct=float(phys.get("delta_ct_rad_per_s", 0.0)),
-                pol_overlap=float(phys.get("pol_overlap", 1.0)),
-                ct_phase=float(phys.get("ct_phase_rad", 0.0)),
-                stark_shift=float(phys.get("stark_shift_rad_per_s", 0.0)),
-            )
-            setting = CompensationSetting(
-                f_comp=float(phys.get("f_comp", 1.0)),
-                delta_phi=float(phys.get("delta_phi_rad", math.pi)),
-            )
+                omega_0=phys["omega_0_rad_per_s"], f_ct=phys["f_ct"],
+                delta_ct=phys["delta_ct_rad_per_s"], pol_overlap=phys["pol_overlap"],
+                ct_phase=phys["ct_phase_rad"], stark_shift=phys["stark_shift_rad_per_s"])
+            setting = CompensationSetting(f_comp=phys["f_comp"], delta_phi=phys["delta_phi_rad"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        noise = top["noise"]
 
-        scan = dict(doc.get("scan", {}))
-        _require_keys(scan, _SCAN_KEYS[scenario], f"{scenario} scan")
-
-        noise = doc.get("noise")
-        if noise is not None:
-            noise = dict(noise)
-            _require_keys(noise, _NOISE_KEYS, "noise")
-            if noise.get("preset") not in ("enclosed", "exposed"):
-                raise ConfigError("noise.preset must be 'enclosed' or 'exposed'")
-
-        shots = shots_override if shots_override is not None else doc.get("shots", 200)
-        if not isinstance(shots, int) or shots < 1:
-            raise ConfigError("shots must be an integer >= 1")
-        seed = seed_override if seed_override is not None else doc.get("seed", default_seed)
-        if not isinstance(seed, int):
-            raise ConfigError("seed must be an integer")
-        out = out_override if out_override is not None else doc.get("out")
-
-        # the hash identifies the physics configuration, not the output path
+        # the hash identifies the document as given, not the output path
         resolved = {k: v for k, v in doc.items() if k != "out"}
-        resolved["scenario"] = scenario
-        resolved["method"] = method
-        resolved["shots"] = shots
-        resolved["seed"] = seed
+        resolved.update({k: top[k] for k in ("scenario", "method", "shots", "seed")})
         return cls(
             scenario=scenario,
-            method=method,
+            method=top["method"],
             context=context,
             setting=setting,
-            scan=scan,
-            noise=noise,
-            shots=shots,
-            seed=seed,
-            out=out,
+            scan=_resolve(top["scan"], _SCAN[scenario], f"{scenario} scan"),
+            noise=None if noise is None else _resolve(noise, _NOISE, "noise"),
+            shots=top["shots"],
+            seed=top["seed"],
+            out=top["out"],
             raw=resolved,
         )
 
@@ -247,14 +274,6 @@ def _binomial_stderr(p: float, shots: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 0.0) / shots)
 
 
-def _pulse_counts(cfg: ScenarioConfig) -> list:
-    ns = cfg.scan.get("n_values", [1, 2, 4, 8, 16, 32])
-    counts = [int(n) for n in ns]
-    if not counts or any(n < 1 for n in counts):
-        raise ConfigError("n_values must be positive integers")
-    return counts
-
-
 def _sweep(cfg: ScenarioConfig, x, seqs, channel: int = SPECTATOR, noise: bool = True,
            scales=None) -> ScanResult:
     """One kernel call over the scan points: per point the population of
@@ -262,9 +281,8 @@ def _sweep(cfg: ScenarioConfig, x, seqs, channel: int = SPECTATOR, noise: bool =
     configured drift offsets the spectator channel per shot."""
     phase_noise = None
     if noise and cfg.noise is not None:
-        preset = cfg.noise["preset"]
-        process = DriftProcess.enclosed() if preset == "enclosed" else DriftProcess.exposed()
-        dt = float(cfg.noise.get("shot_interval_min", 1e-3))
+        process = DRIFT_PRESETS[cfg.noise["preset"]]()
+        dt = cfg.noise["shot_interval_min"]
         phase_noise = [sample_slow_drift(process, dt * cfg.shots, dt,
                                          seed=(cfg.seed + 7919) * 65537 + i)[1:]
                        for i in range(len(x))]
@@ -278,7 +296,7 @@ def _sweep(cfg: ScenarioConfig, x, seqs, channel: int = SPECTATOR, noise: bool =
 
 def run_x_error(cfg: ScenarioConfig) -> ScanResult:
     """Spectator excited population after N target pi pulses, from ground."""
-    counts = _pulse_counts(cfg)
+    counts = cfg.scan["n_values"]
     ctx = cfg.context
     seqs = (pi_train(cfg.method, ctx.omega_0, n, ctx, cfg.setting)[0] for n in counts)
     return _sweep(cfg, np.array(counts, dtype=float), seqs)
@@ -294,7 +312,7 @@ def run_z_error(cfg: ScenarioConfig) -> ScanResult:
     phase) is measured from the train unitary and absorbed into the closing
     pulse phase, as the protocol prescribes.
     """
-    counts = _pulse_counts(cfg)
+    counts = cfg.scan["n_values"]
     ctx = cfg.context
     trains = [pi_train(cfg.method, ctx.omega_0, n, ctx, cfg.setting)[0] for n in counts]
     close_phases = [math.pi] * len(trains)
@@ -308,12 +326,9 @@ def run_z_error(cfg: ScenarioConfig) -> ScanResult:
 
 def run_phase_scan(cfg: ScenarioConfig) -> ScanResult:
     """Spectator population versus compensation phase at t = 2 n crosstalk pi times."""
-    points = int(cfg.scan.get("points", 40))
-    n_periods = int(cfg.scan.get("n_periods", 1))
-    if points < 2 or n_periods < 1:
-        raise ConfigError("phase-scan needs points >= 2 and n_periods >= 1")
+    points = cfg.scan["points"]
     ctx = cfg.context
-    duration = 2.0 * n_periods * ctx.t_pi_ct
+    duration = 2.0 * cfg.scan["n_periods"] * ctx.t_pi_ct
     dials = np.arange(points) * (2.0 * math.pi / points)
     base = PulseSequence((ChannelPulse(TARGET, (PulseSegment(ctx.omega_0, 0.0, 0.0, duration),)),))
     seqs = (with_pcc(base, ctx, CompensationSetting(cfg.setting.f_comp, d)) for d in dials)
@@ -322,17 +337,12 @@ def run_phase_scan(cfg: ScenarioConfig) -> ScanResult:
 
 def run_rabi_scan(cfg: ScenarioConfig) -> ScanResult:
     """Rabi flopping versus pulse duration on either channel."""
-    observe = cfg.scan.get("observe", "spectator")
-    if observe not in ("target", "spectator"):
-        raise ConfigError("observe must be 'target' or 'spectator'")
-    channel = TARGET if observe == "target" else SPECTATOR
+    channel = TARGET if cfg.scan["observe"] == "target" else SPECTATOR
     ctx = cfg.context
-    if "t_max_s" in cfg.scan:
-        t_max = float(cfg.scan["t_max_s"])
-    else:
+    t_max = cfg.scan["t_max_s"]
+    if t_max is None:
         t_max = 2.0 * ctx.t_pi_ct if channel == SPECTATOR else 4.0 * ctx.t_pi
-    points = int(cfg.scan.get("points", 81))
-    times = np.linspace(0.0, t_max, points)
+    times = np.linspace(0.0, t_max, cfg.scan["points"])
     seqs = []
     for t in times:
         seq = PulseSequence((ChannelPulse(TARGET, (PulseSegment(ctx.omega_0, 0.0, 0.0, t),)),))
@@ -342,25 +352,18 @@ def run_rabi_scan(cfg: ScenarioConfig) -> ScanResult:
 
 def run_amplitude_scan(cfg: ScenarioConfig) -> ScanResult:
     """Target excited population after a nominal pi pulse versus drive scale."""
-    lo = float(cfg.scan.get("scale_min", 0.0))
-    hi = float(cfg.scan.get("scale_max", 1.5))
-    points = int(cfg.scan.get("points", 61))
-    scales = np.linspace(lo, hi, points)
+    scales = np.linspace(cfg.scan["scale_min"], cfg.scan["scale_max"], cfg.scan["points"])
     ctx = cfg.context
     seq, _ = pi_train(cfg.method, ctx.omega_0, 1, ctx, cfg.setting)
-    return _sweep(cfg, scales, [seq] * points, TARGET, noise=False,
+    return _sweep(cfg, scales, [seq] * len(scales), TARGET, noise=False,
                   scales=[float(s) for s in scales])
 
 
 def run_drift_monitor(cfg: ScenarioConfig) -> ScanResult:
     """Slow differential-phase trace with a Ramsey-probe estimate per point."""
-    preset = cfg.scan.get("preset", "enclosed")
-    if preset not in ("enclosed", "exposed"):
-        raise ConfigError("drift preset must be 'enclosed' or 'exposed'")
-    duration = float(cfg.scan.get("duration_min", 8.0))
-    dt = float(cfg.scan.get("dt_min", 0.1))
-    process = DriftProcess.enclosed() if preset == "enclosed" else DriftProcess.exposed()
-    trace = sample_slow_drift(process, duration, dt, seed=cfg.seed)
+    dt = cfg.scan["dt_min"]
+    process = DRIFT_PRESETS[cfg.scan["preset"]]()
+    trace = sample_slow_drift(process, cfg.scan["duration_min"], dt, seed=cfg.seed)
     times = np.arange(len(trace)) * dt
     rows = []
     for i, phi in enumerate(trace):
@@ -376,39 +379,29 @@ def run_drift_monitor(cfg: ScenarioConfig) -> ScanResult:
 
 def run_duty_cycle_sweep(cfg: ScenarioConfig) -> ScanResult:
     """Steady thermal phase drift rate versus duty-cycle ratio."""
-    lo = float(cfg.scan.get("ratio_min", 1e-3))
-    hi = float(cfg.scan.get("ratio_max", 1.0))
-    points = int(cfg.scan.get("points", 13))
-    mitigated = bool(cfg.scan.get("mitigated", False))
-    match_error = float(cfg.scan.get("match_error", DEFAULT_MATCH_ERROR))
-    if not 0.0 < lo <= hi <= 1.0:
-        raise ConfigError("ratios must satisfy 0 < ratio_min <= ratio_max <= 1")
-    ratios = np.geomspace(lo, hi, points)
+    scan = cfg.scan
+    if not scan["ratio_min"] <= scan["ratio_max"] <= 1.0:
+        raise ConfigError("duty-cycle-sweep needs scan.ratio_min <= scan.ratio_max <= 1")
+    ratios = np.geomspace(scan["ratio_min"], scan["ratio_max"], scan["points"])
     model = AomModel()
-    rates = [duty_cycle_drift_rate(model, float(r), mitigated, match_error) for r in ratios]
+    rates = [duty_cycle_drift_rate(model, float(r), scan["mitigated"], scan["match_error"])
+             for r in ratios]
     return _result(cfg, ratios, [(rate, rate, 0.0) for rate in rates])
 
 
 def run_beam_profile(cfg: ScenarioConfig) -> ScanResult:
     """Focal-plane intensity cut: clipped diffraction, device map, or ideal Gaussian."""
-    curve = cfg.scan.get("curve", "clipped")
-    if curve not in ("clipped", "device", "gaussian"):
-        raise ConfigError("curve must be 'clipped', 'device' or 'gaussian'")
-    x_min = float(cfg.scan.get("x_min_um", -10.0))
-    x_max = float(cfg.scan.get("x_max_um", 10.0))
-    points = int(cfg.scan.get("points", 401))
-    w0 = float(cfg.scan.get("w0_um", 1.6))
-    wavelength = float(cfg.scan.get("wavelength_nm", 729.0))
-    na = float(cfg.scan.get("na", 0.35))
-    grid = np.linspace(x_min, x_max, points)
+    scan = cfg.scan
+    curve, w0, wavelength, na = scan["curve"], scan["w0_um"], scan["wavelength_nm"], scan["na"]
+    grid = np.linspace(scan["x_min_um"], scan["x_max_um"], scan["points"])
 
     if curve == "clipped":
-        max_ref = int(cfg.scan.get("max_refinements", 12))
-        intensity = clipped_focus_profile(w0, wavelength, na, grid, max_refinements=max_ref)
+        intensity = clipped_focus_profile(w0, wavelength, na, grid,
+                                          max_refinements=scan["max_refinements"])
     elif curve == "gaussian":
         intensity = gaussian_intensity(grid, w0)
     else:
-        csv_path = cfg.scan.get("device_csv")
+        csv_path = scan["device_csv"]
         if csv_path:
             profile = BeamProfile.from_csv(csv_path, waist_um=w0, wavelength_nm=wavelength, na=na)
         else:

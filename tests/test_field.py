@@ -123,6 +123,13 @@ class TestRelativeError:
                 effective_magnitude(f, dphi) ** 2, abs=1e-12
             )
 
+    @pytest.mark.parametrize("eps", [1e-9, 1e-6])
+    def test_keeps_precision_near_cancellation(self, eps):
+        # 1 + 1 + 2 cos(pi + eps) = 4 sin^2(eps / 2); the expanded sum cancels to 0
+        expected = 4.0 * math.sin(0.5 * eps) ** 2
+        assert relative_error(1.0, math.pi + eps) == pytest.approx(expected, rel=1e-6, abs=0.0)
+        assert effective_magnitude(1.0, math.pi + eps) ** 2 == pytest.approx(expected, rel=1e-6, abs=0.0)
+
     def test_zero_set_is_unique(self):
         # zero only at (1, pi)
         assert relative_error(1.0, math.pi) < 1e-15

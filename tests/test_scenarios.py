@@ -5,7 +5,7 @@ import pytest
 
 from xtalk.errors import ConfigError
 from xtalk.field import pi_pulse_error
-from xtalk.scenarios import ScenarioConfig, run_scenario
+from xtalk.scenarios import _SCAN, SCENARIOS, ScenarioConfig, run_scenario
 
 OMEGA = 2 * math.pi * 50e3
 
@@ -53,6 +53,18 @@ class TestConfigValidation:
     def test_bad_physics_value(self):
         with pytest.raises(ConfigError):
             make_cfg("x-error", physics={"pol_overlap": 2.0})
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_scan_holds_every_schema_key(self, scenario):
+        scan = ScenarioConfig.from_dict({"scenario": scenario}).scan
+        assert scan == {key: default for key, (_, default, _) in _SCAN[scenario].items()}
+
+    def test_defaults_leave_the_hash_alone(self):
+        # the hash covers the document as given, not the filled-in defaults
+        bare = ScenarioConfig.from_dict({"scenario": "phase-scan"})
+        full = ScenarioConfig.from_dict({"scenario": "phase-scan", "scan": {"points": 40}})
+        assert bare.scan == full.scan
+        assert bare.config_hash() != full.config_hash()
 
     def test_hash_stable_under_key_order(self):
         a = ScenarioConfig.from_dict({"scenario": "x-error", "shots": 10, "seed": 1})
