@@ -127,10 +127,9 @@ def _measure(seqs, ctx, shots, seed, keys, channel=SPECTATOR) -> np.ndarray:
     never share draws; without, the analytic populations are returned.
     """
     if not shots:
-        return np.array([r.populations[channel] for r in simulate_scan(seqs, ctx)])
+        return simulate_scan(seqs, ctx).populations[:, channel]
     idx = [next(keys) for _ in seqs]
-    results = simulate_scan(seqs, ctx, shots=shots, seed=seed, point_indices=idx)
-    return np.array([r.sampled[channel] for r in results])
+    return simulate_scan(seqs, ctx, shots=shots, seed=seed, point_indices=idx).sampled[:, channel]
 
 
 def _target_drive(omega_0: float, duration: float) -> PulseSequence:
@@ -386,12 +385,12 @@ def recalibration_interval(drift_rate: float, suppression_target: float) -> floa
     return phase_tolerance(suppression_target) / drift_rate
 
 
-def _sk1_spectator_populations(f_eff: float, det_ratio: float, counts) -> list:
+def _sk1_spectator_populations(f_eff: float, det_ratio: float, counts) -> np.ndarray:
     from .pulses import pi_train
 
     ctx = CrosstalkContext(omega_0=1.0, f_ct=max(f_eff, 1e-12), delta_ct=det_ratio)
     seqs = [pi_train("sk1", 1.0, int(n))[0] for n in counts]
-    return [res.populations[SPECTATOR] for res in simulate_scan(seqs, ctx)]
+    return simulate_scan(seqs, ctx).populations[:, SPECTATOR]
 
 
 def fit_crosstalk_model(data, model: FitModel) -> FitResult:
@@ -428,7 +427,7 @@ def fit_crosstalk_model(data, model: FitModel) -> FitResult:
 
         def predict(params):
             f_eff, d, off = params
-            return off + np.array(_sk1_spectator_populations(f_eff, d, ns))
+            return off + _sk1_spectator_populations(f_eff, d, ns)
 
     # parameters pinned by equal bounds stay fixed (e.g. a known zero
     # detuning, where the model is even in d and the Jacobian degenerates)

@@ -56,15 +56,9 @@ def load_config(path: str, args: argparse.Namespace) -> ScenarioConfig:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    doc = dict(doc)
-    doc["scenario"] = args.scenario
-    return ScenarioConfig.from_dict(
-        doc,
-        seed_override=args.seed,
-        shots_override=args.shots,
-        out_override=args.out,
-        default_seed=_default_seed(),
-    )
+    flags = {"scenario": args.scenario, "seed": args.seed, "shots": args.shots, "out": args.out}
+    doc = {"seed": _default_seed(), **doc, **{k: v for k, v in flags.items() if v is not None}}
+    return ScenarioConfig.from_dict(doc)
 
 
 def _one_line(exc: Exception) -> str:

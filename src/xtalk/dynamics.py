@@ -18,6 +18,7 @@ import numpy as np
 
 __all__ = [
     "QubitState",
+    "check_states",
     "IDENTITY",
     "SIGMA_X",
     "SIGMA_Y",
@@ -46,13 +47,7 @@ class QubitState:
     c1: complex
 
     def __post_init__(self):
-        c0 = complex(self.c0)
-        c1 = complex(self.c1)
-        if not (math.isfinite(c0.real) and math.isfinite(c0.imag)
-                and math.isfinite(c1.real) and math.isfinite(c1.imag)):
-            raise ValueError("state amplitudes must be finite")
-        if abs(self.norm() - 1.0) > _NORM_TOL:
-            raise ValueError(f"state not normalized: |psi| = {self.norm()!r}")
+        check_states([self.c0, self.c1])
 
     @classmethod
     def ground(cls) -> "QubitState":
@@ -61,11 +56,6 @@ class QubitState:
     @classmethod
     def excited(cls) -> "QubitState":
         return cls(0.0j, 1.0 + 0.0j)
-
-    @classmethod
-    def from_vector(cls, vec) -> "QubitState":
-        v = np.asarray(vec, dtype=complex).reshape(2)
-        return cls(v[0], v[1])
 
     @classmethod
     def normalized(cls, c0: complex, c1: complex) -> "QubitState":
@@ -83,6 +73,17 @@ class QubitState:
 
     def excited_population(self) -> float:
         return float(abs(self.c1) ** 2)
+
+
+def check_states(amplitudes) -> None:
+    """Raise ``ValueError`` unless every state ``(..., 2)`` is finite and normalized."""
+    a = np.asarray(amplitudes, dtype=complex)
+    if not np.isfinite(a).all():
+        raise ValueError("state amplitudes must be finite")
+    norm = np.sqrt(np.sum(np.abs(a) ** 2, axis=-1))
+    off = np.abs(norm - 1.0) > _NORM_TOL
+    if off.any():
+        raise ValueError(f"state not normalized: |psi| = {float(np.extract(off, norm)[0])!r}")
 
 
 def _check_finite(*values: float) -> None:

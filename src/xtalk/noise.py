@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .schema import resolve
 
 __all__ = [
     "DriftProcess",
@@ -305,14 +305,13 @@ def ramsey_phase_probe(delta_phi: float, shots: int, seed: int = 0) -> float:
     return float(rng(seed).binomial(shots, p)) / shots
 
 
-_DRIFT_KEYS = {
-    "preset": "preset",
+# preset-file keys and the DriftProcess / AomModel fields they set
+_DRIFT_FIELDS = {
     "linear_rate_rad_per_min": "linear_rate",
     "walk_sigma_rad": "walk_sigma",
     "walk_window_min": "walk_window",
 }
-
-_AOM_KEYS = {
+_AOM_FIELDS = {
     "center_mhz": "center_mhz",
     "efficiency_width_mhz": "efficiency_width_mhz",
     "absorption_width_mhz": "absorption_width_mhz",
@@ -320,35 +319,36 @@ _AOM_KEYS = {
     "thermal_tau_s": "thermal_tau",
     "max_rf_power_w": "max_rf_power",
 }
+_ABSENT = object()  # default of a preset key: the field keeps its base value
 
 
-def _from_keys(section: dict, mapping: dict, what: str) -> dict:
-    unknown = set(section) - set(mapping)
-    if unknown:
-        raise ConfigError(f"unknown {what} preset keys: {sorted(unknown)}")
-    return {mapping[k]: v for k, v in section.items()}
+def _fields(section, names: dict, what: str, extra: dict) -> dict:
+    """The fields a preset section sets, typed by the schema."""
+    table = {key: (float, _ABSENT, "") for key in names} | extra
+    given = resolve(section, table, what)
+    return {names.get(k, k): v for k, v in given.items() if v is not _ABSENT}
 
 
 def load_presets(path) -> dict:
     """Load DriftProcess/AomModel constants from a JSON preset file.
 
     The file may hold a ``drift`` and an ``aom`` section; numeric keys carry
-    SI unit suffixes (``_rad_per_min``, ``_mhz``, ``_s``, ...).  Unknown keys
-    are rejected.
+    SI unit suffixes (``_rad_per_min``, ``_mhz``, ``_s``, ...) and take
+    finite numbers, ``preset`` one of the drift preset names.  Unknown keys
+    and mistyped values raise :class:`ConfigError`; the dataclasses check
+    the ranges.
     """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    unknown = set(doc) - {"drift", "aom"}
-    if unknown:
-        raise ConfigError(f"unknown preset sections: {sorted(unknown)}")
+    doc = resolve(doc, {"drift": (dict, _ABSENT, ""), "aom": (dict, _ABSENT, "")},
+                  "preset file", top=True)
     out = {}
-    if "drift" in doc:
-        kw = _from_keys(doc["drift"], _DRIFT_KEYS, "drift")
+    if doc["drift"] is not _ABSENT:
+        kw = _fields(doc["drift"], _DRIFT_FIELDS, "drift",
+                     {"preset": (tuple(DRIFT_PRESETS), _ABSENT, "")})
         preset = kw.pop("preset", None)
-        if preset is not None and preset not in DRIFT_PRESETS:
-            raise ConfigError(f"unknown drift preset tag {preset!r}")
         base = DriftProcess(0.0, 0.0) if preset is None else DRIFT_PRESETS[preset]()
         out["drift"] = replace(base, **kw)
-    if "aom" in doc:
-        out["aom"] = AomModel(**_from_keys(doc["aom"], _AOM_KEYS, "aom"))
+    if doc["aom"] is not _ABSENT:
+        out["aom"] = AomModel(**_fields(doc["aom"], _AOM_FIELDS, "aom", {}))
     return out

@@ -26,7 +26,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .dynamics import IDENTITY, QubitState, rz
+from .dynamics import IDENTITY, QubitState, check_states, rz
 from .errors import ChannelConflictError
 from .field import CompensationSetting, CrosstalkContext
 from .noise import rng
@@ -87,6 +87,8 @@ class ChannelPulse:
     segments: tuple
 
     def __post_init__(self):
+        if self.channel not in (TARGET, SPECTATOR):
+            raise ValueError(f"channel must be TARGET (0) or SPECTATOR (1), got {self.channel!r}")
         object.__setattr__(self, "segments", tuple(self.segments))
 
     @property
@@ -260,29 +262,31 @@ def with_pcc(
 
 def concat(*seqs: PulseSequence) -> PulseSequence:
     """Concatenate sequences in time, padding idle channels with dark segments."""
-    channels = sorted({cp.channel for s in seqs for cp in s.channels} | {TARGET, SPECTATOR})
-    parts: dict[int, list] = {ch: [] for ch in channels}
+    parts: dict[int, list] = {TARGET: [], SPECTATOR: []}
     for s in seqs:
         total = s.total_duration
-        for ch in channels:
+        for ch, segs in parts.items():
             cp = s.channel(ch)
-            parts[ch].extend(cp.segments)
+            segs.extend(cp.segments)
             gap = total - cp.total_duration
             if gap > 0.0:
-                parts[ch].append(PulseSegment(0.0, 0.0, 0.0, gap))
-    return PulseSequence(tuple(ChannelPulse(ch, tuple(parts[ch])) for ch in channels))
+                segs.append(PulseSegment(0.0, 0.0, 0.0, gap))
+    return PulseSequence(tuple(ChannelPulse(ch, tuple(segs)) for ch, segs in parts.items()))
 
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Final states, analytic populations and optional shot-sampled values."""
+    """Final states, analytic populations and optional shot-sampled values.
 
-    states: dict
-    populations: dict
-    sampled: dict | None = None
+    Indexed ``[point, ion]``: ``amplitudes`` holds the final ``(c0, c1)`` of
+    each ion, shape ``(points, 2, 2)``; ``populations`` and ``sampled`` have
+    shape ``(points, 2)``.  :func:`simulate` returns the one-point slice,
+    without the point axis.
+    """
 
-    def population(self, channel: int) -> float:
-        return self.populations[channel]
+    amplitudes: np.ndarray
+    populations: np.ndarray
+    sampled: np.ndarray | None = None
 
 
 def _slices(seq: PulseSequence):
@@ -290,10 +294,8 @@ def _slices(seq: PulseSequence):
 
     Yields ``(start, duration, {channel: segment or None})`` per slice.
     """
-    channels = {TARGET: (), SPECTATOR: ()}
-    for cp in seq.channels:
-        channels[cp.channel] = cp.segments
-    total = max((sum(s.duration for s in segs) for segs in channels.values()), default=0.0)
+    channels = {ch: seq.channel(ch).segments for ch in (TARGET, SPECTATOR)}
+    total = seq.total_duration
     edges = {0.0, total}
     spans = {}
     for ch, segs in channels.items():
@@ -373,6 +375,11 @@ def _compile(seq: PulseSequence, ctx: CrosstalkContext, scale: float) -> np.ndar
     return np.array(rows, dtype=float).reshape(-1, _COLUMNS)
 
 
+def _abs2(re, im) -> np.ndarray:
+    """``|re + i im|^2`` elementwise, rounded as Python's ``abs(c) ** 2``."""
+    return np.float_power(np.hypot(re, im), 2.0)
+
+
 def _slice_propagators(table: np.ndarray, offsets: np.ndarray, ct_phase: float) -> np.ndarray:
     """Qubit-frame propagator of every slice, shape ``(2,) + batch + (2, 2)``.
 
@@ -394,10 +401,9 @@ def _slice_propagators(table: np.ndarray, offsets: np.ndarray, ct_phase: float) 
         om_im = im + quad * np.where(norm > 0.0, re / safe, 1.0)
         if not (np.isfinite(om_re).all() and np.isfinite(om_im).all()):
             raise ValueError("non-finite input")
-        # rotation_unitary elementwise, with its roundings: hypot and
-        # float_power match Python's abs and **
+        # rotation_unitary elementwise, with its roundings
         dark = (om_re == 0.0) & (om_im == 0.0)
-        gen = np.sqrt(np.float_power(np.hypot(om_re, om_im), 2.0) + np.float_power(det, 2.0))
+        gen = np.sqrt(_abs2(om_re, om_im) + np.float_power(det, 2.0))
         gen = np.where(dark, 1.0, gen)
         half_angle = 0.5 * gen * dur
         c, s = np.cos(half_angle), np.sin(half_angle)
@@ -454,17 +460,20 @@ def simulate_scan(
     point_indices=None,
     phase_noise=None,
     scales=None,
-) -> list:
+) -> SimulationResult:
     """Evolve one sequence per scan point with a single kernel call.
 
     Takes :func:`simulate`'s arguments with one ``point_indices`` (default
     ``0, 1, ...``), ``phase_noise`` and ``scales`` entry per point; ``seqs``
-    may be any iterable.  Returns one :class:`SimulationResult` per point.
+    may be any iterable.  Returns one :class:`SimulationResult` whose arrays
+    have a leading point axis.
     """
     scales = repeat(1.0) if scales is None else scales
     tables = [_compile(seq, ctx, scale) for seq, scale in zip(seqs, scales)]
     n = len(tables)
-    point_indices = range(n) if point_indices is None else point_indices
+    keys = list(range(n) if point_indices is None else point_indices)
+    if len(keys) != n:
+        raise ValueError("point_indices must hold one key per point")
     if shots is not None and shots < 1:
         raise ValueError("shots must be >= 1")
     noisy = shots is not None and phase_noise is not None
@@ -476,26 +485,24 @@ def simulate_scan(
                 raise ValueError("phase_noise must provide one offset per shot")
             row[1:] = np.asarray(noise, dtype=float)[:shots]
     vectors = [(initial or {}).get(ch, QubitState.ground()).vector for ch in (TARGET, SPECTATOR)]
+    streams = [] if shots is None else [rng(0 if seed is None else seed, k) for k in keys]
 
-    results = []
-    for u, key in zip(_propagate(tables, offsets, ctx.ct_phase), point_indices):
-        states = {ch: QubitState.from_vector(u[ch, 0] @ vectors[ch]) for ch in (TARGET, SPECTATOR)}
-        populations = {ch: states[ch].excited_population() for ch in (TARGET, SPECTATOR)}
-        sampled = None
-        if shots is not None:
-            stream = rng(0 if seed is None else seed, key)
-            if noisy:
-                # one draw per shot and ion: column 0 the target, 1 the spectator
-                c1 = np.array([(u[ch, 1:] @ vectors[ch])[:, 1] for ch in (TARGET, SPECTATOR)])
-                pk = np.clip(np.float_power(np.hypot(c1.real, c1.imag), 2.0), 0.0, 1.0)
-                hits = stream.random((shots, 2)) < pk.T
-                sampled = {ch: int(hits[:, ch].sum()) / shots for ch in (TARGET, SPECTATOR)}
-            else:
-                # analytic populations may round just past 1
-                sampled = {ch: float(stream.binomial(shots, min(max(populations[ch], 0.0), 1.0)))
-                           / shots for ch in (TARGET, SPECTATOR)}
-        results.append(SimulationResult(states=states, populations=populations, sampled=sampled))
-    return results
+    amplitudes = np.empty((n, 2, 2), dtype=complex)
+    sampled = None if shots is None else np.empty((n, 2))
+    for i, u in enumerate(_propagate(tables, offsets, ctx.ct_phase)):
+        amplitudes[i] = [u[ch, 0] @ vectors[ch] for ch in (TARGET, SPECTATOR)]
+        if noisy:
+            # one draw per shot and ion: column 0 the target, 1 the spectator
+            c1 = np.array([(u[ch, 1:] @ vectors[ch])[:, 1] for ch in (TARGET, SPECTATOR)])
+            hits = streams[i].random((shots, 2)) < np.clip(_abs2(c1.real, c1.imag), 0.0, 1.0).T
+            sampled[i] = hits.sum(axis=0) / shots
+    check_states(amplitudes)
+    populations = _abs2(amplitudes[..., 1].real, amplitudes[..., 1].imag)
+    if shots is not None and not noisy:
+        # analytic populations may round just past 1
+        for p, stream, out in zip(np.clip(populations, 0.0, 1.0), streams, sampled):
+            out[:] = [stream.binomial(shots, pk) / shots for pk in p]
+    return SimulationResult(amplitudes, populations, sampled)
 
 
 def simulate(
@@ -531,4 +538,6 @@ def simulate(
         Global amplitude scale applied to every segment.
     """
     noise = None if phase_noise is None else [phase_noise]
-    return simulate_scan([seq], ctx, initial, shots, seed, [point_index], noise, [scale])[0]
+    res = simulate_scan([seq], ctx, initial, shots, seed, [point_index], noise, [scale])
+    return SimulationResult(res.amplitudes[0], res.populations[0],
+                            None if res.sampled is None else res.sampled[0])

@@ -14,7 +14,6 @@ import io
 import json
 import math
 import subprocess
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,6 +42,7 @@ from .pulses import (
     simulate_scan,
     with_pcc,
 )
+from .schema import resolve
 
 __all__ = ["ScenarioConfig", "ScanResult", "run_scenario", "SCENARIOS"]
 
@@ -51,11 +51,9 @@ METHODS = ("none", "pcc", "sk1", "quad")
 DEFAULT_OMEGA_0 = 2.0 * math.pi * 50e3  # rad/s, simulation constant
 DEFAULT_F_CT = 0.096
 
-# The config schema: per section, key -> (kind, default, lower bound).  A kind
-# is int, float (finite), bool, str, dict, list (a non-empty list of ints) or a
-# tuple of choices.  A default of None means no value unless given (or one the
-# runner derives), and null then stands for it; a choice without a default must
-# be given.  CrosstalkContext and CompensationSetting check the physics ranges.
+# The config schema, one table per section (see xtalk.schema); a default of
+# None may also leave the value to the runner.  CrosstalkContext and
+# CompensationSetting check the physics ranges.
 _PHYSICS = {
     "omega_0_rad_per_s": (float, DEFAULT_OMEGA_0, ""),
     "f_ct": (float, DEFAULT_F_CT, ""),
@@ -117,48 +115,6 @@ _TOP = {
     "seed": (int, 0, ""),
     "out": (str, None, ""),
 }
-_KIND_TEXT = {int: "an integer", float: "a finite number", bool: "true or false",
-              str: "a string", dict: "an object", list: "a non-empty list of integers"}
-
-
-def _typed(value, kind) -> bool:
-    if isinstance(kind, tuple):
-        return isinstance(value, str) and value in kind
-    if kind is bool or isinstance(value, bool):
-        return kind is bool and isinstance(value, bool)
-    if kind is float:  # the bound also rejects NaN, inf and ints too large for a float
-        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-    if kind is list:
-        return isinstance(value, list) and bool(value) and all(type(n) is int for n in value)
-    return isinstance(value, kind)
-
-
-def _resolve(section: dict, table: dict, what: str) -> dict:
-    """``section`` checked against its schema ``table``, defaults filled in."""
-    unknown = section.keys() - table.keys()
-    if unknown:
-        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
-    out = {}
-    for key, (kind, default, bound) in table.items():
-        value = section.get(key, default)
-        # an absent key takes its default unchecked, but a choice is always checked
-        if value is default and not isinstance(kind, tuple):
-            out[key] = value
-            continue
-        ok = _typed(value, kind)
-        if ok and bound:
-            op, lo = bound.split()
-            ok = all(v > float(lo) if op == ">" else v >= float(lo)
-                     for v in (value if kind is list else (value,)))
-        if not ok:
-            name = key if what == "config" else f"{what}.{key}"
-            text = f"one of {kind}" if isinstance(kind, tuple) else _KIND_TEXT[kind]
-            raise ConfigError(f"{name} must be {text}{' ' + bound if bound else ''}, "
-                              f"got {value!r}")
-        out[key] = float(value) if kind is float else value
-    return out
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Validated scenario configuration."""
@@ -175,21 +131,10 @@ class ScenarioConfig:
     raw: dict
 
     @classmethod
-    def from_dict(
-        cls,
-        doc: dict,
-        seed_override: int | None = None,
-        shots_override: int | None = None,
-        out_override: str | None = None,
-        default_seed: int = 0,
-    ) -> "ScenarioConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError("config must be a JSON object")
-        overrides = {"seed": seed_override, "shots": shots_override, "out": out_override}
-        top = {"seed": default_seed, **doc, **{k: v for k, v in overrides.items() if v is not None}}
-        top = _resolve(top, _TOP, "config")
+    def from_dict(cls, doc: dict) -> "ScenarioConfig":
+        top = resolve(doc, _TOP, "config", top=True)
         scenario = top["scenario"]
-        phys = _resolve(top["physics"], _PHYSICS, "physics")
+        phys = resolve(top["physics"], _PHYSICS, "physics")
         try:
             context = CrosstalkContext(
                 omega_0=phys["omega_0_rad_per_s"], f_ct=phys["f_ct"],
@@ -208,8 +153,8 @@ class ScenarioConfig:
             method=top["method"],
             context=context,
             setting=setting,
-            scan=_resolve(top["scan"], _SCAN[scenario], f"{scenario} scan"),
-            noise=None if noise is None else _resolve(noise, _NOISE, "noise"),
+            scan=resolve(top["scan"], _SCAN[scenario], f"{scenario} scan"),
+            noise=None if noise is None else resolve(noise, _NOISE, "noise"),
             shots=top["shots"],
             seed=top["seed"],
             out=top["out"],
@@ -270,8 +215,8 @@ class ScanResult:
             fh.write(self.to_csv())
 
 
-def _binomial_stderr(p: float, shots: int) -> float:
-    return math.sqrt(max(p * (1.0 - p), 0.0) / shots)
+def _binomial_stderr(p, shots: int):
+    return np.sqrt(np.maximum(p * (1.0 - p), 0.0) / shots)
 
 
 def _sweep(cfg: ScenarioConfig, x, seqs, channel: int = SPECTATOR, noise: bool = True,
@@ -286,12 +231,10 @@ def _sweep(cfg: ScenarioConfig, x, seqs, channel: int = SPECTATOR, noise: bool =
         phase_noise = [sample_slow_drift(process, dt * cfg.shots, dt,
                                          seed=(cfg.seed + 7919) * 65537 + i)[1:]
                        for i in range(len(x))]
-    results = simulate_scan(seqs, cfg.context, shots=cfg.shots, seed=cfg.seed,
-                            phase_noise=phase_noise, scales=scales)
-    pops = [res.populations[channel] for res in results]
-    rows = [(p, res.sampled[channel], _binomial_stderr(p, cfg.shots))
-            for p, res in zip(pops, results)]
-    return _result(cfg, x, rows)
+    res = simulate_scan(seqs, cfg.context, shots=cfg.shots, seed=cfg.seed,
+                        phase_noise=phase_noise, scales=scales)
+    mean = res.populations[:, channel]
+    return _result(cfg, x, mean, res.sampled[:, channel], _binomial_stderr(mean, cfg.shots))
 
 
 def run_x_error(cfg: ScenarioConfig) -> ScanResult:
@@ -318,7 +261,7 @@ def run_z_error(cfg: ScenarioConfig) -> ScanResult:
     close_phases = [math.pi] * len(trains)
     if cfg.method == "quad":
         # from the ground state, the final |0> amplitude is the train unitary's u[0, 0]
-        u00 = [res.states[SPECTATOR].c0 for res in simulate_scan(trains, ctx)]
+        u00 = simulate_scan(trains, ctx).amplitudes[:, SPECTATOR, 0]
         close_phases = [math.pi + -2.0 * math.atan2(u.imag, u.real) for u in u00]
     seqs = (ramsey_wrap(seq, ctx.omega_0, 0.0, close) for seq, close in zip(trains, close_phases))
     return _sweep(cfg, np.array(counts, dtype=float), seqs)
@@ -374,7 +317,7 @@ def run_drift_monitor(cfg: ScenarioConfig) -> ScanResult:
         sigma_p = _binomial_stderr(p_hat, cfg.shots)
         slope = 2.0 / max(math.sin(phi_hat), 1e-3)
         rows.append((phi, phi_hat, slope * sigma_p))
-    return _result(cfg, times, rows)
+    return _result(cfg, times, *np.array(rows).T)
 
 
 def run_duty_cycle_sweep(cfg: ScenarioConfig) -> ScanResult:
@@ -384,9 +327,9 @@ def run_duty_cycle_sweep(cfg: ScenarioConfig) -> ScanResult:
         raise ConfigError("duty-cycle-sweep needs scan.ratio_min <= scan.ratio_max <= 1")
     ratios = np.geomspace(scan["ratio_min"], scan["ratio_max"], scan["points"])
     model = AomModel()
-    rates = [duty_cycle_drift_rate(model, float(r), scan["mitigated"], scan["match_error"])
-             for r in ratios]
-    return _result(cfg, ratios, [(rate, rate, 0.0) for rate in rates])
+    rates = np.array([duty_cycle_drift_rate(model, float(r), scan["mitigated"],
+                                            scan["match_error"]) for r in ratios])
+    return _result(cfg, ratios, rates, rates, np.zeros(len(rates)))
 
 
 def run_beam_profile(cfg: ScenarioConfig) -> ScanResult:
@@ -411,12 +354,10 @@ def run_beam_profile(cfg: ScenarioConfig) -> ScanResult:
         amp = np.array([profile.device_field(core, x0 + float(x)) for x in grid])
         intensity = amp**2
 
-    rows = [(float(v), float(v), 0.0) for v in intensity]
-    return _result(cfg, grid, rows)
+    return _result(cfg, grid, intensity, intensity, np.zeros(len(intensity)))
 
 
-def _result(cfg: ScenarioConfig, x: np.ndarray, rows: list) -> ScanResult:
-    mean, sampled, err = (np.array([r[k] for r in rows]) for k in range(3))
+def _result(cfg: ScenarioConfig, x, mean, sampled, err) -> ScanResult:
     meta = {
         "scenario": cfg.scenario,
         "method": cfg.method,

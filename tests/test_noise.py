@@ -224,3 +224,19 @@ class TestPresets:
         path.write_text(json.dumps({"laser": {}}), encoding="utf-8")
         with pytest.raises(ConfigError):
             load_presets(path)
+
+    @pytest.mark.parametrize("doc, name", [
+        ({"drift": {"preset": []}}, "drift.preset"),
+        ({"drift": {"preset": None}}, "drift.preset"),
+        ({"drift": {"walk_sigma_rad": True}}, "drift.walk_sigma_rad"),
+        ({"drift": {"linear_rate_rad_per_min": "0.1"}}, "drift.linear_rate_rad_per_min"),
+        ({"aom": {"thermal_tau_s": None}}, "aom.thermal_tau_s"),
+        ({"drift": []}, "drift"),
+        ({"aom": None}, "aom"),
+        ([], "preset file"),
+    ])
+    def test_mistyped_values_rejected(self, tmp_path, doc, name):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ConfigError, match=name):
+            load_presets(path)

@@ -216,8 +216,8 @@ class TestSimulate:
         plus = QubitState.normalized(1.0, 1.0)
         res = simulate(seq, CTX, initial={TARGET: plus, SPECTATOR: plus})
         for ch in (TARGET, SPECTATOR):
-            assert res.states[ch].c0 == pytest.approx(plus.c0, abs=1e-15)
-            assert res.states[ch].c1 == pytest.approx(plus.c1, abs=1e-15)
+            assert res.amplitudes[ch, 0] == pytest.approx(plus.c0, abs=1e-15)
+            assert res.amplitudes[ch, 1] == pytest.approx(plus.c1, abs=1e-15)
 
     def test_rabi_flop_periods(self):
         # target flops at omega_0, spectator at f_ct * omega_0
@@ -241,9 +241,10 @@ class TestSimulate:
     def test_shot_sampling_deterministic(self):
         a = simulate(square_pi(OMEGA), CTX, shots=500, seed=9, point_index=3)
         b = simulate(square_pi(OMEGA), CTX, shots=500, seed=9, point_index=3)
-        assert a.sampled == b.sampled
+        assert np.array_equal(a.sampled, b.sampled)
         c = simulate(square_pi(OMEGA), CTX, shots=500, seed=9, point_index=4)
-        assert a.sampled != c.sampled or a.sampled[SPECTATOR] == c.sampled[SPECTATOR]
+        assert (not np.array_equal(a.sampled, c.sampled)
+                or a.sampled[SPECTATOR] == c.sampled[SPECTATOR])
 
     def test_phase_noise_shifts_cancellation(self):
         seq = with_pcc(square_pi(OMEGA), CTX, CompensationSetting(1.0, math.pi))
@@ -282,6 +283,12 @@ class TestSequenceTypes:
         cp = ChannelPulse(TARGET, (PulseSegment(1.0, 0.0, 0.0, 1.0),))
         with pytest.raises(ValueError):
             PulseSequence((cp, cp))
+
+    @pytest.mark.parametrize("channel", [2, -1])
+    def test_unknown_channel_rejected(self, channel):
+        # a third channel used to count as crosstalk on both ions
+        with pytest.raises(ValueError, match="channel must be"):
+            ChannelPulse(channel, (PulseSegment(OMEGA, 0.0, 0.0, math.pi / OMEGA),))
 
     def test_concat_pads_to_common_duration(self):
         seq = concat(square_pi(OMEGA), ramsey_wrap(square_pi(OMEGA), OMEGA))
@@ -397,7 +404,31 @@ class TestKernel:
         seqs = [pi_train("pcc", OMEGA, n, CTX, setting)[0] for n in (3, 1)]
         noise = [np.linspace(0.0, 0.5, 50), np.linspace(-0.3, 0.1, 50)]
         scan = simulate_scan(seqs, CTX, shots=50, seed=4, point_indices=[7, 8], phase_noise=noise)
-        for res, seq, index, offsets in zip(scan, seqs, (7, 8), noise):
+        for i, (seq, index, offsets) in enumerate(zip(seqs, (7, 8), noise)):
             alone = simulate(seq, CTX, shots=50, seed=4, point_index=index, phase_noise=offsets)
-            assert res.populations == alone.populations
-            assert res.sampled == alone.sampled
+            assert np.array_equal(scan.populations[i], alone.populations)
+            assert np.array_equal(scan.sampled[i], alone.sampled)
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_scan_returns_point_arrays(self, noisy):
+        from xtalk.pulses import simulate_scan
+
+        seqs = [pi_train("sk1", OMEGA, n, CTX)[0] for n in (1, 4, 2)]
+        noise = [np.linspace(0.0, 0.4 * k, 30) for k in range(3)] if noisy else None
+        scan = simulate_scan(seqs, CTX, shots=30, seed=2, phase_noise=noise)
+        assert scan.amplitudes.shape == (3, 2, 2)
+        assert scan.populations.shape == scan.sampled.shape == (3, 2)
+        for i, seq in enumerate(seqs):
+            alone = simulate(seq, CTX, shots=30, seed=2, point_index=i,
+                             phase_noise=None if noise is None else noise[i])
+            assert np.array_equal(scan.amplitudes[i], alone.amplitudes)
+            assert np.array_equal(scan.populations[i], alone.populations)
+            assert np.array_equal(scan.sampled[i], alone.sampled)
+        assert simulate_scan(seqs, CTX).sampled is None
+        with pytest.raises(ValueError, match="one key per point"):
+            simulate_scan(seqs, CTX, shots=30, point_indices=[0])
+
+    def test_non_finite_state_rejected(self):
+        ctx = CrosstalkContext(omega_0=1e300, f_ct=0.096)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="must be finite"):
+            simulate(square_pi(1e300), ctx)
