@@ -31,7 +31,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("scenario", choices=SCENARIOS, help="scenario to run")
     parser.add_argument("--config", required=True, help="path to the JSON configuration")
     parser.add_argument("--seed", type=int, default=None, help="override the seed")
-    parser.add_argument("--shots", type=int, default=None, help="override the shot count")
+    parser.add_argument("--shots", type=int, default=None,
+                        help="override the shot count; an error where the scenario draws no shots")
     parser.add_argument("--out", default=None, help="output CSV path (default: stdout)")
     return parser
 

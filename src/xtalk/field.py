@@ -104,9 +104,10 @@ class CrosstalkContext:
     @property
     def t_pi_ct(self) -> float:
         """Crosstalk pi time on the spectator, pi / (f_ct * omega_0)."""
-        if self.f_ct <= 0.0:
-            raise ValueError("t_pi_ct undefined for f_ct = 0")
-        return math.pi / (self.f_ct * self.omega_0)
+        rate = self.f_ct * self.omega_0
+        if rate <= 0.0:  # f_ct = 0, or a product that underflows to 0
+            raise ValueError("t_pi_ct undefined for f_ct * omega_0 = 0")
+        return math.pi / rate
 
 
 def effective_rabi(omega_ct: complex, omega_comp: complex) -> complex:

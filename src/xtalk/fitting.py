@@ -25,6 +25,7 @@ class FitResult:
     residual_rms: float
     iterations: int
     converged: bool
+    stop: str  # why the iteration ended: "tol", "exact", "halvings" or "max_iter"
     residual_trace: list = field(default_factory=list)
     covariance: np.ndarray | None = None
 
@@ -32,6 +33,7 @@ class FitResult:
         return {
             "iterations": self.iterations,
             "converged": self.converged,
+            "stop": self.stop,
             "residual_rms": self.residual_rms,
             "residual_trace": [float(r) for r in self.residual_trace],
         }
@@ -96,6 +98,7 @@ def gauss_newton(
     current = float(np.dot(r, r))
     trace = [math.sqrt(current / n_res)]
     converged = False
+    stop = "max_iter"
     jac = None
     iterations = 0
     for iterations in range(1, max_iter + 1):
@@ -123,10 +126,11 @@ def gauss_newton(
             scale *= 0.5
         trace.append(math.sqrt(current / n_res))
         if not accepted:
-            # step-halving floor reached without improvement
+            stop = "halvings"  # the step-halving floor, without improvement
             break
         if improvement < tol or current < n_res * 1e-28:
             converged = True
+            stop = "tol" if improvement < tol else "exact"
             break
 
     if current <= n_res * 1e-24:
@@ -144,6 +148,7 @@ def gauss_newton(
         residual_rms=math.sqrt(current / n_res),
         iterations=iterations,
         converged=converged,
+        stop=stop,
         residual_trace=trace,
         covariance=cov,
     )

@@ -477,6 +477,8 @@ def simulate_scan(
     if shots is not None and shots < 1:
         raise ValueError("shots must be >= 1")
     noisy = shots is not None and phase_noise is not None
+    if noisy and len(phase_noise) != n:
+        raise ValueError("phase_noise must hold one row per point")
     # column 0 is the noiseless evolution, then one column per shot
     offsets = np.zeros((n, 1 + shots if noisy else 1))
     if noisy:

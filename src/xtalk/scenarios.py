@@ -16,6 +16,7 @@ import math
 import subprocess
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -48,73 +49,32 @@ __all__ = ["ScenarioConfig", "ScanResult", "run_scenario", "SCENARIOS"]
 
 METHODS = ("none", "pcc", "sk1", "quad")
 
-DEFAULT_OMEGA_0 = 2.0 * math.pi * 50e3  # rad/s, simulation constant
-DEFAULT_F_CT = 0.096
-
-# The config schema, one table per section (see xtalk.schema); a default of
-# None may also leave the value to the runner.  CrosstalkContext and
-# CompensationSetting check the physics ranges.
+# The config schema (see xtalk.schema): each scenario's row in _ROWS, at the
+# end of this module, holds its runner and the keys it reads, so a config sets
+# only what its scenario uses.  A default of None may also leave the value to
+# the runner.  CrosstalkContext and CompensationSetting check physics ranges.
 _PHYSICS = {
-    "omega_0_rad_per_s": (float, DEFAULT_OMEGA_0, ""),
-    "f_ct": (float, DEFAULT_F_CT, ""),
+    "omega_0_rad_per_s": (float, 2.0 * math.pi * 50e3, ""),  # a 50 kHz target drive
+    "f_ct": (float, 0.096, ""),
     "f_comp": (float, 1.0, ""),
     "delta_phi_rad": (float, math.pi, ""),
     "delta_ct_rad_per_s": (float, 0.0, ""),
     "pol_overlap": (float, 1.0, ""),
     "ct_phase_rad": (float, 0.0, ""),
-    "stark_shift_rad_per_s": (float, 0.0, ""),
 }
 _NOISE = {"preset": (tuple(DRIFT_PRESETS), None, ""), "shot_interval_min": (float, 1e-3, "> 0")}
 _N_VALUES = {"n_values": (list, (1, 2, 4, 8, 16, 32), ">= 1")}
-_SCAN = {
-    "x-error": _N_VALUES,
-    "z-error": _N_VALUES,
-    "phase-scan": {"points": (int, 40, ">= 2"), "n_periods": (int, 1, ">= 1")},
-    "rabi-scan": {
-        "t_max_s": (float, None, ">= 0"),  # None: two spectator or four target pi times
-        "points": (int, 81, ">= 1"),
-        "observe": (("target", "spectator"), "spectator", ""),
-    },
-    "amplitude-scan": {
-        "scale_min": (float, 0.0, ">= 0"),
-        "scale_max": (float, 1.5, ">= 0"),
-        "points": (int, 61, ">= 1"),
-    },
-    "drift-monitor": {
-        "preset": (tuple(DRIFT_PRESETS), "enclosed", ""),
-        "duration_min": (float, 8.0, ">= 0"),
-        "dt_min": (float, 0.1, "> 0"),
-    },
-    "duty-cycle-sweep": {
-        "ratio_min": (float, 1e-3, "> 0"),
-        "ratio_max": (float, 1.0, "> 0"),
-        "points": (int, 13, ">= 1"),
-        "mitigated": (bool, False, ""),
-        "match_error": (float, DEFAULT_MATCH_ERROR, ""),
-    },
-    "beam-profile": {
-        "x_min_um": (float, -10.0, ""),
-        "x_max_um": (float, 10.0, ""),
-        "points": (int, 401, ">= 1"),
-        "curve": (("clipped", "device", "gaussian"), "clipped", ""),
-        "w0_um": (float, 1.6, "> 0"),
-        "wavelength_nm": (float, 729.0, "> 0"),
-        "na": (float, 0.35, "> 0"),
-        "device_csv": (str, None, ""),
-        "max_refinements": (int, 12, ">= 0"),
-    },
-}
-SCENARIOS = tuple(_SCAN)
-_TOP = {
-    "scenario": (SCENARIOS, None, ""),
-    "method": (METHODS, "none", ""),
-    "physics": (dict, {}, ""),
-    "scan": (dict, {}, ""),
-    "noise": (dict, None, ""),
-    "shots": (int, 200, ">= 1"),
-    "seed": (int, 0, ""),
-    "out": (str, None, ""),
-}
+# top-level tables: every scenario, then those that sample shots, drive
+# pulses and inject drift noise
+_BASE = {"scenario": (str, None, ""), "scan": (dict, {}, ""), "seed": (int, 0, ""),
+         "out": (str, None, "")}
+_SHOTS = {**_BASE, "shots": (int, 200, ">= 1")}
+_DRIVEN = {**_SHOTS, "method": (METHODS, "none", ""), "physics": (dict, {}, "")}
+_NOISY = {**_DRIVEN, "noise": (dict, None, "")}
+# what a scenario without these keys runs with, hashes and prints
+_UNREAD = {"method": "none", "physics": {}, "noise": None, "shots": 200}
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Validated scenario configuration."""
@@ -132,34 +92,29 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ScenarioConfig":
-        top = resolve(doc, _TOP, "config", top=True)
-        scenario = top["scenario"]
-        phys = resolve(top["physics"], _PHYSICS, "physics")
+        name = doc.get("scenario") if isinstance(doc, dict) else None
+        if name not in SCENARIOS:
+            resolve({"scenario": name}, {"scenario": (SCENARIOS, None, "")}, "config", top=True)
+        row = _ROWS[name]
+        top = {**_UNREAD, **resolve(doc, row.top, name, top=True)}
+        phys = {key: default for key, (_, default, _) in _PHYSICS.items()}
+        phys.update(resolve(top["physics"], row.physics, f"{name} physics"))
         try:
             context = CrosstalkContext(
                 omega_0=phys["omega_0_rad_per_s"], f_ct=phys["f_ct"],
                 delta_ct=phys["delta_ct_rad_per_s"], pol_overlap=phys["pol_overlap"],
-                ct_phase=phys["ct_phase_rad"], stark_shift=phys["stark_shift_rad_per_s"])
+                ct_phase=phys["ct_phase_rad"])
             setting = CompensationSetting(f_comp=phys["f_comp"], delta_phi=phys["delta_phi_rad"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        noise = top["noise"]
+        noise = None if top["noise"] is None else resolve(top["noise"], _NOISE, f"{name} noise")
 
         # the hash identifies the document as given, not the output path
         resolved = {k: v for k, v in doc.items() if k != "out"}
         resolved.update({k: top[k] for k in ("scenario", "method", "shots", "seed")})
-        return cls(
-            scenario=scenario,
-            method=top["method"],
-            context=context,
-            setting=setting,
-            scan=resolve(top["scan"], _SCAN[scenario], f"{scenario} scan"),
-            noise=None if noise is None else resolve(noise, _NOISE, "noise"),
-            shots=top["shots"],
-            seed=top["seed"],
-            out=top["out"],
-            raw=resolved,
-        )
+        return cls(scenario=name, method=top["method"], context=context, setting=setting,
+                   scan=resolve(top["scan"], row.scan, f"{name} scan"), noise=noise,
+                   shots=top["shots"], seed=top["seed"], out=top["out"], raw=resolved)
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
@@ -219,13 +174,12 @@ def _binomial_stderr(p, shots: int):
     return np.sqrt(np.maximum(p * (1.0 - p), 0.0) / shots)
 
 
-def _sweep(cfg: ScenarioConfig, x, seqs, channel: int = SPECTATOR, noise: bool = True,
-           scales=None) -> ScanResult:
+def _sweep(cfg: ScenarioConfig, x, seqs, channel: int = SPECTATOR, scales=None) -> ScanResult:
     """One kernel call over the scan points: per point the population of
-    ``channel``, its shot estimate and binomial error.  With ``noise`` the
-    configured drift offsets the spectator channel per shot."""
+    ``channel``, its shot estimate and binomial error.  A ``noise`` block's
+    drift offsets the spectator channel per shot."""
     phase_noise = None
-    if noise and cfg.noise is not None:
+    if cfg.noise is not None:
         process = DRIFT_PRESETS[cfg.noise["preset"]]()
         dt = cfg.noise["shot_interval_min"]
         phase_noise = [sample_slow_drift(process, dt * cfg.shots, dt,
@@ -290,7 +244,7 @@ def run_rabi_scan(cfg: ScenarioConfig) -> ScanResult:
     for t in times:
         seq = PulseSequence((ChannelPulse(TARGET, (PulseSegment(ctx.omega_0, 0.0, 0.0, t),)),))
         seqs.append(with_pcc(seq, ctx, cfg.setting) if cfg.method == "pcc" else seq)
-    return _sweep(cfg, times, seqs, channel, noise=False)
+    return _sweep(cfg, times, seqs, channel)
 
 
 def run_amplitude_scan(cfg: ScenarioConfig) -> ScanResult:
@@ -298,8 +252,7 @@ def run_amplitude_scan(cfg: ScenarioConfig) -> ScanResult:
     scales = np.linspace(cfg.scan["scale_min"], cfg.scan["scale_max"], cfg.scan["points"])
     ctx = cfg.context
     seq, _ = pi_train(cfg.method, ctx.omega_0, 1, ctx, cfg.setting)
-    return _sweep(cfg, scales, [seq] * len(scales), TARGET, noise=False,
-                  scales=[float(s) for s in scales])
+    return _sweep(cfg, scales, [seq] * len(scales), TARGET, scales=[float(s) for s in scales])
 
 
 def run_drift_monitor(cfg: ScenarioConfig) -> ScanResult:
@@ -368,18 +321,60 @@ def _result(cfg: ScenarioConfig, x, mean, sampled, err) -> ScanResult:
     return ScanResult(x=x, value_mean=mean, value_sampled=sampled, stderr=err, metadata=meta)
 
 
-_RUNNERS = {
-    "x-error": run_x_error,
-    "z-error": run_z_error,
-    "phase-scan": run_phase_scan,
-    "rabi-scan": run_rabi_scan,
-    "amplitude-scan": run_amplitude_scan,
-    "drift-monitor": run_drift_monitor,
-    "duty-cycle-sweep": run_duty_cycle_sweep,
-    "beam-profile": run_beam_profile,
+class _Row(NamedTuple):
+    """One scenario: its runner and the keys it reads, top level, scan and physics."""
+
+    run: Callable[[ScenarioConfig], ScanResult]
+    top: dict
+    scan: dict
+    physics: dict = _PHYSICS
+
+
+_ROWS = {
+    "x-error": _Row(run_x_error, _NOISY, _N_VALUES),
+    "z-error": _Row(run_z_error, _NOISY, _N_VALUES),
+    # always pcc; the dial scan sets the compensation phase
+    "phase-scan": _Row(
+        run_phase_scan, {**_NOISY, "method": (("pcc",), "pcc", "")},
+        {"points": (int, 40, ">= 2"), "n_periods": (int, 1, ">= 1")},
+        {k: v for k, v in _PHYSICS.items() if k != "delta_phi_rad"}),
+    "rabi-scan": _Row(run_rabi_scan, {**_DRIVEN, "method": (("none", "pcc"), "none", "")}, {
+        "t_max_s": (float, None, ">= 0"),  # None: two spectator or four target pi times
+        "points": (int, 81, ">= 1"),
+        "observe": (("target", "spectator"), "spectator", ""),
+    }),
+    "amplitude-scan": _Row(run_amplitude_scan, _DRIVEN, {
+        "scale_min": (float, 0.0, ">= 0"),
+        "scale_max": (float, 1.5, ">= 0"),
+        "points": (int, 61, ">= 1"),
+    }),
+    "drift-monitor": _Row(run_drift_monitor, _SHOTS, {
+        "preset": (tuple(DRIFT_PRESETS), "enclosed", ""),
+        "duration_min": (float, 8.0, ">= 0"),
+        "dt_min": (float, 0.1, "> 0"),
+    }),
+    "duty-cycle-sweep": _Row(run_duty_cycle_sweep, _BASE, {
+        "ratio_min": (float, 1e-3, "> 0"),
+        "ratio_max": (float, 1.0, "> 0"),
+        "points": (int, 13, ">= 1"),
+        "mitigated": (bool, False, ""),
+        "match_error": (float, DEFAULT_MATCH_ERROR, ""),
+    }),
+    "beam-profile": _Row(run_beam_profile, _BASE, {
+        "x_min_um": (float, -10.0, ""),
+        "x_max_um": (float, 10.0, ""),
+        "points": (int, 401, ">= 1"),
+        "curve": (("clipped", "device", "gaussian"), "clipped", ""),
+        "w0_um": (float, 1.6, "> 0"),
+        "wavelength_nm": (float, 729.0, "> 0"),
+        "na": (float, 0.35, "> 0"),
+        "device_csv": (str, None, ""),
+        "max_refinements": (int, 12, ">= 0"),
+    }),
 }
+SCENARIOS = tuple(_ROWS)
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScanResult:
     """Dispatch a validated configuration to its scenario runner."""
-    return _RUNNERS[cfg.scenario](cfg)
+    return _ROWS[cfg.scenario].run(cfg)

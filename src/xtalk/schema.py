@@ -33,8 +33,8 @@ def _typed(value, kind) -> bool:
 def resolve(section, table: dict, what: str, top: bool = False) -> dict:
     """``section`` checked against its schema ``table``, defaults filled in.
 
-    ``what`` names the section in messages; a key is named ``what.key``
-    unless the section is the ``top`` level of its document.
+    ``what`` names the section in messages; a key is named ``what.key``, or
+    ``what key`` if the section is the ``top`` level of its document.
     """
     if not isinstance(section, dict):
         raise ConfigError(f"{what} must be a JSON object")
@@ -53,7 +53,7 @@ def resolve(section, table: dict, what: str, top: bool = False) -> dict:
             ok = all(v > float(lo) if op == ">" else v >= float(lo)
                      for v in (value if kind is list else (value,)))
         if not ok:
-            name = key if top else f"{what}.{key}"
+            name = f"{what} {key}" if top else f"{what}.{key}"
             text = f"one of {kind}" if isinstance(kind, tuple) else _KIND_TEXT[kind]
             raise ConfigError(f"{name} must be {text}{' ' + bound if bound else ''}, "
                               f"got {value!r}")

@@ -341,7 +341,9 @@ class TestFullChain:
         assert len(diag["amplitude_fits"]) == 2
         stages = [diag["pi_time_fit"], *diag["amplitude_fits"], diag["phase_fit"]]
         for stage in stages:
-            assert set(stage) == {"iterations", "converged", "residual_rms", "residual_trace"}
+            assert set(stage) == {"iterations", "converged", "stop", "residual_rms",
+                                  "residual_trace"}
+            assert stage["stop"] in ("tol", "exact", "halvings", "max_iter")
         save_result(result, tmp_path / "cal.json", diagnostics=diag)
         side = json.loads((tmp_path / "cal.diag.json").read_text(encoding="utf-8"))
         assert side == json.loads(json.dumps(diag))

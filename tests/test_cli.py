@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xtalk.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
-from xtalk.scenarios import SCENARIOS, _NOISE, _PHYSICS, _SCAN
+from xtalk.errors import ConfigError
+from xtalk.noise import _AOM_FIELDS, _DRIFT_FIELDS, DRIFT_PRESETS, load_presets
+from xtalk.scenarios import SCENARIOS, _NOISE, _NOISY, _PHYSICS, _ROWS
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -190,6 +192,9 @@ def run_quietly(argv):
         # used to end in a traceback (7) or to write the CSV to stdout (true, fd 1)
         ("x-error", {"out": 7}, "out"),
         ("x-error", {"out": True}, "out"),
+        # a noise block must name its preset and be an object
+        ("x-error", {"noise": {}}, "noise.preset"),
+        ("phase-scan", {"noise": False}, "noise"),
     ],
 )
 def test_bad_config_exits_2_naming_the_key(tmp_path, scenario, doc, key):
@@ -210,8 +215,51 @@ def test_unwritable_out_exits_2(tmp_path):
     assert not out.exists()
 
 
+# keys a scenario used to accept and ignore: each ran the same rows under another hash
+_IGNORED = [
+    *[(scenario, {"physics": {key: default}}, "physics")
+      for scenario in ("drift-monitor", "duty-cycle-sweep", "beam-profile")
+      for key, default in [*((k, d) for k, (_, d, _) in _PHYSICS.items()),
+                           ("stark_shift_rad_per_s", 0.0)]],
+    *[(scenario, {"physics": {"stark_shift_rad_per_s": 0.0}}, "stark_shift_rad_per_s")
+      for scenario in ("x-error", "z-error", "phase-scan", "rabi-scan", "amplitude-scan")],
+    ("phase-scan", {"physics": {"delta_phi_rad": math.pi}}, "delta_phi_rad"),
+    *[(scenario, {"noise": noise}, "noise")
+      for scenario in ("rabi-scan", "amplitude-scan", "drift-monitor", "duty-cycle-sweep",
+                       "beam-profile")
+      for noise in ({"preset": "enclosed"}, {"shot_interval_min": 1e-3})],
+    *[(scenario, {"method": "none"}, "method")
+      for scenario in ("drift-monitor", "duty-cycle-sweep", "beam-profile")],
+    *[(scenario, {"shots": 200}, "shots") for scenario in ("duty-cycle-sweep", "beam-profile")],
+    # phase-scan always runs pcc; rabi-scan ran sk1 and quad as a square drive
+    *[("phase-scan", {"method": method}, "method") for method in ("none", "sk1", "quad")],
+    ("rabi-scan", {"method": "sk1"}, "method"),
+    ("rabi-scan", {"method": "quad"}, "method"),
+]
+
+
+@pytest.mark.parametrize("scenario, doc, key", _IGNORED)
+def test_key_the_scenario_does_not_read_exits_2(tmp_path, scenario, doc, key):
+    code, err, caught = run_quietly([scenario, "--config", write_config(tmp_path, doc)])
+    assert code == EXIT_CONFIG
+    assert caught == []
+    assert len(err) == 1
+    assert err[0].startswith("config error: ")
+    assert scenario in err[0] and key in err[0]
+
+
+@pytest.mark.parametrize("scenario", ["duty-cycle-sweep", "beam-profile"])
+def test_shots_flag_exits_2_where_shots_are_not_read(tmp_path, scenario):
+    code, err, _ = run_quietly([scenario, "--config", write_config(tmp_path, {}), "--shots", "5"])
+    assert code == EXIT_CONFIG
+    assert err == [f"config error: unknown {scenario} keys: ['shots']"]
+
+
 # values a config may hold; the valid ones keep every run small
 _BAD = st.sampled_from([True, None, "abc", [1], {}, math.nan, math.inf, -1, 0, 1.5, 10**400])
+# physics values at the edges of their ranges
+_EDGE_VALUES = [0.0, -0.0, 5e-324, 1e300]
+_EDGES = st.sampled_from(_EDGE_VALUES)
 
 
 def _value(kind, default):
@@ -232,29 +280,109 @@ def _value(kind, default):
     return st.one_of(valid, _BAD)
 
 
-def _section(table):
-    optional = {key: _value(kind, default) for key, (kind, default, _) in table.items()}
+def _section(table, extra=st.nothing()):
+    optional = {key: st.one_of(_value(kind, default), extra)
+                for key, (kind, default, _) in table.items()}
     return st.one_of(st.fixed_dictionaries({}, optional=optional), _BAD)
 
 
-@pytest.mark.parametrize("scenario", SCENARIOS)
-@settings(max_examples=25, deadline=None)
-@given(data=st.data())
-def test_any_config_exits_0_2_or_3(scenario, data):
-    doc = data.draw(st.fixed_dictionaries({}, optional={
-        "method": st.one_of(st.sampled_from(["none", "pcc", "sk1", "quad"]), _BAD),
-        "physics": _section(_PHYSICS),
-        "scan": _section(_SCAN[scenario]),
+def _config(scenario):
+    """A config of the keys the scenario's row accepts, valid or not."""
+    row = _ROWS[scenario]
+    drawn = {
+        "physics": _section(row.physics, _EDGES),
+        "scan": _section(row.scan),
         "noise": st.one_of(st.none(), _section(_NOISE)),
         "shots": st.one_of(st.integers(1, 8), _BAD),
         "seed": st.one_of(st.integers(-(2**70), 2**70), _BAD),
         "out": st.one_of(st.sampled_from(["out.csv", "missing-dir/out.csv"]), _BAD),
-    }))
+    }
+    return st.fixed_dictionaries({}, optional={
+        key: drawn[key] if key in drawn else _value(kind, default)
+        for key, (kind, default, _) in row.top.items() if key != "scenario"})
+
+
+def run_doc(scenario, doc):
+    """Exit code and stderr lines of a CLI run of ``doc``, written to a file."""
     with tempfile.TemporaryDirectory() as tmp:
         if isinstance(doc.get("out"), str):
             doc["out"] = str(Path(tmp) / doc["out"])
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         code, err, _ = run_quietly([scenario, "--config", str(path)])
+    return code, err
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_any_config_exits_0_2_or_3(scenario, data):
+    code, err = run_doc(scenario, data.draw(_config(scenario)))
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)
     assert code == EXIT_OK or len(err) == 1
+
+
+@pytest.mark.parametrize("scenario, key", [
+    (scenario, key) for scenario in SCENARIOS if "physics" in _ROWS[scenario].top
+    for key in _ROWS[scenario].physics])
+@pytest.mark.parametrize("value", _EDGE_VALUES)
+def test_physics_range_edges_exit_0_or_2(scenario, key, value):
+    # a small scan of each scenario: the edges must not reach a traceback
+    scan = {"n_values": [1, 2]} if "n_values" in _ROWS[scenario].scan else {"points": 3}
+    code, err = run_doc(scenario, {"physics": {key: value}, "scan": scan, "shots": 4})
+    assert code in (EXIT_OK, EXIT_CONFIG)
+    assert code == EXIT_OK or len(err) == 1
+
+
+def _rejected(scenario):
+    """(section, key) pairs another row accepts, or a row used to, but not this one."""
+    row = _ROWS[scenario]
+    pairs = [(None, key) for key in sorted(_NOISY.keys() - row.top.keys())]
+    if "physics" in row.top:
+        pairs += [("physics", key)
+                  for key in sorted({*_PHYSICS, "stark_shift_rad_per_s"} - row.physics.keys())]
+    return pairs
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_config_with_a_rejected_key_exits_2(scenario, data):
+    doc = data.draw(_config(scenario))
+    section, key = data.draw(st.sampled_from(_rejected(scenario)))
+    if section is None:
+        doc[key] = data.draw(_BAD)
+    else:
+        doc[section] = {**(doc[section] if isinstance(doc.get(section), dict) else {}), key: 0.0}
+    code, err = run_doc(scenario, doc)
+    assert code == EXIT_CONFIG and len(err) == 1
+    if section is None:  # the top level is resolved first
+        assert scenario in err[0] and key in err[0]
+
+
+_PRESET_VALUE = st.one_of(_BAD, _EDGES, st.floats(-10.0, 10.0),
+                          st.sampled_from(sorted(DRIFT_PRESETS)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=st.one_of(
+    st.fixed_dictionaries({}, optional={
+        "drift": st.one_of(_BAD, st.dictionaries(
+            st.sampled_from(["preset", *_DRIFT_FIELDS, "x"]), _PRESET_VALUE)),
+        "aom": st.one_of(_BAD, st.dictionaries(
+            st.sampled_from([*_AOM_FIELDS, "x"]), _PRESET_VALUE)),
+        "x": _PRESET_VALUE,
+    }),
+    st.recursive(_PRESET_VALUE, lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+        max_leaves=6),
+))
+def test_any_preset_file_loads_or_raises_config_error(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "presets.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        try:
+            loaded = load_presets(path)
+        except (ConfigError, ValueError):
+            return
+    assert set(loaded) <= {"drift", "aom"}

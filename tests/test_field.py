@@ -211,3 +211,9 @@ class TestTypes:
         assert ctx.t_pi_ct == pytest.approx(math.pi / (0.096 * OMEGA))
         # 50 kHz drive with 9.6% crosstalk flops the spectator in ~104 us
         assert ctx.t_pi_ct == pytest.approx(104.2e-6, rel=1e-3)
+
+    @pytest.mark.parametrize("omega_0, f_ct", [(OMEGA, 0.0), (5e-324, 0.096)])
+    def test_crosstalk_pi_time_undefined_at_zero_rate(self, omega_0, f_ct):
+        # the second product underflows to 0: a ValueError, not ZeroDivisionError
+        with pytest.raises(ValueError, match="undefined"):
+            CrosstalkContext(omega_0=omega_0, f_ct=f_ct).t_pi_ct

@@ -79,5 +79,28 @@ def test_diagnostics_shape():
 
     fit = gauss_newton(residual, np.array([0.0]))
     diag = fit.diagnostics()
-    assert set(diag) == {"iterations", "converged", "residual_rms", "residual_trace"}
+    assert set(diag) == {"iterations", "converged", "stop", "residual_rms", "residual_trace"}
     assert diag["converged"]
+
+
+def _line(slope, noise=0.0):
+    xs = np.linspace(0.0, 1.0, 20)
+    data = slope * xs + noise * np.cos(7.0 * xs)
+    return lambda p: p[0] * xs + p[1] - data
+
+
+@pytest.mark.parametrize(
+    "residual, x0, max_iter, stop, converged",
+    [
+        (_line(2.0, noise=0.1), [0.0, 0.0], 60, "tol", True),
+        (_line(2.0), [0.0, 0.0], 60, "exact", True),
+        # already at the least-squares minimum: no halving improves on it
+        (lambda p: np.array([p[0] - 1.0, p[0] + 1.0]), [0.0], 60, "halvings", False),
+        (lambda p: np.exp(p) - np.array([2.0, 3.0]), [3.0], 1, "max_iter", False),
+    ],
+    ids=["tol", "exact", "halvings", "max_iter"],
+)
+def test_reports_why_it_stopped(residual, x0, max_iter, stop, converged):
+    fit = gauss_newton(residual, np.array(x0), max_iter=max_iter)
+    assert fit.stop == fit.diagnostics()["stop"] == stop
+    assert fit.converged is converged

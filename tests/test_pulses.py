@@ -409,6 +409,15 @@ class TestKernel:
             assert np.array_equal(scan.populations[i], alone.populations)
             assert np.array_equal(scan.sampled[i], alone.sampled)
 
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_phase_noise_needs_one_row_per_point(self, rows):
+        from xtalk.pulses import simulate_scan
+
+        # one row short used to run the last point with zero offsets
+        seqs = [pi_train("pcc", OMEGA, 1, CTX, CompensationSetting(1.0, math.pi))[0]] * 2
+        with pytest.raises(ValueError, match="one row per point"):
+            simulate_scan(seqs, CTX, shots=4, phase_noise=[np.ones(4)] * rows)
+
     @pytest.mark.parametrize("noisy", [False, True])
     def test_scan_returns_point_arrays(self, noisy):
         from xtalk.pulses import simulate_scan

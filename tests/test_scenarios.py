@@ -5,13 +5,14 @@ import pytest
 
 from xtalk.errors import ConfigError
 from xtalk.field import pi_pulse_error
-from xtalk.scenarios import _SCAN, SCENARIOS, ScenarioConfig, run_scenario
+from xtalk.scenarios import _ROWS, SCENARIOS, ScenarioConfig, run_scenario
 
 OMEGA = 2 * math.pi * 50e3
 
 
-def make_cfg(scenario, method="none", physics=None, scan=None, shots=200, seed=0, **extra):
-    doc = {"scenario": scenario, "method": method, "shots": shots, "seed": seed}
+def make_cfg(scenario, physics=None, scan=None, seed=0, **extra):
+    # method and shots only where given: not every scenario reads them
+    doc = {"scenario": scenario, "seed": seed}
     if physics:
         doc["physics"] = physics
     if scan is not None:
@@ -57,7 +58,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_scan_holds_every_schema_key(self, scenario):
         scan = ScenarioConfig.from_dict({"scenario": scenario}).scan
-        assert scan == {key: default for key, (_, default, _) in _SCAN[scenario].items()}
+        assert scan == {key: default for key, (_, default, _) in _ROWS[scenario].scan.items()}
 
     def test_defaults_leave_the_hash_alone(self):
         # the hash covers the document as given, not the filled-in defaults
@@ -70,6 +71,55 @@ class TestConfigValidation:
         a = ScenarioConfig.from_dict({"scenario": "x-error", "shots": 10, "seed": 1})
         b = ScenarioConfig.from_dict({"seed": 1, "shots": 10, "scenario": "x-error"})
         assert a.config_hash() == b.config_hash()
+
+
+# per scenario: a small scan, and another scan that must change the rows
+_SCANS = {
+    "x-error": ({"n_values": [1, 2]}, {"n_values": [1, 3]}),
+    "z-error": ({"n_values": [1, 2]}, {"n_values": [1, 3]}),
+    "phase-scan": ({"points": 4}, {"points": 5}),
+    "rabi-scan": ({"points": 4}, {"points": 4, "observe": "target"}),
+    "amplitude-scan": ({"points": 4}, {"points": 4, "scale_max": 1.0}),
+    "drift-monitor": ({"duration_min": 1.0, "preset": "exposed"}, {"duration_min": 1.0}),
+    "duty-cycle-sweep": ({"points": 3}, {"points": 3, "mitigated": True}),
+    "beam-profile": ({"points": 5, "curve": "gaussian"}, {"points": 5, "curve": "clipped"}),
+}
+# another value per top-level key; method takes each other choice of its row
+_OTHER = {
+    "physics": {"omega_0_rad_per_s": 2e5},
+    "noise": {"preset": "exposed"},
+    "shots": 50,
+    "seed": 1,
+}
+
+
+def _csv_without_hash(doc):
+    csv = run_scenario(ScenarioConfig.from_dict(doc)).to_csv()
+    return [line for line in csv.splitlines() if not line.startswith("# config_hash:")]
+
+
+class TestSchemaRows:
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_every_accepted_key_changes_the_csv(self, scenario):
+        row = _ROWS[scenario]
+        scan, other_scan = _SCANS[scenario]
+        base = {"scenario": scenario, "scan": scan}
+        variants = [{"scan": other_scan}]
+        variants += [{key: value} for key, value in _OTHER.items() if key in row.top]
+        if "method" in row.top:
+            choices, default, _ = row.top["method"]
+            variants += [{"method": m} for m in choices if m != default]
+        # out and the row's selector leave the CSV alone; phase-scan's method has one choice
+        untested = {"out", "scenario"} | ({"method"} if scenario == "phase-scan" else set())
+        assert {k for v in variants for k in v} == set(row.top) - untested
+        reference = _csv_without_hash(base)
+        for change in variants:
+            assert _csv_without_hash({**base, **change}) != reference, change
+
+    def test_phase_scan_header_names_pcc(self):
+        cfg = ScenarioConfig.from_dict({"scenario": "phase-scan"})
+        assert cfg.method == "pcc"
+        assert run_scenario(cfg).to_csv().splitlines()[1] == "# method: pcc"
 
 
 class TestXError:
@@ -301,7 +351,7 @@ class TestStatisticsAndRuntime:
             "beam-profile",
         ):
             start = time.perf_counter()
-            run_scenario(make_cfg(scenario, method="pcc" if scenario == "phase-scan" else "none"))
+            run_scenario(make_cfg(scenario))
             assert time.perf_counter() - start < 60.0
 
 
