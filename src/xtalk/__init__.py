@@ -77,6 +77,7 @@ from .pulses import (
     SimulationResult,
     concat,
     pi_train,
+    pi_trains,
     quad_frame_step,
     quadrilateral,
     ramsey_wrap,

@@ -386,11 +386,11 @@ def recalibration_interval(drift_rate: float, suppression_target: float) -> floa
 
 
 def _sk1_spectator_populations(f_eff: float, det_ratio: float, counts) -> np.ndarray:
-    from .pulses import pi_train
+    from .pulses import pi_trains
 
     ctx = CrosstalkContext(omega_0=1.0, f_ct=max(f_eff, 1e-12), delta_ct=det_ratio)
-    seqs = [pi_train("sk1", 1.0, int(n))[0] for n in counts]
-    return simulate_scan(seqs, ctx).populations[:, SPECTATOR]
+    trains = pi_trains("sk1", 1.0, [int(n) for n in counts])
+    return simulate_scan([seq for seq, _ in trains], ctx).populations[:, SPECTATOR]
 
 
 def fit_crosstalk_model(data, model: FitModel) -> FitResult:

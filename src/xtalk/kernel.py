@@ -1,0 +1,279 @@
+"""The simulation kernel: slice tables of whole scans and their propagators.
+
+A scan is compiled in one numpy pass into one slice table holding each
+point's own slices in turn: per time slice its start, duration, detuning,
+the fixed field and the spectator channel's term, whose phase moves with the
+per-shot spectator phase offset.  The kernel evaluates the slice propagators
+with numpy over one batch axis of (scan point x offset) and multiplies them
+slice by slice with stacked ``np.matmul``.  Leading slices that points share
+under equal offsets, as a shorter train shares those of a longer one, are
+multiplied once.  Each point's result is bit-identical to simulating it
+alone.  :mod:`xtalk.pulses` builds the sequences and calls the kernel.
+"""
+
+from __future__ import annotations
+
+import math
+from itertools import chain
+from operator import attrgetter
+
+import numpy as np
+
+from .dynamics import IDENTITY, rz
+from .field import CrosstalkContext
+
+# channel ids; ion TARGET is the ion channel TARGET addresses
+TARGET = 0
+SPECTATOR = 1
+
+# slice-table columns: start, duration, then per ion its detuning, the fixed
+# field (real, imaginary) and the spectator channel's term (in-phase
+# amplitude, axis phase, quadrature amplitude)
+_ION_COLUMNS = 6
+_COLUMNS = 2 + 2 * _ION_COLUMNS
+_BATCH = 1 << 11  # slice propagators evaluated at once, bounds the kernel's memory
+
+
+def _segments(seqs: list):
+    """Every point's segments, channel by channel, as columns (amplitude,
+    phase, detuning, start, end) closed by one dark row, and the segment
+    count of each (point, channel) row, ``2 * point + channel``.  Start and
+    end are running sums of the durations from the point's start, added in
+    sequence order as a loop would."""
+    per_row = [seq.channel(ch).segments for seq in seqs for ch in (TARGET, SPECTATOR)]
+    counts = np.fromiter(map(len, per_row), int, len(per_row))
+    fields = map(attrgetter("amplitude", "phase", "detuning", "duration"),
+                 chain.from_iterable(per_row))
+    values = chain(chain.from_iterable(fields), (0.0,) * 4)
+    amp, phase, det, dur = np.fromiter(values, float, 4 * counts.sum() + 4).reshape(-1, 4).T
+    running = np.zeros((len(per_row), counts.max(initial=0) + 1))
+    inside = np.arange(running.shape[1] - 1) < counts[:, None]
+    running[:, 1:][inside] = dur[:-1]
+    running = np.cumsum(running, axis=1)  # a sequential sum along each row
+    start, end = np.zeros((2, len(amp)))
+    start[:-1], end[:-1] = running[:, :-1][inside], running[:, 1:][inside]
+    return (amp, phase, det, start, end), counts
+
+
+def _keys(row, value) -> np.ndarray:
+    """``row + i value``, flattened: complex numbers order by real part, then
+    imaginary part, so these sort and search by row, then value, comparing
+    the values exactly."""
+    keys = np.empty(np.broadcast(row, value).shape, dtype=complex)
+    keys.real, keys.imag = row, value
+    return keys.ravel()
+
+
+def _merge(cuts: np.ndarray, point: np.ndarray, tol: np.ndarray) -> np.ndarray:
+    """Which sorted cuts open a slice: each point's first cut, then every cut
+    more than its point's ``tol`` past the last one kept."""
+    tol_at = tol[point]
+    keep = np.ones(len(cuts), dtype=bool)
+    keep[1:] = (point[1:] != point[:-1]) | (cuts[1:] - cuts[:-1] > tol_at[1:])
+    # comparing with the previous cut instead of the last kept one differs
+    # only where dropped cuts chain further than tol; such points run the rule
+    last = np.flatnonzero(keep)[np.cumsum(keep) - 1]
+    chained = ~keep & (cuts - cuts[last] > tol_at)
+    for p in set(point[chained].tolist()):
+        where = np.flatnonzero(point == p)
+        kept = cuts[where[0]]
+        for i in where[1:]:
+            keep[i] = cuts[i] - kept > tol[p]
+            kept = cuts[i] if keep[i] else kept
+    return keep
+
+
+def _cos_sin(phase: np.ndarray, on: np.ndarray) -> np.ndarray:
+    """``cos`` and ``sin`` of ``phase`` where ``on``, else 0, from ``math``
+    once per distinct phase."""
+    phases = phase[on]
+    values = np.sort(phases)
+    distinct = np.ones(len(values), dtype=bool)
+    distinct[1:] = values[1:] > values[:-1]
+    values = values[distinct]
+    both = np.array([(math.cos(v), math.sin(v)) for v in values.tolist()]).reshape(-1, 2)
+    out = np.zeros((2,) + phase.shape)
+    out[:, on] = both[np.searchsorted(values, phases)].T
+    return out
+
+
+def _grid(seqs: list):
+    """Every point's slices, point after point, and the segment each channel
+    runs through them.
+
+    A point's slices cut its sequence at every segment edge of either
+    channel; cuts less than 1e-9 of its duration apart merge.  Returns the
+    slices' start, end and point, each point's slice count, and per channel
+    (rows) whether a lit segment runs through the slice, and its amplitude,
+    phase and detuning.
+    """
+    n = len(seqs)
+    totals = np.array([seq.total_duration for seq in seqs], dtype=float)
+    tol = 1e-9 * np.maximum(totals, 1e-300)
+    (amp, phase, det, seg_start, seg_end), counts = _segments(seqs)
+    seg_row = np.repeat(np.arange(2 * n), counts)
+    points = np.arange(n)
+    edges = np.sort(_keys(np.concatenate([points, points, seg_row // 2]),
+                          np.concatenate([np.zeros(n), totals, seg_end[:-1]])))
+    cuts, point = edges.imag, edges.real.astype(int)
+    keep = _merge(cuts, point, tol)
+    cuts, point = cuts[keep], point[keep]
+    inner = point[1:] == point[:-1]
+    start, end, point = cuts[:-1][inner], cuts[1:][inner], point[:-1][inner]
+    tol_at = tol[point]
+    after, before = start + tol_at, end - tol_at
+    # the segment running through a slice: the first of its (point,
+    # channel) row to end past the slice's start, or the closing dark row
+    slice_row = 2 * point + np.array([[TARGET], [SPECTATOR]])
+    found = np.searchsorted(_keys(seg_row, seg_end[:-1]), _keys(slice_row, after), side="right")
+    found = found.reshape(slice_row.shape)
+    j = np.where(found < np.cumsum(counts)[slice_row], found, len(amp) - 1)
+    lit = (seg_start[j] <= after) & (seg_end[j] >= before) & (amp[j] > 0.0)
+    return start, end, point, np.bincount(point, minlength=n), (lit, amp[j], phase[j], det[j])
+
+
+def _compile(seqs: list, scales: np.ndarray, ctx: CrosstalkContext):
+    """Slice tables of all scan points in one pass.
+
+    Returns every point's slices (see :func:`_grid`), point after point, as
+    one table of shape ``(slices, _COLUMNS)``, and each point's slice count.
+    The spectator channel's term stays apart: the kernel moves its phase per
+    shot, then adds its orthogonal polarization in quadrature.
+    """
+    start, end, point, lengths, (lit, amp, phase, det) = _grid(seqs)
+    amp = scales[point] * amp
+    # per ion (rows), the other ion's channel arrives as crosstalk; x * 1.0,
+    # x + -0.0 and x - 0.0 leave every x exact
+    a_t = amp[TARGET] * np.array([[1.0], [ctx.f_ct]])
+    a_s = amp[SPECTATOR] * np.array([[ctx.f_ct], [1.0]])
+    d_t = det[TARGET] + np.array([[-0.0], [ctx.delta_ct]])
+    d_s = det[SPECTATOR] - np.array([[ctx.delta_ct], [0.0]])
+    on_t, on_s = lit[TARGET] & (a_t > 0.0), lit[SPECTATOR] & (a_s > 0.0)
+    both = on_t & on_s
+    if both.any() and (np.abs(d_t - d_s) > 1e-6 * (1.0 + np.abs(d_t)))[both].any():
+        raise ValueError("overlapping drives at different detunings are not supported")
+    cos, sin = _cos_sin(phase[TARGET] + np.array([[-0.0], [ctx.ct_phase]]), on_t)
+    p = ctx.pol_overlap
+    q = math.sqrt(max(1.0 - p * p, 0.0))
+    table = np.empty((len(start), _COLUMNS))
+    table[:, 0], table[:, 1] = start, end - start
+    ions = table[:, 2:].reshape(-1, 2, _ION_COLUMNS).T  # a view: [column, ion, slice]
+    ions[0] = np.where(on_t, d_t, np.where(on_s, d_s, 0.0))
+    # the fixed field adds into 0j, which turns -0.0 into 0.0
+    ions[1] = np.where(on_t, a_t * cos + 0.0, 0.0)
+    ions[2] = np.where(on_t, a_t * sin + 0.0, 0.0)
+    ions[3] = np.where(on_s, p * a_s, 0.0)
+    ions[4] = np.where(on_s, phase[SPECTATOR], 0.0)
+    ions[5] = np.where(on_s, q * a_s, 0.0)
+    return table, lengths
+
+
+def _abs2(re, im) -> np.ndarray:
+    """``|re + i im|^2`` elementwise, rounded as Python's ``abs(c) ** 2``."""
+    return np.float_power(np.hypot(re, im), 2.0)
+
+
+def _slice_propagators(table: np.ndarray, offsets: np.ndarray, ct_phase: float) -> np.ndarray:
+    """Qubit-frame propagator of every slice, shape ``(2,) + batch + (2, 2)``.
+
+    ``table`` and ``offsets`` broadcast to the batch shape.  A slice without
+    light leaves the qubit frame inertial, so it is an exact identity.
+    """
+    start, dur, *cols = np.moveaxis(table, -1, 0)
+    out = []
+    for ion in (TARGET, SPECTATOR):
+        det, fixed_re, fixed_im, amp, phase, quad = cols[_ION_COLUMNS * ion:][:_ION_COLUMNS]
+        phase = phase + offsets + ct_phase if ion == TARGET else phase + offsets
+        re = fixed_re + amp * np.cos(phase)
+        im = fixed_im + amp * np.sin(phase)
+        # the orthogonal polarization adds in quadrature: along i * (the
+        # coherent field's direction), or along i when that field vanishes
+        norm = np.hypot(re, im)
+        safe = np.where(norm > 0.0, norm, 1.0)
+        om_re = re - quad * (im / safe)
+        om_im = im + quad * np.where(norm > 0.0, re / safe, 1.0)
+        if not (np.isfinite(om_re).all() and np.isfinite(om_im).all()):
+            raise ValueError("non-finite input")
+        # rotation_unitary elementwise, with its roundings
+        dark = (om_re == 0.0) & (om_im == 0.0)
+        gen = np.sqrt(_abs2(om_re, om_im) + np.float_power(det, 2.0))
+        gen = np.where(dark, 1.0, gen)
+        half_angle = 0.5 * gen * dur
+        c, s = np.cos(half_angle), np.sin(half_angle)
+        sx, sy, sz = s * (om_re / gen), s * (om_im / gen), s * (-det / gen)
+        u = np.stack([c - 1.0j * sz, -sy - 1.0j * sx, sy - 1.0j * sx, c + 1.0j * sz], axis=-1)
+        u = u.reshape(u.shape[:-1] + (2, 2))
+        framed = ~dark & (det != 0.0)
+        if framed.any():
+            # a detuned drive keeps its phase reference: in the qubit frame
+            # the slice is sandwiched between Z rotations
+            d, t0, t = (np.broadcast_to(a, framed.shape)[framed] for a in (det, start, dur))
+            u[framed] = rz(d * (t0 + t)) @ u[framed] @ rz(-d * t0)
+        u[dark] = IDENTITY
+        out.append(u)
+    return np.stack(out)
+
+
+def _identities(points: int, width: int) -> np.ndarray:
+    return np.broadcast_to(IDENTITY, (2, points, width, 2, 2)).copy()
+
+
+def _products(table, begin, count, out, shifts, ct_phase: float, marks=None) -> np.ndarray:
+    """``out``, shape ``(2, points, n, 2, 2)``, left-multiplied per point by
+    the propagators of its ``count`` table rows from row ``begin`` on, in
+    order, ``_BATCH`` evaluated at a time; shorter points end dark.
+    ``marks``, a dict keyed by row counts, receives the product after each
+    such count."""
+    step, top = max(1, _BATCH // out[..., 0, 0].size), count.max(initial=0)
+    for k0 in range(0, top, step):
+        k = np.arange(k0, min(k0 + step, top))
+        rows = table[np.minimum(begin[:, None] + k, len(table) - 1)]
+        rows[k >= count[:, None]] = 0.0
+        props = _slice_propagators(rows[:, None], shifts, ct_phase)
+        for i, u in enumerate(np.moveaxis(props, 3, 0), k0 + 1):
+            out = np.matmul(u, out)
+            if marks is not None and i in marks:
+                marks[i] = out
+    return out
+
+
+def _propagate(table: np.ndarray, lengths: np.ndarray, offsets: np.ndarray, ct_phase: float):
+    """The kernel: yields each point's total propagators, shape ``(2, n, 2, 2)``.
+
+    Takes the compiled table, each point's slice count and one row of ``n``
+    spectator phase offsets (rad) per point.  When all points have the same
+    offsets, the leading rows a point shares with the longest point (a
+    shorter train is a prefix of a longer one) are multiplied once, on the
+    longest point.  The other rows go in batches of ``_BATCH`` propagators
+    (at least one slice of one point).  Every product is a sequential left
+    product, so each element is bit-identical to multiplying one point's
+    propagators in turn.
+    """
+    n, width = offsets.shape
+    first = np.cumsum(lengths) - lengths
+    done = np.zeros(n, dtype=int)
+    shared_products = {}
+    if n > 1 and len(table) and (offsets == offsets[0]).all():
+        longest = int(np.argmax(lengths))
+        # each row against the longest point's row at the same position
+        pos = np.arange(len(table)) - np.repeat(first, lengths)
+        ref = first[longest] + np.minimum(pos, lengths[longest] - 1)
+        bits = table.view(np.int64)
+        differs = (bits != bits[ref]).any(axis=1) | (pos >= lengths[longest])
+        differs = np.append(np.flatnonzero(differs), len(table))
+        shared = np.minimum(differs[np.searchsorted(differs, first)] - first, lengths)
+        if np.count_nonzero(shared) > 1:  # not the longest point alone
+            done = shared
+            shared_products = dict.fromkeys(done.tolist())
+            _products(table, first[[longest]], done[[longest]], _identities(1, width),
+                      offsets[:1, :, None], ct_phase, shared_products)
+    group = max(1, _BATCH // (2 * width))
+    for g0 in range(0, n, group):
+        part = slice(g0, g0 + group)
+        out = _identities(len(done[part]), width)
+        for i, k in enumerate(done[part].tolist()):
+            if k:
+                out[:, i] = shared_products[k][:, 0]
+        u = _products(table, first[part] + done[part], lengths[part] - done[part], out,
+                      offsets[part, :, None], ct_phase)
+        yield from np.moveaxis(u, 1, 0)

@@ -6,29 +6,26 @@ its own channel's field plus a fraction ``f_ct`` of the other channel's
 field (the crosstalk), evolved exactly with 2x2 propagators in the ion's own
 frame so that off-resonant light also produces the physical phase shifts.
 
-Simulation has one kernel.  Each sequence is compiled once into a slice
-table: per time slice its start, duration, detuning, the fixed field and
-the spectator channel's term, whose phase moves with the per-shot spectator
-phase offset.  The kernel then evaluates every slice propagator with numpy
-over one batch axis of (scan point x offset), padding shorter points with
-dark slices, and multiplies them slice by slice with stacked ``np.matmul``.
-A scan is one kernel call; :func:`simulate` is its one-point case and
-:func:`sequence_unitaries` its one-offset case.
+Simulation runs in one kernel, :mod:`xtalk.kernel`.  A scan is one kernel
+call; :func:`simulate` is its one-point case and :func:`sequence_unitaries`
+its one-offset case.  Trains of several lengths are best built together by
+:func:`pi_trains`: the shorter ones are prefixes of the longest, whose
+shared slices the kernel multiplies once.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import repeat
+from itertools import accumulate, chain, repeat
 
 import numpy as np
 
-from .dynamics import IDENTITY, QubitState, check_states, rz
+from .dynamics import QubitState, check_states
 from .errors import ChannelConflictError
 from .field import CompensationSetting, CrosstalkContext
+from .kernel import SPECTATOR, TARGET, _abs2, _compile, _propagate
 from .noise import rng
 
 __all__ = [
@@ -43,6 +40,7 @@ __all__ = [
     "quadrilateral",
     "quad_frame_step",
     "pi_train",
+    "pi_trains",
     "ramsey_wrap",
     "with_pcc",
     "concat",
@@ -50,9 +48,6 @@ __all__ = [
     "simulate_scan",
     "sequence_unitaries",
 ]
-
-TARGET = 0
-SPECTATOR = 1
 
 SK1_PHI1 = math.acos(-1.0 / 4.0)  # inner-loop axis offset for a pi rotation
 
@@ -192,27 +187,57 @@ def pi_train(
     applied twice per pi with Z-frame phase tracking).  Returns the sequence
     and the trailing software frame angle to be absorbed by any later pulse.
     """
-    if n_pulses < 1:
+    return pi_trains(method, omega_0, [n_pulses], ctx, setting, phase)[0]
+
+
+def pi_trains(
+    method: str,
+    omega_0: float,
+    counts,
+    ctx: CrosstalkContext | None = None,
+    setting: CompensationSetting | None = None,
+    phase: float = 0.0,
+) -> list:
+    """:func:`pi_train` for each pulse count in ``counts``, in order.
+
+    The longest train is built once, by repeating its block's segments (the
+    ``quad`` blocks differ only by their frame phase), and every shorter
+    train is a prefix of it.
+    """
+    counts = list(counts)
+    if any(n < 1 for n in counts):
         raise ValueError("n_pulses must be >= 1")
-    frame = 0.0
-    parts = []
+    step = 0.0
     if method in ("none", "pcc"):
-        parts = [square_pi(omega_0, phase) for _ in range(n_pulses)]
+        block = square_pi(omega_0, phase)
     elif method == "sk1":
-        parts = [sk1(math.pi, phase, omega_0) for _ in range(n_pulses)]
+        block = sk1(math.pi, phase, omega_0)
     elif method == "quad":
-        step = quad_frame_step()
-        for _ in range(2 * n_pulses):
-            parts.append(quadrilateral(omega_0, phase + frame))
-            frame += step
+        block, step = quadrilateral(omega_0, phase), quad_frame_step()
     else:
         raise ValueError(f"unknown method {method!r}")
-    seq = concat(*parts)
     if method == "pcc":
         if ctx is None or setting is None:
             raise ValueError("method 'pcc' needs a context and a compensation setting")
-        seq = with_pcc(seq, ctx, setting)
-    return seq, frame
+        block = with_pcc(block, ctx, setting)
+    block = concat(block)  # an idle spectator gets one dark segment
+    per_pulse = 2 if method == "quad" else 1
+    blocks = per_pulse * max(counts, default=0)
+    frames = list(accumulate(repeat(step, blocks), initial=0.0))  # the frame before each block
+    target, spectator = (block.channel(ch).segments for ch in (TARGET, SPECTATOR))
+    sizes = len(target), len(spectator)
+    if method == "quad":
+        target = tuple(chain.from_iterable(
+            quadrilateral(omega_0, phase + f).channel(TARGET).segments for f in frames[:-1]))
+    else:
+        target *= blocks
+    spectator *= blocks
+    trains = []
+    for k in (per_pulse * n for n in counts):
+        seq = PulseSequence((ChannelPulse(TARGET, target[: k * sizes[0]]),
+                             ChannelPulse(SPECTATOR, spectator[: k * sizes[1]])))
+        trains.append((seq, frames[k]))
+    return trains
 
 
 def ramsey_wrap(
@@ -289,165 +314,10 @@ class SimulationResult:
     sampled: np.ndarray | None = None
 
 
-def _slices(seq: PulseSequence):
-    """Common time grid: sorted union of all channel segment boundaries.
-
-    Yields ``(start, duration, {channel: segment or None})`` per slice.
-    """
-    channels = {ch: seq.channel(ch).segments for ch in (TARGET, SPECTATOR)}
-    total = seq.total_duration
-    edges = {0.0, total}
-    spans = {}
-    for ch, segs in channels.items():
-        t = 0.0
-        spans[ch] = []
-        for s in segs:
-            if s.duration > 0.0:
-                spans[ch].append((t, t + s.duration, s))
-                t += s.duration
-                edges.add(t)
-    cuts = sorted(edges)
-    tol = 1e-9 * max(total, 1e-300)
-    merged = [cuts[0]]
-    for c in cuts[1:]:
-        if c - merged[-1] > tol:
-            merged.append(c)
-    cursor = {ch: 0 for ch in channels}
-    for a, b in zip(merged[:-1], merged[1:]):
-        active = {}
-        for ch in channels:
-            ch_spans = spans[ch]
-            j = cursor[ch]
-            while j < len(ch_spans) and ch_spans[j][1] <= a + tol:
-                j += 1
-            cursor[ch] = j
-            active[ch] = None
-            if j < len(ch_spans):
-                lo, hi, s = ch_spans[j]
-                if lo <= a + tol and hi >= b - tol:
-                    active[ch] = s
-        yield a, b - a, active
-
-
-# slice-table columns: start, duration, then per ion its detuning, the fixed
-# field (real, imaginary) and the spectator channel's term (in-phase
-# amplitude, axis phase, quadrature amplitude)
-_ION_COLUMNS = 6
-_COLUMNS = 2 + 2 * _ION_COLUMNS
-_BATCH = 1 << 11  # slice propagators evaluated at once, bounds the kernel's memory
-
-
-def _compile(seq: PulseSequence, ctx: CrosstalkContext, scale: float) -> np.ndarray:
-    """Slice table of one sequence, shape ``(slices, _COLUMNS)``.
-
-    The spectator channel's term stays apart: the kernel moves its phase per
-    shot, then adds its orthogonal polarization in quadrature.
-    """
-    p = ctx.pol_overlap
-    q = math.sqrt(max(1.0 - p * p, 0.0))
-    rows = array("d")
-    for start, dur, active in _slices(seq):
-        row = [start, dur]
-        for ion in (TARGET, SPECTATOR):
-            fixed = 0.0j
-            spectator = [0.0, 0.0, 0.0]
-            detunings = []
-            for ch, seg in active.items():
-                if seg is None or seg.amplitude <= 0.0:
-                    continue
-                amp, det = scale * seg.amplitude, seg.detuning
-                if ch != ion:
-                    # cross illumination
-                    amp *= ctx.f_ct
-                    det = det + ctx.delta_ct if ion == SPECTATOR else det - ctx.delta_ct
-                if amp <= 0.0:
-                    continue
-                if ch == SPECTATOR:
-                    spectator = [p * amp, seg.phase, q * amp]
-                else:
-                    phase = seg.phase + ctx.ct_phase if ch != ion else seg.phase
-                    fixed += amp * complex(math.cos(phase), math.sin(phase))
-                detunings.append(det)
-            if detunings and max(detunings) - min(detunings) > 1e-6 * (1.0 + abs(detunings[0])):
-                raise ValueError("overlapping drives at different detunings are not supported")
-            row += [detunings[0] if detunings else 0.0, fixed.real, fixed.imag, *spectator]
-        rows.extend(row)
-    return np.array(rows, dtype=float).reshape(-1, _COLUMNS)
-
-
-def _abs2(re, im) -> np.ndarray:
-    """``|re + i im|^2`` elementwise, rounded as Python's ``abs(c) ** 2``."""
-    return np.float_power(np.hypot(re, im), 2.0)
-
-
-def _slice_propagators(table: np.ndarray, offsets: np.ndarray, ct_phase: float) -> np.ndarray:
-    """Qubit-frame propagator of every slice, shape ``(2,) + batch + (2, 2)``.
-
-    ``table`` and ``offsets`` broadcast to the batch shape.  A slice without
-    light leaves the qubit frame inertial, so it is an exact identity.
-    """
-    start, dur, *cols = np.moveaxis(table, -1, 0)
-    out = []
-    for ion in (TARGET, SPECTATOR):
-        det, fixed_re, fixed_im, amp, phase, quad = cols[_ION_COLUMNS * ion:][:_ION_COLUMNS]
-        phase = phase + offsets + ct_phase if ion == TARGET else phase + offsets
-        re = fixed_re + amp * np.cos(phase)
-        im = fixed_im + amp * np.sin(phase)
-        # the orthogonal polarization adds in quadrature: along i * (the
-        # coherent field's direction), or along i when that field vanishes
-        norm = np.hypot(re, im)
-        safe = np.where(norm > 0.0, norm, 1.0)
-        om_re = re - quad * (im / safe)
-        om_im = im + quad * np.where(norm > 0.0, re / safe, 1.0)
-        if not (np.isfinite(om_re).all() and np.isfinite(om_im).all()):
-            raise ValueError("non-finite input")
-        # rotation_unitary elementwise, with its roundings
-        dark = (om_re == 0.0) & (om_im == 0.0)
-        gen = np.sqrt(_abs2(om_re, om_im) + np.float_power(det, 2.0))
-        gen = np.where(dark, 1.0, gen)
-        half_angle = 0.5 * gen * dur
-        c, s = np.cos(half_angle), np.sin(half_angle)
-        sx, sy, sz = s * (om_re / gen), s * (om_im / gen), s * (-det / gen)
-        u = np.stack([c - 1.0j * sz, -sy - 1.0j * sx, sy - 1.0j * sx, c + 1.0j * sz], axis=-1)
-        u = u.reshape(u.shape[:-1] + (2, 2))
-        framed = ~dark & (det != 0.0)
-        if framed.any():
-            # a detuned drive keeps its phase reference: in the qubit frame
-            # the slice is sandwiched between Z rotations
-            d, t0, t = (np.broadcast_to(a, framed.shape)[framed] for a in (det, start, dur))
-            u[framed] = rz(d * (t0 + t)) @ u[framed] @ rz(-d * t0)
-        u[dark] = IDENTITY
-        out.append(u)
-    return np.stack(out)
-
-
-def _propagate(tables, offsets: np.ndarray, ct_phase: float):
-    """The kernel: yields each point's total propagators, shape ``(2, n, 2, 2)``.
-
-    Takes one slice table and one row of ``n`` spectator phase offsets (rad)
-    per point, evaluated in batches of ``_BATCH`` propagators (at least one
-    slice of one point).  The product is a sequential left product, so every
-    element is bit-identical to multiplying one point's propagators in turn.
-    """
-    group = max(1, _BATCH // (2 * offsets.shape[1]))
-    for g0 in range(0, len(tables), group):
-        part, shifts = tables[g0: g0 + group], offsets[g0: g0 + group, :, None]
-        n_slices = max(map(len, part))
-        out = np.broadcast_to(IDENTITY, (2,) + shifts.shape[:2] + (2, 2)).copy()
-        step = max(1, _BATCH // out[..., 0, 0].size)
-        for k0 in range(0, n_slices, step):
-            chunk = np.zeros((len(part), 1, min(step, n_slices - k0), _COLUMNS))
-            for row, t in zip(chunk, part):
-                row[0, : len(t[k0: k0 + step])] = t[k0: k0 + step]  # shorter points end dark
-            props = _slice_propagators(chunk, shifts, ct_phase)
-            for k in range(props.shape[3]):
-                out = np.matmul(props[:, :, :, k], out)
-        yield from np.moveaxis(out, 1, 0)
-
-
 def sequence_unitaries(seq: PulseSequence, ctx: CrosstalkContext, scale: float = 1.0) -> dict:
     """Total qubit-frame propagator per ion for the full sequence."""
-    u = next(_propagate([_compile(seq, ctx, scale)], np.zeros((1, 1)), ctx.ct_phase))
+    table, lengths = _compile([seq], np.array([scale], dtype=float), ctx)
+    u = next(_propagate(table, lengths, np.zeros((1, 1)), ctx.ct_phase))
     return {ch: u[ch, 0] for ch in (TARGET, SPECTATOR)}
 
 
@@ -468,9 +338,12 @@ def simulate_scan(
     may be any iterable.  Returns one :class:`SimulationResult` whose arrays
     have a leading point axis.
     """
-    scales = repeat(1.0) if scales is None else scales
-    tables = [_compile(seq, ctx, scale) for seq, scale in zip(seqs, scales)]
-    n = len(tables)
+    if shots is None and phase_noise is not None:
+        raise ValueError("phase_noise needs shots")
+    pairs = list(zip(seqs, repeat(1.0) if scales is None else scales))
+    scales = np.array([scale for _, scale in pairs], dtype=float)
+    table, lengths = _compile([seq for seq, _ in pairs], scales, ctx)
+    n = len(pairs)
     keys = list(range(n) if point_indices is None else point_indices)
     if len(keys) != n:
         raise ValueError("point_indices must hold one key per point")
@@ -491,7 +364,7 @@ def simulate_scan(
 
     amplitudes = np.empty((n, 2, 2), dtype=complex)
     sampled = None if shots is None else np.empty((n, 2))
-    for i, u in enumerate(_propagate(tables, offsets, ctx.ct_phase)):
+    for i, u in enumerate(_propagate(table, lengths, offsets, ctx.ct_phase)):
         amplitudes[i] = [u[ch, 0] @ vectors[ch] for ch in (TARGET, SPECTATOR)]
         if noisy:
             # one draw per shot and ion: column 0 the target, 1 the spectator
@@ -535,7 +408,8 @@ def simulate(
         of evaluation order.
     phase_noise : array-like, optional
         Per-shot phase offsets (rad) applied to the whole spectator channel,
-        modeling differential path phase drift between the channels.
+        modeling differential path phase drift between the channels; needs
+        ``shots``.
     scale : float
         Global amplitude scale applied to every segment.
     """

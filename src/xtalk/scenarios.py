@@ -39,6 +39,7 @@ from .pulses import (
     PulseSegment,
     PulseSequence,
     pi_train,
+    pi_trains,
     ramsey_wrap,
     simulate_scan,
     with_pcc,
@@ -195,8 +196,8 @@ def run_x_error(cfg: ScenarioConfig) -> ScanResult:
     """Spectator excited population after N target pi pulses, from ground."""
     counts = cfg.scan["n_values"]
     ctx = cfg.context
-    seqs = (pi_train(cfg.method, ctx.omega_0, n, ctx, cfg.setting)[0] for n in counts)
-    return _sweep(cfg, np.array(counts, dtype=float), seqs)
+    trains = pi_trains(cfg.method, ctx.omega_0, counts, ctx, cfg.setting)
+    return _sweep(cfg, np.array(counts, dtype=float), [seq for seq, _ in trains])
 
 
 def run_z_error(cfg: ScenarioConfig) -> ScanResult:
@@ -211,7 +212,7 @@ def run_z_error(cfg: ScenarioConfig) -> ScanResult:
     """
     counts = cfg.scan["n_values"]
     ctx = cfg.context
-    trains = [pi_train(cfg.method, ctx.omega_0, n, ctx, cfg.setting)[0] for n in counts]
+    trains = [seq for seq, _ in pi_trains(cfg.method, ctx.omega_0, counts, ctx, cfg.setting)]
     close_phases = [math.pi] * len(trains)
     if cfg.method == "quad":
         # from the ground state, the final |0> amplitude is the train unitary's u[0, 0]
@@ -343,11 +344,12 @@ _ROWS = {
         "points": (int, 81, ">= 1"),
         "observe": (("target", "spectator"), "spectator", ""),
     }),
+    # observes the target, which the crosstalk detuning never reaches
     "amplitude-scan": _Row(run_amplitude_scan, _DRIVEN, {
         "scale_min": (float, 0.0, ">= 0"),
         "scale_max": (float, 1.5, ">= 0"),
         "points": (int, 61, ">= 1"),
-    }),
+    }, {k: v for k, v in _PHYSICS.items() if k != "delta_ct_rad_per_s"}),
     "drift-monitor": _Row(run_drift_monitor, _SHOTS, {
         "preset": (tuple(DRIFT_PRESETS), "enclosed", ""),
         "duration_min": (float, 8.0, ">= 0"),

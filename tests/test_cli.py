@@ -235,6 +235,8 @@ _IGNORED = [
     *[("phase-scan", {"method": method}, "method") for method in ("none", "sk1", "quad")],
     ("rabi-scan", {"method": "sk1"}, "method"),
     ("rabi-scan", {"method": "quad"}, "method"),
+    # amplitude-scan observes the target, which the crosstalk detuning never reaches
+    ("amplitude-scan", {"physics": {"delta_ct_rad_per_s": 3e6}}, "delta_ct_rad_per_s"),
 ]
 
 

@@ -21,6 +21,16 @@ CONFIGS = sorted((ROOT / "configs").glob("*.json"))
 RTOL = 1e-12
 
 
+# the benchmark's long-train input: eight noiseless trains of 1 to 256 pulses
+LONG_N_VALUES = [2**j for j in range(9)]
+LONG_PHYSICS = {"f_ct": 0.096, "f_comp": 1.0, "delta_phi_rad": 3.099926}
+
+
+def _long_train():
+    with open(GOLDEN / "long_train.json", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def _scan_units():
     with open(GOLDEN / "scan_units.json", encoding="utf-8") as fh:
         return json.load(fh)
@@ -67,3 +77,16 @@ def test_example_config_cli_output(config, tmp_path):
     assert main([scenario, "--config", str(config), "--seed", "0", "--out", str(out)]) == EXIT_OK
     reference = (GOLDEN / f"{config.stem}.csv").read_text(encoding="utf-8")
     assert_matches(out.read_text(encoding="utf-8"), reference)
+
+
+@pytest.mark.parametrize("run", sorted(_long_train()))
+def test_long_train_reference(run):
+    scenario, method = run.split("/")
+    doc = {"scenario": scenario, "method": method, "physics": LONG_PHYSICS,
+           "scan": {"n_values": LONG_N_VALUES}, "shots": 200, "seed": 0}
+    _, rows = _split(run_scenario(ScenarioConfig.from_dict(doc)).to_csv())
+    reference = _long_train()[run]
+    assert [row[0] for row in rows[1:]] == [str(n) for n in LONG_N_VALUES]
+    assert len(reference) == len(LONG_N_VALUES)
+    for row, ref in zip(rows[1:], reference):
+        assert float(row[1]) == pytest.approx(ref, rel=RTOL, abs=0.0), row[0]

@@ -368,9 +368,100 @@ def random_sequence(rng, ctx):
     return PulseSequence(chans)
 
 
+def loop_table(seq, ctx, scale=1.0):
+    """One sequence's slice table, compiled slice by slice in Python: the
+    reference for the kernel's one-pass compile, which must match it bit for
+    bit."""
+    channels = {ch: seq.channel(ch).segments for ch in (TARGET, SPECTATOR)}
+    total = seq.total_duration
+    edges = {0.0, total}
+    spans = {}
+    for ch, segs in channels.items():
+        t = 0.0
+        spans[ch] = []
+        for s in segs:
+            if s.duration > 0.0:
+                spans[ch].append((t, t + s.duration, s))
+                t += s.duration
+                edges.add(t)
+    cuts = sorted(edges)
+    tol = 1e-9 * max(total, 1e-300)
+    merged = [cuts[0]]
+    for c in cuts[1:]:
+        if c - merged[-1] > tol:
+            merged.append(c)
+    p = ctx.pol_overlap
+    q = math.sqrt(max(1.0 - p * p, 0.0))
+    rows = []
+    for a, b in zip(merged[:-1], merged[1:]):
+        active = {}
+        for ch in channels:
+            active[ch] = None
+            for lo, hi, s in spans[ch]:
+                if hi > a + tol:
+                    if lo <= a + tol and hi >= b - tol:
+                        active[ch] = s
+                    break
+        row = [a, b - a]
+        for ion in (TARGET, SPECTATOR):
+            fixed, spectator, detunings = 0.0j, [0.0, 0.0, 0.0], []
+            for ch, seg in active.items():
+                if seg is None or seg.amplitude <= 0.0:
+                    continue
+                amp, det = scale * seg.amplitude, seg.detuning
+                if ch != ion:
+                    amp *= ctx.f_ct
+                    det = det + ctx.delta_ct if ion == SPECTATOR else det - ctx.delta_ct
+                if amp <= 0.0:
+                    continue
+                if ch == SPECTATOR:
+                    spectator = [p * amp, seg.phase, q * amp]
+                else:
+                    phase = seg.phase + ctx.ct_phase if ch != ion else seg.phase
+                    fixed += amp * complex(math.cos(phase), math.sin(phase))
+                detunings.append(det)
+            if detunings and max(detunings) - min(detunings) > 1e-6 * (1.0 + abs(detunings[0])):
+                raise ValueError("overlapping drives at different detunings are not supported")
+            row += [detunings[0] if detunings else 0.0, fixed.real, fixed.imag, *spectator]
+        rows.append(row)
+    return np.array(rows, dtype=float).reshape(-1, 2 + 12)
+
+
 class TestKernel:
+    def test_compile_matches_loop_reference(self):
+        from xtalk.kernel import _compile
+
+        rng = np.random.default_rng(8)
+        setting = CompensationSetting(0.9, 2.0)
+        for _ in range(10):
+            ctx = CrosstalkContext(omega_0=OMEGA, f_ct=rng.uniform(0.02, 0.3),
+                                   delta_ct=rng.choice([0.0, rng.normal() * 0.3 * OMEGA]),
+                                   pol_overlap=rng.uniform(0.2, 1.0),
+                                   ct_phase=rng.uniform(0, 2 * math.pi))
+            seqs = [random_sequence(rng, ctx) for _ in range(4)]
+            for method in ("none", "pcc", "sk1", "quad"):
+                train = pi_train(method, OMEGA, int(rng.integers(1, 4)), ctx, setting)[0]
+                seqs += [train, ramsey_wrap(train, OMEGA)]
+            # cuts 0.6 and 1.2 of the merge tolerance past an edge
+            tol = 1e-9 * 3e-5
+            seqs.append(PulseSequence((
+                ChannelPulse(TARGET, (PulseSegment(OMEGA, 0.2, 0.0, 1e-5),
+                                      PulseSegment(OMEGA, 1.1, 0.0, 2e-5))),
+                ChannelPulse(SPECTATOR, (PulseSegment(0.0, 0.0, 0.0, 1e-5 + 0.6 * tol),
+                                         PulseSegment(0.0, 0.0, 0.0, 0.6 * tol))))))
+            # signed zeros keep their sign, as in the loop
+            seqs.append(PulseSequence((
+                ChannelPulse(TARGET, (PulseSegment(OMEGA, -0.0, -0.0, 1e-5),)),
+                ChannelPulse(SPECTATOR, (PulseSegment(0.0, 0.0, 0.0, 1e-5),
+                                         PulseSegment(0.5 * OMEGA, -0.0, -0.0, 1e-5))))))
+            scales = rng.uniform(0.0, 1.5, size=len(seqs))
+            table, lengths = _compile(seqs, scales, ctx)
+            reference = np.concatenate([loop_table(s, ctx, x) for s, x in zip(seqs, scales)])
+            assert lengths.tolist() == [len(loop_table(s, ctx, x)) for s, x in zip(seqs, scales)]
+            assert np.array_equal(table.view(np.int64), reference.view(np.int64))
+
     def test_matches_scalar_reference(self):
-        from xtalk.pulses import _compile, _propagate
+        from xtalk.kernel import _compile, _propagate
 
         rng = np.random.default_rng(2406)
         for _ in range(20):
@@ -381,8 +472,8 @@ class TestKernel:
             seqs = [random_sequence(rng, ctx) for _ in range(3)]
             scales = rng.uniform(0.5, 1.5, size=3)
             offsets = rng.normal(size=(3, 4))
-            tables = [_compile(seq, ctx, scale) for seq, scale in zip(seqs, scales)]
-            kernel = _propagate(tables, offsets, ctx.ct_phase)
+            table, lengths = _compile(seqs, scales, ctx)
+            kernel = _propagate(table, lengths, offsets, ctx.ct_phase)
             for seq, scale, shifts, u in zip(seqs, scales, offsets, kernel):
                 for j, offset in enumerate(shifts):
                     ref = reference_unitaries(seq, ctx, scale, offset)
@@ -390,12 +481,18 @@ class TestKernel:
                         assert np.max(np.abs(u[ion, j] - ref[ion])) < 1e-12
 
     def test_padding_is_exact(self):
-        from xtalk.pulses import _compile, _propagate
+        from xtalk.kernel import _compile, _propagate
 
-        tables = [_compile(pi_train("quad", OMEGA, n, CTX)[0], CTX, 1.0) for n in (1, 3)]
-        alone = next(_propagate(tables[:1], np.zeros((1, 1)), CTX.ct_phase))
-        padded = next(_propagate(tables, np.zeros((2, 1)), CTX.ct_phase))
-        assert np.array_equal(alone, padded)
+        def first_point(seqs):
+            table, lengths = _compile(seqs, np.ones(len(seqs)), CTX)
+            return next(_propagate(table, lengths, np.zeros((len(seqs), 1)), CTX.ct_phase))
+
+        quad_1, quad_3, sk1_3 = (pi_train(m, OMEGA, n, CTX)[0] for m, n in
+                                 (("quad", 1), ("quad", 3), ("sk1", 3)))
+        alone = first_point([quad_1])
+        # a prefix of a longer train, then padded with dark slices behind another
+        assert np.array_equal(alone, first_point([quad_1, quad_3]))
+        assert np.array_equal(alone, first_point([quad_1, sk1_3]))
 
     def test_scan_matches_one_point_simulations(self):
         from xtalk.pulses import simulate_scan
@@ -436,6 +533,93 @@ class TestKernel:
         assert simulate_scan(seqs, CTX).sampled is None
         with pytest.raises(ValueError, match="one key per point"):
             simulate_scan(seqs, CTX, shots=30, point_indices=[0])
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
+    @pytest.mark.parametrize("wrapped", [False, True], ids=["x-error", "z-error"])
+    @pytest.mark.parametrize("method", ["none", "pcc", "sk1", "quad"])
+    def test_train_scan_points_match_one_point_simulations(self, method, wrapped, noisy):
+        from xtalk.pulses import pi_trains, simulate_scan
+
+        # detuned crosstalk slices read the start column; pol_overlap < 1
+        # adds the quadrature term
+        ctx = CrosstalkContext(omega_0=OMEGA, f_ct=0.096, delta_ct=0.05 * OMEGA,
+                               pol_overlap=0.8, ct_phase=0.7)
+        setting = CompensationSetting(1.0, math.pi + 0.7)
+        counts = [5, 1, 3, 5, 2, 1]
+        seqs = [seq for seq, _ in pi_trains(method, OMEGA, counts, ctx, setting)]
+        if wrapped:
+            seqs = [ramsey_wrap(seq, OMEGA) for seq in seqs]
+        noise = [np.linspace(0.0, 0.2 * i, 20) for i in range(len(counts))] if noisy else None
+        scan = simulate_scan(seqs, ctx, shots=20, seed=3, phase_noise=noise)
+        for i, n in enumerate(counts):
+            seq = pi_train(method, OMEGA, n, ctx, setting)[0]
+            alone = simulate(ramsey_wrap(seq, OMEGA) if wrapped else seq, ctx, shots=20, seed=3,
+                             point_index=i, phase_noise=None if noise is None else noise[i])
+            assert np.array_equal(scan.amplitudes[i], alone.amplitudes)
+            assert np.array_equal(scan.populations[i], alone.populations)
+            assert np.array_equal(scan.sampled[i], alone.sampled)
+
+    def test_trains_are_prefixes_of_the_longest(self):
+        from xtalk.pulses import pi_trains
+
+        setting = CompensationSetting(1.0, math.pi)
+        for method in ("none", "pcc", "sk1", "quad"):
+            trains = pi_trains(method, OMEGA, [3, 1, 3], CTX, setting, phase=0.3)
+            for n, train in zip([3, 1, 3], trains):
+                assert train == pi_train(method, OMEGA, n, CTX, setting, phase=0.3)
+        assert pi_trains("quad", OMEGA, []) == []
+        with pytest.raises(ValueError, match="n_pulses"):
+            pi_trains("sk1", OMEGA, [2, 0])
+
+    def test_mixed_detuning_rejected_in_a_scan(self):
+        from xtalk.pulses import simulate_scan
+
+        target = ChannelPulse(TARGET, (PulseSegment(OMEGA, 0.0, 0.0, 1e-4),))
+        spectator = ChannelPulse(SPECTATOR, (PulseSegment(OMEGA, 0.0, 0.5 * OMEGA, 1e-4),))
+        bad = PulseSequence((target, spectator))
+        with pytest.raises(ValueError, match="different detunings"):
+            simulate_scan([square_pi(OMEGA), bad, square_pi(OMEGA)], CTX)
+
+    def test_dark_slices_are_exact(self):
+        from xtalk.kernel import _compile
+
+        # durations whose sums are exact, so only the gap tells the two apart
+        pulse = PulseSequence((ChannelPulse(TARGET, (PulseSegment(OMEGA, 0.3, 0.0, 2**-17),)),))
+        gap = PulseSequence((ChannelPulse(TARGET, (PulseSegment(0.0, 0.0, 0.0, 2.0**-19),)),))
+        seqs = [concat(pulse, gap, pulse), concat(pulse, pulse)]
+        table, lengths = _compile(seqs, np.ones(2), CTX)
+        assert lengths.tolist() == [3, 2]
+        assert not table[1, 2:].any()  # no light on either ion during the gap
+        with_gap, without = (sequence_unitaries(seq, CTX) for seq in seqs)
+        for ion in (TARGET, SPECTATOR):
+            assert np.array_equal(with_gap[ion], without[ion])
+
+    def test_merge_compares_with_the_last_kept_cut(self):
+        from xtalk.kernel import _merge
+
+        # cuts closer than tol to their predecessor can still be kept: each
+        # is measured from the last cut kept, per point
+        cuts = np.array([0.0, 1.0, 1.6, 2.2, 5.0, 0.0, 0.7, 1.4, 2.1])
+        point = np.array([0, 0, 0, 0, 0, 1, 1, 1, 1])
+        keep = _merge(cuts, point, np.array([1.0, 1.0]))
+        assert keep.tolist() == [True, False, True, False, True, True, False, True, False]
+
+    def test_empty_scan(self):
+        from xtalk.pulses import simulate_scan
+
+        scan = simulate_scan([], CTX, shots=5)
+        assert scan.amplitudes.shape == (0, 2, 2)
+        assert scan.populations.shape == scan.sampled.shape == (0, 2)
+
+    def test_phase_noise_needs_shots(self):
+        from xtalk.pulses import simulate_scan
+
+        # the offsets used to be dropped, giving the noiseless 3.4e-34
+        seq = with_pcc(square_pi(OMEGA), CTX, CompensationSetting(1.0, math.pi))
+        with pytest.raises(ValueError, match="phase_noise needs shots"):
+            simulate(seq, CTX, phase_noise=np.ones(10))
+        with pytest.raises(ValueError, match="phase_noise needs shots"):
+            simulate_scan([seq], CTX, phase_noise=[np.ones(10)])
 
     def test_non_finite_state_rejected(self):
         ctx = CrosstalkContext(omega_0=1e300, f_ct=0.096)
