@@ -5,10 +5,16 @@ point's own slices in turn: per time slice its start, duration, detuning,
 the fixed field and the spectator channel's term, whose phase moves with the
 per-shot spectator phase offset.  The kernel evaluates the slice propagators
 with numpy over one batch axis of (scan point x offset) and multiplies them
-slice by slice with stacked ``np.matmul``.  Leading slices that points share
-under equal offsets, as a shorter train shares those of a longer one, are
-multiplied once.  Each point's result is bit-identical to simulating it
-alone.  :mod:`xtalk.pulses` builds the sequences and calls the kernel.
+slice by slice.  Offset column 0, the noiseless evolution behind the
+amplitudes and populations, goes through stacked ``np.matmul``; the shot
+columns go through the 2x2 entry products written out elementwise, which
+round differently but make one numpy pass instead of one matrix call per
+shot.  Shot columns only feed the draws, so a sampled value can change only
+where a draw lands within a few ulps of its probability.  Leading slices
+that points share under equal offsets, as a shorter train shares those of a
+longer one, are multiplied once.  Each point's result is bit-identical to
+simulating it alone.  :mod:`xtalk.pulses` builds the sequences and calls
+the kernel.
 """
 
 from __future__ import annotations
@@ -196,8 +202,9 @@ def _slice_propagators(table: np.ndarray, offsets: np.ndarray, ct_phase: float) 
             raise ValueError("non-finite input")
         # rotation_unitary elementwise, with its roundings
         dark = (om_re == 0.0) & (om_im == 0.0)
-        gen = np.sqrt(_abs2(om_re, om_im) + np.float_power(det, 2.0))
-        gen = np.where(dark, 1.0, gen)
+        gen = np.where(dark, 1.0, np.sqrt(_abs2(om_re, om_im) + np.float_power(det, 2.0)))
+        if not gen.all():  # a lit slice's squares underflow below about 1e-162 rad/s
+            gen = np.where(gen == 0.0, np.hypot(np.hypot(om_re, om_im), det), gen)
         half_angle = 0.5 * gen * dur
         c, s = np.cos(half_angle), np.sin(half_angle)
         sx, sy, sz = s * (om_re / gen), s * (om_im / gen), s * (-det / gen)
@@ -218,12 +225,25 @@ def _identities(points: int, width: int) -> np.ndarray:
     return np.broadcast_to(IDENTITY, (2, points, width, 2, 2)).copy()
 
 
+def _shot_products(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``u @ out`` over ``(2, points, width, 2, 2)`` stacks: the shot
+    columns as the 2x2 entry products, one numpy pass per entry instead of
+    one ``np.matmul`` call per matrix, and column 0 through ``np.matmul``,
+    whose rounding the elementwise products do not keep."""
+    prod = np.empty(out.shape, dtype=complex)
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        np.add(u[..., i, 0] * out[..., 0, j], u[..., i, 1] * out[..., 1, j], out=prod[..., i, j])
+    prod[:, :, :1] = np.matmul(u[:, :, :1], out[:, :, :1])
+    return prod
+
+
 def _products(table, begin, count, out, shifts, ct_phase: float, marks=None) -> np.ndarray:
     """``out``, shape ``(2, points, n, 2, 2)``, left-multiplied per point by
     the propagators of its ``count`` table rows from row ``begin`` on, in
-    order, ``_BATCH`` evaluated at a time; shorter points end dark.
-    ``marks``, a dict keyed by row counts, receives the product after each
-    such count."""
+    order, ``_BATCH`` evaluated at a time; shorter points end dark.  Column
+    0 goes through ``np.matmul``, shot columns (``n > 1``) through
+    :func:`_shot_products`.  ``marks``, a dict keyed by row counts, receives
+    the product after each such count."""
     step, top = max(1, _BATCH // out[..., 0, 0].size), count.max(initial=0)
     for k0 in range(0, top, step):
         k = np.arange(k0, min(k0 + step, top))
@@ -231,7 +251,7 @@ def _products(table, begin, count, out, shifts, ct_phase: float, marks=None) -> 
         rows[k >= count[:, None]] = 0.0
         props = _slice_propagators(rows[:, None], shifts, ct_phase)
         for i, u in enumerate(np.moveaxis(props, 3, 0), k0 + 1):
-            out = np.matmul(u, out)
+            out = np.matmul(u, out) if out.shape[2] == 1 else _shot_products(u, out)
             if marks is not None and i in marks:
                 marks[i] = out
     return out

@@ -46,7 +46,7 @@ def rng(seed, *key) -> np.random.Generator:
     the order in which scan points are evaluated.
     """
     words = [int(w) & 0xFFFFFFFFFFFFFFFF for w in (seed, *key)]
-    return np.random.default_rng(np.random.SeedSequence(words))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
 
 
 @dataclass(frozen=True)

@@ -359,7 +359,8 @@ def simulate_scan(
             if np.size(noise) < shots:
                 raise ValueError("phase_noise must provide one offset per shot")
             row[1:] = np.asarray(noise, dtype=float)[:shots]
-    vectors = [(initial or {}).get(ch, QubitState.ground()).vector for ch in (TARGET, SPECTATOR)]
+    vectors = np.array([(initial or {}).get(ch, QubitState.ground()).vector
+                        for ch in (TARGET, SPECTATOR)])
     streams = [] if shots is None else [rng(0 if seed is None else seed, k) for k in keys]
 
     amplitudes = np.empty((n, 2, 2), dtype=complex)
@@ -368,7 +369,7 @@ def simulate_scan(
         amplitudes[i] = [u[ch, 0] @ vectors[ch] for ch in (TARGET, SPECTATOR)]
         if noisy:
             # one draw per shot and ion: column 0 the target, 1 the spectator
-            c1 = np.array([(u[ch, 1:] @ vectors[ch])[:, 1] for ch in (TARGET, SPECTATOR)])
+            c1 = u[:, 1:, 1, 0] * vectors[:, :1] + u[:, 1:, 1, 1] * vectors[:, 1:]
             hits = streams[i].random((shots, 2)) < np.clip(_abs2(c1.real, c1.imag), 0.0, 1.0).T
             sampled[i] = hits.sum(axis=0) / shots
     check_states(amplitudes)

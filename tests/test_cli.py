@@ -121,6 +121,26 @@ def test_shots_override(tmp_path, capsys):
     assert stderr_col == pytest.approx(math.sqrt(p * (1 - p) / 123), rel=1e-6)
 
 
+@pytest.mark.parametrize("scenario", ["x-error", "z-error", "phase-scan"])
+def test_crosstalk_whose_square_underflows_runs(tmp_path, capsys, scenario):
+    # |Omega|^2 + delta^2 of the spectator's drive underflows to 0 below
+    # about 1e-162 rad/s; it used to divide by zero
+    f_comp, ct_phase, periods = 0.8, 0.5, 2
+    doc = {"physics": {"f_ct": 1e-200, "f_comp": f_comp, "ct_phase_rad": ct_phase}}
+    if scenario == "phase-scan":
+        doc["scan"] = {"points": 8, "n_periods": periods}
+    else:
+        doc["method"] = "pcc"
+    assert main([scenario, "--config", write_config(tmp_path, doc)]) == EXIT_OK
+    if scenario == "phase-scan":
+        rows = capsys.readouterr().out.strip().splitlines()[6:]
+        assert len(rows) == 8
+        for row in rows:
+            dial, value = (float(v) for v in row.split(",")[:2])
+            field = abs(1.0 + f_comp * complex(math.cos(dial - ct_phase), math.sin(dial - ct_phase)))
+            assert value == pytest.approx(math.sin(math.pi * periods * field) ** 2, abs=1e-9)
+
+
 @pytest.mark.parametrize(
     "scenario, doc",
     [

@@ -17,10 +17,19 @@ from xtalk.noise import (
     matched_drive_power,
     ramsey_phase_probe,
     rf_absorption,
+    rng,
     sample_slow_drift,
     step_duty_cycle,
     wrap_phase,
 )
+
+
+@pytest.mark.parametrize("key", [(0,), (7, 3), (-1, 2**64 + 5), (2**70, -(2**65), 11)])
+def test_rng_is_the_seed_sequence_stream(key):
+    # each word taken modulo 2**64, as the stream was keyed before
+    words = [k & 0xFFFFFFFFFFFFFFFF for k in key]
+    reference = np.random.default_rng(np.random.SeedSequence(words)).random(16)
+    assert np.array_equal(rng(*key).random(16), reference)
 
 
 class TestSlowDrift:

@@ -559,6 +559,45 @@ class TestKernel:
             assert np.array_equal(scan.populations[i], alone.populations)
             assert np.array_equal(scan.sampled[i], alone.sampled)
 
+    @pytest.mark.parametrize("wrapped", [False, True], ids=["x-error", "z-error"])
+    @pytest.mark.parametrize("method", ["none", "pcc", "sk1", "quad"])
+    def test_shot_columns_leave_the_noiseless_column_exact(self, method, wrapped):
+        from xtalk.pulses import pi_trains, simulate_scan
+
+        # the shot columns multiply elementwise, column 0 through np.matmul
+        ctx = CrosstalkContext(omega_0=OMEGA, f_ct=0.096, delta_ct=0.05 * OMEGA,
+                               pol_overlap=0.8, ct_phase=0.7)
+        setting = CompensationSetting(0.9, math.pi + 0.8)
+        seqs = [seq for seq, _ in pi_trains(method, OMEGA, [4, 1, 7, 2], ctx, setting)]
+        if wrapped:
+            seqs = [ramsey_wrap(seq, OMEGA) for seq in seqs]
+        noise = np.random.default_rng(5).normal(0.0, 0.3, size=(len(seqs), 37))
+        noisy = simulate_scan(seqs, ctx, shots=37, seed=1, phase_noise=noise)
+        clean = simulate_scan(seqs, ctx)
+        assert np.array_equal(noisy.amplitudes, clean.amplitudes)
+        assert np.array_equal(noisy.populations, clean.populations)
+
+    def test_shot_products_match_matmul(self):
+        from xtalk.kernel import _identities, _shot_products
+
+        rng = np.random.default_rng(9)
+
+        def su2(shape):
+            a, b, c, d = np.moveaxis(rng.normal(size=shape + (4,)), -1, 0)
+            norm = np.sqrt(a * a + b * b + c * c + d * d)
+            alpha, beta = (a + 1j * b) / norm, (c + 1j * d) / norm
+            return np.stack([alpha, -beta.conj(), beta, alpha.conj()], axis=-1).reshape(
+                shape + (2, 2))
+
+        for points, width in ((1, 2), (3, 7), (5, 201)):
+            u, out = su2((2, points, width)), su2((2, points, width))
+            prod, ref = _shot_products(u, out), np.matmul(u, out)
+            assert np.array_equal(prod[:, :, 0], ref[:, :, 0])
+            assert np.max(np.abs(prod - ref)) < 1e-15
+            ones = _identities(points, width)
+            assert np.max(np.abs(_shot_products(ones, out) - out)) < 1e-15
+            assert np.max(np.abs(_shot_products(u, ones) - u)) < 1e-15
+
     def test_trains_are_prefixes_of_the_longest(self):
         from xtalk.pulses import pi_trains
 
