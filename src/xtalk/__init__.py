@@ -76,12 +76,11 @@ from .pulses import (
     PulseSequence,
     SimulationResult,
     concat,
-    pi_train,
     pi_trains,
     quad_frame_step,
     quadrilateral,
     ramsey_wrap,
-    simulate,
+    simulate_scan,
     sk1,
     square_pi,
     with_pcc,

@@ -113,7 +113,10 @@ def rotation_unitary(omega: complex, detuning: float, duration: float) -> np.nda
     _check_finite(om.real, om.imag, detuning, duration)
     if duration < 0.0:
         raise ValueError("duration must be >= 0")
-    gen = math.sqrt(abs(om) ** 2 + detuning**2)
+    squares = abs(om) ** 2 + detuning**2
+    gen = math.sqrt(squares)
+    if squares < np.finfo(float).tiny:  # subnormal squares keep few digits
+        gen = abs(complex(abs(om), detuning))  # C's hypot, as the kernel's np.hypot
     if gen == 0.0 or duration == 0.0:
         return IDENTITY.copy()
     half_angle = 0.5 * gen * duration

@@ -6,11 +6,12 @@ its own channel's field plus a fraction ``f_ct`` of the other channel's
 field (the crosstalk), evolved exactly with 2x2 propagators in the ion's own
 frame so that off-resonant light also produces the physical phase shifts.
 
-Simulation runs in one kernel, :mod:`xtalk.kernel`.  A scan is one kernel
-call; :func:`simulate` is its one-point case and :func:`sequence_unitaries`
-its one-offset case.  Trains of several lengths are best built together by
-:func:`pi_trains`: the shorter ones are prefixes of the longest, whose
-shared slices the kernel multiplies once.
+Simulation runs in one kernel, :mod:`xtalk.kernel`.  :func:`simulate_scan`
+evolves both ions from the ground state through one sequence per scan
+point in one kernel call; :func:`sequence_unitaries` returns one sequence's
+gate per ion, for any other initial state (``dynamics.apply``).  Trains are
+built by :func:`pi_trains`: the shorter ones are prefixes of the longest,
+whose shared slices the kernel multiplies once.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from itertools import accumulate, chain, repeat
 
 import numpy as np
 
-from .dynamics import QubitState, check_states
+from .dynamics import check_states
 from .errors import ChannelConflictError
 from .field import CompensationSetting, CrosstalkContext
 from .kernel import SPECTATOR, TARGET, _abs2, _compile, _propagate
@@ -39,12 +40,10 @@ __all__ = [
     "sk1",
     "quadrilateral",
     "quad_frame_step",
-    "pi_train",
     "pi_trains",
     "ramsey_wrap",
     "with_pcc",
     "concat",
-    "simulate",
     "simulate_scan",
     "sequence_unitaries",
 ]
@@ -172,24 +171,6 @@ def quad_frame_step() -> float:
     return -2.0 * math.atan2(u[0, 0].imag, u[0, 0].real)
 
 
-def pi_train(
-    method: str,
-    omega_0: float,
-    n_pulses: int,
-    ctx: CrosstalkContext | None = None,
-    setting: CompensationSetting | None = None,
-    phase: float = 0.0,
-) -> tuple[PulseSequence, float]:
-    """Sequence of ``n_pulses`` target pi pulses built by the given method.
-
-    ``method`` is one of ``none`` (square pulses), ``pcc`` (square pulses
-    with the cancellation tone), ``sk1`` or ``quad`` (the composite block
-    applied twice per pi with Z-frame phase tracking).  Returns the sequence
-    and the trailing software frame angle to be absorbed by any later pulse.
-    """
-    return pi_trains(method, omega_0, [n_pulses], ctx, setting, phase)[0]
-
-
 def pi_trains(
     method: str,
     omega_0: float,
@@ -198,11 +179,15 @@ def pi_trains(
     setting: CompensationSetting | None = None,
     phase: float = 0.0,
 ) -> list:
-    """:func:`pi_train` for each pulse count in ``counts``, in order.
+    """One train of target pi pulses per pulse count in ``counts``, in order.
 
-    The longest train is built once, by repeating its block's segments (the
-    ``quad`` blocks differ only by their frame phase), and every shorter
-    train is a prefix of it.
+    ``method`` is one of ``none`` (square pulses), ``pcc`` (square pulses
+    with the cancellation tone), ``sk1`` or ``quad`` (the composite block
+    applied twice per pi with Z-frame phase tracking).  Each train is a
+    ``(sequence, trailing frame angle)`` pair; the angle is the software
+    frame any later pulse must absorb.  The longest train is built once, by
+    repeating its block's segments (the ``quad`` blocks differ only by their
+    frame phase), and every shorter train is a prefix of it.
     """
     counts = list(counts)
     if any(n < 1 for n in counts):
@@ -305,8 +290,7 @@ class SimulationResult:
 
     Indexed ``[point, ion]``: ``amplitudes`` holds the final ``(c0, c1)`` of
     each ion, shape ``(points, 2, 2)``; ``populations`` and ``sampled`` have
-    shape ``(points, 2)``.  :func:`simulate` returns the one-point slice,
-    without the point axis.
+    shape ``(points, 2)``.
     """
 
     amplitudes: np.ndarray
@@ -324,32 +308,34 @@ def sequence_unitaries(seq: PulseSequence, ctx: CrosstalkContext, scale: float =
 def simulate_scan(
     seqs,
     ctx: CrosstalkContext,
-    initial: dict | None = None,
     shots: int | None = None,
     seed: int | None = None,
     point_indices=None,
     phase_noise=None,
     scales=None,
 ) -> SimulationResult:
-    """Evolve one sequence per scan point with a single kernel call.
+    """Evolve both ions from the ground state through one sequence per scan
+    point, in one kernel call; each final state is its propagator's first
+    column.
 
-    Takes :func:`simulate`'s arguments with one ``point_indices`` (default
-    ``0, 1, ...``), ``phase_noise`` and ``scales`` entry per point; ``seqs``
-    may be any iterable.  Returns one :class:`SimulationResult` whose arrays
-    have a leading point axis.
+    ``seqs`` may be any iterable.  ``shots``, if given, samples both ions
+    that many times per point.  Per point, ``point_indices`` (default ``0,
+    1, ...``) keys those draws on ``(seed, index)`` (``seed`` defaults to
+    0), ``phase_noise`` holds ``shots`` offsets (rad) of the whole spectator
+    channel, modeling differential path phase drift, and ``scales`` a global
+    amplitude scale (default 1).  Returns one :class:`SimulationResult` with
+    a leading point axis.
     """
     if shots is None and phase_noise is not None:
         raise ValueError("phase_noise needs shots")
+    if shots is not None and shots < 1:
+        raise ValueError("shots must be >= 1")
     pairs = list(zip(seqs, repeat(1.0) if scales is None else scales))
-    scales = np.array([scale for _, scale in pairs], dtype=float)
-    table, lengths = _compile([seq for seq, _ in pairs], scales, ctx)
     n = len(pairs)
     keys = list(range(n) if point_indices is None else point_indices)
     if len(keys) != n:
         raise ValueError("point_indices must hold one key per point")
-    if shots is not None and shots < 1:
-        raise ValueError("shots must be >= 1")
-    noisy = shots is not None and phase_noise is not None
+    noisy = phase_noise is not None
     if noisy and len(phase_noise) != n:
         raise ValueError("phase_noise must hold one row per point")
     # column 0 is the noiseless evolution, then one column per shot
@@ -359,17 +345,17 @@ def simulate_scan(
             if np.size(noise) < shots:
                 raise ValueError("phase_noise must provide one offset per shot")
             row[1:] = np.asarray(noise, dtype=float)[:shots]
-    vectors = np.array([(initial or {}).get(ch, QubitState.ground()).vector
-                        for ch in (TARGET, SPECTATOR)])
+    scales = np.array([scale for _, scale in pairs], dtype=float)
+    table, lengths = _compile([seq for seq, _ in pairs], scales, ctx)
     streams = [] if shots is None else [rng(0 if seed is None else seed, k) for k in keys]
 
     amplitudes = np.empty((n, 2, 2), dtype=complex)
     sampled = None if shots is None else np.empty((n, 2))
     for i, u in enumerate(_propagate(table, lengths, offsets, ctx.ct_phase)):
-        amplitudes[i] = [u[ch, 0] @ vectors[ch] for ch in (TARGET, SPECTATOR)]
+        amplitudes[i] = u[:, 0, :, 0]
         if noisy:
             # one draw per shot and ion: column 0 the target, 1 the spectator
-            c1 = u[:, 1:, 1, 0] * vectors[:, :1] + u[:, 1:, 1, 1] * vectors[:, 1:]
+            c1 = u[:, 1:, 1, 0]
             hits = streams[i].random((shots, 2)) < np.clip(_abs2(c1.real, c1.imag), 0.0, 1.0).T
             sampled[i] = hits.sum(axis=0) / shots
     check_states(amplitudes)
@@ -379,42 +365,3 @@ def simulate_scan(
         for p, stream, out in zip(np.clip(populations, 0.0, 1.0), streams, sampled):
             out[:] = [stream.binomial(shots, pk) / shots for pk in p]
     return SimulationResult(amplitudes, populations, sampled)
-
-
-def simulate(
-    seq: PulseSequence,
-    ctx: CrosstalkContext,
-    initial: dict | None = None,
-    shots: int | None = None,
-    seed: int | None = None,
-    point_index: int = 0,
-    phase_noise=None,
-    scale: float = 1.0,
-) -> SimulationResult:
-    """Evolve both channels through the sequence.
-
-    Parameters
-    ----------
-    seq : PulseSequence
-        The pulse program; channels are padded to a common duration.
-    ctx : CrosstalkContext
-        Crosstalk ratio, detuning, polarization overlap and crosstalk phase.
-    initial : dict, optional
-        Initial :class:`QubitState` per channel; defaults to ground states.
-    shots : int, optional
-        If given, draw binomial measurement outcomes per channel.
-    seed, point_index : int
-        Shot noise is drawn from a generator keyed on ``(seed, point_index)``
-        (``seed`` defaults to 0) so scan points are reproducible independent
-        of evaluation order.
-    phase_noise : array-like, optional
-        Per-shot phase offsets (rad) applied to the whole spectator channel,
-        modeling differential path phase drift between the channels; needs
-        ``shots``.
-    scale : float
-        Global amplitude scale applied to every segment.
-    """
-    noise = None if phase_noise is None else [phase_noise]
-    res = simulate_scan([seq], ctx, initial, shots, seed, [point_index], noise, [scale])
-    return SimulationResult(res.amplitudes[0], res.populations[0],
-                            None if res.sampled is None else res.sampled[0])

@@ -38,7 +38,6 @@ from .pulses import (
     ChannelPulse,
     PulseSegment,
     PulseSequence,
-    pi_train,
     pi_trains,
     ramsey_wrap,
     simulate_scan,
@@ -252,7 +251,7 @@ def run_amplitude_scan(cfg: ScenarioConfig) -> ScanResult:
     """Target excited population after a nominal pi pulse versus drive scale."""
     scales = np.linspace(cfg.scan["scale_min"], cfg.scan["scale_max"], cfg.scan["points"])
     ctx = cfg.context
-    seq, _ = pi_train(cfg.method, ctx.omega_0, 1, ctx, cfg.setting)
+    seq, _ = pi_trains(cfg.method, ctx.omega_0, [1], ctx, cfg.setting)[0]
     return _sweep(cfg, scales, [seq] * len(scales), TARGET, scales=[float(s) for s in scales])
 
 

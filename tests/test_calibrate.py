@@ -359,15 +359,15 @@ class TestFullChain:
         # with the calibrated detuning the benchmark error is at the scale of
         # the x-type rotation error, not orders larger
         from xtalk.field import CompensationSetting
-        from xtalk.pulses import SPECTATOR, pi_train, ramsey_wrap, simulate
+        from xtalk.pulses import SPECTATOR, pi_trains, ramsey_wrap, simulate_scan
 
         f_eff = 4.5e-3
         ctx = CrosstalkContext(omega_0=OMEGA, f_ct=0.096, delta_ct=0.05 * OMEGA)
         setting = CompensationSetting(1.0 - f_eff / ctx.f_ct, math.pi)
-        seq, _ = pi_train("pcc", OMEGA, 1, ctx, setting)
-        x_err = simulate(seq, ctx).populations[SPECTATOR]
+        [(seq, _)] = pi_trains("pcc", OMEGA, [1], ctx, setting)
+        x_err = simulate_scan([seq], ctx).populations[0, SPECTATOR]
         wrapped = ramsey_wrap(seq, OMEGA)
-        z_err = simulate(wrapped, ctx).populations[SPECTATOR]
+        z_err = simulate_scan([wrapped], ctx).populations[0, SPECTATOR]
         assert z_err <= 3.0 * max(x_err, 1e-6)
 
 

@@ -141,6 +141,22 @@ def test_crosstalk_whose_square_underflows_runs(tmp_path, capsys, scenario):
             assert value == pytest.approx(math.sin(math.pi * periods * field) ** 2, abs=1e-9)
 
 
+@pytest.mark.parametrize("f_ct", [1e-100, 1e-160, 1e-161, 1e-162])
+def test_crosstalk_with_subnormal_squares_keeps_its_digits(tmp_path, capsys, f_ct):
+    # |Omega|^2 + delta^2 of the spectator's drive is subnormal between about
+    # 1e-162 and 1.5e-154 rad/s; its square root kept only a few digits
+    f_comp, ct_phase, periods = 0.8, 0.5, 2
+    doc = {"physics": {"f_ct": f_ct, "f_comp": f_comp, "ct_phase_rad": ct_phase},
+           "scan": {"points": 8, "n_periods": periods}}
+    assert main(["phase-scan", "--config", write_config(tmp_path, doc)]) == EXIT_OK
+    rows = capsys.readouterr().out.strip().splitlines()[6:]
+    assert len(rows) == 8
+    for row in rows:
+        dial, value = (float(v) for v in row.split(",")[:2])
+        field = abs(1.0 + f_comp * complex(math.cos(dial - ct_phase), math.sin(dial - ct_phase)))
+        assert value == pytest.approx(math.sin(math.pi * periods * field) ** 2, rel=1e-12)
+
+
 @pytest.mark.parametrize(
     "scenario, doc",
     [

@@ -60,6 +60,13 @@ class TestRotationUnitary:
         u = rotation_unitary(0.0, 0.0, 1.0)
         assert np.allclose(u, IDENTITY, atol=0)
 
+    @pytest.mark.parametrize("scale", [1e-150, 1e-160, 1e-162, 1e-200, 1e-300])
+    def test_tiny_drive_keeps_its_rotation_angle(self, scale):
+        # |omega|^2 + delta^2 is subnormal below about 1.5e-154 rad/s
+        u = rotation_unitary(0.6 * scale, 0.8 * scale, math.pi / scale)
+        assert u[0, 0] == pytest.approx(0.8j, abs=1e-14)
+        assert abs(u[1, 0]) == pytest.approx(0.6, rel=1e-14)
+
     def test_detuned_half_population(self):
         # |omega| = delta puts the maximum transfer at one half
         gen = math.sqrt(2.0) * OMEGA

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from xtalk.dynamics import QubitState, rz
+from xtalk.dynamics import QubitState, apply, rz
 from xtalk.errors import ChannelConflictError
 from xtalk.field import CompensationSetting, CrosstalkContext
 from xtalk.pulses import (
@@ -13,12 +13,12 @@ from xtalk.pulses import (
     PulseSegment,
     PulseSequence,
     concat,
-    pi_train,
+    pi_trains,
     quad_frame_step,
     quadrilateral,
     ramsey_wrap,
     sequence_unitaries,
-    simulate,
+    simulate_scan,
     sk1,
     square_pi,
     with_pcc,
@@ -42,12 +42,12 @@ def gate_fidelity(u, v):
 
 class TestSquarePi:
     def test_target_fully_excited(self):
-        res = simulate(square_pi(OMEGA), CTX)
-        assert res.populations[TARGET] == pytest.approx(1.0, abs=1e-12)
+        res = simulate_scan([square_pi(OMEGA)], CTX)
+        assert res.populations[0, TARGET] == pytest.approx(1.0, abs=1e-12)
 
     def test_spectator_crosstalk_error(self):
-        res = simulate(square_pi(OMEGA), CTX)
-        assert res.populations[SPECTATOR] == pytest.approx(2.26e-2, abs=1e-4)
+        res = simulate_scan([square_pi(OMEGA)], CTX)
+        assert res.populations[0, SPECTATOR] == pytest.approx(2.26e-2, abs=1e-4)
 
     def test_two_pulses_compose_to_identity(self):
         seq = concat(square_pi(OMEGA), square_pi(OMEGA))
@@ -63,8 +63,8 @@ class TestSk1:
 
     def test_flat_amplitude_response(self):
         def target_error(scale):
-            res = simulate(sk1(math.pi, 0.0, OMEGA), CTX, scale=scale)
-            return 1.0 - res.populations[TARGET]
+            res = simulate_scan([sk1(math.pi, 0.0, OMEGA)], CTX, scales=[scale])
+            return 1.0 - res.populations[0, TARGET]
 
         h = 1e-4
         slope = (target_error(1.0 + h) - target_error(1.0 - h)) / (2.0 * h)
@@ -72,15 +72,16 @@ class TestSk1:
 
     def test_miscalibration_stays_second_order(self):
         for scale in (0.9, 1.1):
-            sk1_err = 1.0 - simulate(sk1(math.pi, 0.0, OMEGA), CTX, scale=scale).populations[TARGET]
-            square_err = 1.0 - simulate(square_pi(OMEGA), CTX, scale=scale).populations[TARGET]
+            seqs = [sk1(math.pi, 0.0, OMEGA), square_pi(OMEGA)]
+            pops = simulate_scan(seqs, CTX, scales=[scale, scale]).populations[:, TARGET]
+            sk1_err, square_err = 1.0 - pops
             assert sk1_err <= 10.0 * square_err
             assert sk1_err < 2e-4
 
     def test_spectator_error_scale(self):
         # weak-drive response lands near 1e-4 per pi pulse at 9.6% crosstalk
-        res = simulate(sk1(math.pi, 0.0, OMEGA), CTX)
-        err = res.populations[SPECTATOR]
+        res = simulate_scan([sk1(math.pi, 0.0, OMEGA)], CTX)
+        err = res.populations[0, SPECTATOR]
         assert 1.3e-5 <= err <= 1.3e-3
 
     def test_segment_structure(self):
@@ -100,9 +101,9 @@ class TestSk1:
 
 class TestQuadrilateral:
     def test_zero_scale_is_identity(self):
-        res = simulate(quadrilateral(OMEGA), CTX, scale=0.0)
-        assert res.populations[TARGET] == 0.0
-        assert res.populations[SPECTATOR] == 0.0
+        res = simulate_scan([quadrilateral(OMEGA)], CTX, scales=[0.0])
+        assert res.populations[0, TARGET] == 0.0
+        assert res.populations[0, SPECTATOR] == 0.0
 
     def test_full_drive_is_quarter_x_after_frame(self):
         u = sequence_unitaries(quadrilateral(OMEGA), CrosstalkContext(omega_0=OMEGA, f_ct=0.0))[TARGET]
@@ -111,9 +112,9 @@ class TestQuadrilateral:
         assert gate_fidelity(corrected, axis_rotation(0.5 * math.pi, 0.0)) >= 1.0 - 1e-12
 
     def test_double_application_transfers_population(self):
-        seq, frame = pi_train("quad", OMEGA, 1)
-        res = simulate(seq, CrosstalkContext(omega_0=OMEGA, f_ct=0.0))
-        assert res.populations[TARGET] == pytest.approx(1.0, abs=1e-12)
+        [(seq, frame)] = pi_trains("quad", OMEGA, [1])
+        res = simulate_scan([seq], CrosstalkContext(omega_0=OMEGA, f_ct=0.0))
+        assert res.populations[0, TARGET] == pytest.approx(1.0, abs=1e-12)
         assert frame == pytest.approx(2.0 * quad_frame_step())
         u = sequence_unitaries(seq, CrosstalkContext(omega_0=OMEGA, f_ct=0.0))[TARGET]
         expected = rz(frame) @ axis_rotation(math.pi, 0.0)
@@ -131,9 +132,9 @@ class TestQuadrilateral:
         eps_grid = np.geomspace(3e-3, 3e-2, 9)
         leak_sim = []
         for eps in eps_grid:
-            res = simulate(quadrilateral(OMEGA), CTX, scale=eps / CTX.f_ct)
-            leak_sim.append(res.populations[SPECTATOR])
-            assert res.populations[SPECTATOR] == pytest.approx(oracle(eps), rel=1e-6)
+            res = simulate_scan([quadrilateral(OMEGA)], CTX, scales=[eps / CTX.f_ct])
+            leak_sim.append(res.populations[0, SPECTATOR])
+            assert res.populations[0, SPECTATOR] == pytest.approx(oracle(eps), rel=1e-6)
         slope = np.polyfit(np.log(eps_grid), np.log(leak_sim), 1)[0]
         assert slope >= 3.5
 
@@ -141,22 +142,22 @@ class TestQuadrilateral:
 class TestWithPcc:
     def test_exact_cancellation(self):
         seq = with_pcc(square_pi(OMEGA), CTX, CompensationSetting(1.0, math.pi))
-        res = simulate(seq, CTX)
-        assert res.populations[SPECTATOR] <= 1e-12
+        res = simulate_scan([seq], CTX)
+        assert res.populations[0, SPECTATOR] <= 1e-12
 
     def test_exact_cancellation_arbitrary_sequence(self):
-        base, _ = pi_train("sk1", OMEGA, 2)
+        [(base, _)] = pi_trains("sk1", OMEGA, [2])
         seq = with_pcc(base, CTX, CompensationSetting(1.0, math.pi))
-        res = simulate(seq, CTX)
-        assert res.populations[SPECTATOR] <= 1e-12
+        res = simulate_scan([seq], CTX)
+        assert res.populations[0, SPECTATOR] <= 1e-12
 
     def test_constructive_doubles_the_rate(self):
         # at twice the rate, half a crosstalk pi time already inverts
         duration = 0.5 * CTX.t_pi_ct
         base = PulseSequence((ChannelPulse(TARGET, (PulseSegment(OMEGA, 0.0, 0.0, duration),)),))
         seq = with_pcc(base, CTX, CompensationSetting(1.0, 0.0))
-        res = simulate(seq, CTX)
-        assert res.populations[SPECTATOR] == pytest.approx(1.0, abs=1e-9)
+        res = simulate_scan([seq], CTX)
+        assert res.populations[0, SPECTATOR] == pytest.approx(1.0, abs=1e-9)
 
     def test_forty_fold_suppression_setting(self):
         dial = 2.0 * math.acos(0.5 / 40.0)
@@ -192,7 +193,7 @@ class TestWithPcc:
         comp = seq.channel(SPECTATOR).segments[0]
         assert comp.detuning == pytest.approx(0.1 * OMEGA)
         # matched tone still cancels exactly when detuned
-        assert simulate(seq, ctx).populations[SPECTATOR] <= 1e-12
+        assert simulate_scan([seq], ctx).populations[0, SPECTATOR] <= 1e-12
 
 
 class TestBackAction:
@@ -214,62 +215,62 @@ class TestSimulate:
     def test_zero_amplitude_leaves_states(self):
         seq = PulseSequence((ChannelPulse(TARGET, (PulseSegment(0.0, 0.0, 0.0, 1e-3),)),))
         plus = QubitState.normalized(1.0, 1.0)
-        res = simulate(seq, CTX, initial={TARGET: plus, SPECTATOR: plus})
-        for ch in (TARGET, SPECTATOR):
-            assert res.amplitudes[ch, 0] == pytest.approx(plus.c0, abs=1e-15)
-            assert res.amplitudes[ch, 1] == pytest.approx(plus.c1, abs=1e-15)
+        for u in sequence_unitaries(seq, CTX).values():
+            out = apply(u, plus)
+            assert out.c0 == pytest.approx(plus.c0, abs=1e-15)
+            assert out.c1 == pytest.approx(plus.c1, abs=1e-15)
 
     def test_rabi_flop_periods(self):
         # target flops at omega_0, spectator at f_ct * omega_0
         for frac in (0.25, 0.5, 1.0):
             t = frac * math.pi / OMEGA
             base = PulseSequence((ChannelPulse(TARGET, (PulseSegment(OMEGA, 0.0, 0.0, t),)),))
-            res = simulate(base, CTX)
-            assert res.populations[TARGET] == pytest.approx(
+            res = simulate_scan([base], CTX)
+            assert res.populations[0, TARGET] == pytest.approx(
                 math.sin(OMEGA * t / 2.0) ** 2, abs=1e-9
             )
-            assert res.populations[SPECTATOR] == pytest.approx(
+            assert res.populations[0, SPECTATOR] == pytest.approx(
                 math.sin(CTX.f_ct * OMEGA * t / 2.0) ** 2, abs=1e-9
             )
 
     def test_shot_sampling_converges(self):
-        res = simulate(square_pi(OMEGA), CTX, shots=100_000, seed=42)
-        p = res.populations[SPECTATOR]
+        res = simulate_scan([square_pi(OMEGA)], CTX, shots=100_000, seed=42)
+        p = res.populations[0, SPECTATOR]
         sigma = math.sqrt(p * (1.0 - p) / 100_000)
-        assert abs(res.sampled[SPECTATOR] - p) < 5.0 * sigma
+        assert abs(res.sampled[0, SPECTATOR] - p) < 5.0 * sigma
 
     def test_shot_sampling_deterministic(self):
-        a = simulate(square_pi(OMEGA), CTX, shots=500, seed=9, point_index=3)
-        b = simulate(square_pi(OMEGA), CTX, shots=500, seed=9, point_index=3)
+        a = simulate_scan([square_pi(OMEGA)], CTX, shots=500, seed=9, point_indices=[3])
+        b = simulate_scan([square_pi(OMEGA)], CTX, shots=500, seed=9, point_indices=[3])
         assert np.array_equal(a.sampled, b.sampled)
-        c = simulate(square_pi(OMEGA), CTX, shots=500, seed=9, point_index=4)
+        c = simulate_scan([square_pi(OMEGA)], CTX, shots=500, seed=9, point_indices=[4])
         assert (not np.array_equal(a.sampled, c.sampled)
-                or a.sampled[SPECTATOR] == c.sampled[SPECTATOR])
+                or a.sampled[0, SPECTATOR] == c.sampled[0, SPECTATOR])
 
     def test_phase_noise_shifts_cancellation(self):
         seq = with_pcc(square_pi(OMEGA), CTX, CompensationSetting(1.0, math.pi))
         offsets = np.full(400, 0.3)
-        res = simulate(seq, CTX, shots=400, seed=1, phase_noise=offsets)
+        res = simulate_scan([seq], CTX, shots=400, seed=1, phase_noise=[offsets])
         # a static 0.3 rad offset leaves a known residual error
         from xtalk.field import pi_pulse_error
 
         expected = pi_pulse_error(1, CTX.f_ct, 1.0, math.pi + 0.3)
         sigma = math.sqrt(expected * (1.0 - expected) / 400)
-        assert abs(res.sampled[SPECTATOR] - expected) < 5.0 * sigma + 1e-3
+        assert abs(res.sampled[0, SPECTATOR] - expected) < 5.0 * sigma + 1e-3
 
     def test_ramsey_wrap_returns_ground_when_clean(self):
         ctx = CrosstalkContext(omega_0=OMEGA, f_ct=1e-12)
-        seq, _ = pi_train("none", OMEGA, 1)
+        [(seq, _)] = pi_trains("none", OMEGA, [1])
         wrapped = ramsey_wrap(seq, OMEGA)
-        res = simulate(wrapped, ctx)
-        assert res.populations[SPECTATOR] <= 1e-9
+        res = simulate_scan([wrapped], ctx)
+        assert res.populations[0, SPECTATOR] <= 1e-9
 
     def test_mixed_detuning_overlap_rejected(self):
         segs_t = (PulseSegment(OMEGA, 0.0, 0.0, 1e-4),)
         segs_s = (PulseSegment(OMEGA, 0.0, 0.5 * OMEGA, 1e-4),)
         seq = PulseSequence((ChannelPulse(TARGET, segs_t), ChannelPulse(SPECTATOR, segs_s)))
         with pytest.raises(ValueError):
-            simulate(seq, CTX)
+            simulate_scan([seq], CTX)
 
 
 class TestSequenceTypes:
@@ -440,7 +441,7 @@ class TestKernel:
                                    ct_phase=rng.uniform(0, 2 * math.pi))
             seqs = [random_sequence(rng, ctx) for _ in range(4)]
             for method in ("none", "pcc", "sk1", "quad"):
-                train = pi_train(method, OMEGA, int(rng.integers(1, 4)), ctx, setting)[0]
+                [(train, _)] = pi_trains(method, OMEGA, [int(rng.integers(1, 4))], ctx, setting)
                 seqs += [train, ramsey_wrap(train, OMEGA)]
             # cuts 0.6 and 1.2 of the merge tolerance past an edge
             tol = 1e-9 * 3e-5
@@ -480,6 +481,17 @@ class TestKernel:
                     for ion in (TARGET, SPECTATOR):
                         assert np.max(np.abs(u[ion, j] - ref[ion])) < 1e-12
 
+    @pytest.mark.parametrize("amp", [1e-150, 1e-160, 1e-162, 1e-200])
+    def test_tiny_fields_match_scalar_reference(self, amp):
+        # the spectator's |Omega|^2 is subnormal below about 1.5e-154 rad/s
+        ctx = CrosstalkContext(omega_0=OMEGA, f_ct=0.096, pol_overlap=0.8, ct_phase=0.7)
+        pulse = PulseSegment(amp, 0.3, 0.0, 3.0 / amp)
+        seq = with_pcc(PulseSequence((ChannelPulse(TARGET, (pulse,)),)), ctx,
+                       CompensationSetting(0.5, 1.1))
+        ref = reference_unitaries(seq, ctx)
+        for ion, u in sequence_unitaries(seq, ctx).items():
+            assert np.max(np.abs(u - ref[ion])) < 1e-14
+
     def test_padding_is_exact(self):
         from xtalk.kernel import _compile, _propagate
 
@@ -487,49 +499,45 @@ class TestKernel:
             table, lengths = _compile(seqs, np.ones(len(seqs)), CTX)
             return next(_propagate(table, lengths, np.zeros((len(seqs), 1)), CTX.ct_phase))
 
-        quad_1, quad_3, sk1_3 = (pi_train(m, OMEGA, n, CTX)[0] for m, n in
-                                 (("quad", 1), ("quad", 3), ("sk1", 3)))
+        (quad_1, _), (quad_3, _) = pi_trains("quad", OMEGA, [1, 3], CTX)
+        [(sk1_3, _)] = pi_trains("sk1", OMEGA, [3], CTX)
         alone = first_point([quad_1])
         # a prefix of a longer train, then padded with dark slices behind another
         assert np.array_equal(alone, first_point([quad_1, quad_3]))
         assert np.array_equal(alone, first_point([quad_1, sk1_3]))
 
     def test_scan_matches_one_point_simulations(self):
-        from xtalk.pulses import simulate_scan
-
         setting = CompensationSetting(1.0, math.pi)
-        seqs = [pi_train("pcc", OMEGA, n, CTX, setting)[0] for n in (3, 1)]
+        seqs = [seq for seq, _ in pi_trains("pcc", OMEGA, [3, 1], CTX, setting)]
         noise = [np.linspace(0.0, 0.5, 50), np.linspace(-0.3, 0.1, 50)]
         scan = simulate_scan(seqs, CTX, shots=50, seed=4, point_indices=[7, 8], phase_noise=noise)
         for i, (seq, index, offsets) in enumerate(zip(seqs, (7, 8), noise)):
-            alone = simulate(seq, CTX, shots=50, seed=4, point_index=index, phase_noise=offsets)
-            assert np.array_equal(scan.populations[i], alone.populations)
-            assert np.array_equal(scan.sampled[i], alone.sampled)
+            alone = simulate_scan([seq], CTX, shots=50, seed=4, point_indices=[index],
+                                  phase_noise=[offsets])
+            assert np.array_equal(scan.populations[i], alone.populations[0])
+            assert np.array_equal(scan.sampled[i], alone.sampled[0])
 
     @pytest.mark.parametrize("rows", [1, 3])
     def test_phase_noise_needs_one_row_per_point(self, rows):
-        from xtalk.pulses import simulate_scan
-
         # one row short used to run the last point with zero offsets
-        seqs = [pi_train("pcc", OMEGA, 1, CTX, CompensationSetting(1.0, math.pi))[0]] * 2
+        [(seq, _)] = pi_trains("pcc", OMEGA, [1], CTX, CompensationSetting(1.0, math.pi))
+        seqs = [seq] * 2
         with pytest.raises(ValueError, match="one row per point"):
             simulate_scan(seqs, CTX, shots=4, phase_noise=[np.ones(4)] * rows)
 
     @pytest.mark.parametrize("noisy", [False, True])
     def test_scan_returns_point_arrays(self, noisy):
-        from xtalk.pulses import simulate_scan
-
-        seqs = [pi_train("sk1", OMEGA, n, CTX)[0] for n in (1, 4, 2)]
+        seqs = [seq for seq, _ in pi_trains("sk1", OMEGA, [1, 4, 2], CTX)]
         noise = [np.linspace(0.0, 0.4 * k, 30) for k in range(3)] if noisy else None
         scan = simulate_scan(seqs, CTX, shots=30, seed=2, phase_noise=noise)
         assert scan.amplitudes.shape == (3, 2, 2)
         assert scan.populations.shape == scan.sampled.shape == (3, 2)
         for i, seq in enumerate(seqs):
-            alone = simulate(seq, CTX, shots=30, seed=2, point_index=i,
-                             phase_noise=None if noise is None else noise[i])
-            assert np.array_equal(scan.amplitudes[i], alone.amplitudes)
-            assert np.array_equal(scan.populations[i], alone.populations)
-            assert np.array_equal(scan.sampled[i], alone.sampled)
+            alone = simulate_scan([seq], CTX, shots=30, seed=2, point_indices=[i],
+                                  phase_noise=None if noise is None else [noise[i]])
+            assert np.array_equal(scan.amplitudes[i], alone.amplitudes[0])
+            assert np.array_equal(scan.populations[i], alone.populations[0])
+            assert np.array_equal(scan.sampled[i], alone.sampled[0])
         assert simulate_scan(seqs, CTX).sampled is None
         with pytest.raises(ValueError, match="one key per point"):
             simulate_scan(seqs, CTX, shots=30, point_indices=[0])
@@ -538,8 +546,6 @@ class TestKernel:
     @pytest.mark.parametrize("wrapped", [False, True], ids=["x-error", "z-error"])
     @pytest.mark.parametrize("method", ["none", "pcc", "sk1", "quad"])
     def test_train_scan_points_match_one_point_simulations(self, method, wrapped, noisy):
-        from xtalk.pulses import pi_trains, simulate_scan
-
         # detuned crosstalk slices read the start column; pol_overlap < 1
         # adds the quadrature term
         ctx = CrosstalkContext(omega_0=OMEGA, f_ct=0.096, delta_ct=0.05 * OMEGA,
@@ -552,18 +558,17 @@ class TestKernel:
         noise = [np.linspace(0.0, 0.2 * i, 20) for i in range(len(counts))] if noisy else None
         scan = simulate_scan(seqs, ctx, shots=20, seed=3, phase_noise=noise)
         for i, n in enumerate(counts):
-            seq = pi_train(method, OMEGA, n, ctx, setting)[0]
-            alone = simulate(ramsey_wrap(seq, OMEGA) if wrapped else seq, ctx, shots=20, seed=3,
-                             point_index=i, phase_noise=None if noise is None else noise[i])
-            assert np.array_equal(scan.amplitudes[i], alone.amplitudes)
-            assert np.array_equal(scan.populations[i], alone.populations)
-            assert np.array_equal(scan.sampled[i], alone.sampled)
+            [(seq, _)] = pi_trains(method, OMEGA, [n], ctx, setting)
+            alone = simulate_scan([ramsey_wrap(seq, OMEGA) if wrapped else seq], ctx, shots=20,
+                                  seed=3, point_indices=[i],
+                                  phase_noise=None if noise is None else [noise[i]])
+            assert np.array_equal(scan.amplitudes[i], alone.amplitudes[0])
+            assert np.array_equal(scan.populations[i], alone.populations[0])
+            assert np.array_equal(scan.sampled[i], alone.sampled[0])
 
     @pytest.mark.parametrize("wrapped", [False, True], ids=["x-error", "z-error"])
     @pytest.mark.parametrize("method", ["none", "pcc", "sk1", "quad"])
     def test_shot_columns_leave_the_noiseless_column_exact(self, method, wrapped):
-        from xtalk.pulses import pi_trains, simulate_scan
-
         # the shot columns multiply elementwise, column 0 through np.matmul
         ctx = CrosstalkContext(omega_0=OMEGA, f_ct=0.096, delta_ct=0.05 * OMEGA,
                                pol_overlap=0.8, ct_phase=0.7)
@@ -576,6 +581,40 @@ class TestKernel:
         clean = simulate_scan(seqs, ctx)
         assert np.array_equal(noisy.amplitudes, clean.amplitudes)
         assert np.array_equal(noisy.populations, clean.populations)
+
+    @pytest.mark.parametrize("wrapped", [False, True], ids=["x-error", "z-error"])
+    @pytest.mark.parametrize("method", ["none", "pcc", "sk1", "quad"])
+    def test_states_are_the_first_column_of_the_gate(self, method, wrapped):
+        # a scan starts from the ground state, so each state is read as the
+        # first column of the point's propagator
+        ctx = CrosstalkContext(omega_0=OMEGA, f_ct=0.096, delta_ct=0.05 * OMEGA,
+                               pol_overlap=0.8, ct_phase=0.7)
+        setting = CompensationSetting(0.9, math.pi + 0.8)
+        seqs = [seq for seq, _ in pi_trains(method, OMEGA, [3, 1, 2], ctx, setting)]
+        if wrapped:
+            seqs = [ramsey_wrap(seq, OMEGA) for seq in seqs]
+        scan = simulate_scan(seqs, ctx)
+        for seq, amplitudes in zip(seqs, scan.amplitudes):
+            gates = sequence_unitaries(seq, ctx)
+            for ion in (TARGET, SPECTATOR):
+                ground = apply(gates[ion], QubitState.ground())
+                assert np.array_equal(amplitudes[ion], gates[ion][:, 0])
+                assert np.array_equal(amplitudes[ion], ground.vector)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"shots": 0}, "shots must be"),
+        ({"shots": 3, "point_indices": [0]}, "one key per point"),
+        ({"shots": 3, "phase_noise": [np.ones(3)]}, "one row per point"),
+        ({"shots": 3, "phase_noise": [np.ones(2)] * 2}, "one offset per shot"),
+        ({"phase_noise": [np.ones(3)] * 2}, "needs shots"),
+    ], ids=["shots", "point-indices", "noise-rows", "noise-shots", "noise-without-shots"])
+    def test_arguments_are_checked_before_compiling(self, kwargs, match):
+        # the second sequence fails to compile; a bad argument is named first
+        target = ChannelPulse(TARGET, (PulseSegment(OMEGA, 0.0, 0.0, 1e-4),))
+        spectator = ChannelPulse(SPECTATOR, (PulseSegment(OMEGA, 0.0, 0.5 * OMEGA, 1e-4),))
+        seqs = [square_pi(OMEGA), PulseSequence((target, spectator))]
+        with pytest.raises(ValueError, match=match):
+            simulate_scan(seqs, CTX, **kwargs)
 
     def test_shot_products_match_matmul(self):
         from xtalk.kernel import _identities, _shot_products
@@ -599,20 +638,16 @@ class TestKernel:
             assert np.max(np.abs(_shot_products(u, ones) - u)) < 1e-15
 
     def test_trains_are_prefixes_of_the_longest(self):
-        from xtalk.pulses import pi_trains
-
         setting = CompensationSetting(1.0, math.pi)
         for method in ("none", "pcc", "sk1", "quad"):
             trains = pi_trains(method, OMEGA, [3, 1, 3], CTX, setting, phase=0.3)
             for n, train in zip([3, 1, 3], trains):
-                assert train == pi_train(method, OMEGA, n, CTX, setting, phase=0.3)
+                assert [train] == pi_trains(method, OMEGA, [n], CTX, setting, phase=0.3)
         assert pi_trains("quad", OMEGA, []) == []
         with pytest.raises(ValueError, match="n_pulses"):
             pi_trains("sk1", OMEGA, [2, 0])
 
     def test_mixed_detuning_rejected_in_a_scan(self):
-        from xtalk.pulses import simulate_scan
-
         target = ChannelPulse(TARGET, (PulseSegment(OMEGA, 0.0, 0.0, 1e-4),))
         spectator = ChannelPulse(SPECTATOR, (PulseSegment(OMEGA, 0.0, 0.5 * OMEGA, 1e-4),))
         bad = PulseSequence((target, spectator))
@@ -644,23 +679,17 @@ class TestKernel:
         assert keep.tolist() == [True, False, True, False, True, True, False, True, False]
 
     def test_empty_scan(self):
-        from xtalk.pulses import simulate_scan
-
         scan = simulate_scan([], CTX, shots=5)
         assert scan.amplitudes.shape == (0, 2, 2)
         assert scan.populations.shape == scan.sampled.shape == (0, 2)
 
     def test_phase_noise_needs_shots(self):
-        from xtalk.pulses import simulate_scan
-
         # the offsets used to be dropped, giving the noiseless 3.4e-34
         seq = with_pcc(square_pi(OMEGA), CTX, CompensationSetting(1.0, math.pi))
-        with pytest.raises(ValueError, match="phase_noise needs shots"):
-            simulate(seq, CTX, phase_noise=np.ones(10))
         with pytest.raises(ValueError, match="phase_noise needs shots"):
             simulate_scan([seq], CTX, phase_noise=[np.ones(10)])
 
     def test_non_finite_state_rejected(self):
         ctx = CrosstalkContext(omega_0=1e300, f_ct=0.096)
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="must be finite"):
-            simulate(square_pi(1e300), ctx)
+            simulate_scan([square_pi(1e300)], ctx)
