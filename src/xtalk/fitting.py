@@ -39,9 +39,8 @@ class FitResult:
         }
 
 
-def _jacobian(residual_fn, x: np.ndarray) -> np.ndarray:
-    r0 = np.asarray(residual_fn(x), dtype=float)
-    jac = np.empty((r0.size, x.size))
+def _jacobian(residual_fn, x: np.ndarray, n_res: int) -> np.ndarray:
+    jac = np.empty((n_res, x.size))
     for j in range(x.size):
         h = _REL_STEP * max(abs(x[j]), 1.0)
         xp = x.copy()
@@ -102,7 +101,7 @@ def gauss_newton(
     jac = None
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        jac = _jacobian(residual_fn, x)
+        jac = _jacobian(residual_fn, x, n_res)
         if not np.all(np.isfinite(jac)):
             raise DegenerateFitError("non-finite Jacobian")
         sv = np.linalg.svd(jac, compute_uv=False)

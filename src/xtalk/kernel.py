@@ -3,21 +3,22 @@
 A scan is compiled in one numpy pass into one slice table holding each
 point's own slices in turn: per time slice its start, duration, detuning,
 the fixed field and the spectator channel's term, whose phase moves with the
-per-shot spectator phase offset.  The kernel evaluates the slice propagators
-with numpy over one batch axis of (scan point x offset) and multiplies them
-slice by slice.  Offset column 0, the noiseless evolution behind the
-amplitudes and populations, goes through stacked ``np.matmul``; the shot
-columns go through the 2x2 entry products written out elementwise, which
-round differently but make one numpy pass instead of one matrix call per
-shot.  Shot columns only feed the draws, so a sampled value can change only
-where a draw lands within a few ulps of its probability.  Leading slices
-that points share under equal offsets, as a shorter train shares those of a
-longer one, are multiplied once.  Each point's result is bit-identical to
-simulating it alone.  :mod:`xtalk.pulses` builds the sequences, calls the
-kernel and reads each state, from the ground state, as its propagator's
-first column.  Whole 2x2 products are kept: ``np.matmul`` on that column
-alone rounds differently (in most entries of random stacks, numpy 2.4) and
-would move the exactly compared ``stderr`` outputs.
+per-shot spectator phase offset.  The kernel runs points longest first and
+multiplies them slice by slice, evaluating with numpy only the slices of the
+points still running, over one batch axis of (slice x offset).  Offset column
+0, the noiseless evolution behind the amplitudes and populations, goes
+through stacked ``np.matmul``; the shot columns go through the 2x2 entry
+products written out elementwise, which round differently but make one numpy
+pass instead of one matrix call per shot.  Shot columns only feed the draws,
+so a sampled value can change only where a draw lands within a few ulps of
+its probability.  Leading slices that points share under equal offsets, as a
+shorter train shares those of a longer one, are multiplied once.  Each
+point's result is bit-identical to simulating it alone.  :mod:`xtalk.pulses`
+builds the sequences, calls the kernel and reads each state, from the ground
+state, as its propagator's first column.  Whole 2x2 products are kept:
+``np.matmul`` on that column alone rounds differently (in most entries of
+random stacks, numpy 2.4) and would move the exactly compared ``stderr``
+outputs.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ SPECTATOR = 1
 # amplitude, axis phase, quadrature amplitude)
 _ION_COLUMNS = 6
 _COLUMNS = 2 + 2 * _ION_COLUMNS
-_BATCH = 1 << 11  # slice propagators evaluated at once, bounds the kernel's memory
+_BATCH = 1 << 12  # slice propagators evaluated at once, bounds the kernel's memory
 
 
 def _segments(seqs: list):
@@ -246,20 +247,34 @@ def _shot_products(u: np.ndarray, out: np.ndarray) -> np.ndarray:
 def _products(table, begin, count, out, shifts, ct_phase: float, marks=None) -> np.ndarray:
     """``out``, shape ``(2, points, n, 2, 2)``, left-multiplied per point by
     the propagators of its ``count`` table rows from row ``begin`` on, in
-    order, ``_BATCH`` evaluated at a time; shorter points end dark.  Column
-    0 goes through ``np.matmul``, shot columns (``n > 1``) through
+    order, under its ``n`` ``shifts``.  Points come longest first, so step k
+    evaluates the rows of the leading ``m_k`` points still running, steps
+    packed into calls of up to ``_BATCH`` propagators (at least one step).
+    Column 0 goes through ``np.matmul``, shot columns (``n > 1``) through
     :func:`_shot_products`.  ``marks``, a dict keyed by row counts, receives
-    the product after each such count."""
-    step, top = max(1, _BATCH // out[..., 0, 0].size), count.max(initial=0)
-    for k0 in range(0, top, step):
-        k = np.arange(k0, min(k0 + step, top))
-        rows = table[np.minimum(begin[:, None] + k, len(table) - 1)]
-        rows[k >= count[:, None]] = 0.0
-        props = _slice_propagators(rows[:, None], shifts, ct_phase)
-        for i, u in enumerate(np.moveaxis(props, 3, 0), k0 + 1):
-            out = np.matmul(u, out) if out.shape[2] == 1 else _shot_products(u, out)
+    the product of a single point after each such count."""
+    points, width = shifts.shape
+    mul = np.matmul if width == 1 else _shot_products
+    steps = np.arange(count[0] if points else 0)
+    running = np.searchsorted(-count, -steps)  # m_k, as count is descending
+    ends = np.cumsum(np.append(0, 2 * width * running))  # propagators before each step
+    k0 = 0
+    while k0 < len(steps):
+        k1 = max(k0 + 1, int(np.searchsorted(ends, ends[k0] + _BATCH, side="right")) - 1)
+        live = np.arange(points) < running[k0:k1, None]  # step-major (step, point)
+        props = _slice_propagators(table[(begin + steps[k0:k1, None])[live], None],
+                                   shifts[np.nonzero(live)[1]], ct_phase)
+        full = max(0, min(k1, count[-1]) - k0)  # leading steps that run every point
+        whole = props[:, :full * points].reshape(2, full, points, width, 2, 2)
+        for i, u in enumerate(np.moveaxis(whole, 1, 0), k0 + 1):
+            out = mul(u, out)
             if marks is not None and i in marks:
                 marks[i] = out
+        at = full * points
+        for m in running[k0 + full:k1].tolist():
+            out[:, :m] = mul(props[:, at:at + m], out[:, :m])
+            at += m
+        k0 = k1
     return out
 
 
@@ -270,10 +285,10 @@ def _propagate(table: np.ndarray, lengths: np.ndarray, offsets: np.ndarray, ct_p
     spectator phase offsets (rad) per point.  When all points have the same
     offsets, the leading rows a point shares with the longest point (a
     shorter train is a prefix of a longer one) are multiplied once, on the
-    longest point.  The other rows go in batches of ``_BATCH`` propagators
-    (at least one slice of one point).  Every product is a sequential left
-    product, so each element is bit-identical to multiplying one point's
-    propagators in turn.
+    longest point.  The other rows go through :func:`_products` in groups
+    of ``_BATCH // (2 n)`` points, yielded in the caller's order.  Every
+    product is a sequential left product, so each element is bit-identical
+    to multiplying one point's propagators in turn.
     """
     n, width = offsets.shape
     first = np.cumsum(lengths) - lengths
@@ -292,14 +307,15 @@ def _propagate(table: np.ndarray, lengths: np.ndarray, offsets: np.ndarray, ct_p
             done = shared
             shared_products = dict.fromkeys(done.tolist())
             _products(table, first[[longest]], done[[longest]], _identities(1, width),
-                      offsets[:1, :, None], ct_phase, shared_products)
+                      offsets[:1], ct_phase, shared_products)
     group = max(1, _BATCH // (2 * width))
     for g0 in range(0, n, group):
-        part = slice(g0, g0 + group)
-        out = _identities(len(done[part]), width)
-        for i, k in enumerate(done[part].tolist()):
+        part = np.arange(g0, min(g0 + group, n))
+        order = part[np.argsort(done[part] - lengths[part], kind="stable")]  # longest first
+        out = _identities(len(order), width)
+        for i, k in enumerate(done[order].tolist()):
             if k:
                 out[:, i] = shared_products[k][:, 0]
-        u = _products(table, first[part] + done[part], lengths[part] - done[part], out,
-                      offsets[part, :, None], ct_phase)
-        yield from np.moveaxis(u, 1, 0)
+        u = _products(table, first[order] + done[order], lengths[order] - done[order], out,
+                      offsets[order], ct_phase)
+        yield from np.moveaxis(u[:, np.argsort(order)], 1, 0)

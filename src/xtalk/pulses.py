@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate, chain, repeat
+from operator import add
 
 import numpy as np
 
@@ -87,7 +88,8 @@ class ChannelPulse:
 
     @property
     def total_duration(self) -> float:
-        return sum(s.duration for s in self.segments)
+        # left to right: the built-in sum compensates from Python 3.12 on
+        return reduce(add, (s.duration for s in self.segments), 0.0)
 
 
 @dataclass(frozen=True)
@@ -330,8 +332,11 @@ def simulate_scan(
         raise ValueError("phase_noise needs shots")
     if shots is not None and shots < 1:
         raise ValueError("shots must be >= 1")
-    pairs = list(zip(seqs, repeat(1.0) if scales is None else scales))
-    n = len(pairs)
+    seqs = list(seqs)
+    n = len(seqs)
+    scales = np.ones(n) if scales is None else np.fromiter(scales, float)
+    if len(scales) != n:
+        raise ValueError("scales must hold one scale per point")
     keys = list(range(n) if point_indices is None else point_indices)
     if len(keys) != n:
         raise ValueError("point_indices must hold one key per point")
@@ -345,8 +350,7 @@ def simulate_scan(
             if np.size(noise) < shots:
                 raise ValueError("phase_noise must provide one offset per shot")
             row[1:] = np.asarray(noise, dtype=float)[:shots]
-    scales = np.array([scale for _, scale in pairs], dtype=float)
-    table, lengths = _compile([seq for seq, _ in pairs], scales, ctx)
+    table, lengths = _compile(seqs, scales, ctx)
     streams = [] if shots is None else [rng(0 if seed is None else seed, k) for k in keys]
 
     amplitudes = np.empty((n, 2, 2), dtype=complex)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from xtalk.errors import DegenerateFitError
-from xtalk.fitting import gauss_newton
+from xtalk.fitting import _jacobian, gauss_newton
 
 
 def test_recovers_exponential_parameters():
@@ -48,6 +48,20 @@ def test_residual_trace_is_monotone():
     trace = fit.residual_trace
     assert all(b <= a + 1e-15 for a, b in zip(trace[:-1], trace[1:]))
     assert fit.residual_rms < 1e-10
+
+
+def test_jacobian_takes_two_residuals_per_parameter():
+    xs = np.linspace(0.0, 1.0, 7)
+    calls = []
+
+    def residual(p):
+        calls.append(p.copy())
+        return p[0] * xs**2 + p[1] * xs + p[2]
+
+    x = np.array([0.5, -1.0, 2.0])
+    jac = _jacobian(residual, x, xs.size)
+    assert len(calls) == 2 * len(x)
+    assert jac == pytest.approx(np.stack([xs**2, xs, np.ones_like(xs)], axis=1), abs=1e-8)
 
 
 def test_singular_jacobian_raises():

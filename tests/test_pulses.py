@@ -291,6 +291,17 @@ class TestSequenceTypes:
         with pytest.raises(ValueError, match="channel must be"):
             ChannelPulse(channel, (PulseSegment(OMEGA, 0.0, 0.0, math.pi / OMEGA),))
 
+    def test_total_duration_sums_left_to_right(self):
+        # Python 3.12's sum() compensates: 1.0000000000000002 here, not 1.0
+        durations = [1.0, 1e-16, 1e-16]
+        loop = 0.0
+        for d in durations:
+            loop += d
+        pulse = ChannelPulse(TARGET, [PulseSegment(OMEGA, 0.0, 0.0, d) for d in durations])
+        assert loop != math.fsum(durations)
+        assert pulse.total_duration == loop
+        assert PulseSequence((pulse,)).total_duration == loop
+
     def test_concat_pads_to_common_duration(self):
         seq = concat(square_pi(OMEGA), ramsey_wrap(square_pi(OMEGA), OMEGA))
         t_target = seq.channel(TARGET).total_duration
@@ -502,7 +513,7 @@ class TestKernel:
         (quad_1, _), (quad_3, _) = pi_trains("quad", OMEGA, [1, 3], CTX)
         [(sk1_3, _)] = pi_trains("sk1", OMEGA, [3], CTX)
         alone = first_point([quad_1])
-        # a prefix of a longer train, then padded with dark slices behind another
+        # a prefix of a longer train, then multiplied beside a longer point
         assert np.array_equal(alone, first_point([quad_1, quad_3]))
         assert np.array_equal(alone, first_point([quad_1, sk1_3]))
 
@@ -607,7 +618,10 @@ class TestKernel:
         ({"shots": 3, "phase_noise": [np.ones(3)]}, "one row per point"),
         ({"shots": 3, "phase_noise": [np.ones(2)] * 2}, "one offset per shot"),
         ({"phase_noise": [np.ones(3)] * 2}, "needs shots"),
-    ], ids=["shots", "point-indices", "noise-rows", "noise-shots", "noise-without-shots"])
+        ({"scales": [1.0]}, "one scale per point"),
+        ({"scales": [1.0, 1.0, 1.0]}, "one scale per point"),
+    ], ids=["shots", "point-indices", "noise-rows", "noise-shots", "noise-without-shots",
+            "scales-short", "scales-long"])
     def test_arguments_are_checked_before_compiling(self, kwargs, match):
         # the second sequence fails to compile; a bad argument is named first
         target = ChannelPulse(TARGET, (PulseSegment(OMEGA, 0.0, 0.0, 1e-4),))
@@ -615,6 +629,49 @@ class TestKernel:
         seqs = [square_pi(OMEGA), PulseSequence((target, spectator))]
         with pytest.raises(ValueError, match=match):
             simulate_scan(seqs, CTX, **kwargs)
+
+    @pytest.mark.parametrize("method", ["pcc", "quad"])
+    def test_unsorted_points_beyond_one_group_match_alone(self, method):
+        # 201 columns make groups of 10 points; shorter points leave the
+        # batch as they finish
+        ctx = CrosstalkContext(omega_0=OMEGA, f_ct=0.096, delta_ct=0.05 * OMEGA,
+                               pol_overlap=0.8, ct_phase=0.7)
+        setting = CompensationSetting(0.9, math.pi + 0.8)
+        counts = [5, 1, 32, 1, 17, 3, 40, 2, 9, 11, 13]
+        seqs = [seq for seq, _ in pi_trains(method, OMEGA, counts, ctx, setting)]
+        noise = np.random.default_rng(8).normal(0.0, 0.3, size=(len(seqs), 200))
+        scan = simulate_scan(seqs, ctx, shots=200, seed=2, phase_noise=noise)
+        for i, seq in enumerate(seqs):
+            alone = simulate_scan([seq], ctx, shots=200, seed=2, point_indices=[i],
+                                  phase_noise=noise[i:i + 1])
+            assert np.array_equal(scan.amplitudes[i], alone.amplitudes[0])
+            assert np.array_equal(scan.sampled[i], alone.sampled[0])
+
+    @pytest.mark.parametrize("batch, shots", [(4096, 200), (64, 6), (64, 40), (4, 1)])
+    def test_only_real_slices_are_evaluated(self, monkeypatch, batch, shots):
+        from xtalk import kernel
+
+        sizes = []
+        evaluate = kernel._slice_propagators
+
+        def counted(table, offsets, ct_phase):
+            sizes.append(2 * np.broadcast(table[..., 0], offsets).size)
+            return evaluate(table, offsets, ct_phase)
+
+        monkeypatch.setattr(kernel, "_BATCH", batch)
+        monkeypatch.setattr(kernel, "_slice_propagators", counted)
+        seqs = [seq for seq, _ in pi_trains("sk1", OMEGA, [5, 1, 12, 1, 7, 3, 2], CTX)]
+        noise = np.random.default_rng(3).normal(0.0, 0.2, size=(len(seqs), shots))
+        simulate_scan(seqs, CTX, shots=shots, phase_noise=noise)
+        width = 1 + shots
+        _, lengths = kernel._compile(seqs, np.ones(len(seqs)), CTX)
+        assert sum(sizes) == 2 * width * lengths.sum()  # no dark rows
+        # a call exceeds the batch only when one step of one point does
+        assert max(sizes) <= max(batch, 2 * width)
+        # steps shrink as points finish, so every call but a group's last
+        # holds more than half a batch
+        groups = -(-len(seqs) // max(1, batch // (2 * width)))
+        assert len(sizes) <= 2 * sum(sizes) / batch + groups
 
     def test_shot_products_match_matmul(self):
         from xtalk.kernel import _identities, _shot_products
