@@ -80,6 +80,7 @@ from .pulses import (
     quad_frame_step,
     quadrilateral,
     ramsey_wrap,
+    scaled,
     simulate_scan,
     sk1,
     square_pi,

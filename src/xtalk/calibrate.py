@@ -52,6 +52,9 @@ __all__ = [
 
 DEFAULT_SHOTS = 200
 DEFAULT_SCAN_POINTS = 40
+FLOP_POINTS = 20  # durations per Rabi flop scan
+STARK_POINTS = 61  # detunings per resonance scan, over +-1.5 omega_0
+PHASE_PERIODS = 2  # crosstalk flop periods of the chain's phase scan
 
 
 @dataclass(frozen=True)
@@ -143,11 +146,9 @@ def _compensation_drive(ctx: CrosstalkContext, f_comp: float, duration: float) -
     return PulseSequence((ChannelPulse(SPECTATOR, (seg,)),))
 
 
-def _fit_flop_half_period(
-    make_seq, ctx, t_guess, shots, seed, keys, points
-) -> tuple[float, FitResult]:
+def _fit_flop_half_period(make_seq, ctx, t_guess, shots, seed, keys) -> tuple[float, FitResult]:
     """Scan pulse duration over one expected period and fit a sinusoid."""
-    durations = np.linspace(0.0, 2.0 * t_guess, points + 1)[1:]
+    durations = np.linspace(0.0, 2.0 * t_guess, FLOP_POINTS + 1)[1:]
     pops = _measure([make_seq(t) for t in durations], ctx, shots, seed, keys)
     floor = 5.0 * math.sqrt(0.25 / shots) if shots else 1e-9
     if float(np.max(pops) - np.min(pops)) < floor:
@@ -171,13 +172,12 @@ def measure_pi_time(
     ctx: CrosstalkContext,
     shots: int | None = DEFAULT_SHOTS,
     seed: int = 0,
-    points: int = 20,
     fits: list | None = None,
 ) -> float:
     """Spectator pi time under crosstalk from a target-channel Rabi scan.
 
     Scans the target drive duration over one expected spectator flop period
-    (``points`` samples, ``shots`` measurements each), fits
+    (``FLOP_POINTS`` samples, ``shots`` measurements each), fits
     ``a sin^2(omega t / 2)`` and returns the fitted half period.  ``shots``
     of ``None`` uses the analytic populations.  The flop fit is appended to
     ``fits`` if given.
@@ -191,7 +191,7 @@ def measure_pi_time(
     if ctx.f_ct <= 0.0:
         raise LowSignalError("no crosstalk drive, cannot measure a pi time")
     t_pi, fit = _fit_flop_half_period(
-        lambda t: _target_drive(ctx.omega_0, t), ctx, ctx.t_pi_ct, shots, seed, count(1), points
+        lambda t: _target_drive(ctx.omega_0, t), ctx, ctx.t_pi_ct, shots, seed, count(1)
     )
     if fits is not None:
         fits.append(fit)
@@ -204,7 +204,6 @@ def calibrate_amplitude(
     shots: int | None = DEFAULT_SHOTS,
     seed: int = 0,
     bracket: tuple = (0.25, 4.0),
-    points: int = 20,
     fits: list | None = None,
 ) -> float:
     """Compensation amplitude whose own spectator pi time matches ``t_pi_ct``.
@@ -238,8 +237,7 @@ def calibrate_amplitude(
     for _ in range(2):
         guess = math.pi / (f_comp * ctx.f_ct * ctx.omega_0)
         t_meas, fit = _fit_flop_half_period(
-            lambda t: _compensation_drive(ctx, f_comp, t), ctx, guess, shots, seed + 1, keys,
-            points,
+            lambda t: _compensation_drive(ctx, f_comp, t), ctx, guess, shots, seed + 1, keys
         )
         if fits is not None:
             fits.append(fit)
@@ -259,12 +257,11 @@ def _phase_scan_fit(
     shots: int | None,
     seed: int,
     points: int,
-    t_pi_ct: float | None,
+    t_pi_ct: float,
 ) -> tuple[float, FitResult]:
     if n_periods < 1:
         raise ValueError("n_periods must be >= 1")
-    t_pi = ctx.t_pi_ct if t_pi_ct is None else t_pi_ct
-    duration = 2.0 * n_periods * t_pi
+    duration = 2.0 * n_periods * t_pi_ct
     dials = np.arange(points) * (2.0 * math.pi / points)
     base = _target_drive(ctx.omega_0, duration)
     seqs = [with_pcc(base, ctx, CompensationSetting(f_comp, dial)) for dial in dials]
@@ -302,7 +299,6 @@ def calibrate_phase(
     shots: int | None = DEFAULT_SHOTS,
     seed: int = 0,
     points: int = DEFAULT_SCAN_POINTS,
-    t_pi_ct: float | None = None,
 ) -> float:
     """Compensation phase dial that extinguishes the crosstalk.
 
@@ -318,7 +314,7 @@ def calibrate_phase(
         If the damped fit stalls with a residual above the shot-noise scale;
         the exception carries the fit diagnostics.
     """
-    dial_star, _ = _phase_scan_fit(ctx, f_comp, n_periods, shots, seed, points, t_pi_ct)
+    dial_star, _ = _phase_scan_fit(ctx, f_comp, n_periods, shots, seed, points, ctx.t_pi_ct)
     return dial_star
 
 
@@ -326,15 +322,13 @@ def calibrate_stark_shift(
     ctx: CrosstalkContext,
     shots: int | None = DEFAULT_SHOTS,
     seed: int = 0,
-    span: float | None = None,
-    points: int = 61,
 ) -> float:
     """Light shift of the driven target line from a resonance scan.
 
-    Applies a pi pulse at each scan detuning (relative to the bare
-    resonance), fits the power-broadened lineshape and returns the fitted
-    center.  By the sign convention used here the spectator detuning to
-    store is minus the returned shift.
+    Applies a pi pulse at each of ``STARK_POINTS`` scan detunings within
+    ``1.5 omega_0`` of the bare resonance, fits the power-broadened
+    lineshape and returns the fitted center.  By the sign convention used
+    here the spectator detuning to store is minus the returned shift.
 
     Raises
     ------
@@ -342,16 +336,15 @@ def calibrate_stark_shift(
         If the response peaks at the scan edge, i.e. the resonance lies
         outside the scanned range.
     """
-    if span is None:
-        span = 1.5 * ctx.omega_0
-    offsets = np.linspace(-span, span, points)
+    span = 1.5 * ctx.omega_0
+    offsets = np.linspace(-span, span, STARK_POINTS)
     t_pi = math.pi / ctx.omega_0
     segs = [PulseSegment(ctx.omega_0, 0.0, off - ctx.stark_shift, t_pi) for off in offsets]
     seqs = [PulseSequence((ChannelPulse(TARGET, (seg,)),)) for seg in segs]
     pops = _measure(seqs, ctx, shots, seed + 3, count(1), TARGET)
     peak = int(np.argmax(pops))
-    if peak in (0, points - 1):
-        raise OutOfRangeError("resonance lies at the scan edge, widen the span")
+    if peak in (0, STARK_POINTS - 1):
+        raise OutOfRangeError("resonance lies at the scan edge, beyond 1.5 omega_0")
 
     om = ctx.omega_0
 
@@ -451,20 +444,21 @@ def run_full_calibration(
     ctx: CrosstalkContext,
     shots: int | None = DEFAULT_SHOTS,
     seed: int = 0,
-    phase_periods: int = 2,
     include_stark: bool = False,
     timestamp: float | None = None,
 ) -> tuple[CalibrationResult, dict]:
     """Full pi-time, amplitude and phase chain; returns result and diagnostics.
 
-    The diagnostics hold every fit stage: ``pi_time_fit``, the two
-    ``amplitude_fits`` and ``phase_fit``, each a ``FitResult.diagnostics()``.
+    The phase scan runs for ``PHASE_PERIODS`` flop periods of the measured
+    crosstalk pi time.  The diagnostics hold every fit stage:
+    ``pi_time_fit``, the two ``amplitude_fits`` and ``phase_fit``, each a
+    ``FitResult.diagnostics()``.
     """
     pi_fits, amplitude_fits = [], []
     t_pi = measure_pi_time(ctx, shots=shots, seed=seed, fits=pi_fits)
     f_star = calibrate_amplitude(ctx, t_pi, shots=shots, seed=seed, fits=amplitude_fits)
     dial_star, fit = _phase_scan_fit(
-        ctx, f_star, phase_periods, shots, seed, DEFAULT_SCAN_POINTS, t_pi
+        ctx, f_star, PHASE_PERIODS, shots, seed, DEFAULT_SCAN_POINTS, t_pi
     )
     delta_ct_star = 0.0
     if include_stark:

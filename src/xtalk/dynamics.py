@@ -20,9 +20,6 @@ __all__ = [
     "QubitState",
     "check_states",
     "IDENTITY",
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
     "rotation_unitary",
     "rz",
     "apply",
@@ -32,9 +29,6 @@ __all__ = [
 ]
 
 IDENTITY = np.eye(2, dtype=complex)
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 _NORM_TOL = 1e-6
 

@@ -17,6 +17,8 @@ from .errors import DegenerateFitError
 __all__ = ["FitResult", "gauss_newton"]
 
 _REL_STEP = 1e-6
+_MAX_HALVINGS = 30  # step halvings per iteration before the fit stops
+_TOL = 1e-14  # relative decrease of the squared residual that ends the fit
 
 
 @dataclass
@@ -57,8 +59,6 @@ def gauss_newton(
     x0,
     bounds=None,
     max_iter: int = 60,
-    max_halvings: int = 30,
-    tol: float = 1e-14,
 ) -> FitResult:
     """Minimize ``sum(residual_fn(x)**2)`` from ``x0``.
 
@@ -71,11 +71,10 @@ def gauss_newton(
     bounds : optional
         Pair of arrays ``(lower, upper)``; candidate steps are clipped to
         the box.
-    max_iter, max_halvings : int
-        Iteration and per-step halving limits.
-    tol : float
-        Convergence threshold on the relative decrease of the squared
-        residual between accepted steps.
+    max_iter : int
+        Iteration limit.  Each iteration halves its step up to 30 times
+        until the residual decreases, and the fit has converged once the
+        squared residual decreases by less than 1e-14 relative.
 
     Raises
     ------
@@ -111,7 +110,7 @@ def gauss_newton(
 
         accepted = False
         scale = 1.0
-        for _ in range(max_halvings + 1):
+        for _ in range(_MAX_HALVINGS + 1):
             cand = x + scale * step
             if lo is not None:
                 cand = np.clip(cand, lo, hi)
@@ -127,9 +126,9 @@ def gauss_newton(
         if not accepted:
             stop = "halvings"  # the step-halving floor, without improvement
             break
-        if improvement < tol or current < n_res * 1e-28:
+        if improvement < _TOL or current < n_res * 1e-28:
             converged = True
-            stop = "tol" if improvement < tol else "exact"
+            stop = "tol" if improvement < _TOL else "exact"
             break
 
     if current <= n_res * 1e-24:

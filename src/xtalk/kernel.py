@@ -142,7 +142,7 @@ def _grid(seqs: list):
     return start, end, point, np.bincount(point, minlength=n), (lit, amp[j], phase[j], det[j])
 
 
-def _compile(seqs: list, scales: np.ndarray, ctx: CrosstalkContext):
+def _compile(seqs: list, ctx: CrosstalkContext):
     """Slice tables of all scan points in one pass.
 
     Returns every point's slices (see :func:`_grid`), point after point, as
@@ -151,7 +151,6 @@ def _compile(seqs: list, scales: np.ndarray, ctx: CrosstalkContext):
     shot, then adds its orthogonal polarization in quadrature.
     """
     start, end, point, lengths, (lit, amp, phase, det) = _grid(seqs)
-    amp = scales[point] * amp
     # per ion (rows), the other ion's channel arrives as crosstalk; x * 1.0,
     # x + -0.0 and x - 0.0 leave every x exact
     a_t = amp[TARGET] * np.array([[1.0], [ctx.f_ct]])

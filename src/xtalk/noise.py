@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -37,6 +37,7 @@ MITIGATION_FREQ_MHZ = 100.0
 # relative calibration error of the matched drive power; sets the residual
 # mitigated drift, 0.035 rad/s at worst-case duty cycle with the defaults
 DEFAULT_MATCH_ERROR = 0.2
+SETTLE_TAUS = 40.0  # thermal time constants before the drift rate is read
 
 
 def rng(seed, *key) -> np.random.Generator:
@@ -64,6 +65,9 @@ class DriftProcess:
     preset: str | None = None
 
     def __post_init__(self):
+        for name in ("linear_rate", "walk_sigma", "walk_window"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.walk_sigma < 0.0:
             raise ValueError("walk_sigma must be >= 0")
         if self.walk_window <= 0.0:
@@ -133,6 +137,9 @@ class AomModel:
     max_rf_power: float = 1.0  # W (normalized)
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         for name in ("center_mhz", "efficiency_width_mhz", "absorption_width_mhz",
                      "thermal_tau", "max_rf_power"):
             if getattr(self, name) <= 0.0:
@@ -155,14 +162,15 @@ def rf_absorption(model: AomModel, f_rf_mhz: float) -> float:
     return g2 / ((f_rf_mhz - model.center_mhz) ** 2 + g2)
 
 
-def matched_drive_power(model: AomModel, mitigation_freq_mhz: float = MITIGATION_FREQ_MHZ) -> float:
-    """Resonant drive power absorbing as much as a full-power mitigation tone.
+def matched_drive_power(model: AomModel) -> float:
+    """Resonant drive power absorbing as much as a full-power mitigation tone
+    at ``MITIGATION_FREQ_MHZ``.
 
     Solves ``p * absorption(center) = max_rf_power * absorption(f_mitigation)``.
     """
     return (
         model.max_rf_power
-        * rf_absorption(model, mitigation_freq_mhz)
+        * rf_absorption(model, MITIGATION_FREQ_MHZ)
         / rf_absorption(model, model.center_mhz)
     )
 
@@ -226,7 +234,6 @@ def duty_cycle_drift_rate(
     duty_ratio: float,
     mitigated: bool = False,
     match_error: float = DEFAULT_MATCH_ERROR,
-    settle_time: float | None = None,
 ) -> float:
     """Steady-state differential phase drift rate at a given duty-cycle ratio.
 
@@ -237,7 +244,8 @@ def duty_cycle_drift_rate(
     far-detuned tone during the target drive window and the target power is
     turned down to the matched level, miscalibrated by ``match_error``.
     The 2 MHz probe-frequency offset between channels changes the absorption
-    by well under the model fidelity and is neglected.
+    by well under the model fidelity and is neglected.  The rate is read
+    over one second after ``SETTLE_TAUS`` thermal time constants.
     """
     if not 0.0 <= duty_ratio <= 1.0:
         raise ValueError("duty_ratio must be in [0, 1]")
@@ -251,10 +259,9 @@ def duty_cycle_drift_rate(
     if mitigated:
         spectator_tones.append(((1.0 - duty_ratio) * model.max_rf_power, MITIGATION_FREQ_MHZ))
 
-    if settle_time is None:
-        settle_time = 40.0 * model.thermal_tau
     state = DutyCycleState()
-    state = step_duty_cycle(state, model, (target_load, spectator_tones), settle_time)
+    state = step_duty_cycle(state, model, (target_load, spectator_tones),
+                            SETTLE_TAUS * model.thermal_tau)
     probe = step_duty_cycle(state, model, (target_load, spectator_tones), 1.0)
     return probe.phase - state.phase
 

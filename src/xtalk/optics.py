@@ -34,6 +34,10 @@ DEFAULT_PITCH_UM = 5.0
 DEFAULT_CORES = 11
 # nearest-neighbor field leakage giving ~1e-2 intensity crosstalk at one pitch
 DEFAULT_LEAK = 0.1
+# the device maps' cores, centered on 0
+_CORE_POSITIONS = tuple(DEFAULT_PITCH_UM * (i - (DEFAULT_CORES - 1) / 2.0)
+                        for i in range(DEFAULT_CORES))
+QUADRATURE_RTOL = 1e-6  # intensity change, relative to the peak, that ends refinement
 
 
 def gaussian_intensity(x_um: np.ndarray, waist_um: float) -> np.ndarray:
@@ -78,7 +82,6 @@ def focal_field(
     wavelength_nm: float,
     na: float,
     grid_um,
-    rtol: float = 1e-6,
     max_refinements: int = 12,
 ) -> np.ndarray:
     """Focal-plane field of a Gaussian mode truncated by the lens aperture.
@@ -86,8 +89,8 @@ def focal_field(
     The pupil field (Gaussian times hard aperture) is propagated to the focal
     plane with the Fourier kernel of scalar diffraction and integrated by
     composite Simpson quadrature.  The pupil sampling is refined until the
-    intensity changes by no more than ``rtol`` of the peak; exceeding
-    ``max_refinements`` raises :class:`NumericalFailureError`.
+    intensity changes by no more than ``QUADRATURE_RTOL`` of the peak;
+    exceeding ``max_refinements`` raises :class:`NumericalFailureError`.
 
     Returns the unnormalized complex field on ``grid_um`` (positions in um).
     """
@@ -103,11 +106,11 @@ def focal_field(
         cur = _focal_field_fixed(waist_um, wavelength_nm, na, grid, n)
         peak = float(np.max(np.abs(cur) ** 2))
         change = float(np.max(np.abs(np.abs(cur) ** 2 - np.abs(prev) ** 2)))
-        if peak > 0.0 and change <= rtol * peak:
+        if peak > 0.0 and change <= QUADRATURE_RTOL * peak:
             return cur
         prev = cur
     raise NumericalFailureError(
-        f"diffraction quadrature did not converge to {rtol} within "
+        f"diffraction quadrature did not converge to {QUADRATURE_RTOL} within "
         f"{max_refinements} refinements"
     )
 
@@ -117,14 +120,13 @@ def clipped_focus_profile(
     wavelength_nm: float,
     na: float,
     grid_um,
-    rtol: float = 1e-6,
     max_refinements: int = 12,
 ) -> np.ndarray:
     """Clipped-focus intensity on ``grid_um``, normalized to peak 1 at x = 0."""
     grid = np.atleast_1d(np.asarray(grid_um, dtype=float))
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
-    e = focal_field(waist_um, wavelength_nm, na, np.append(grid, 0.0), rtol, max_refinements)
+    e = focal_field(waist_um, wavelength_nm, na, np.append(grid, 0.0), max_refinements)
     intensity = np.abs(e) ** 2
     peak = intensity[-1]
     if peak <= 0.0:
@@ -163,59 +165,50 @@ class BeamProfile:
     @classmethod
     def default(
         cls,
-        n_cores: int = DEFAULT_CORES,
-        pitch_um: float = DEFAULT_PITCH_UM,
         waist_um: float = DEFAULT_WAIST_UM,
         wavelength_nm: float = DEFAULT_WAVELENGTH_NM,
         na: float = DEFAULT_NA,
-        leak: float = DEFAULT_LEAK,
-        grid_um=None,
     ) -> "BeamProfile":
-        """Parametric device map: Gaussian modes plus nearest-neighbor leakage."""
-        positions = tuple(pitch_um * (i - (n_cores - 1) / 2.0) for i in range(n_cores))
-        if grid_um is None:
-            span = positions[-1] + 4.0 * waist_um
-            grid_um = np.linspace(-span, span, 2001)
-        grid = np.asarray(grid_um, dtype=float)
+        """Parametric device map: ``DEFAULT_CORES`` Gaussian modes
+        ``DEFAULT_PITCH_UM`` apart plus ``DEFAULT_LEAK`` nearest-neighbor
+        field leakage, on 2001 points out to four waists past the last core."""
+        positions = _CORE_POSITIONS
+        span = positions[-1] + 4.0 * waist_um
+        grid = np.linspace(-span, span, 2001)
 
         def mode(center):
             return np.exp(-(((grid - center) / waist_um) ** 2))
 
-        fields = np.zeros((n_cores, grid.size))
+        fields = np.zeros((DEFAULT_CORES, grid.size))
         for i, x0 in enumerate(positions):
             f = mode(x0)
             if i > 0:
-                f = f + leak * mode(positions[i - 1])
-            if i < n_cores - 1:
-                f = f + leak * mode(positions[i + 1])
+                f = f + DEFAULT_LEAK * mode(positions[i - 1])
+            if i < DEFAULT_CORES - 1:
+                f = f + DEFAULT_LEAK * mode(positions[i + 1])
             fields[i] = f / np.interp(x0, grid, f)
-        return cls(positions, grid, fields, wavelength_nm, na, waist_um, pitch_um)
+        return cls(positions, grid, fields, wavelength_nm, na, waist_um)
 
     @classmethod
-    def from_csv(
-        cls,
-        path,
-        n_cores: int = DEFAULT_CORES,
-        pitch_um: float = DEFAULT_PITCH_UM,
-        **kwargs,
-    ) -> "BeamProfile":
+    def from_csv(cls, path, **kwargs) -> "BeamProfile":
         """Build the per-core maps from a measured single-core profile.
 
-        The CSV holds the field of one driven core centered at 0; every core
-        gets the same profile shifted to its position.
+        The CSV holds the field of one driven core centered at 0; each of the
+        ``DEFAULT_CORES`` cores, ``DEFAULT_PITCH_UM`` apart, gets the same
+        profile shifted to its position.
         """
         pos, rel = load_device_map_csv(path)
-        positions = tuple(pitch_um * (i - (n_cores - 1) / 2.0) for i in range(n_cores))
-        span = max(abs(positions[0]), abs(positions[-1])) + float(np.max(np.abs(pos)))
+        span = _CORE_POSITIONS[-1] + float(np.max(np.abs(pos)))
         grid = np.linspace(-span, span, 2001)
-        fields = np.zeros((n_cores, grid.size))
-        for i, x0 in enumerate(positions):
+        fields = np.zeros((DEFAULT_CORES, grid.size))
+        for i, x0 in enumerate(_CORE_POSITIONS):
             f = np.interp(grid - x0, pos, rel, left=0.0, right=0.0)
             center = np.interp(0.0, pos, rel)
             if center == 0.0:
                 raise ValueError("device map has zero field at the driven core")
             fields[i] = f / center
-        return cls(positions, grid, fields, pitch_um=pitch_um, **kwargs)
+        # the pitch is fixed: a pitch_um keyword raises instead of disagreeing
+        return cls(_CORE_POSITIONS, grid, fields, pitch_um=DEFAULT_PITCH_UM, **kwargs)
 
     def device_field(self, core: int, x_um: float) -> float:
         """Field amplitude at ``x_um`` when core ``core`` is driven."""
@@ -243,9 +236,9 @@ def total_crosstalk_ratio(
     separation_um: float,
     pol_overlap: float = 1.0,
     relative_phase: float = 0.0,
-    core: int | None = None,
 ) -> CrosstalkEstimate:
-    """Crosstalk intensity and Rabi ratio at a given neighbor separation.
+    """Crosstalk intensity and Rabi ratio at a given separation from the
+    middle core.
 
     The device field (from the waveguide map) and the diffraction field (from
     the clipped-focus profile, normalized to peak 1 on ``profile.grid_um``)
@@ -257,8 +250,7 @@ def total_crosstalk_ratio(
     diff = np.asarray(diffraction_intensity, dtype=float)
     if diff.shape != profile.grid_um.shape:
         raise ValueError("diffraction intensity must be sampled on the profile grid")
-    if core is None:
-        core = len(profile.core_positions_um) // 2
+    core = len(profile.core_positions_um) // 2
     x0 = profile.core_positions_um[core]
     x = x0 + separation_um
     grid = profile.grid_um

@@ -45,11 +45,10 @@ __all__ = [
     "ramsey_wrap",
     "with_pcc",
     "concat",
+    "scaled",
     "simulate_scan",
     "sequence_unitaries",
 ]
-
-SK1_PHI1 = math.acos(-1.0 / 4.0)  # inner-loop axis offset for a pi rotation
 
 
 @dataclass(frozen=True)
@@ -227,19 +226,14 @@ def pi_trains(
     return trains
 
 
-def ramsey_wrap(
-    seq: PulseSequence,
-    omega_0: float,
-    open_phase: float = 0.0,
-    close_phase: float = math.pi,
-) -> PulseSequence:
-    """Spectator pi/2 pulses before and after ``seq``.
+def ramsey_wrap(seq: PulseSequence, omega_0: float, close_phase: float = math.pi) -> PulseSequence:
+    """Spectator pi/2 pulses before and after ``seq``, the first about +X.
 
-    With the default phases the second pulse undoes the first, so an ideal
-    sequence returns the spectator to the ground state and the excited
+    With the default closing phase the second pulse undoes the first, so an
+    ideal sequence returns the spectator to the ground state and the excited
     population directly reads the accumulated error.
     """
-    half = PulseSegment(omega_0, open_phase, 0.0, 0.5 * math.pi / omega_0)
+    half = PulseSegment(omega_0, 0.0, 0.0, 0.5 * math.pi / omega_0)
     back = PulseSegment(omega_0, close_phase, 0.0, 0.5 * math.pi / omega_0)
     opener = PulseSequence((ChannelPulse(SPECTATOR, (half,)),))
     closer = PulseSequence((ChannelPulse(SPECTATOR, (back,)),))
@@ -286,6 +280,17 @@ def concat(*seqs: PulseSequence) -> PulseSequence:
     return PulseSequence(tuple(ChannelPulse(ch, tuple(segs)) for ch, segs in parts.items()))
 
 
+def scaled(seq: PulseSequence, factor: float) -> PulseSequence:
+    """``seq`` with every segment amplitude multiplied by ``factor``, a global
+    drive amplitude scale; ``factor`` must be finite and >= 0."""
+    if not (math.isfinite(factor) and factor >= 0.0):
+        raise ValueError("factor must be finite and >= 0")
+    return PulseSequence(tuple(
+        ChannelPulse(cp.channel, tuple(replace(s, amplitude=factor * s.amplitude)
+                                       for s in cp.segments))
+        for cp in seq.channels))
+
+
 @dataclass(frozen=True)
 class SimulationResult:
     """Final states, analytic populations and optional shot-sampled values.
@@ -300,9 +305,9 @@ class SimulationResult:
     sampled: np.ndarray | None = None
 
 
-def sequence_unitaries(seq: PulseSequence, ctx: CrosstalkContext, scale: float = 1.0) -> dict:
+def sequence_unitaries(seq: PulseSequence, ctx: CrosstalkContext) -> dict:
     """Total qubit-frame propagator per ion for the full sequence."""
-    table, lengths = _compile([seq], np.array([scale], dtype=float), ctx)
+    table, lengths = _compile([seq], ctx)
     u = next(_propagate(table, lengths, np.zeros((1, 1)), ctx.ct_phase))
     return {ch: u[ch, 0] for ch in (TARGET, SPECTATOR)}
 
@@ -314,7 +319,6 @@ def simulate_scan(
     seed: int | None = None,
     point_indices=None,
     phase_noise=None,
-    scales=None,
 ) -> SimulationResult:
     """Evolve both ions from the ground state through one sequence per scan
     point, in one kernel call; each final state is its propagator's first
@@ -323,10 +327,10 @@ def simulate_scan(
     ``seqs`` may be any iterable.  ``shots``, if given, samples both ions
     that many times per point.  Per point, ``point_indices`` (default ``0,
     1, ...``) keys those draws on ``(seed, index)`` (``seed`` defaults to
-    0), ``phase_noise`` holds ``shots`` offsets (rad) of the whole spectator
-    channel, modeling differential path phase drift, and ``scales`` a global
-    amplitude scale (default 1).  Returns one :class:`SimulationResult` with
-    a leading point axis.
+    0), and ``phase_noise`` holds ``shots`` offsets (rad) of the whole
+    spectator channel, modeling differential path phase drift.  Returns one
+    :class:`SimulationResult` with a leading point axis.  A drive amplitude
+    scale goes into the sequences (:func:`scaled`).
     """
     if shots is None and phase_noise is not None:
         raise ValueError("phase_noise needs shots")
@@ -334,9 +338,6 @@ def simulate_scan(
         raise ValueError("shots must be >= 1")
     seqs = list(seqs)
     n = len(seqs)
-    scales = np.ones(n) if scales is None else np.fromiter(scales, float)
-    if len(scales) != n:
-        raise ValueError("scales must hold one scale per point")
     keys = list(range(n) if point_indices is None else point_indices)
     if len(keys) != n:
         raise ValueError("point_indices must hold one key per point")
@@ -350,7 +351,7 @@ def simulate_scan(
             if np.size(noise) < shots:
                 raise ValueError("phase_noise must provide one offset per shot")
             row[1:] = np.asarray(noise, dtype=float)[:shots]
-    table, lengths = _compile(seqs, scales, ctx)
+    table, lengths = _compile(seqs, ctx)
     streams = [] if shots is None else [rng(0 if seed is None else seed, k) for k in keys]
 
     amplitudes = np.empty((n, 2, 2), dtype=complex)

@@ -40,6 +40,7 @@ from .pulses import (
     PulseSequence,
     pi_trains,
     ramsey_wrap,
+    scaled,
     simulate_scan,
     with_pcc,
 )
@@ -174,7 +175,7 @@ def _binomial_stderr(p, shots: int):
     return np.sqrt(np.maximum(p * (1.0 - p), 0.0) / shots)
 
 
-def _sweep(cfg: ScenarioConfig, x, seqs, channel: int = SPECTATOR, scales=None) -> ScanResult:
+def _sweep(cfg: ScenarioConfig, x, seqs, channel: int = SPECTATOR) -> ScanResult:
     """One kernel call over the scan points: per point the population of
     ``channel``, its shot estimate and binomial error.  A ``noise`` block's
     drift offsets the spectator channel per shot."""
@@ -186,7 +187,7 @@ def _sweep(cfg: ScenarioConfig, x, seqs, channel: int = SPECTATOR, scales=None) 
                                          seed=(cfg.seed + 7919) * 65537 + i)[1:]
                        for i in range(len(x))]
     res = simulate_scan(seqs, cfg.context, shots=cfg.shots, seed=cfg.seed,
-                        phase_noise=phase_noise, scales=scales)
+                        phase_noise=phase_noise)
     mean = res.populations[:, channel]
     return _result(cfg, x, mean, res.sampled[:, channel], _binomial_stderr(mean, cfg.shots))
 
@@ -217,7 +218,7 @@ def run_z_error(cfg: ScenarioConfig) -> ScanResult:
         # from the ground state, the final |0> amplitude is the train unitary's u[0, 0]
         u00 = simulate_scan(trains, ctx).amplitudes[:, SPECTATOR, 0]
         close_phases = [math.pi + -2.0 * math.atan2(u.imag, u.real) for u in u00]
-    seqs = (ramsey_wrap(seq, ctx.omega_0, 0.0, close) for seq, close in zip(trains, close_phases))
+    seqs = (ramsey_wrap(seq, ctx.omega_0, close) for seq, close in zip(trains, close_phases))
     return _sweep(cfg, np.array(counts, dtype=float), seqs)
 
 
@@ -252,7 +253,7 @@ def run_amplitude_scan(cfg: ScenarioConfig) -> ScanResult:
     scales = np.linspace(cfg.scan["scale_min"], cfg.scan["scale_max"], cfg.scan["points"])
     ctx = cfg.context
     seq, _ = pi_trains(cfg.method, ctx.omega_0, [1], ctx, cfg.setting)[0]
-    return _sweep(cfg, scales, [seq] * len(scales), TARGET, scales=[float(s) for s in scales])
+    return _sweep(cfg, scales, [scaled(seq, float(s)) for s in scales], TARGET)
 
 
 def run_drift_monitor(cfg: ScenarioConfig) -> ScanResult:

@@ -124,12 +124,12 @@ def test_criterion_05_tolerance_contours():
 
 def test_criterion_06_sk1_behavior():
     with criterion(6, "sk1 flat top, spectator error scale, and z-basis weakness"):
-        from xtalk.pulses import TARGET, simulate_scan, sk1
+        from xtalk.pulses import TARGET, scaled, simulate_scan, sk1
 
         ctx = CrosstalkContext(omega_0=OMEGA, f_ct=0.096)
 
         def target_error(scale):
-            res = simulate_scan([sk1(math.pi, 0.0, OMEGA)], ctx, scales=[scale])
+            res = simulate_scan([scaled(sk1(math.pi, 0.0, OMEGA), scale)], ctx)
             return 1.0 - res.populations[0, TARGET]
 
         h = 1e-4
@@ -177,13 +177,13 @@ def test_criterion_06_sk1_behavior():
 
 def test_criterion_07_quadrilateral_scaling():
     with criterion(7, "quad spectator leakage exponent >= 3.5 over [3e-3, 3e-2]"):
-        from xtalk.pulses import SPECTATOR, quadrilateral, simulate_scan
+        from xtalk.pulses import SPECTATOR, quadrilateral, scaled, simulate_scan
 
         ctx = CrosstalkContext(omega_0=OMEGA, f_ct=0.096)
         start = time.perf_counter()
         eps_grid = np.geomspace(3e-3, 3e-2, 12)
         leaks = [
-            simulate_scan([quadrilateral(OMEGA)], ctx, scales=[float(e) / ctx.f_ct])
+            simulate_scan([scaled(quadrilateral(OMEGA), float(e) / ctx.f_ct)], ctx)
             .populations[0, SPECTATOR]
             for e in eps_grid
         ]

@@ -1,5 +1,8 @@
-"""The public API: the names ``xtalk`` exports and the README's quick start."""
+"""The public API: the names ``xtalk`` exports, the optional parameters of
+every public callable, and the README's quick start."""
 
+import importlib
+import inspect
 import re
 import types
 from pathlib import Path
@@ -26,9 +29,83 @@ PUBLIC_NAMES = [
     "pi_pulse_error", "pi_trains", "quad_frame_step", "quadrilateral", "ramsey_phase_probe",
     "ramsey_wrap", "recalibration_interval", "relative_error", "rf_absorption",
     "rotation_error", "rotation_unitary", "run_full_calibration", "run_scenario",
-    "sample_slow_drift", "save_result", "simulate_scan", "sk1", "square_pi",
+    "sample_slow_drift", "save_result", "scaled", "simulate_scan", "sk1", "square_pi",
     "step_duty_cycle", "total_crosstalk_ratio", "with_pcc",
 ]
+
+
+# every parameter with a default, per function, class and public method in
+# the modules' __all__: adding a knob is deliberate too, so it changes this
+# table; a parameter no caller sets is a constant instead
+OPTIONAL_PARAMETERS = {
+    "calibrate.FitModel": ["model_id", "params", "bounds"],
+    "calibrate.measure_pi_time": ["shots", "seed", "fits"],
+    "calibrate.calibrate_amplitude": ["shots", "seed", "bracket", "fits"],
+    "calibrate.calibrate_phase": ["n_periods", "shots", "seed", "points"],
+    "calibrate.calibrate_stark_shift": ["shots", "seed"],
+    "calibrate.run_full_calibration": ["shots", "seed", "include_stark", "timestamp"],
+    "calibrate.save_result": ["diagnostics"],
+    "dynamics.is_unitary": ["tol"],
+    "field.CrosstalkContext": ["delta_ct", "pol_overlap", "ct_phase", "stark_shift"],
+    "field.effective_magnitude_polarized": ["pol_overlap"],
+    "field.pi_pulse_error": ["f_comp", "delta_phi"],
+    "field.best_compensation": ["pol_overlap"],
+    "fitting.FitResult": ["residual_trace", "covariance"],
+    "fitting.gauss_newton": ["bounds", "max_iter"],
+    "noise.DriftProcess": ["walk_window", "preset"],
+    "noise.AomModel": ["center_mhz", "efficiency_width_mhz", "absorption_width_mhz",
+                       "thermal_coeff", "thermal_tau", "max_rf_power"],
+    "noise.DutyCycleState": ["filtered_power", "phase", "time"],
+    "noise.BeatnoteSetup": ["f1_mhz", "f2_mhz", "probe_duration_s"],
+    "noise.sample_slow_drift": ["seed"],
+    "noise.duty_cycle_drift_rate": ["mitigated", "match_error"],
+    "noise.beatnote_phase_measurement": ["noise_sigma", "seed"],
+    "noise.ramsey_phase_probe": ["seed"],
+    "optics.BeamProfile": ["wavelength_nm", "na", "waist_um", "pitch_um"],
+    "optics.BeamProfile.default": ["waist_um", "wavelength_nm", "na"],
+    "optics.focal_field": ["max_refinements"],
+    "optics.clipped_focus_profile": ["max_refinements"],
+    "optics.total_crosstalk_ratio": ["pol_overlap", "relative_phase"],
+    "pulses.PulseSegment": ["detuning", "duration"],
+    "pulses.SimulationResult": ["sampled"],
+    "pulses.square_pi": ["phase"],
+    "pulses.quadrilateral": ["phase_offset"],
+    "pulses.pi_trains": ["ctx", "setting", "phase"],
+    "pulses.ramsey_wrap": ["close_phase"],
+    "pulses.simulate_scan": ["shots", "seed", "point_indices", "phase_noise"],
+}
+MODULES = ("calibrate", "dynamics", "field", "fitting", "noise", "optics", "pulses",
+           "scenarios")
+
+
+def _public_callables():
+    """``(label, function)`` per public function, class and public method,
+    each function object once."""
+    seen = set()
+    for module in MODULES:
+        mod = importlib.import_module(f"xtalk.{module}")
+        for name in mod.__all__:
+            obj = getattr(mod, name)
+            found = [(name, obj)] if callable(obj) else []
+            if inspect.isclass(obj):
+                for attr, value in vars(obj).items():
+                    value = getattr(value, "__func__", value)  # class and static methods
+                    if not attr.startswith("_") and inspect.isfunction(value):
+                        found.append((f"{name}.{attr}", value))
+            for label, fn in found:
+                if id(fn) not in seen:
+                    seen.add(id(fn))
+                    yield f"{module}.{label}", fn
+
+
+def test_optional_parameters_are_pinned():
+    optional = {}
+    for label, fn in _public_callables():
+        params = inspect.signature(fn).parameters.values()
+        names = [p.name for p in params if p.default is not inspect.Parameter.empty]
+        if names:
+            optional[label] = names
+    assert optional == OPTIONAL_PARAMETERS
 
 
 def test_public_names_are_pinned():

@@ -137,7 +137,7 @@ class TestCalibratePhase:
     def test_noisy_scan_residual_at_shot_scale(self):
         from xtalk.calibrate import _phase_scan_fit
 
-        _, fit = _phase_scan_fit(CTX, 1.0, 1, 200, 11, 40, None)
+        _, fit = _phase_scan_fit(CTX, 1.0, 1, 200, 11, 40, CTX.t_pi_ct)
         assert fit.residual_rms <= 3.0 * math.sqrt(0.25 / 200)
 
 

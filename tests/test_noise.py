@@ -163,6 +163,24 @@ class TestDutyCycle:
             step_duty_cycle(DutyCycleState(), AomModel(), ((1.0, 150.0), ()), 0.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["linear_rate", "walk_sigma", "walk_window"])
+def test_drift_process_rejects_non_finite(name, value):
+    # a NaN rate gave a NaN trace, a NaN walk a silent flat one
+    fields = {"linear_rate": 0.0, "walk_sigma": 0.1, "walk_window": 8.0, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        DriftProcess(**fields)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["center_mhz", "efficiency_width_mhz", "absorption_width_mhz",
+                                  "thermal_coeff", "thermal_tau", "max_rf_power"])
+def test_aom_model_rejects_non_finite(name, value):
+    # a NaN center, coefficient or time constant gave a NaN drift rate
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        AomModel(**{name: value})
+
+
 class TestBeatnote:
     def test_noiseless_reading(self):
         b = BeatnoteSetup()

@@ -17,6 +17,7 @@ from xtalk.pulses import (
     quad_frame_step,
     quadrilateral,
     ramsey_wrap,
+    scaled,
     sequence_unitaries,
     simulate_scan,
     sk1,
@@ -63,7 +64,7 @@ class TestSk1:
 
     def test_flat_amplitude_response(self):
         def target_error(scale):
-            res = simulate_scan([sk1(math.pi, 0.0, OMEGA)], CTX, scales=[scale])
+            res = simulate_scan([scaled(sk1(math.pi, 0.0, OMEGA), scale)], CTX)
             return 1.0 - res.populations[0, TARGET]
 
         h = 1e-4
@@ -72,8 +73,8 @@ class TestSk1:
 
     def test_miscalibration_stays_second_order(self):
         for scale in (0.9, 1.1):
-            seqs = [sk1(math.pi, 0.0, OMEGA), square_pi(OMEGA)]
-            pops = simulate_scan(seqs, CTX, scales=[scale, scale]).populations[:, TARGET]
+            seqs = [scaled(sk1(math.pi, 0.0, OMEGA), scale), scaled(square_pi(OMEGA), scale)]
+            pops = simulate_scan(seqs, CTX).populations[:, TARGET]
             sk1_err, square_err = 1.0 - pops
             assert sk1_err <= 10.0 * square_err
             assert sk1_err < 2e-4
@@ -101,7 +102,7 @@ class TestSk1:
 
 class TestQuadrilateral:
     def test_zero_scale_is_identity(self):
-        res = simulate_scan([quadrilateral(OMEGA)], CTX, scales=[0.0])
+        res = simulate_scan([scaled(quadrilateral(OMEGA), 0.0)], CTX)
         assert res.populations[0, TARGET] == 0.0
         assert res.populations[0, SPECTATOR] == 0.0
 
@@ -132,7 +133,7 @@ class TestQuadrilateral:
         eps_grid = np.geomspace(3e-3, 3e-2, 9)
         leak_sim = []
         for eps in eps_grid:
-            res = simulate_scan([quadrilateral(OMEGA)], CTX, scales=[eps / CTX.f_ct])
+            res = simulate_scan([scaled(quadrilateral(OMEGA), eps / CTX.f_ct)], CTX)
             leak_sim.append(res.populations[0, SPECTATOR])
             assert res.populations[0, SPECTATOR] == pytest.approx(oracle(eps), rel=1e-6)
         slope = np.polyfit(np.log(eps_grid), np.log(leak_sim), 1)[0]
@@ -290,6 +291,12 @@ class TestSequenceTypes:
         # a third channel used to count as crosstalk on both ions
         with pytest.raises(ValueError, match="channel must be"):
             ChannelPulse(channel, (PulseSegment(OMEGA, 0.0, 0.0, math.pi / OMEGA),))
+
+    @pytest.mark.parametrize("factor", [-1.0, math.nan, math.inf])
+    def test_scaled_rejects_invalid_factor(self, factor):
+        # a negative or NaN scale used to give a dark evolution without error
+        with pytest.raises(ValueError, match="factor must be finite and >= 0"):
+            scaled(square_pi(1.0), factor)
 
     def test_total_duration_sums_left_to_right(self):
         # Python 3.12's sum() compensates: 1.0000000000000002 here, not 1.0
@@ -467,7 +474,7 @@ class TestKernel:
                 ChannelPulse(SPECTATOR, (PulseSegment(0.0, 0.0, 0.0, 1e-5),
                                          PulseSegment(0.5 * OMEGA, -0.0, -0.0, 1e-5))))))
             scales = rng.uniform(0.0, 1.5, size=len(seqs))
-            table, lengths = _compile(seqs, scales, ctx)
+            table, lengths = _compile([scaled(s, x) for s, x in zip(seqs, scales)], ctx)
             reference = np.concatenate([loop_table(s, ctx, x) for s, x in zip(seqs, scales)])
             assert lengths.tolist() == [len(loop_table(s, ctx, x)) for s, x in zip(seqs, scales)]
             assert np.array_equal(table.view(np.int64), reference.view(np.int64))
@@ -484,7 +491,7 @@ class TestKernel:
             seqs = [random_sequence(rng, ctx) for _ in range(3)]
             scales = rng.uniform(0.5, 1.5, size=3)
             offsets = rng.normal(size=(3, 4))
-            table, lengths = _compile(seqs, scales, ctx)
+            table, lengths = _compile([scaled(s, x) for s, x in zip(seqs, scales)], ctx)
             kernel = _propagate(table, lengths, offsets, ctx.ct_phase)
             for seq, scale, shifts, u in zip(seqs, scales, offsets, kernel):
                 for j, offset in enumerate(shifts):
@@ -507,7 +514,7 @@ class TestKernel:
         from xtalk.kernel import _compile, _propagate
 
         def first_point(seqs):
-            table, lengths = _compile(seqs, np.ones(len(seqs)), CTX)
+            table, lengths = _compile(seqs, CTX)
             return next(_propagate(table, lengths, np.zeros((len(seqs), 1)), CTX.ct_phase))
 
         (quad_1, _), (quad_3, _) = pi_trains("quad", OMEGA, [1, 3], CTX)
@@ -618,10 +625,7 @@ class TestKernel:
         ({"shots": 3, "phase_noise": [np.ones(3)]}, "one row per point"),
         ({"shots": 3, "phase_noise": [np.ones(2)] * 2}, "one offset per shot"),
         ({"phase_noise": [np.ones(3)] * 2}, "needs shots"),
-        ({"scales": [1.0]}, "one scale per point"),
-        ({"scales": [1.0, 1.0, 1.0]}, "one scale per point"),
-    ], ids=["shots", "point-indices", "noise-rows", "noise-shots", "noise-without-shots",
-            "scales-short", "scales-long"])
+    ], ids=["shots", "point-indices", "noise-rows", "noise-shots", "noise-without-shots"])
     def test_arguments_are_checked_before_compiling(self, kwargs, match):
         # the second sequence fails to compile; a bad argument is named first
         target = ChannelPulse(TARGET, (PulseSegment(OMEGA, 0.0, 0.0, 1e-4),))
@@ -664,7 +668,7 @@ class TestKernel:
         noise = np.random.default_rng(3).normal(0.0, 0.2, size=(len(seqs), shots))
         simulate_scan(seqs, CTX, shots=shots, phase_noise=noise)
         width = 1 + shots
-        _, lengths = kernel._compile(seqs, np.ones(len(seqs)), CTX)
+        _, lengths = kernel._compile(seqs, CTX)
         assert sum(sizes) == 2 * width * lengths.sum()  # no dark rows
         # a call exceeds the batch only when one step of one point does
         assert max(sizes) <= max(batch, 2 * width)
@@ -718,7 +722,7 @@ class TestKernel:
         pulse = PulseSequence((ChannelPulse(TARGET, (PulseSegment(OMEGA, 0.3, 0.0, 2**-17),)),))
         gap = PulseSequence((ChannelPulse(TARGET, (PulseSegment(0.0, 0.0, 0.0, 2.0**-19),)),))
         seqs = [concat(pulse, gap, pulse), concat(pulse, pulse)]
-        table, lengths = _compile(seqs, np.ones(2), CTX)
+        table, lengths = _compile(seqs, CTX)
         assert lengths.tolist() == [3, 2]
         assert not table[1, 2:].any()  # no light on either ion during the gap
         with_gap, without = (sequence_unitaries(seq, CTX) for seq in seqs)
