@@ -35,6 +35,7 @@ from .pulses import (
     pi_trains,
     simulate_scan,
     with_pcc,
+    _template_scan,
 )
 
 __all__ = [
@@ -123,17 +124,20 @@ class FitModel:
             raise ValueError("initial parameters must lie within bounds")
 
 
-def _measure(seqs, ctx, shots, seed, keys, channel=SPECTATOR) -> np.ndarray:
-    """Populations of ``channel``, one kernel call for the whole scan.
+def _measure(seq, varied, values, ctx, shots, seed, keys, channel=SPECTATOR) -> np.ndarray:
+    """Populations of ``channel`` over the scan that gives the one-slice
+    ``seq`` each of ``values`` as its ``varied`` value (a duration, the dial
+    or the target detuning), one kernel call for the whole scan.
 
     With ``shots`` each point is sampled from the stream ``(seed, k)`` for the
     next ``k`` of ``keys``, a counter shared by repeated scans so that they
     never share draws; without, the analytic populations are returned.
     """
     if not shots:
-        return simulate_scan(seqs, ctx).populations[:, channel]
-    idx = [next(keys) for _ in seqs]
-    return simulate_scan(seqs, ctx, shots=shots, seed=seed, point_indices=idx).sampled[:, channel]
+        return _template_scan(seq, varied, values, ctx).populations[:, channel]
+    idx = [next(keys) for _ in values]
+    scan = _template_scan(seq, varied, values, ctx, shots=shots, seed=seed, point_indices=idx)
+    return scan.sampled[:, channel]
 
 
 def _target_drive(omega_0: float, duration: float) -> PulseSequence:
@@ -146,10 +150,11 @@ def _compensation_drive(ctx: CrosstalkContext, f_comp: float, duration: float) -
     return PulseSequence((ChannelPulse(SPECTATOR, (seg,)),))
 
 
-def _fit_flop_half_period(make_seq, ctx, t_guess, shots, seed, keys) -> tuple[float, FitResult]:
-    """Scan pulse duration over one expected period and fit a sinusoid."""
+def _fit_flop_half_period(seq, ctx, t_guess, shots, seed, keys) -> tuple[float, FitResult]:
+    """Scan the duration of the one-segment drive ``seq`` over one expected
+    period and fit a sinusoid."""
     durations = np.linspace(0.0, 2.0 * t_guess, FLOP_POINTS + 1)[1:]
-    pops = _measure([make_seq(t) for t in durations], ctx, shots, seed, keys)
+    pops = _measure(seq, "duration", durations, ctx, shots, seed, keys)
     floor = 5.0 * math.sqrt(0.25 / shots) if shots else 1e-9
     if float(np.max(pops) - np.min(pops)) < floor:
         raise LowSignalError("flop contrast below five times the shot-noise floor")
@@ -158,12 +163,18 @@ def _fit_flop_half_period(make_seq, ctx, t_guess, shots, seed, keys) -> tuple[fl
         a, omega = params
         return a * np.sin(0.5 * omega * durations) ** 2 - pops
 
+    def jacobian(params):
+        a, omega = params
+        half = 0.5 * omega * durations
+        return np.stack([np.sin(half) ** 2, 0.5 * a * durations * np.sin(2.0 * half)], axis=1)
+
     x0 = np.array([max(float(np.max(pops)), 0.1), math.pi / t_guess])
     fit = gauss_newton(
         residual,
         x0,
         bounds=(np.array([0.0, 0.1 * math.pi / t_guess]),
                 np.array([1.5, 10.0 * math.pi / t_guess])),
+        jacobian=jacobian,
     )
     return math.pi / fit.params[1], fit
 
@@ -191,7 +202,7 @@ def measure_pi_time(
     if ctx.f_ct <= 0.0:
         raise LowSignalError("no crosstalk drive, cannot measure a pi time")
     t_pi, fit = _fit_flop_half_period(
-        lambda t: _target_drive(ctx.omega_0, t), ctx, ctx.t_pi_ct, shots, seed, count(1)
+        _target_drive(ctx.omega_0, ctx.t_pi_ct), ctx, ctx.t_pi_ct, shots, seed, count(1)
     )
     if fits is not None:
         fits.append(fit)
@@ -237,7 +248,7 @@ def calibrate_amplitude(
     for _ in range(2):
         guess = math.pi / (f_comp * ctx.f_ct * ctx.omega_0)
         t_meas, fit = _fit_flop_half_period(
-            lambda t: _compensation_drive(ctx, f_comp, t), ctx, guess, shots, seed + 1, keys
+            _compensation_drive(ctx, f_comp, guess), ctx, guess, shots, seed + 1, keys
         )
         if fits is not None:
             fits.append(fit)
@@ -263,17 +274,29 @@ def _phase_scan_fit(
         raise ValueError("n_periods must be >= 1")
     duration = 2.0 * n_periods * t_pi_ct
     dials = np.arange(points) * (2.0 * math.pi / points)
-    base = _target_drive(ctx.omega_0, duration)
-    seqs = [with_pcc(base, ctx, CompensationSetting(f_comp, dial)) for dial in dials]
-    pops = _measure(seqs, ctx, shots, seed + 2, count(1))
+    template = with_pcc(_target_drive(ctx.omega_0, duration), ctx, CompensationSetting(f_comp, 0.0))
+    pops = _measure(template, "phase", dials, ctx, shots, seed + 2, count(1))
+    p = ctx.pol_overlap
 
     def model(a, kappa, offsets):
-        mag = effective_magnitude_polarized(f_comp, dials - offsets, ctx.pol_overlap)
+        mag = effective_magnitude_polarized(f_comp, dials - offsets, p)
         return a * np.sin(math.pi * n_periods * kappa * mag) ** 2
 
     def residual(params):
         a, kappa, offset = params
         return model(a, kappa, offset) - pops
+
+    def jacobian(params):
+        a, kappa, offset = params
+        phi = dials - offset
+        mag = effective_magnitude_polarized(f_comp, phi, p)
+        theta = math.pi * n_periods * kappa * mag
+        # d mag / d offset = p f_comp sin(phi) / mag, and sin(2 theta) / mag
+        # = 2 pi n kappa sinc(2 theta / pi), which holds where mag is 0
+        d_offset = (2.0 * a * (math.pi * n_periods * kappa) ** 2 * p * f_comp * np.sin(phi)
+                    * np.sinc(2.0 * theta / math.pi))
+        d_kappa = a * np.sin(2.0 * theta) * math.pi * n_periods * mag
+        return np.stack([np.sin(theta) ** 2, d_kappa, d_offset], axis=1)
 
     # seed the phase from a coarse grid to dodge the periodic local optima:
     # one row per trial offset; argmin keeps the smallest dial on ties
@@ -284,6 +307,7 @@ def _phase_scan_fit(
         np.array([1.0, 1.0, best]),
         bounds=(np.array([0.05, 0.5, best - math.pi]),
                 np.array([1.5, 1.5, best + math.pi])),
+        jacobian=jacobian,
     )
     floor = 3.0 * math.sqrt(0.25 / shots) if shots else 1e-6
     if not fit.converged and fit.residual_rms > floor:
@@ -339,9 +363,8 @@ def calibrate_stark_shift(
     span = 1.5 * ctx.omega_0
     offsets = np.linspace(-span, span, STARK_POINTS)
     t_pi = math.pi / ctx.omega_0
-    segs = [PulseSegment(ctx.omega_0, 0.0, off - ctx.stark_shift, t_pi) for off in offsets]
-    seqs = [PulseSequence((ChannelPulse(TARGET, (seg,)),)) for seg in segs]
-    pops = _measure(seqs, ctx, shots, seed + 3, count(1), TARGET)
+    pops = _measure(_target_drive(ctx.omega_0, t_pi), "detuning", offsets - ctx.stark_shift,
+                    ctx, shots, seed + 3, count(1), TARGET)
     peak = int(np.argmax(pops))
     if peak in (0, STARK_POINTS - 1):
         raise OutOfRangeError("resonance lies at the scan edge, beyond 1.5 omega_0")
@@ -354,10 +377,20 @@ def calibrate_stark_shift(
         gen = np.sqrt(om**2 + u**2)
         return a * (om**2 / gen**2) * np.sin(0.5 * gen * t_pi) ** 2 - pops
 
+    def jacobian(params):
+        a, center = params
+        u = offsets - center
+        gen = np.sqrt(om**2 + u**2)
+        flop = np.sin(0.5 * gen * t_pi) ** 2
+        # the lineshape's derivative in gen, and d gen / d center = -u / gen
+        d_gen = (om**2 / gen**2) * (0.5 * t_pi * np.sin(gen * t_pi) - 2.0 * flop / gen)
+        return np.stack([(om**2 / gen**2) * flop, -a * (u / gen) * d_gen], axis=1)
+
     fit = gauss_newton(
         residual,
         np.array([1.0, offsets[peak]]),
         bounds=(np.array([0.1, -span]), np.array([1.5, span])),
+        jacobian=jacobian,
     )
     center = float(fit.params[1])
     if abs(center) >= span:

@@ -1,8 +1,10 @@
 """Damped Gauss-Newton least squares for small calibration fits.
 
-The Jacobian is numerical (central differences, relative step 1e-6) and each
-iteration halves the step until the residual decreases, so the residual norm
-is monotone over accepted steps.
+The Jacobian is the caller's analytic one or, by default, central
+differences (relative step 1e-6).  Each iteration factors it once (an SVD),
+stops at the rounding floor when the linear model predicts no real
+decrease, and otherwise halves the step until the residual decreases, so
+the residual norm is monotone over accepted steps.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ class FitResult:
     residual_rms: float
     iterations: int
     converged: bool
-    stop: str  # why the iteration ended: "tol", "exact", "halvings" or "max_iter"
+    stop: str  # why the iteration ended: "tol", "exact", "floor", "halvings" or "max_iter"
     residual_trace: list = field(default_factory=list)
     covariance: np.ndarray | None = None
 
@@ -59,6 +61,7 @@ def gauss_newton(
     x0,
     bounds=None,
     max_iter: int = 60,
+    jacobian=None,
 ) -> FitResult:
     """Minimize ``sum(residual_fn(x)**2)`` from ``x0``.
 
@@ -74,7 +77,13 @@ def gauss_newton(
     max_iter : int
         Iteration limit.  Each iteration halves its step up to 30 times
         until the residual decreases, and the fit has converged once the
-        squared residual decreases by less than 1e-14 relative.
+        squared residual decreases by less than 1e-14 relative.  It has
+        also converged, with ``stop="floor"`` and no step tried, when the
+        decrease the linear model predicts, ``|J step|^2``, is below 1e-14
+        of the squared residual: what is left is rounding.
+    jacobian : callable, optional
+        Maps a parameter vector to the Jacobian of the residuals, shape
+        ``(residuals, parameters)``; central differences by default.
 
     Raises
     ------
@@ -100,13 +109,22 @@ def gauss_newton(
     jac = None
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        jac = _jacobian(residual_fn, x, n_res)
+        if jacobian is None:
+            jac = _jacobian(residual_fn, x, n_res)
+        else:
+            jac = np.asarray(jacobian(x), dtype=float)
         if not np.all(np.isfinite(jac)):
             raise DegenerateFitError("non-finite Jacobian")
-        sv = np.linalg.svd(jac, compute_uv=False)
+        u, sv, vt = np.linalg.svd(jac, full_matrices=False)
         if sv.size == 0 or sv[0] <= 0.0 or sv[-1] / sv[0] < 1e-12:
             raise DegenerateFitError("singular Jacobian, parameters not identifiable")
-        step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+        # the least-squares step from the SVD; |J step|^2 = |U^T r|^2
+        gain = u.T @ r
+        if float(np.dot(gain, gain)) < _TOL * current:
+            converged = True
+            stop = "floor"
+            break
+        step = -(vt.T @ (gain / sv))
 
         accepted = False
         scale = 1.0
@@ -124,7 +142,7 @@ def gauss_newton(
             scale *= 0.5
         trace.append(math.sqrt(current / n_res))
         if not accepted:
-            stop = "halvings"  # the step-halving floor, without improvement
+            stop = "halvings"  # no halving improved the residual
             break
         if improvement < _TOL or current < n_res * 1e-28:
             converged = True

@@ -13,9 +13,12 @@ pass instead of one matrix call per shot.  Shot columns only feed the draws,
 so a sampled value can change only where a draw lands within a few ulps of
 its probability.  Leading slices that points share under equal offsets, as a
 shorter train shares those of a longer one, are multiplied once.  Each
-point's result is bit-identical to simulating it alone.  :mod:`xtalk.pulses`
-builds the sequences, calls the kernel and reads each state, from the ground
-state, as its propagator's first column.  Whole 2x2 products are kept:
+point's result is bit-identical to simulating it alone.  A scan that only
+varies one value of a one-slice sequence (a calibration flop, dial or
+resonance scan) tiles that sequence's compiled slice instead of compiling
+every point, with the same table.  :mod:`xtalk.pulses` builds the sequences,
+calls the kernel and reads each state, from the ground state, as its
+propagator's first column.  Whole 2x2 products are kept:
 ``np.matmul`` on that column alone rounds differently (in most entries of
 random stacks, numpy 2.4) and would move the exactly compared ``stderr``
 outputs.
@@ -147,10 +150,59 @@ def _compile(seqs: list, ctx: CrosstalkContext):
 
     Returns every point's slices (see :func:`_grid`), point after point, as
     one table of shape ``(slices, _COLUMNS)``, and each point's slice count.
-    The spectator channel's term stays apart: the kernel moves its phase per
-    shot, then adds its orthogonal polarization in quadrature.
     """
-    start, end, point, lengths, (lit, amp, phase, det) = _grid(seqs)
+    start, end, _, lengths, channels = _grid(seqs)
+    return _table(start, end, channels, ctx), lengths
+
+
+def _compile_scan(seq, ctx: CrosstalkContext, varied: str, values: np.ndarray):
+    """:func:`_compile` of the scan that gives the one-slice sequence ``seq``
+    each of ``values`` in turn, without building those sequences.
+
+    ``varied`` names what a value sets: ``"duration"``, that of every
+    segment; ``"phase"``, the spectator channel's axis phase, added to
+    ``seq``'s own (so a value is the dial of a ``with_pcc`` template at dial
+    0); or ``"detuning"``, the target channel's.  The template's slice is
+    tiled and the value written into its channel columns, which then go
+    through the table formulas of :func:`_compile`, so the table is the
+    same, byte for byte.  Values are checked as ``PulseSegment`` checks
+    them, first bad value first.
+    """
+    start, end, _, _, channels = _grid([seq])
+    if len(start) != 1:
+        raise ValueError("a scan template must be one slice")
+    values = np.asarray(values, dtype=float)
+    n = len(values)
+    start, end = np.repeat(start, n), np.repeat(end, n)
+    lit, amp, phase, det = (np.repeat(c, n, axis=1) for c in channels)
+    if varied == "duration":
+        column = end = values
+    elif varied == "phase":
+        column = phase[SPECTATOR] = phase[SPECTATOR] + values
+    elif varied == "detuning":
+        column = det[TARGET] = values
+    else:
+        raise ValueError(f"unknown scanned value {varied!r}")
+    negative = column < 0.0 if varied == "duration" else np.zeros(n, dtype=bool)
+    bad = negative | ~np.isfinite(column)
+    if bad.any():
+        first = np.argmax(bad)
+        raise ValueError("duration must be >= 0" if negative[first] else f"{varied} must be finite")
+    # as in _grid: a duration within its merge tolerance of 0 makes no slice
+    keep = end - start > 1e-9 * np.maximum(end, 1e-300)
+    start, end, lit, amp, phase, det = (a[..., keep] for a in (start, end, lit, amp, phase, det))
+    lengths = keep.astype(int)
+    return _table(start, end, (lit, amp, phase, det), ctx), lengths
+
+
+def _table(start, end, channels, ctx: CrosstalkContext) -> np.ndarray:
+    """The slice table of slices from ``start`` to ``end`` through which
+    each channel (rows) runs ``channels``: whether a lit segment runs, its
+    amplitude, phase and detuning.  The spectator channel's term stays
+    apart: the kernel moves its phase per shot, then adds its orthogonal
+    polarization in quadrature.
+    """
+    lit, amp, phase, det = channels
     # per ion (rows), the other ion's channel arrives as crosstalk; x * 1.0,
     # x + -0.0 and x - 0.0 leave every x exact
     a_t = amp[TARGET] * np.array([[1.0], [ctx.f_ct]])
@@ -174,7 +226,7 @@ def _compile(seqs: list, ctx: CrosstalkContext):
     ions[3] = np.where(on_s, p * a_s, 0.0)
     ions[4] = np.where(on_s, phase[SPECTATOR], 0.0)
     ions[5] = np.where(on_s, q * a_s, 0.0)
-    return table, lengths
+    return table
 
 
 def _abs2(re, im) -> np.ndarray:
@@ -189,7 +241,7 @@ def _slice_propagators(table: np.ndarray, offsets: np.ndarray, ct_phase: float) 
     light leaves the qubit frame inertial, so it is an exact identity.
     """
     start, dur, *cols = np.moveaxis(table, -1, 0)
-    out = []
+    out = np.empty((2,) + np.broadcast_shapes(dur.shape, offsets.shape) + (2, 2), dtype=complex)
     for ion in (TARGET, SPECTATOR):
         det, fixed_re, fixed_im, amp, phase, quad = cols[_ION_COLUMNS * ion:][:_ION_COLUMNS]
         phase = phase + offsets + ct_phase if ion == TARGET else phase + offsets
@@ -214,8 +266,9 @@ def _slice_propagators(table: np.ndarray, offsets: np.ndarray, ct_phase: float) 
         half_angle = 0.5 * gen * dur
         c, s = np.cos(half_angle), np.sin(half_angle)
         sx, sy, sz = s * (om_re / gen), s * (om_im / gen), s * (-det / gen)
-        u = np.stack([c - 1.0j * sz, -sy - 1.0j * sx, sy - 1.0j * sx, c + 1.0j * sz], axis=-1)
-        u = u.reshape(u.shape[:-1] + (2, 2))
+        u = out[ion]
+        u[..., 0, 0], u[..., 0, 1] = c - 1.0j * sz, -sy - 1.0j * sx
+        u[..., 1, 0], u[..., 1, 1] = sy - 1.0j * sx, c + 1.0j * sz
         framed = ~dark & (det != 0.0)
         if framed.any():
             # a detuned drive keeps its phase reference: in the qubit frame
@@ -223,8 +276,7 @@ def _slice_propagators(table: np.ndarray, offsets: np.ndarray, ct_phase: float) 
             d, t0, t = (np.broadcast_to(a, framed.shape)[framed] for a in (det, start, dur))
             u[framed] = rz(d * (t0 + t)) @ u[framed] @ rz(-d * t0)
         u[dark] = IDENTITY
-        out.append(u)
-    return np.stack(out)
+    return out
 
 
 def _identities(points: int, width: int) -> np.ndarray:

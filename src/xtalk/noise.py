@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -41,13 +43,111 @@ SETTLE_TAUS = 40.0  # thermal time constants before the drift rate is read
 
 
 def rng(seed, *key) -> np.random.Generator:
-    """The random stream keyed on ``(seed, *key)``, each word modulo 2**64.
+    """The random stream keyed on ``(seed, *key)``, each word modulo 2**64:
+    ``default_rng(SeedSequence(words))``, bit for bit.
 
-    Every seeded draw in the package comes from here, so it never depends on
-    the order in which scan points are evaluated.
+    Every seeded draw in the package comes from here or from
+    :func:`_streams`, its many-key form, so it never depends on the order in
+    which scan points are evaluated.
     """
-    words = [int(w) & 0xFFFFFFFFFFFFFFFF for w in (seed, *key)]
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+    *prefix, last = (seed, *key)
+    return _streams(prefix, [last])[0]
+
+
+# numpy's SeedSequence (bit_generator.pyx): its hash constants, a pool of
+# four 32-bit words, and the words PCG64 asks of it, generate_state(4, uint64)
+_MASK32, _MASK64 = (1 << 32) - 1, (1 << 64) - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+# uint32 scalars: a Python int operand is converted on every array operation
+_MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+_POOL = 4
+_STATE_WORDS = 8
+
+
+@lru_cache(maxsize=None)
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    """``init * mult**k`` modulo 2**32 for ``k < n``, a read-only column;
+    computed as masked Python ints, as numpy scalars would warn on overflow."""
+    consts = np.array(list(accumulate(repeat(mult, n - 1), lambda c, m: c * m & _MASK32,
+                                      initial=init)), dtype=np.uint32)[:, None]
+    consts.flags.writeable = False
+    return consts
+
+
+_HASH_B = _hash_constants(_INIT_B, _MULT_B, _STATE_WORDS + 1)
+_OTHERS = [np.array([d for d in range(_POOL) if d != s]) for s in range(_POOL)]
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray, j: int) -> np.ndarray:
+    """hashmix of each row of ``value``, the rows taking the hash constants
+    of calls ``j, j + 1, ...``; uint32 arrays wrap silently."""
+    value = (value ^ consts[j:j + len(value)]) * consts[j + 1:j + 1 + len(value)]
+    return value ^ value >> _SHIFT
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * _MIX_L - y * _MIX_R
+    return r ^ r >> _SHIFT
+
+
+def _words(value) -> list:
+    """``value`` modulo 2**64 as SeedSequence splits it: 32-bit words, low first."""
+    value = int(value) & _MASK64
+    return [value & _MASK32, value >> 32] if value >> 32 else [value]
+
+
+@lru_cache(maxsize=1)
+def _seeded_type() -> type:
+    """An ``ISeedSequence`` that hands ``PCG64`` a precomputed
+    ``generate_state(4, uint64)``.  Made on first use: subclassing loads
+    ``numpy.random``, which importing the package does not."""
+
+    class Seeded(np.random.bit_generator.ISeedSequence):
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    return Seeded
+
+
+def _streams(prefix, keys) -> list:
+    """``rng(*prefix, key)`` for every key of ``keys``, bit for bit, keyed in
+    one pass: numpy's SeedSequence pool and ``generate_state(4, uint64)`` as
+    uint32 arithmetic over all keys of one word count at once."""
+    head = [w for p in prefix for w in _words(p)]
+    keyed = np.array([int(k) & _MASK64 for k in keys], dtype=np.uint64)
+    low, high = (keyed & _MASK32).astype(np.uint32), (keyed >> 32).astype(np.uint32)
+    out = [None] * len(keyed)
+    seeded = _seeded_type()
+    for where, tail in ((high == 0, (low,)), (high > 0, (low, high))):
+        idx = np.flatnonzero(where)
+        if not len(idx):
+            continue
+        entropy = np.empty((len(head) + len(tail), len(idx)), dtype=np.uint32)
+        entropy[:len(head)] = np.array(head, dtype=np.uint32)[:, None]
+        entropy[len(head):] = [t[idx] for t in tail]
+        # one hashmix call per pool word, per ordered pair of them, then per
+        # pool word and entropy word beyond the pool
+        consts = _hash_constants(_INIT_A, _MULT_A, _POOL * max(len(entropy), _POOL) + 1)
+        pool = np.zeros((_POOL, len(idx)), dtype=np.uint32)
+        pool[:len(entropy)] = entropy[:_POOL]
+        pool = _hashmix(pool, consts, 0)
+        j = _POOL
+        for src, others in enumerate(_OTHERS):
+            mixed = _hashmix(np.broadcast_to(pool[src], (len(others), len(idx))), consts, j)
+            pool[others] = _mix(pool[others], mixed)
+            j += len(others)
+        for word in entropy[_POOL:]:
+            pool = _mix(pool, _hashmix(np.broadcast_to(word, pool.shape), consts, j))
+            j += _POOL
+        words = _hashmix(pool[np.arange(_STATE_WORDS) % _POOL], _HASH_B, 0).astype(np.uint64)
+        # uint64 word k is 32-bit words 2k (low) and 2k + 1, per key
+        state = np.ascontiguousarray((words[0::2] | words[1::2] << 32).T)
+        for i, s in zip(idx.tolist(), state):
+            out[i] = np.random.Generator(np.random.PCG64(seeded(s)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -104,6 +204,12 @@ def sample_slow_drift(
 
     Deterministic for a fixed ``(seed, dt, duration)``.
     """
+    return _drift_traces(process, duration_min, dt_min, [seed])[0]
+
+
+def _drift_traces(process: DriftProcess, duration_min: float, dt_min: float, seeds) -> list:
+    """:func:`sample_slow_drift` for each of ``seeds``, their streams keyed
+    in one pass."""
     if dt_min <= 0.0:
         raise ValueError("dt_min must be > 0")
     if duration_min < 0.0:
@@ -111,10 +217,11 @@ def sample_slow_drift(
     n_steps = int(round(duration_min / dt_min))
     t = np.arange(n_steps + 1) * dt_min
     trace = process.linear_rate * t
-    if process.walk_sigma > 0.0 and n_steps > 0:
-        steps = rng(seed).normal(0.0, math.sqrt(process.diffusion * dt_min), size=n_steps)
-        trace = trace + np.concatenate([[0.0], np.cumsum(steps)])
-    return trace
+    if not (process.walk_sigma > 0.0 and n_steps > 0):
+        return [trace.copy() for _ in seeds]
+    sigma = math.sqrt(process.diffusion * dt_min)
+    return [trace + np.concatenate([[0.0], np.cumsum(stream.normal(0.0, sigma, size=n_steps))])
+            for stream in _streams([], seeds)]
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,12 @@ frame so that off-resonant light also produces the physical phase shifts.
 Simulation runs in one kernel, :mod:`xtalk.kernel`.  :func:`simulate_scan`
 evolves both ions from the ground state through one sequence per scan
 point in one kernel call; :func:`sequence_unitaries` returns one sequence's
-gate per ion, for any other initial state (``dynamics.apply``).  Trains are
-built by :func:`pi_trains`: the shorter ones are prefixes of the longest,
-whose shared slices the kernel multiplies once.
+gate per ion, for any other initial state (``dynamics.apply``).  A scan that
+varies only a duration, the tone's dial or the target detuning of one
+square pulse compiles that pulse once and tiles it (``_template_scan``,
+which :mod:`xtalk.calibrate` uses).  Trains are built by :func:`pi_trains`:
+the shorter ones are prefixes of the longest, whose shared slices the kernel
+multiplies once.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ import numpy as np
 from .dynamics import check_states
 from .errors import ChannelConflictError
 from .field import CompensationSetting, CrosstalkContext
-from .kernel import SPECTATOR, TARGET, _abs2, _compile, _propagate
-from .noise import rng
+from .kernel import SPECTATOR, TARGET, _abs2, _compile, _compile_scan, _propagate
+from .noise import _streams
 
 __all__ = [
     "TARGET",
@@ -332,28 +335,57 @@ def simulate_scan(
     :class:`SimulationResult` with a leading point axis.  A drive amplitude
     scale goes into the sequences (:func:`scaled`).
     """
+    seqs = list(seqs)
+    plan = _shot_plan(len(seqs), shots, point_indices, phase_noise)
+    return _evaluate(*_compile(seqs, ctx), ctx, shots, seed, *plan)
+
+
+def _template_scan(
+    seq: PulseSequence,
+    varied: str,
+    values,
+    ctx: CrosstalkContext,
+    shots: int | None = None,
+    seed: int | None = None,
+    point_indices=None,
+    phase_noise=None,
+) -> SimulationResult:
+    """:func:`simulate_scan` of the sequences that give the one-slice ``seq``
+    each of ``values`` as its ``varied`` value (see ``kernel._compile_scan``),
+    without building them: the same result, bit for bit."""
+    values = np.asarray(values, dtype=float)
+    plan = _shot_plan(len(values), shots, point_indices, phase_noise)
+    return _evaluate(*_compile_scan(seq, ctx, varied, values), ctx, shots, seed, *plan)
+
+
+def _shot_plan(n: int, shots, point_indices, phase_noise):
+    """Checks the shot arguments of an ``n``-point scan.  Returns each
+    point's spectator phase offsets, column 0 the noiseless evolution and
+    then one per shot of a ``phase_noise`` row, and its stream key."""
     if shots is None and phase_noise is not None:
         raise ValueError("phase_noise needs shots")
     if shots is not None and shots < 1:
         raise ValueError("shots must be >= 1")
-    seqs = list(seqs)
-    n = len(seqs)
     keys = list(range(n) if point_indices is None else point_indices)
     if len(keys) != n:
         raise ValueError("point_indices must hold one key per point")
     noisy = phase_noise is not None
     if noisy and len(phase_noise) != n:
         raise ValueError("phase_noise must hold one row per point")
-    # column 0 is the noiseless evolution, then one column per shot
     offsets = np.zeros((n, 1 + shots if noisy else 1))
     if noisy:
         for row, noise in zip(offsets, phase_noise):
             if np.size(noise) < shots:
                 raise ValueError("phase_noise must provide one offset per shot")
             row[1:] = np.asarray(noise, dtype=float)[:shots]
-    table, lengths = _compile(seqs, ctx)
-    streams = [] if shots is None else [rng(0 if seed is None else seed, k) for k in keys]
+    return offsets, keys
 
+
+def _evaluate(table, lengths, ctx: CrosstalkContext, shots, seed, offsets, keys) -> SimulationResult:
+    """The scan result of a compiled table, sampled as :func:`simulate_scan`
+    describes."""
+    n, noisy = len(lengths), offsets.shape[1] > 1
+    streams = [] if shots is None else _streams([0 if seed is None else seed], keys)
     amplitudes = np.empty((n, 2, 2), dtype=complex)
     sampled = None if shots is None else np.empty((n, 2))
     for i, u in enumerate(_propagate(table, lengths, offsets, ctx.ct_phase)):

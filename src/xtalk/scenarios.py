@@ -28,8 +28,9 @@ from .noise import (
     DRIFT_PRESETS,
     DEFAULT_MATCH_ERROR,
     duty_cycle_drift_rate,
-    rng,
     sample_slow_drift,
+    _drift_traces,
+    _streams,
 )
 from .optics import BeamProfile, clipped_focus_profile, gaussian_intensity
 from .pulses import (
@@ -43,6 +44,7 @@ from .pulses import (
     scaled,
     simulate_scan,
     with_pcc,
+    _template_scan,
 )
 from .schema import resolve
 
@@ -175,19 +177,22 @@ def _binomial_stderr(p, shots: int):
     return np.sqrt(np.maximum(p * (1.0 - p), 0.0) / shots)
 
 
-def _sweep(cfg: ScenarioConfig, x, seqs, channel: int = SPECTATOR) -> ScanResult:
+def _sweep(cfg: ScenarioConfig, x, seqs, channel: int = SPECTATOR, varied=None) -> ScanResult:
     """One kernel call over the scan points: per point the population of
     ``channel``, its shot estimate and binomial error.  A ``noise`` block's
-    drift offsets the spectator channel per shot."""
+    drift offsets the spectator channel per shot.  With ``varied``, ``seqs``
+    is one one-slice template whose ``varied`` value takes each ``x``."""
     phase_noise = None
     if cfg.noise is not None:
         process = DRIFT_PRESETS[cfg.noise["preset"]]()
         dt = cfg.noise["shot_interval_min"]
-        phase_noise = [sample_slow_drift(process, dt * cfg.shots, dt,
-                                         seed=(cfg.seed + 7919) * 65537 + i)[1:]
-                       for i in range(len(x))]
-    res = simulate_scan(seqs, cfg.context, shots=cfg.shots, seed=cfg.seed,
-                        phase_noise=phase_noise)
+        seeds = [(cfg.seed + 7919) * 65537 + i for i in range(len(x))]
+        phase_noise = [trace[1:] for trace in _drift_traces(process, dt * cfg.shots, dt, seeds)]
+    sampling = {"shots": cfg.shots, "seed": cfg.seed, "phase_noise": phase_noise}
+    if varied is None:
+        res = simulate_scan(seqs, cfg.context, **sampling)
+    else:
+        res = _template_scan(seqs, varied, x, cfg.context, **sampling)
     mean = res.populations[:, channel]
     return _result(cfg, x, mean, res.sampled[:, channel], _binomial_stderr(mean, cfg.shots))
 
@@ -229,8 +234,8 @@ def run_phase_scan(cfg: ScenarioConfig) -> ScanResult:
     duration = 2.0 * cfg.scan["n_periods"] * ctx.t_pi_ct
     dials = np.arange(points) * (2.0 * math.pi / points)
     base = PulseSequence((ChannelPulse(TARGET, (PulseSegment(ctx.omega_0, 0.0, 0.0, duration),)),))
-    seqs = (with_pcc(base, ctx, CompensationSetting(cfg.setting.f_comp, d)) for d in dials)
-    return _sweep(cfg, dials, seqs)
+    template = with_pcc(base, ctx, CompensationSetting(cfg.setting.f_comp, 0.0))
+    return _sweep(cfg, dials, template, varied="phase")
 
 
 def run_rabi_scan(cfg: ScenarioConfig) -> ScanResult:
@@ -263,10 +268,9 @@ def run_drift_monitor(cfg: ScenarioConfig) -> ScanResult:
     trace = sample_slow_drift(process, cfg.scan["duration_min"], dt, seed=cfg.seed)
     times = np.arange(len(trace)) * dt
     rows = []
-    for i, phi in enumerate(trace):
-        phi = float(phi)
+    for phi, stream in zip(trace.tolist(), _streams([cfg.seed], range(len(trace)))):
         p_true = 0.5 * (1.0 - math.cos(phi))
-        p_hat = float(rng(cfg.seed, i).binomial(cfg.shots, min(max(p_true, 0.0), 1.0))) / cfg.shots
+        p_hat = float(stream.binomial(cfg.shots, min(max(p_true, 0.0), 1.0))) / cfg.shots
         phi_hat = math.acos(min(max(1.0 - 2.0 * p_hat, -1.0), 1.0))
         sigma_p = _binomial_stderr(p_hat, cfg.shots)
         slope = 2.0 / max(math.sin(phi_hat), 1e-3)

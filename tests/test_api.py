@@ -51,7 +51,7 @@ OPTIONAL_PARAMETERS = {
     "field.pi_pulse_error": ["f_comp", "delta_phi"],
     "field.best_compensation": ["pol_overlap"],
     "fitting.FitResult": ["residual_trace", "covariance"],
-    "fitting.gauss_newton": ["bounds", "max_iter"],
+    "fitting.gauss_newton": ["bounds", "max_iter", "jacobian"],
     "noise.DriftProcess": ["walk_window", "preset"],
     "noise.AomModel": ["center_mhz", "efficiency_width_mhz", "absorption_width_mhz",
                        "thermal_coeff", "thermal_tau", "max_rf_power"],

@@ -175,6 +175,69 @@ class TestCalibratePhase:
             np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
 
 
+def _fits(monkeypatch, run):
+    """Each ``(residual, jacobian, fitted parameters)`` that ``run`` fits."""
+    from xtalk import calibrate
+
+    fits, real = [], calibrate.gauss_newton
+
+    def fit(residual, *args, **kwargs):
+        result = real(residual, *args, **kwargs)
+        fits.append((residual, kwargs["jacobian"], result.params))
+        return result
+
+    monkeypatch.setattr(calibrate, "gauss_newton", fit)
+    run()
+    return fits
+
+
+def _assert_jacobian_matches_differences(residual, jacobian, x):
+    from xtalk.fitting import _jacobian
+
+    analytic = jacobian(x)
+    numeric = _jacobian(residual, x, len(residual(x)))
+    assert analytic.shape == numeric.shape
+    for got, expected in zip(analytic.T, numeric.T):
+        np.testing.assert_allclose(got, expected, rtol=1e-6, atol=1e-6 * np.abs(expected).max())
+
+
+class TestAnalyticJacobians:
+    CTX = CrosstalkContext(omega_0=OMEGA, f_ct=0.096, delta_ct=0.02 * OMEGA, ct_phase=1.1,
+                           stark_shift=2 * math.pi * 4e3)
+
+    @pytest.mark.parametrize("stage", ["pi-time", "amplitude", "stark"])
+    def test_flop_and_lineshape_match_differences(self, monkeypatch, stage):
+        ctx = self.CTX
+        run = {"pi-time": lambda: measure_pi_time(ctx, shots=200, seed=3),
+               "amplitude": lambda: calibrate_amplitude(ctx, ctx.t_pi_ct, shots=200, seed=3),
+               "stark": lambda: calibrate_stark_shift(ctx, shots=200, seed=3)}[stage]
+        rng = np.random.default_rng(11)
+        for residual, jacobian, fitted in _fits(monkeypatch, run):
+            _assert_jacobian_matches_differences(residual, jacobian, fitted)
+            for _ in range(5):
+                # a in [0.5, 1.4]; the rate or line center within 30% of the fit
+                x = fitted * np.array([1.0, rng.uniform(0.7, 1.3)])
+                x[0] = rng.uniform(0.5, 1.4)
+                _assert_jacobian_matches_differences(residual, jacobian, x)
+
+    @pytest.mark.parametrize("pol_overlap", [1.0, 0.8])
+    def test_phase_model_matches_differences(self, monkeypatch, pol_overlap):
+        ctx = CrosstalkContext(omega_0=OMEGA, f_ct=0.096, pol_overlap=pol_overlap, ct_phase=2.1)
+        points = 40
+        [(residual, jacobian, fitted)] = _fits(
+            monkeypatch, lambda: calibrate_phase(ctx, 1.0, n_periods=2, shots=200, seed=5,
+                                                 points=points))
+        dials = np.arange(points) * (2.0 * math.pi / points)
+        rng = np.random.default_rng(12)
+        trials = [fitted] + [np.array([rng.uniform(0.5, 1.4), rng.uniform(0.6, 1.4),
+                                       rng.uniform(-6.0, 6.0)]) for _ in range(5)]
+        # a dial at the cancellation point: at pol_overlap 1 the magnitude
+        # there is at its rounding floor, about 1e-16
+        trials.append(np.array([1.1, 0.9, dials[13] - math.pi]))
+        for x in trials:
+            _assert_jacobian_matches_differences(residual, jacobian, x)
+
+
 class TestCalibrateStarkShift:
     def test_zero_shift(self):
         shift = calibrate_stark_shift(CTX, shots=None)
@@ -343,7 +406,7 @@ class TestFullChain:
         for stage in stages:
             assert set(stage) == {"iterations", "converged", "stop", "residual_rms",
                                   "residual_trace"}
-            assert stage["stop"] in ("tol", "exact", "halvings", "max_iter")
+            assert stage["stop"] in ("tol", "exact", "floor", "halvings", "max_iter")
         save_result(result, tmp_path / "cal.json", diagnostics=diag)
         side = json.loads((tmp_path / "cal.diag.json").read_text(encoding="utf-8"))
         assert side == json.loads(json.dumps(diag))

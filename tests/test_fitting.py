@@ -97,22 +97,34 @@ def test_diagnostics_shape():
     assert diag["converged"]
 
 
-def _line(slope, noise=0.0):
+def _line(slope):
     xs = np.linspace(0.0, 1.0, 20)
-    data = slope * xs + noise * np.cos(7.0 * xs)
+    data = slope * xs
     return lambda p: p[0] * xs + p[1] - data
+
+
+def _wide_sinusoid():
+    # a large residual: Gauss-Newton converges linearly, and its last step
+    # gains under 1e-14 of the squared residual while the linear model
+    # still promised more
+    xs = np.linspace(0.0, 2.0 * math.pi, 30)
+    data = 0.9 * np.sin(2.3 * xs) ** 2 + np.cos(7.0 * xs)
+    return lambda p: p[0] * np.sin(p[1] * xs) ** 2 - data
 
 
 @pytest.mark.parametrize(
     "residual, x0, max_iter, stop, converged",
     [
-        (_line(2.0, noise=0.1), [0.0, 0.0], 60, "tol", True),
+        (_wide_sinusoid(), [1.0, 2.0], 60, "tol", True),
         (_line(2.0), [0.0, 0.0], 60, "exact", True),
-        # already at the least-squares minimum: no halving improves on it
-        (lambda p: np.array([p[0] - 1.0, p[0] + 1.0]), [0.0], 60, "halvings", False),
+        # already at the least-squares minimum: the linear model predicts
+        # no decrease, so no step is tried
+        (lambda p: np.array([p[0] - 1.0, p[0] + 1.0]), [0.0], 60, "floor", True),
+        # just off a kink the differences promise a decrease no halving finds
+        (lambda p: np.abs(p) + 1.0, [1e-9], 60, "halvings", False),
         (lambda p: np.exp(p) - np.array([2.0, 3.0]), [3.0], 1, "max_iter", False),
     ],
-    ids=["tol", "exact", "halvings", "max_iter"],
+    ids=["tol", "exact", "floor", "halvings", "max_iter"],
 )
 def test_reports_why_it_stopped(residual, x0, max_iter, stop, converged):
     fit = gauss_newton(residual, np.array(x0), max_iter=max_iter)

@@ -32,6 +32,34 @@ def test_rng_is_the_seed_sequence_stream(key):
     assert np.array_equal(rng(*key).random(16), reference)
 
 
+def _seed_sequence_stream(*words):
+    return np.random.default_rng(np.random.SeedSequence([w & 0xFFFFFFFFFFFFFFFF for w in words]))
+
+
+@pytest.mark.parametrize("prefix", [
+    (0,), (12345,), (2**64 + 17,), (-1,), (),
+    # more than the four pool words: the entropy beyond the pool mixes in
+    (2**40, 7, 2**63, 5),
+], ids=["zero", "small", "past-64-bits", "minus-one", "no-seed", "long"])
+def test_streams_key_each_point_as_seed_sequence(prefix):
+    from xtalk.noise import _streams
+
+    # one and two 32-bit words in one call, each modulo 2**64
+    keys = [0, 1, 2**32, 2**64 + 5, -1, 2**32 - 1, np.int64(9), 2**33 + 7]
+    streams = _streams(prefix, keys)
+    assert len(streams) == len(keys)
+    for stream, key in zip(streams, keys):
+        reference = _seed_sequence_stream(*prefix, int(key))
+        assert stream.bit_generator.state == reference.bit_generator.state
+        assert np.array_equal(stream.random(8), reference.random(8))
+
+
+def test_streams_of_no_keys():
+    from xtalk.noise import _streams
+
+    assert _streams([3], []) == []
+
+
 class TestSlowDrift:
     def test_zero_process_is_flat(self):
         p = DriftProcess(linear_rate=0.0, walk_sigma=0.0)

@@ -754,3 +754,81 @@ class TestKernel:
         ctx = CrosstalkContext(omega_0=1e300, f_ct=0.096)
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="must be finite"):
             simulate_scan([square_pi(1e300)], ctx)
+
+
+def _template_cases(ctx):
+    """(template, varied, values, unrolled sequences) per calibration scan."""
+    t_pi = ctx.t_pi_ct
+
+    def drive(channel, amp, det, t, phase=0.0):
+        return PulseSequence((ChannelPulse(channel, (PulseSegment(amp, phase, det, t),)),))
+
+    # 0 and a duration below the merge tolerance make no slice
+    durations = np.concatenate([[0.0, 1e-320], np.linspace(0.0, 2.0 * t_pi, 21)[1:]])
+    comp = 0.9 * ctx.f_ct * OMEGA
+    dials = np.arange(40) * (2.0 * math.pi / 40)
+    base = drive(TARGET, OMEGA, 0.0, 4.0 * t_pi, 0.4)  # the tone's phase is 0.4 + dial
+    detunings = np.linspace(-1.5 * OMEGA, 1.5 * OMEGA, 61) - ctx.stark_shift
+    return [
+        (drive(TARGET, OMEGA, 0.0, t_pi), "duration", durations,
+         [drive(TARGET, OMEGA, 0.0, t) for t in durations]),
+        (drive(SPECTATOR, comp, ctx.delta_ct, t_pi), "duration", durations,
+         [drive(SPECTATOR, comp, ctx.delta_ct, t) for t in durations]),
+        (with_pcc(base, ctx, CompensationSetting(0.97, 0.0)), "phase", dials,
+         [with_pcc(base, ctx, CompensationSetting(0.97, d)) for d in dials]),
+        (drive(TARGET, OMEGA, 0.0, math.pi / OMEGA, 0.4), "detuning", detunings,
+         [drive(TARGET, OMEGA, d, math.pi / OMEGA, 0.4) for d in detunings]),
+    ]
+
+
+class TestTemplateScans:
+    CTX = CrosstalkContext(omega_0=OMEGA, f_ct=0.096, delta_ct=0.05 * OMEGA, pol_overlap=0.8,
+                           ct_phase=0.7, stark_shift=2 * math.pi * 3e3)
+
+    @pytest.mark.parametrize("case", range(4), ids=["target-flop", "spectator-flop", "phase",
+                                                    "stark"])
+    def test_table_is_the_unrolled_table(self, case):
+        from xtalk.kernel import _compile, _compile_scan
+
+        template, varied, values, seqs = _template_cases(self.CTX)[case]
+        table, lengths = _compile_scan(template, self.CTX, varied, values)
+        ref_table, ref_lengths = _compile(seqs, self.CTX)
+        assert np.array_equal(lengths, ref_lengths)
+        assert table.tobytes() == ref_table.tobytes()
+
+    @pytest.mark.parametrize("case", range(4), ids=["target-flop", "spectator-flop", "phase",
+                                                    "stark"])
+    def test_scan_is_the_unrolled_scan(self, case):
+        from xtalk.pulses import _template_scan
+
+        template, varied, values, seqs = _template_cases(self.CTX)[case]
+        keys = list(range(7, 7 + len(seqs)))
+        noise = np.random.default_rng(case).normal(0.0, 0.2, size=(len(seqs), 30))
+        for kwargs in ({}, {"shots": 200, "seed": 3, "point_indices": keys},
+                       {"shots": 30, "seed": 4, "phase_noise": noise}):
+            got = _template_scan(template, varied, values, self.CTX, **kwargs)
+            ref = simulate_scan(seqs, self.CTX, **kwargs)
+            for a, b in zip((got.amplitudes, got.populations, got.sampled),
+                            (ref.amplitudes, ref.populations, ref.sampled)):
+                assert (a is None and b is None) or np.array_equal(a, b)
+
+    @pytest.mark.parametrize("varied, bad", [
+        ("duration", -1e-9), ("duration", math.nan), ("duration", -math.inf),
+        ("duration", math.inf), ("phase", math.nan), ("phase", -math.inf),
+        ("detuning", math.nan), ("detuning", math.inf),
+    ])
+    def test_values_are_checked_as_segments(self, varied, bad):
+        from xtalk.kernel import _compile_scan
+
+        # the first bad value decides, as it would building the sequences
+        with pytest.raises(ValueError) as segment:
+            PulseSegment(**{"amplitude": OMEGA, "phase": 0.0, "detuning": 0.0,
+                            "duration": 1e-6, varied: bad})
+        with pytest.raises(ValueError, match=f"^{segment.value}$"):
+            _compile_scan(square_pi(OMEGA), CTX, varied, [1e-6, bad, -1.0])
+
+    def test_template_must_be_one_slice(self):
+        from xtalk.kernel import _compile_scan
+
+        with pytest.raises(ValueError, match="one slice"):
+            _compile_scan(sk1(math.pi, 0.0, OMEGA), CTX, "phase", [0.0, 1.0])
