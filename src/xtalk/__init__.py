@@ -46,7 +46,6 @@ from .calibrate import (
 )
 from .noise import (
     AomModel,
-    BeatnoteSetup,
     DriftProcess,
     DutyCycleState,
     beatnote_phase_measurement,

@@ -35,6 +35,7 @@ from .pulses import (
     pi_trains,
     simulate_scan,
     with_pcc,
+    _target_drive,
     _template_scan,
 )
 
@@ -138,11 +139,6 @@ def _measure(seq, varied, values, ctx, shots, seed, keys, channel=SPECTATOR) -> 
     idx = [next(keys) for _ in values]
     scan = _template_scan(seq, varied, values, ctx, shots=shots, seed=seed, point_indices=idx)
     return scan.sampled[:, channel]
-
-
-def _target_drive(omega_0: float, duration: float) -> PulseSequence:
-    seg = PulseSegment(omega_0, 0.0, 0.0, duration)
-    return PulseSequence((ChannelPulse(TARGET, (seg,)),))
 
 
 def _compensation_drive(ctx: CrosstalkContext, f_comp: float, duration: float) -> PulseSequence:

@@ -48,10 +48,6 @@ class QubitState:
         return cls(1.0 + 0.0j, 0.0j)
 
     @classmethod
-    def excited(cls) -> "QubitState":
-        return cls(0.0j, 1.0 + 0.0j)
-
-    @classmethod
     def normalized(cls, c0: complex, c1: complex) -> "QubitState":
         n = math.hypot(abs(c0), abs(c1))
         if n == 0.0:

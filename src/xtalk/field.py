@@ -50,11 +50,6 @@ class CompensationSetting:
             raise ValueError("delta_phi must be finite")
         object.__setattr__(self, "delta_phi", _wrap_2pi(self.delta_phi))
 
-    @property
-    def phase_offset(self) -> float:
-        """Deviation of the phase from the optimal value pi."""
-        return self.delta_phi - math.pi
-
 
 @dataclass(frozen=True)
 class CrosstalkContext:

@@ -21,7 +21,6 @@ __all__ = [
     "DriftProcess",
     "AomModel",
     "DutyCycleState",
-    "BeatnoteSetup",
     "sample_slow_drift",
     "diffraction_efficiency",
     "rf_absorption",
@@ -288,7 +287,6 @@ class DutyCycleState:
 
     filtered_power: tuple = (0.0, 0.0)  # W, low-passed absorbed power per channel
     phase: float = 0.0  # rad, accumulated differential phase
-    time: float = 0.0  # s
 
     def __post_init__(self):
         if len(self.filtered_power) != 2 or any(p < 0.0 for p in self.filtered_power):
@@ -332,7 +330,6 @@ def step_duty_cycle(state: DutyCycleState, model: AomModel, loads, dt: float) ->
     return DutyCycleState(
         filtered_power=new_power,
         phase=state.phase + model.thermal_coeff * integral,
-        time=state.time + dt,
     )
 
 
@@ -373,32 +370,14 @@ def duty_cycle_drift_rate(
     return probe.phase - state.phase
 
 
-@dataclass(frozen=True)
-class BeatnoteSetup:
-    """Dual-tone beatnote phase detector configuration."""
-
-    f1_mhz: float = 150.0
-    f2_mhz: float = 152.0
-    probe_duration_s: float = 100e-6
-
-    def __post_init__(self):
-        if self.f2_mhz <= self.f1_mhz:
-            raise ValueError("f2 must exceed f1")
-
-    @property
-    def delta_f_mhz(self) -> float:
-        return self.f2_mhz - self.f1_mhz
-
-
 def wrap_phase(phi: float) -> float:
     """Wrap a phase to (-pi, pi]."""
     return -((-phi + math.pi) % (2.0 * math.pi) - math.pi)
 
 
-def beatnote_phase_measurement(
-    setup: BeatnoteSetup, true_phase: float, noise_sigma: float = 0.0, seed: int = 0
-) -> float:
-    """One phase-detector reading: true phase plus Gaussian noise, wrapped to (-pi, pi]."""
+def beatnote_phase_measurement(true_phase: float, noise_sigma: float = 0.0, seed: int = 0) -> float:
+    """One beatnote phase-detector reading: true phase plus Gaussian noise,
+    wrapped to (-pi, pi]."""
     if noise_sigma < 0.0:
         raise ValueError("noise_sigma must be >= 0")
     phi = float(true_phase)

@@ -27,16 +27,13 @@ __all__ = [
     "load_device_map_csv",
 ]
 
-DEFAULT_WAVELENGTH_NM = 729.0
-DEFAULT_NA = 0.35
 DEFAULT_WAIST_UM = 1.6
 DEFAULT_PITCH_UM = 5.0
 DEFAULT_CORES = 11
 # nearest-neighbor field leakage giving ~1e-2 intensity crosstalk at one pitch
 DEFAULT_LEAK = 0.1
-# the device maps' cores, centered on 0
-_CORE_POSITIONS = tuple(DEFAULT_PITCH_UM * (i - (DEFAULT_CORES - 1) / 2.0)
-                        for i in range(DEFAULT_CORES))
+# center to last core of the array, which the device maps' grids span
+_ARRAY_HALF_WIDTH_UM = DEFAULT_PITCH_UM * (DEFAULT_CORES - 1) / 2.0
 QUADRATURE_RTOL = 1e-6  # intensity change, relative to the peak, that ends refinement
 
 
@@ -136,86 +133,61 @@ def clipped_focus_profile(
 
 @dataclass(frozen=True)
 class BeamProfile:
-    """Per-core field maps of the addressing device on a common 1-D grid.
+    """Device crosstalk map: the field across the ion plane of the driven core.
 
-    ``fields[i, :]`` is the real field amplitude across the ion plane when
-    core ``i`` alone is driven, normalized to 1 at its own core position.
+    The addressing device is an array of ``DEFAULT_CORES`` cores
+    ``DEFAULT_PITCH_UM`` apart, centered on 0; ``grid_um`` spans that whole
+    array.  Only the middle core, at 0, is driven, and only its field is
+    kept: ``field`` is its real amplitude on ``grid_um``, normalized to 1 at 0.
     """
 
-    core_positions_um: tuple
     grid_um: np.ndarray
-    fields: np.ndarray
-    wavelength_nm: float = DEFAULT_WAVELENGTH_NM
-    na: float = DEFAULT_NA
-    waist_um: float = DEFAULT_WAIST_UM
-    pitch_um: float = DEFAULT_PITCH_UM
+    field: np.ndarray
 
     def __post_init__(self):
         grid = np.asarray(self.grid_um, dtype=float)
         if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0.0):
             raise ValueError("grid must be strictly increasing")
-        if self.pitch_um <= 0.0:
-            raise ValueError("pitch must be > 0")
-        fields = np.asarray(self.fields, dtype=float)
-        if fields.shape != (len(self.core_positions_um), grid.size):
-            raise ValueError("fields must have shape (n_cores, n_grid)")
+        field = np.asarray(self.field, dtype=float)
+        if field.shape != grid.shape:
+            raise ValueError("field must be sampled on the grid")
         object.__setattr__(self, "grid_um", grid)
-        object.__setattr__(self, "fields", fields)
+        object.__setattr__(self, "field", field)
 
     @classmethod
-    def default(
-        cls,
-        waist_um: float = DEFAULT_WAIST_UM,
-        wavelength_nm: float = DEFAULT_WAVELENGTH_NM,
-        na: float = DEFAULT_NA,
-    ) -> "BeamProfile":
-        """Parametric device map: ``DEFAULT_CORES`` Gaussian modes
-        ``DEFAULT_PITCH_UM`` apart plus ``DEFAULT_LEAK`` nearest-neighbor
-        field leakage, on 2001 points out to four waists past the last core."""
-        positions = _CORE_POSITIONS
-        span = positions[-1] + 4.0 * waist_um
+    def default(cls, waist_um: float = DEFAULT_WAIST_UM) -> "BeamProfile":
+        """Parametric map: a Gaussian mode at 0 plus ``DEFAULT_LEAK`` field
+        leakage from each neighbor core, on 2001 points out to four waists
+        past the last core."""
+        span = _ARRAY_HALF_WIDTH_UM + 4.0 * waist_um
         grid = np.linspace(-span, span, 2001)
 
         def mode(center):
             return np.exp(-(((grid - center) / waist_um) ** 2))
 
-        fields = np.zeros((DEFAULT_CORES, grid.size))
-        for i, x0 in enumerate(positions):
-            f = mode(x0)
-            if i > 0:
-                f = f + DEFAULT_LEAK * mode(positions[i - 1])
-            if i < DEFAULT_CORES - 1:
-                f = f + DEFAULT_LEAK * mode(positions[i + 1])
-            fields[i] = f / np.interp(x0, grid, f)
-        return cls(positions, grid, fields, wavelength_nm, na, waist_um)
+        f = mode(0.0) + DEFAULT_LEAK * mode(-DEFAULT_PITCH_UM)
+        f = f + DEFAULT_LEAK * mode(DEFAULT_PITCH_UM)
+        return cls(grid, f / np.interp(0.0, grid, f))
 
     @classmethod
-    def from_csv(cls, path, **kwargs) -> "BeamProfile":
-        """Build the per-core maps from a measured single-core profile.
-
-        The CSV holds the field of one driven core centered at 0; each of the
-        ``DEFAULT_CORES`` cores, ``DEFAULT_PITCH_UM`` apart, gets the same
-        profile shifted to its position.
-        """
+    def from_csv(cls, path) -> "BeamProfile":
+        """The map of a measured profile: the CSV holds the field of the
+        driven core centered at 0, zero beyond its rows; the grid reaches as
+        far past the last core as the CSV reaches past 0."""
         pos, rel = load_device_map_csv(path)
-        span = _CORE_POSITIONS[-1] + float(np.max(np.abs(pos)))
+        span = _ARRAY_HALF_WIDTH_UM + float(np.max(np.abs(pos)))
         grid = np.linspace(-span, span, 2001)
-        fields = np.zeros((DEFAULT_CORES, grid.size))
-        for i, x0 in enumerate(_CORE_POSITIONS):
-            f = np.interp(grid - x0, pos, rel, left=0.0, right=0.0)
-            center = np.interp(0.0, pos, rel)
-            if center == 0.0:
-                raise ValueError("device map has zero field at the driven core")
-            fields[i] = f / center
-        # the pitch is fixed: a pitch_um keyword raises instead of disagreeing
-        return cls(_CORE_POSITIONS, grid, fields, pitch_um=DEFAULT_PITCH_UM, **kwargs)
+        center = np.interp(0.0, pos, rel)
+        if center == 0.0:
+            raise ValueError("device map has zero field at the driven core")
+        return cls(grid, np.interp(grid, pos, rel, left=0.0, right=0.0) / center)
 
-    def device_field(self, core: int, x_um: float) -> float:
-        """Field amplitude at ``x_um`` when core ``core`` is driven."""
+    def device_field(self, x_um: float) -> float:
+        """Field amplitude at ``x_um`` when the middle core is driven."""
         grid = self.grid_um
         if not (grid[0] <= x_um <= grid[-1]):
             raise OutOfRangeError(f"position {x_um} um outside device map grid")
-        return float(np.interp(x_um, grid, self.fields[core]))
+        return float(np.interp(x_um, grid, self.field))
 
 
 @dataclass(frozen=True)
@@ -227,7 +199,6 @@ class CrosstalkEstimate:
     incoherent_intensity_ratio: float
     device_amplitude: float
     diffraction_amplitude: float
-    relative_phase: float
 
 
 def total_crosstalk_ratio(
@@ -238,7 +209,7 @@ def total_crosstalk_ratio(
     relative_phase: float = 0.0,
 ) -> CrosstalkEstimate:
     """Crosstalk intensity and Rabi ratio at a given separation from the
-    middle core.
+    driven core.
 
     The device field (from the waveguide map) and the diffraction field (from
     the clipped-focus profile, normalized to peak 1 on ``profile.grid_um``)
@@ -248,16 +219,13 @@ def total_crosstalk_ratio(
     ``rabi_ratio`` is ``pol_overlap * sqrt(intensity_ratio)``.
     """
     diff = np.asarray(diffraction_intensity, dtype=float)
-    if diff.shape != profile.grid_um.shape:
-        raise ValueError("diffraction intensity must be sampled on the profile grid")
-    core = len(profile.core_positions_um) // 2
-    x0 = profile.core_positions_um[core]
-    x = x0 + separation_um
     grid = profile.grid_um
-    if not (grid[0] <= x <= grid[-1]):
+    if diff.shape != grid.shape:
+        raise ValueError("diffraction intensity must be sampled on the profile grid")
+    if not (grid[0] <= separation_um <= grid[-1]):
         raise OutOfRangeError(f"separation {separation_um} um outside the grid")
-    a_dev = abs(profile.device_field(core, x))
-    a_diff = math.sqrt(max(float(np.interp(x - x0, grid, diff)), 0.0))
+    a_dev = abs(profile.device_field(separation_um))
+    a_diff = math.sqrt(max(float(np.interp(separation_um, grid, diff)), 0.0))
     coherent = abs(a_dev + a_diff * complex(math.cos(relative_phase), math.sin(relative_phase)))
     intensity = coherent**2
     incoherent = a_dev**2 + a_diff**2
@@ -267,12 +235,13 @@ def total_crosstalk_ratio(
         incoherent_intensity_ratio=incoherent,
         device_amplitude=a_dev,
         diffraction_amplitude=a_diff,
-        relative_phase=relative_phase,
     )
 
 
 def load_device_map_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a device map CSV with header ``position_um,relative_field``."""
+    """Read a device map CSV with header ``position_um,relative_field``; a
+    row without a finite position and field raises ``ValueError`` naming its
+    line."""
     positions = []
     fields = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -283,8 +252,15 @@ def load_device_map_csv(path) -> tuple[np.ndarray, np.ndarray]:
         for row in reader:
             if not row:
                 continue
-            positions.append(float(row[0]))
-            fields.append(float(row[1]))
+            try:
+                x, f = map(float, row[:2])
+            except ValueError:
+                x = f = math.nan
+            if not (math.isfinite(x) and math.isfinite(f)):
+                raise ValueError(f"device map CSV line {reader.line_num}: position and field "
+                                 f"must be two finite numbers, got {','.join(row)!r}")
+            positions.append(x)
+            fields.append(f)
     if len(positions) < 2:
         raise ValueError("device map CSV needs at least two rows")
     pos = np.asarray(positions, dtype=float)

@@ -12,9 +12,9 @@ point in one kernel call; :func:`sequence_unitaries` returns one sequence's
 gate per ion, for any other initial state (``dynamics.apply``).  A scan that
 varies only a duration, the tone's dial or the target detuning of one
 square pulse compiles that pulse once and tiles it (``_template_scan``,
-which :mod:`xtalk.calibrate` uses).  Trains are built by :func:`pi_trains`:
-the shorter ones are prefixes of the longest, whose shared slices the kernel
-multiplies once.
+which :mod:`xtalk.calibrate` and the rabi and phase scans use).  Trains are
+built by :func:`pi_trains`: the shorter ones are prefixes of the longest,
+whose shared slices the kernel multiplies once.
 """
 
 from __future__ import annotations
@@ -117,12 +117,17 @@ class PulseSequence:
         return max((cp.total_duration for cp in self.channels), default=0.0)
 
 
+def _target_drive(omega_0: float, duration: float, phase: float = 0.0) -> PulseSequence:
+    """One resonant square segment on the target channel; a scan template
+    when a scan varies its duration, dial or detuning."""
+    return PulseSequence((ChannelPulse(TARGET, (PulseSegment(omega_0, phase, 0.0, duration),)),))
+
+
 def square_pi(omega_0: float, phase: float = 0.0) -> PulseSequence:
     """Plain square pi pulse on the target channel, duration pi / omega_0."""
     if omega_0 <= 0.0:
         raise ValueError("omega_0 must be > 0")
-    seg = PulseSegment(omega_0, phase, 0.0, math.pi / omega_0)
-    return PulseSequence((ChannelPulse(TARGET, (seg,)),))
+    return _target_drive(omega_0, math.pi / omega_0, phase)
 
 
 def sk1(theta: float, phase: float, omega_0: float) -> PulseSequence:

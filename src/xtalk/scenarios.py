@@ -36,14 +36,12 @@ from .optics import BeamProfile, clipped_focus_profile, gaussian_intensity
 from .pulses import (
     SPECTATOR,
     TARGET,
-    ChannelPulse,
-    PulseSegment,
-    PulseSequence,
     pi_trains,
     ramsey_wrap,
     scaled,
     simulate_scan,
     with_pcc,
+    _target_drive,
     _template_scan,
 )
 from .schema import resolve
@@ -233,8 +231,8 @@ def run_phase_scan(cfg: ScenarioConfig) -> ScanResult:
     ctx = cfg.context
     duration = 2.0 * cfg.scan["n_periods"] * ctx.t_pi_ct
     dials = np.arange(points) * (2.0 * math.pi / points)
-    base = PulseSequence((ChannelPulse(TARGET, (PulseSegment(ctx.omega_0, 0.0, 0.0, duration),)),))
-    template = with_pcc(base, ctx, CompensationSetting(cfg.setting.f_comp, 0.0))
+    template = with_pcc(_target_drive(ctx.omega_0, duration), ctx,
+                        CompensationSetting(cfg.setting.f_comp, 0.0))
     return _sweep(cfg, dials, template, varied="phase")
 
 
@@ -246,11 +244,11 @@ def run_rabi_scan(cfg: ScenarioConfig) -> ScanResult:
     if t_max is None:
         t_max = 2.0 * ctx.t_pi_ct if channel == SPECTATOR else 4.0 * ctx.t_pi
     times = np.linspace(0.0, t_max, cfg.scan["points"])
-    seqs = []
-    for t in times:
-        seq = PulseSequence((ChannelPulse(TARGET, (PulseSegment(ctx.omega_0, 0.0, 0.0, t),)),))
-        seqs.append(with_pcc(seq, ctx, cfg.setting) if cfg.method == "pcc" else seq)
-    return _sweep(cfg, times, seqs, channel)
+    # each point sets the template's duration; a template of duration 0 is rejected
+    template = _target_drive(ctx.omega_0, ctx.t_pi)
+    if cfg.method == "pcc":
+        template = with_pcc(template, ctx, cfg.setting)
+    return _sweep(cfg, times, template, channel, varied="duration")
 
 
 def run_amplitude_scan(cfg: ScenarioConfig) -> ScanResult:
@@ -293,24 +291,18 @@ def run_duty_cycle_sweep(cfg: ScenarioConfig) -> ScanResult:
 def run_beam_profile(cfg: ScenarioConfig) -> ScanResult:
     """Focal-plane intensity cut: clipped diffraction, device map, or ideal Gaussian."""
     scan = cfg.scan
-    curve, w0, wavelength, na = scan["curve"], scan["w0_um"], scan["wavelength_nm"], scan["na"]
+    curve, w0 = scan["curve"], scan["w0_um"]
     grid = np.linspace(scan["x_min_um"], scan["x_max_um"], scan["points"])
 
     if curve == "clipped":
-        intensity = clipped_focus_profile(w0, wavelength, na, grid,
+        intensity = clipped_focus_profile(w0, scan["wavelength_nm"], scan["na"], grid,
                                           max_refinements=scan["max_refinements"])
     elif curve == "gaussian":
         intensity = gaussian_intensity(grid, w0)
     else:
         csv_path = scan["device_csv"]
-        if csv_path:
-            profile = BeamProfile.from_csv(csv_path, waist_um=w0, wavelength_nm=wavelength, na=na)
-        else:
-            profile = BeamProfile.default(waist_um=w0, wavelength_nm=wavelength, na=na)
-        core = len(profile.core_positions_um) // 2
-        x0 = profile.core_positions_um[core]
-        amp = np.array([profile.device_field(core, x0 + float(x)) for x in grid])
-        intensity = amp**2
+        profile = BeamProfile.from_csv(csv_path) if csv_path else BeamProfile.default(w0)
+        intensity = np.array([profile.device_field(float(x)) for x in grid]) ** 2
 
     return _result(cfg, grid, intensity, intensity, np.zeros(len(intensity)))
 

@@ -14,7 +14,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 # removing a name from the public API is deliberate: change this list and
 # say so in CHANGES.md
 PUBLIC_NAMES = [
-    "AomModel", "BeamProfile", "BeatnoteSetup", "CalibrationResult", "ChannelConflictError",
+    "AomModel", "BeamProfile", "CalibrationResult", "ChannelConflictError",
     "ChannelPulse", "CompensationSetting", "ConfigError", "CrosstalkContext",
     "CrosstalkEstimate", "DegenerateFitError", "DriftProcess", "DutyCycleState",
     "FitFailureError", "FitModel", "LowSignalError", "NumericalFailureError",
@@ -55,14 +55,12 @@ OPTIONAL_PARAMETERS = {
     "noise.DriftProcess": ["walk_window", "preset"],
     "noise.AomModel": ["center_mhz", "efficiency_width_mhz", "absorption_width_mhz",
                        "thermal_coeff", "thermal_tau", "max_rf_power"],
-    "noise.DutyCycleState": ["filtered_power", "phase", "time"],
-    "noise.BeatnoteSetup": ["f1_mhz", "f2_mhz", "probe_duration_s"],
+    "noise.DutyCycleState": ["filtered_power", "phase"],
     "noise.sample_slow_drift": ["seed"],
     "noise.duty_cycle_drift_rate": ["mitigated", "match_error"],
     "noise.beatnote_phase_measurement": ["noise_sigma", "seed"],
     "noise.ramsey_phase_probe": ["seed"],
-    "optics.BeamProfile": ["wavelength_nm", "na", "waist_um", "pitch_um"],
-    "optics.BeamProfile.default": ["waist_um", "wavelength_nm", "na"],
+    "optics.BeamProfile.default": ["waist_um"],
     "optics.focal_field": ["max_refinements"],
     "optics.clipped_focus_profile": ["max_refinements"],
     "optics.total_crosstalk_ratio": ["pol_overlap", "relative_phase"],

@@ -242,6 +242,21 @@ def test_bad_config_exits_2_naming_the_key(tmp_path, scenario, doc, key):
     assert key in err[0]
 
 
+@pytest.mark.parametrize("row", ["nan,0.5", "inf,0.5", "0.5,-inf", "0.5"])
+def test_device_map_with_a_bad_row_exits_2(tmp_path, row):
+    # a NaN field exited 0 with NaN rows, an infinite position named no row
+    # and a one-value row ended in a traceback
+    csv = tmp_path / "map.csv"
+    csv.write_text(f"position_um,relative_field\n-6,0.01\n0,1\n{row}\n6,0.01\n",
+                   encoding="utf-8")
+    cfg = write_config(tmp_path, {"scan": {"curve": "device", "device_csv": str(csv)}})
+    code, err, caught = run_quietly(["beam-profile", "--config", cfg])
+    assert code == EXIT_CONFIG
+    assert caught == []
+    assert err == [f"config error: device map CSV line 4: position and field must be two "
+                   f"finite numbers, got {row!r}"]
+
+
 def test_unwritable_out_exits_2(tmp_path):
     cfg = write_config(tmp_path, {"scan": {"n_values": [1]}})
     out = tmp_path / "missing-dir" / "x.csv"

@@ -7,7 +7,6 @@ import pytest
 from xtalk.errors import ConfigError
 from xtalk.noise import (
     AomModel,
-    BeatnoteSetup,
     DriftProcess,
     DutyCycleState,
     beatnote_phase_measurement,
@@ -211,23 +210,17 @@ def test_aom_model_rejects_non_finite(name, value):
 
 class TestBeatnote:
     def test_noiseless_reading(self):
-        b = BeatnoteSetup()
-        assert b.delta_f_mhz == pytest.approx(2.0)
-        assert beatnote_phase_measurement(b, 0.3) == pytest.approx(0.3, abs=1e-15)
+        assert beatnote_phase_measurement(0.3) == pytest.approx(0.3, abs=1e-15)
 
     def test_wrapping_convention(self):
-        b = BeatnoteSetup()
-        assert beatnote_phase_measurement(b, math.pi + 0.1) == pytest.approx(
+        assert beatnote_phase_measurement(math.pi + 0.1) == pytest.approx(
             -math.pi + 0.1, abs=1e-12
         )
         assert wrap_phase(math.pi) == pytest.approx(math.pi)
         assert wrap_phase(-math.pi) == pytest.approx(math.pi)
 
     def test_noise_statistics(self):
-        b = BeatnoteSetup()
-        draws = [
-            beatnote_phase_measurement(b, 0.2, noise_sigma=0.01, seed=s) for s in range(10_000)
-        ]
+        draws = [beatnote_phase_measurement(0.2, noise_sigma=0.01, seed=s) for s in range(10_000)]
         sigma = float(np.std(draws))
         assert 0.008 <= sigma <= 0.012
 

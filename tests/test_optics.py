@@ -80,35 +80,91 @@ class TestClippedFocusProfile:
             clipped_focus_profile(W0, LAM, NA, np.array([]))
 
 
+# the addressing device's 11 cores, 5 um apart and centered on 0
+CORES = [5.0 * (i - 10 / 2.0) for i in range(11)]
+
+
+def _reference_default(waist_um):
+    """``BeamProfile.default``'s grid and per-core maps as the 11-core
+    construction built them, core ``i``'s row the field when it is driven."""
+    span = CORES[-1] + 4.0 * waist_um
+    grid = np.linspace(-span, span, 2001)
+
+    def mode(center):
+        return np.exp(-(((grid - center) / waist_um) ** 2))
+
+    fields = np.zeros((11, grid.size))
+    for i, x0 in enumerate(CORES):
+        f = mode(x0)
+        if i > 0:
+            f = f + 0.1 * mode(CORES[i - 1])
+        if i < 10:
+            f = f + 0.1 * mode(CORES[i + 1])
+        fields[i] = f / np.interp(x0, grid, f)
+    return grid, fields
+
+
+def _reference_from_csv(path):
+    """``BeamProfile.from_csv``'s grid and per-core maps as the 11-core
+    construction built them: the measured profile shifted to each core."""
+    pos, rel = load_device_map_csv(path)
+    span = CORES[-1] + float(np.max(np.abs(pos)))
+    grid = np.linspace(-span, span, 2001)
+    fields = np.zeros((11, grid.size))
+    for i, x0 in enumerate(CORES):
+        fields[i] = np.interp(grid - x0, pos, rel, left=0.0, right=0.0) / np.interp(0.0, pos, rel)
+    return grid, fields
+
+
+def _write_map(path, xs, rel):
+    lines = ["position_um,relative_field"] + [f"{x},{r}" for x, r in zip(xs, rel)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 class TestBeamProfile:
     def test_default_map_normalized_at_core(self):
-        profile = BeamProfile.default()
-        core = len(profile.core_positions_um) // 2
-        x0 = profile.core_positions_um[core]
-        assert profile.device_field(core, x0) == pytest.approx(1.0, abs=1e-9)
+        assert BeamProfile.default().device_field(0.0) == pytest.approx(1.0, abs=1e-9)
 
     def test_default_neighbor_intensity(self):
-        profile = BeamProfile.default()
-        core = len(profile.core_positions_um) // 2
-        x0 = profile.core_positions_um[core]
-        amp = profile.device_field(core, x0 + 5.0)
+        amp = BeamProfile.default().device_field(5.0)
         assert amp**2 == pytest.approx(1e-2, rel=0.05)
 
     def test_grid_must_increase(self):
         with pytest.raises(ValueError):
-            BeamProfile((0.0,), np.array([0.0, -1.0]), np.ones((1, 2)))
+            BeamProfile(np.array([0.0, -1.0]), np.ones(2))
+
+    def test_field_must_match_grid(self):
+        with pytest.raises(ValueError):
+            BeamProfile(np.array([0.0, 1.0]), np.ones((1, 2)))
 
     def test_out_of_range(self):
         profile = BeamProfile.default()
         with pytest.raises(OutOfRangeError):
-            profile.device_field(0, 1e4)
+            profile.device_field(1e4)
+
+    @pytest.mark.parametrize("waist", [0.3, 1.6, 2.2, 7.0, 0.05])
+    def test_default_is_the_middle_core_of_the_array(self, waist):
+        # the one kept field is the driven core's row of the 11-core maps, bit for bit
+        grid, fields = _reference_default(waist)
+        profile = BeamProfile.default(waist)
+        assert np.array_equal(profile.grid_um, grid)
+        assert np.array_equal(profile.field, fields[5])
+
+    def test_from_csv_is_the_middle_core_of_the_array(self, tmp_path):
+        path = tmp_path / "map.csv"
+        xs = np.linspace(-9.3, 7.1, 337)
+        _write_map(path, xs, np.exp(-((xs / 1.3) ** 2)) + 0.12 * np.exp(-(((xs + 5.0) / 1.3) ** 2)))
+        grid, fields = _reference_from_csv(path)
+        profile = BeamProfile.from_csv(path)
+        assert np.array_equal(profile.grid_um, grid)
+        assert np.array_equal(profile.field, fields[5])
 
 
 class TestTotalCrosstalkRatio:
     @staticmethod
     def _gaussian_only_profile():
         grid = np.linspace(-12.0, 12.0, 2401)
-        return BeamProfile((0.0,), grid, np.zeros((1, grid.size)))
+        return BeamProfile(grid, np.zeros(grid.size))
 
     def test_pure_gaussian_limit(self):
         profile = self._gaussian_only_profile()
@@ -154,20 +210,27 @@ class TestDeviceMapCsv:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "map.csv"
         xs = np.linspace(-8.0, 8.0, 401)
-        rel = np.exp(-((xs / W0) ** 2)) + 0.1 * np.exp(-(((xs - 5.0) / W0) ** 2))
-        lines = ["position_um,relative_field"]
-        lines += [f"{x},{r}" for x, r in zip(xs, rel)]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_map(path, xs, np.exp(-((xs / W0) ** 2)) + 0.1 * np.exp(-(((xs - 5.0) / W0) ** 2)))
         pos, field = load_device_map_csv(path)
         assert pos.shape == field.shape == (401,)
         profile = BeamProfile.from_csv(path)
-        core = len(profile.core_positions_um) // 2
-        x0 = profile.core_positions_um[core]
-        assert profile.device_field(core, x0) == pytest.approx(1.0, abs=1e-9)
-        assert profile.device_field(core, x0 + 5.0) == pytest.approx(0.1, rel=0.01)
+        assert profile.device_field(0.0) == pytest.approx(1.0, abs=1e-9)
+        assert profile.device_field(5.0) == pytest.approx(0.1, rel=0.01)
 
     def test_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x,y\n0,1\n", encoding="utf-8")
         with pytest.raises(ValueError):
             load_device_map_csv(path)
+
+    @pytest.mark.parametrize("row", ["nan,0.5", "0.5,inf", "-inf,1", "0.2,-nan", "0.3", "x,1",
+                                     "1,"])
+    def test_rejects_a_row_without_two_finite_numbers(self, tmp_path, row):
+        # a NaN once gave NaN rows, an infinite position an out-of-grid error
+        # and a one-value row an IndexError
+        path = tmp_path / "bad.csv"
+        path.write_text(f"position_um,relative_field\n-1,0.5\n{row}\n1,0.5\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            load_device_map_csv(path)
+        assert str(info.value) == (f"device map CSV line 3: position and field must be two "
+                                   f"finite numbers, got {row!r}")

@@ -5,6 +5,8 @@ import pytest
 
 from xtalk.errors import ConfigError
 from xtalk.field import pi_pulse_error
+from xtalk.pulses import (SPECTATOR, TARGET, ChannelPulse, PulseSegment, PulseSequence,
+                          simulate_scan, with_pcc)
 from xtalk.scenarios import _ROWS, SCENARIOS, ScenarioConfig, run_scenario
 
 OMEGA = 2 * math.pi * 50e3
@@ -264,6 +266,31 @@ class TestRabiScan:
         rate = 0.096 * OMEGA / 40.0
         for t, v in zip(res.x, res.value_mean):
             assert v == pytest.approx(math.sin(0.5 * rate * t) ** 2, abs=1e-6)
+
+
+    @pytest.mark.parametrize("method, observe, physics, scan, shots", [
+        ("none", "spectator", {}, {"points": 81}, 200),
+        ("none", "target", {"delta_ct_rad_per_s": 2e4, "pol_overlap": 0.7}, {"points": 23}, 7),
+        ("pcc", "spectator", {"f_comp": 0.9, "delta_phi_rad": 3.0, "delta_ct_rad_per_s": -1e4,
+                              "pol_overlap": 0.8, "ct_phase_rad": 0.4}, {"points": 30}, 1),
+        ("pcc", "target", {"f_ct": 1e-200}, {"points": 9, "t_max_s": 3e-4}, 200),
+        ("pcc", "spectator", {}, {"points": 4, "t_max_s": 0.0}, 3),
+        ("none", "spectator", {}, {"points": 1}, 5),
+    ])
+    def test_template_matches_unrolled_points(self, method, observe, physics, scan, shots):
+        # the scan tiles one template whose duration each point sets: the
+        # same populations and draws as one sequence per point, bit for bit
+        cfg = make_cfg("rabi-scan", physics=physics, method=method, shots=shots, seed=11,
+                       scan={"observe": observe, **scan})
+        res = run_scenario(cfg)
+        ctx, ion = cfg.context, TARGET if observe == "target" else SPECTATOR
+        seqs = []
+        for t in res.x:
+            seq = PulseSequence((ChannelPulse(TARGET, (PulseSegment(ctx.omega_0, 0.0, 0.0, t),)),))
+            seqs.append(with_pcc(seq, ctx, cfg.setting) if method == "pcc" else seq)
+        ref = simulate_scan(seqs, ctx, shots=shots, seed=11)
+        assert np.array_equal(res.value_mean, ref.populations[:, ion])
+        assert np.array_equal(res.value_sampled, ref.sampled[:, ion])
 
 
 class TestAmplitudeScan:
