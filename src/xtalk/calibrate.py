@@ -32,11 +32,10 @@ from .pulses import (
     ChannelPulse,
     PulseSegment,
     PulseSequence,
-    pi_trains,
-    simulate_scan,
     with_pcc,
     _target_drive,
     _template_scan,
+    _train_scan,
 )
 
 __all__ = [
@@ -410,8 +409,7 @@ def recalibration_interval(drift_rate: float, suppression_target: float) -> floa
 
 def _sk1_spectator_populations(f_eff: float, det_ratio: float, counts) -> np.ndarray:
     ctx = CrosstalkContext(omega_0=1.0, f_ct=max(f_eff, 1e-12), delta_ct=det_ratio)
-    trains = pi_trains("sk1", 1.0, [int(n) for n in counts])
-    return simulate_scan([seq for seq, _ in trains], ctx).populations[:, SPECTATOR]
+    return _train_scan("sk1", [int(n) for n in counts], ctx).populations[:, SPECTATOR]
 
 
 def fit_crosstalk_model(data, model: FitModel) -> FitResult:

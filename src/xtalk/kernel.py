@@ -3,25 +3,30 @@
 A scan is compiled in one numpy pass into one slice table holding each
 point's own slices in turn: per time slice its start, duration, detuning,
 the fixed field and the spectator channel's term, whose phase moves with the
-per-shot spectator phase offset.  The kernel runs points longest first and
-multiplies them slice by slice, evaluating with numpy only the slices of the
-points still running, over one batch axis of (slice x offset).  Offset column
-0, the noiseless evolution behind the amplitudes and populations, goes
-through stacked ``np.matmul``; the shot columns go through the 2x2 entry
-products written out elementwise, which round differently but make one numpy
-pass instead of one matrix call per shot.  Shot columns only feed the draws,
-so a sampled value can change only where a draw lands within a few ulps of
-its probability.  Leading slices that points share under equal offsets, as a
-shorter train shares those of a longer one, are multiplied once.  Each
-point's result is bit-identical to simulating it alone.  A scan that only
-varies one value of a one-slice sequence (a calibration flop, dial or
-resonance scan) tiles that sequence's compiled slice instead of compiling
-every point, with the same table.  :mod:`xtalk.pulses` builds the sequences,
-calls the kernel and reads each state, from the ground state, as its
-propagator's first column.  Whole 2x2 products are kept:
-``np.matmul`` on that column alone rounds differently (in most entries of
-random stacks, numpy 2.4) and would move the exactly compared ``stderr``
-outputs.
+per-shot spectator phase offset.  The table is cut from segment columns
+(amplitude, phase, detuning, start, end): :func:`_segments` reads them from
+sequences, and :func:`_train_segments` tiles them from the one block a train
+repeats and each point's block count, with a train's Ramsey pulses and dark
+gaps where ``pulses.ramsey_wrap`` puts them, so the table of an x-error or
+z-error scan is built without unrolling its trains.  The kernel runs points
+longest first and multiplies them slice by slice, evaluating with numpy only
+the slices of the points still running, over one batch axis of (slice x
+offset).  Offset column 0, the noiseless evolution behind the amplitudes and
+populations, goes through ``np.matmul`` of (matrices, 2, 2) stacks; the shot
+columns go through the 2x2 entry products written out elementwise, which
+round differently but make one numpy pass instead of one matrix call per
+shot.  Shot columns only feed the draws, so a sampled value can change only
+where a draw lands within a few ulps of its probability.  Leading slices
+that points share under equal offsets, as a shorter train shares those of a
+longer one, are multiplied once.  Each point's result is bit-identical to
+simulating it alone.  A scan that only varies one value of a one-slice
+sequence (a calibration flop, dial or resonance scan) tiles that sequence's
+one slice, read from its segments, instead of compiling every point, with
+the same table.  :mod:`xtalk.pulses` builds the sequences, calls the kernel
+and reads each state, from the ground state, as its propagator's first
+column.  Whole 2x2 products are kept: ``np.matmul`` on that column alone
+rounds differently (in most entries of random stacks, numpy 2.4) and would
+move the exactly compared ``stderr`` outputs.
 """
 
 from __future__ import annotations
@@ -50,16 +55,68 @@ _BATCH = 1 << 12  # slice propagators evaluated at once, bounds the kernel's mem
 def _segments(seqs: list):
     """Every point's segments, channel by channel, as columns (amplitude,
     phase, detuning, start, end) closed by one dark row, and the segment
-    count of each (point, channel) row, ``2 * point + channel``.  Start and
-    end are running sums of the durations from the point's start, added in
-    sequence order as a loop would."""
+    count of each (point, channel) row, ``2 * point + channel``."""
     per_row = [seq.channel(ch).segments for seq in seqs for ch in (TARGET, SPECTATOR)]
     counts = np.fromiter(map(len, per_row), int, len(per_row))
     fields = map(attrgetter("amplitude", "phase", "detuning", "duration"),
                  chain.from_iterable(per_row))
-    values = chain(chain.from_iterable(fields), (0.0,) * 4)
-    amp, phase, det, dur = np.fromiter(values, float, 4 * counts.sum() + 4).reshape(-1, 4).T
-    running = np.zeros((len(per_row), counts.max(initial=0) + 1))
+    values = np.fromiter(chain.from_iterable(fields), float, 4 * counts.sum())
+    return _columns(values.reshape(-1, 4), counts)
+
+
+def _train_segments(block, blocks: np.ndarray, offsets=None, wrap=None):
+    """:func:`_segments` of trains that repeat the sequence ``block``
+    ``blocks[i]`` times each, without building them: the block's segments
+    tiled.  With ``offsets``, repeat j drives the target at the block's
+    phases plus ``offsets[j]``.  ``wrap``, an opening spectator segment and
+    one closing segment per train, puts each train between them as
+    ``pulses.concat`` does: the other channel dark beside them, and after
+    the train a dark gap on a channel that ends before the other."""
+    longest = int(blocks.max(initial=0))
+    tiled, sizes = [], []
+    for ch in (TARGET, SPECTATOR):
+        one = np.array([(s.amplitude, s.phase, s.detuning, s.duration)
+                        for s in block.channel(ch).segments], dtype=float).reshape(-1, 4)
+        rows = np.tile(one, (longest, 1))
+        if ch == TARGET and offsets is not None:
+            rows[:, 1] = (one[:, 1] + np.asarray(offsets)[:, None]).ravel()
+        tiled.append(rows)
+        sizes.append(len(one))
+    if wrap is None:
+        parts = [rows[:k * size] for k in blocks.tolist() for rows, size in zip(tiled, sizes)]
+    else:
+        # each channel's duration after each segment of the longest train,
+        # summed from 0 in order as ChannelPulse.total_duration sums
+        sums = [np.cumsum(np.append(0.0, rows[:, 3])) for rows in tiled]
+        idle, opener, closers = (np.empty((0, 4)), 0.0), _one(wrap[0]), wrap[1]
+        parts = []
+        for k, closer in zip(blocks.tolist(), closers, strict=True):
+            train = [(rows[:k * size], total[k * size])
+                     for rows, size, total in zip(tiled, sizes, sums)]
+            out = ([], [])
+            for part in ((idle, opener), train, (idle, _one(closer))):
+                length = max(total for _, total in part)
+                for rows, (seg, total) in zip(out, part):
+                    rows.append(seg)
+                    if length - total > 0.0:
+                        rows.append(np.array([[0.0, 0.0, 0.0, length - total]]))
+            parts += [np.concatenate(rows) for rows in out]
+    counts = np.fromiter(map(len, parts), int, len(parts))
+    return _columns(np.concatenate(parts) if parts else np.empty((0, 4)), counts)
+
+
+def _one(segment):
+    """A segment's values as one row, and its channel's total duration."""
+    values = (segment.amplitude, segment.phase, segment.detuning, segment.duration)
+    return np.array([values]), 0.0 + segment.duration
+
+
+def _columns(values: np.ndarray, counts: np.ndarray):
+    """Segment columns and row counts from each segment's (amplitude, phase,
+    detuning, duration), row after row.  Start and end are running sums of
+    the durations from the row's start, added in order as a loop would."""
+    amp, phase, det, dur = np.append(values, np.zeros((1, 4)), axis=0).T
+    running = np.zeros((len(counts), counts.max(initial=0) + 1))
     inside = np.arange(running.shape[1] - 1) < counts[:, None]
     running[:, 1:][inside] = dur[:-1]
     running = np.cumsum(running, axis=1)  # a sequential sum along each row
@@ -104,15 +161,16 @@ def _cos_sin(phase: np.ndarray, on: np.ndarray) -> np.ndarray:
     distinct = np.ones(len(values), dtype=bool)
     distinct[1:] = values[1:] > values[:-1]
     values = values[distinct]
-    both = np.array([(math.cos(v), math.sin(v)) for v in values.tolist()]).reshape(-1, 2)
+    both = [np.fromiter(map(f, values.tolist()), float, len(values)) for f in (math.cos, math.sin)]
     out = np.zeros((2,) + phase.shape)
-    out[:, on] = both[np.searchsorted(values, phases)].T
+    out[:, on] = np.array(both)[:, np.searchsorted(values, phases)]
     return out
 
 
-def _grid(seqs: list):
+def _grid(columns, counts: np.ndarray):
     """Every point's slices, point after point, and the segment each channel
-    runs through them.
+    runs through them, from the segment columns and row counts of
+    :func:`_segments` or :func:`_train_segments`.
 
     A point's slices cut its sequence at every segment edge of either
     channel; cuts less than 1e-9 of its duration apart merge.  Returns the
@@ -120,10 +178,12 @@ def _grid(seqs: list):
     (rows) whether a lit segment runs through the slice, and its amplitude,
     phase and detuning.
     """
-    n = len(seqs)
-    totals = np.array([seq.total_duration for seq in seqs], dtype=float)
+    amp, phase, det, seg_start, seg_end = columns
+    n = len(counts) // 2
+    # a sequence lasts as long as its longer channel
+    row_ends = np.where(counts > 0, seg_end[np.cumsum(counts) - 1], 0.0)
+    totals = row_ends.reshape(n, 2).max(axis=1)
     tol = 1e-9 * np.maximum(totals, 1e-300)
-    (amp, phase, det, seg_start, seg_end), counts = _segments(seqs)
     seg_row = np.repeat(np.arange(2 * n), counts)
     points = np.arange(n)
     edges = np.sort(_keys(np.concatenate([points, points, seg_row // 2]),
@@ -151,7 +211,12 @@ def _compile(seqs: list, ctx: CrosstalkContext):
     Returns every point's slices (see :func:`_grid`), point after point, as
     one table of shape ``(slices, _COLUMNS)``, and each point's slice count.
     """
-    start, end, _, lengths, channels = _grid(seqs)
+    return _compile_segments(_segments(seqs), ctx)
+
+
+def _compile_segments(segments, ctx: CrosstalkContext):
+    """:func:`_compile` from the segment columns and row counts instead."""
+    start, end, _, lengths, channels = _grid(*segments)
     return _table(start, end, channels, ctx), lengths
 
 
@@ -163,18 +228,25 @@ def _compile_scan(seq, ctx: CrosstalkContext, varied: str, values: np.ndarray):
     segment; ``"phase"``, the spectator channel's axis phase, added to
     ``seq``'s own (so a value is the dial of a ``with_pcc`` template at dial
     0); or ``"detuning"``, the target channel's.  The template's slice is
-    tiled and the value written into its channel columns, which then go
-    through the table formulas of :func:`_compile`, so the table is the
-    same, byte for byte.  Values are checked as ``PulseSegment`` checks
-    them, first bad value first.
+    read from its segments, tiled and the value written into its channel
+    columns, which then go through the table formulas of :func:`_compile`,
+    so the table is the same, byte for byte.  Values are checked as
+    ``PulseSegment`` checks them, first bad value first.
     """
-    start, end, _, _, channels = _grid([seq])
-    if len(start) != 1:
+    segs = [seq.channel(ch).segments for ch in (TARGET, SPECTATOR)]
+    total = seq.total_duration
+    # one slice: a channel holds at most one segment, as long as the
+    # sequence, which is longer than its merge tolerance (as in _grid)
+    if (any(len(s) > 1 or (s and s[0].duration != total) for s in segs)
+            or not total > 1e-9 * max(total, 1e-300)):
         raise ValueError("a scan template must be one slice")
     values = np.asarray(values, dtype=float)
     n = len(values)
-    start, end = np.repeat(start, n), np.repeat(end, n)
-    lit, amp, phase, det = (np.repeat(c, n, axis=1) for c in channels)
+    # each channel's segment, or the dark row _grid finds for an idle one
+    amp, phase, det = np.array([(s[0].amplitude, s[0].phase, s[0].detuning) if s else
+                                (0.0, 0.0, 0.0) for s in segs]).T[..., None].repeat(n, axis=2)
+    lit = amp > 0.0
+    start, end = np.zeros(n), np.full(n, total)
     if varied == "duration":
         column = end = values
     elif varied == "phase":
@@ -316,11 +388,14 @@ def _products(table, begin, count, out, shifts, ct_phase: float, marks=None) -> 
         props = _slice_propagators(table[(begin + steps[k0:k1, None])[live], None],
                                    shifts[np.nonzero(live)[1]], ct_phase)
         full = max(0, min(k1, count[-1]) - k0)  # leading steps that run every point
-        whole = props[:, :full * points].reshape(2, full, points, width, 2, 2)
-        for i, u in enumerate(np.moveaxis(whole, 1, 0), k0 + 1):
+        whole = np.moveaxis(props[:, :full * points].reshape(2, full, points, width, 2, 2), 1, 0)
+        if width == 1:  # np.matmul of (matrices, 2, 2) stacks: the same products, less set-up
+            whole, out = whole.reshape(full, 2 * points, 2, 2), out.reshape(2 * points, 2, 2)
+        for i, u in enumerate(whole, k0 + 1):
             out = mul(u, out)
             if marks is not None and i in marks:
-                marks[i] = out
+                marks[i] = out.reshape(2, points, width, 2, 2)
+        out = out.reshape(2, points, width, 2, 2)
         at = full * points
         for m in running[k0 + full:k1].tolist():
             out[:, :m] = mul(props[:, at:at + m], out[:, :m])

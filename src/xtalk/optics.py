@@ -240,10 +240,11 @@ def total_crosstalk_ratio(
 
 def load_device_map_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a device map CSV with header ``position_um,relative_field``; a
-    row without a finite position and field raises ``ValueError`` naming its
-    line."""
+    row without a finite position and field, or repeating a position, raises
+    ``ValueError`` naming its line."""
     positions = []
     fields = []
+    lines = {}  # the line of each position, so a map has one field per position
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -259,6 +260,10 @@ def load_device_map_csv(path) -> tuple[np.ndarray, np.ndarray]:
             if not (math.isfinite(x) and math.isfinite(f)):
                 raise ValueError(f"device map CSV line {reader.line_num}: position and field "
                                  f"must be two finite numbers, got {','.join(row)!r}")
+            if x in lines:
+                raise ValueError(f"device map CSV line {reader.line_num}: position {x!r} "
+                                 f"repeats line {lines[x]}")
+            lines[x] = reader.line_num
             positions.append(x)
             fields.append(f)
     if len(positions) < 2:

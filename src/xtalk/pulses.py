@@ -12,9 +12,13 @@ point in one kernel call; :func:`sequence_unitaries` returns one sequence's
 gate per ion, for any other initial state (``dynamics.apply``).  A scan that
 varies only a duration, the tone's dial or the target detuning of one
 square pulse compiles that pulse once and tiles it (``_template_scan``,
-which :mod:`xtalk.calibrate` and the rabi and phase scans use).  Trains are
-built by :func:`pi_trains`: the shorter ones are prefixes of the longest,
-whose shared slices the kernel multiplies once.
+which :mod:`xtalk.calibrate` and the rabi and phase scans use).  Trains of
+pi pulses repeat one block (``_train``): :func:`pi_trains` unrolls it, the
+shorter trains prefixes of the longest, whose shared slices the kernel
+multiplies once.  The x-error and z-error scans and the sk1 crosstalk fit
+run ``_train_scan`` instead, which hands the kernel the block and each
+train's block count, and the Ramsey pulses around each train, without
+building any train: the same tables and results, bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, repeat
 from operator import add
 
 import numpy as np
@@ -30,7 +34,8 @@ import numpy as np
 from .dynamics import check_states
 from .errors import ChannelConflictError
 from .field import CompensationSetting, CrosstalkContext
-from .kernel import SPECTATOR, TARGET, _abs2, _compile, _compile_scan, _propagate
+from .kernel import (SPECTATOR, TARGET, _abs2, _compile, _compile_scan, _compile_segments,
+                     _propagate, _train_segments)
 from .noise import _streams
 
 __all__ = [
@@ -194,10 +199,31 @@ def pi_trains(
     with the cancellation tone), ``sk1`` or ``quad`` (the composite block
     applied twice per pi with Z-frame phase tracking).  Each train is a
     ``(sequence, trailing frame angle)`` pair; the angle is the software
-    frame any later pulse must absorb.  The longest train is built once, by
-    repeating its block's segments (the ``quad`` blocks differ only by their
-    frame phase), and every shorter train is a prefix of it.
+    frame any later pulse must absorb.  The longest train is unrolled once
+    from one block (the ``quad`` blocks differ only by their frame phase),
+    and every shorter train is a prefix of it.  The kernel tiles the same
+    block without unrolling it (``_train_scan``).
     """
+    block, blocks, frames, offsets = _train(method, omega_0, counts, ctx, setting, phase)
+    target, spectator = (block.channel(ch).segments for ch in (TARGET, SPECTATOR))
+    sizes = len(target), len(spectator)
+    longest = len(frames) - 1
+    if offsets is None:
+        target *= longest
+    else:
+        target = tuple(replace(s, phase=s.phase + o) for o in offsets for s in target)
+    spectator *= longest
+    return [(PulseSequence((ChannelPulse(TARGET, target[: k * sizes[0]]),
+                            ChannelPulse(SPECTATOR, spectator[: k * sizes[1]]))), frames[k])
+            for k in blocks]
+
+
+def _train(method: str, omega_0: float, counts, ctx, setting, phase: float):
+    """The trains of :func:`pi_trains` as one block and its repeats: the
+    block, padded by :func:`concat`; each train's block count; the software
+    frame before each block of the longest train and after its last; and,
+    for ``quad``, each block's target phase offset (a block phase p drives
+    at ``p + offset``), else None."""
     counts = list(counts)
     if any(n < 1 for n in counts):
         raise ValueError("n_pulses must be >= 1")
@@ -207,31 +233,22 @@ def pi_trains(
     elif method == "sk1":
         block = sk1(math.pi, phase, omega_0)
     elif method == "quad":
-        block, step = quadrilateral(omega_0, phase), quad_frame_step()
+        block, step = quadrilateral(omega_0), quad_frame_step()
     else:
         raise ValueError(f"unknown method {method!r}")
     if method == "pcc":
         if ctx is None or setting is None:
             raise ValueError("method 'pcc' needs a context and a compensation setting")
         block = with_pcc(block, ctx, setting)
-    block = concat(block)  # an idle spectator gets one dark segment
-    per_pulse = 2 if method == "quad" else 1
-    blocks = per_pulse * max(counts, default=0)
-    frames = list(accumulate(repeat(step, blocks), initial=0.0))  # the frame before each block
-    target, spectator = (block.channel(ch).segments for ch in (TARGET, SPECTATOR))
-    sizes = len(target), len(spectator)
-    if method == "quad":
-        target = tuple(chain.from_iterable(
-            quadrilateral(omega_0, phase + f).channel(TARGET).segments for f in frames[:-1]))
-    else:
-        target *= blocks
-    spectator *= blocks
-    trains = []
-    for k in (per_pulse * n for n in counts):
-        seq = PulseSequence((ChannelPulse(TARGET, target[: k * sizes[0]]),
-                             ChannelPulse(SPECTATOR, spectator[: k * sizes[1]])))
-        trains.append((seq, frames[k]))
-    return trains
+    blocks = [(2 if method == "quad" else 1) * n for n in counts]
+    frames = list(accumulate(repeat(step, max(blocks, default=0)), initial=0.0))
+    offsets = [phase + f for f in frames[:-1]] if method == "quad" else None
+    return concat(block), blocks, frames, offsets  # an idle spectator gets one dark segment
+
+
+def _ramsey_pulse(omega_0: float, phase: float) -> PulseSegment:
+    """The spectator pi/2 pulse of :func:`ramsey_wrap` about axis ``phase``."""
+    return PulseSegment(omega_0, phase, 0.0, 0.5 * math.pi / omega_0)
 
 
 def ramsey_wrap(seq: PulseSequence, omega_0: float, close_phase: float = math.pi) -> PulseSequence:
@@ -241,10 +258,8 @@ def ramsey_wrap(seq: PulseSequence, omega_0: float, close_phase: float = math.pi
     ideal sequence returns the spectator to the ground state and the excited
     population directly reads the accumulated error.
     """
-    half = PulseSegment(omega_0, 0.0, 0.0, 0.5 * math.pi / omega_0)
-    back = PulseSegment(omega_0, close_phase, 0.0, 0.5 * math.pi / omega_0)
-    opener = PulseSequence((ChannelPulse(SPECTATOR, (half,)),))
-    closer = PulseSequence((ChannelPulse(SPECTATOR, (back,)),))
+    opener = PulseSequence((ChannelPulse(SPECTATOR, (_ramsey_pulse(omega_0, 0.0),)),))
+    closer = PulseSequence((ChannelPulse(SPECTATOR, (_ramsey_pulse(omega_0, close_phase),)),))
     return concat(opener, seq, closer)
 
 
@@ -361,6 +376,24 @@ def _template_scan(
     values = np.asarray(values, dtype=float)
     plan = _shot_plan(len(values), shots, point_indices, phase_noise)
     return _evaluate(*_compile_scan(seq, ctx, varied, values), ctx, shots, seed, *plan)
+
+
+def _train_scan(method: str, counts, ctx: CrosstalkContext, setting=None, close_phases=None,
+                shots=None, seed=None, point_indices=None, phase_noise=None) -> SimulationResult:
+    """:func:`simulate_scan` of ``pi_trains(method, ctx.omega_0, counts,
+    ctx, setting)``, each train :func:`ramsey_wrap`-ped with its closing
+    phase if ``close_phases`` holds one per train, without building them:
+    the kernel tiles the trains' block (``kernel._train_segments``).  The
+    same result, bit for bit."""
+    counts = list(counts)
+    plan = _shot_plan(len(counts), shots, point_indices, phase_noise)
+    block, blocks, _, offsets = _train(method, ctx.omega_0, counts, ctx, setting, 0.0)
+    wrap = None
+    if close_phases is not None:
+        wrap = (_ramsey_pulse(ctx.omega_0, 0.0),
+                [_ramsey_pulse(ctx.omega_0, close) for close in close_phases])
+    segments = _train_segments(block, np.array(blocks, dtype=int), offsets, wrap)
+    return _evaluate(*_compile_segments(segments, ctx), ctx, shots, seed, *plan)
 
 
 def _shot_plan(n: int, shots, point_indices, phase_noise):

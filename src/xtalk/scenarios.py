@@ -37,12 +37,12 @@ from .pulses import (
     SPECTATOR,
     TARGET,
     pi_trains,
-    ramsey_wrap,
     scaled,
     simulate_scan,
     with_pcc,
     _target_drive,
     _template_scan,
+    _train_scan,
 )
 from .schema import resolve
 
@@ -175,22 +175,18 @@ def _binomial_stderr(p, shots: int):
     return np.sqrt(np.maximum(p * (1.0 - p), 0.0) / shots)
 
 
-def _sweep(cfg: ScenarioConfig, x, seqs, channel: int = SPECTATOR, varied=None) -> ScanResult:
-    """One kernel call over the scan points: per point the population of
-    ``channel``, its shot estimate and binomial error.  A ``noise`` block's
-    drift offsets the spectator channel per shot.  With ``varied``, ``seqs``
-    is one one-slice template whose ``varied`` value takes each ``x``."""
+def _sweep(cfg: ScenarioConfig, x, scan, channel: int = SPECTATOR) -> ScanResult:
+    """One kernel call over the scan points, ``scan(shots=, seed=,
+    phase_noise=)``: per point the population of ``channel``, its shot
+    estimate and binomial error.  A ``noise`` block's drift offsets the
+    spectator channel per shot."""
     phase_noise = None
     if cfg.noise is not None:
         process = DRIFT_PRESETS[cfg.noise["preset"]]()
         dt = cfg.noise["shot_interval_min"]
         seeds = [(cfg.seed + 7919) * 65537 + i for i in range(len(x))]
         phase_noise = [trace[1:] for trace in _drift_traces(process, dt * cfg.shots, dt, seeds)]
-    sampling = {"shots": cfg.shots, "seed": cfg.seed, "phase_noise": phase_noise}
-    if varied is None:
-        res = simulate_scan(seqs, cfg.context, **sampling)
-    else:
-        res = _template_scan(seqs, varied, x, cfg.context, **sampling)
+    res = scan(shots=cfg.shots, seed=cfg.seed, phase_noise=phase_noise)
     mean = res.populations[:, channel]
     return _result(cfg, x, mean, res.sampled[:, channel], _binomial_stderr(mean, cfg.shots))
 
@@ -198,9 +194,8 @@ def _sweep(cfg: ScenarioConfig, x, seqs, channel: int = SPECTATOR, varied=None) 
 def run_x_error(cfg: ScenarioConfig) -> ScanResult:
     """Spectator excited population after N target pi pulses, from ground."""
     counts = cfg.scan["n_values"]
-    ctx = cfg.context
-    trains = pi_trains(cfg.method, ctx.omega_0, counts, ctx, cfg.setting)
-    return _sweep(cfg, np.array(counts, dtype=float), [seq for seq, _ in trains])
+    scan = functools.partial(_train_scan, cfg.method, counts, cfg.context, cfg.setting)
+    return _sweep(cfg, np.array(counts, dtype=float), scan)
 
 
 def run_z_error(cfg: ScenarioConfig) -> ScanResult:
@@ -215,14 +210,13 @@ def run_z_error(cfg: ScenarioConfig) -> ScanResult:
     """
     counts = cfg.scan["n_values"]
     ctx = cfg.context
-    trains = [seq for seq, _ in pi_trains(cfg.method, ctx.omega_0, counts, ctx, cfg.setting)]
-    close_phases = [math.pi] * len(trains)
+    close_phases = [math.pi] * len(counts)
     if cfg.method == "quad":
         # from the ground state, the final |0> amplitude is the train unitary's u[0, 0]
-        u00 = simulate_scan(trains, ctx).amplitudes[:, SPECTATOR, 0]
+        u00 = _train_scan(cfg.method, counts, ctx, cfg.setting).amplitudes[:, SPECTATOR, 0]
         close_phases = [math.pi + -2.0 * math.atan2(u.imag, u.real) for u in u00]
-    seqs = (ramsey_wrap(seq, ctx.omega_0, close) for seq, close in zip(trains, close_phases))
-    return _sweep(cfg, np.array(counts, dtype=float), seqs)
+    scan = functools.partial(_train_scan, cfg.method, counts, ctx, cfg.setting, close_phases)
+    return _sweep(cfg, np.array(counts, dtype=float), scan)
 
 
 def run_phase_scan(cfg: ScenarioConfig) -> ScanResult:
@@ -233,7 +227,7 @@ def run_phase_scan(cfg: ScenarioConfig) -> ScanResult:
     dials = np.arange(points) * (2.0 * math.pi / points)
     template = with_pcc(_target_drive(ctx.omega_0, duration), ctx,
                         CompensationSetting(cfg.setting.f_comp, 0.0))
-    return _sweep(cfg, dials, template, varied="phase")
+    return _sweep(cfg, dials, functools.partial(_template_scan, template, "phase", dials, ctx))
 
 
 def run_rabi_scan(cfg: ScenarioConfig) -> ScanResult:
@@ -248,7 +242,8 @@ def run_rabi_scan(cfg: ScenarioConfig) -> ScanResult:
     template = _target_drive(ctx.omega_0, ctx.t_pi)
     if cfg.method == "pcc":
         template = with_pcc(template, ctx, cfg.setting)
-    return _sweep(cfg, times, template, channel, varied="duration")
+    scan = functools.partial(_template_scan, template, "duration", times, ctx)
+    return _sweep(cfg, times, scan, channel)
 
 
 def run_amplitude_scan(cfg: ScenarioConfig) -> ScanResult:
@@ -256,7 +251,8 @@ def run_amplitude_scan(cfg: ScenarioConfig) -> ScanResult:
     scales = np.linspace(cfg.scan["scale_min"], cfg.scan["scale_max"], cfg.scan["points"])
     ctx = cfg.context
     seq, _ = pi_trains(cfg.method, ctx.omega_0, [1], ctx, cfg.setting)[0]
-    return _sweep(cfg, scales, [scaled(seq, float(s)) for s in scales], TARGET)
+    seqs = [scaled(seq, float(s)) for s in scales]
+    return _sweep(cfg, scales, functools.partial(simulate_scan, seqs, ctx), TARGET)
 
 
 def run_drift_monitor(cfg: ScenarioConfig) -> ScanResult:

@@ -257,6 +257,18 @@ def test_device_map_with_a_bad_row_exits_2(tmp_path, row):
                    f"finite numbers, got {row!r}"]
 
 
+@pytest.mark.parametrize("rows", ["0,1\n0,3", "0,3\n0,1"])
+def test_device_map_with_a_repeated_position_exits_2(tmp_path, rows):
+    # both orders used to exit 0, with fields 0.0775 and 6.26 at x = -1 um
+    csv = tmp_path / "map.csv"
+    csv.write_text(f"position_um,relative_field\n-6,0.01\n{rows}\n6,0.01\n", encoding="utf-8")
+    cfg = write_config(tmp_path, {"scan": {"curve": "device", "device_csv": str(csv)}})
+    code, err, caught = run_quietly(["beam-profile", "--config", cfg])
+    assert code == EXIT_CONFIG
+    assert caught == []
+    assert err == ["config error: device map CSV line 4: position 0.0 repeats line 3"]
+
+
 def test_unwritable_out_exits_2(tmp_path):
     cfg = write_config(tmp_path, {"scan": {"n_values": [1]}})
     out = tmp_path / "missing-dir" / "x.csv"

@@ -1,10 +1,14 @@
 """Golden replay: scans and CLI runs must reproduce the recorded references.
 
-The references live in ``perfbench/golden`` and are only read here.  The
-rule is the benchmark's: ``value_mean`` within a relative 1e-12, every
-other column and header line exact, the ``# build:`` line skipped (it
-embeds ``git describe``).  Exact ``value_sampled`` columns pin the shot
-sampling: the per-shot phase offsets, the draws and their order.
+The benchmark's references live in ``perfbench/golden`` and are only read
+here.  ``tests/golden/trains.json`` adds x-error and z-error trains of all
+four methods at ``delta_ct`` 0.05 Omega, ``pol_overlap`` 0.8 and counts of 1,
+odd, unsorted and repeated, at 200 and 1 shots, and noisy pcc trains: each
+unit is a config and the CSV ``run_scenario`` wrote for it, ``# build:``
+dropped.  The rule is the benchmark's: ``value_mean`` within a relative
+1e-12, every other column and header line exact, the ``# build:`` line
+skipped (it embeds ``git describe``).  Exact ``value_sampled`` columns pin
+the shot sampling: the per-shot phase offsets, the draws and their order.
 """
 
 import json
@@ -36,6 +40,11 @@ def _scan_units():
         return json.load(fh)
 
 
+def _train_units():
+    with open(ROOT / "tests" / "golden" / "trains.json", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def _split(csv: str):
     lines = csv.splitlines()
     header = [ln for ln in lines if ln.startswith("# ") and not ln.startswith("# build:")]
@@ -63,6 +72,22 @@ def _unit_id(unit):
 def test_reference_scan_unit(unit):
     csv = run_scenario(ScenarioConfig.from_dict(unit["doc"])).to_csv()
     assert_matches(csv, unit["csv"])
+
+
+@pytest.mark.parametrize("unit", _train_units(), ids=_unit_id)
+def test_reference_train_unit(unit):
+    csv = run_scenario(ScenarioConfig.from_dict(unit["doc"])).to_csv()
+    assert_matches(csv, unit["csv"])
+
+
+def test_reference_trains_cover_detuned_crosstalk():
+    docs = [unit["doc"] for unit in _train_units()]
+    assert all(d["physics"]["delta_ct_rad_per_s"] != 0.0 and d["physics"]["pol_overlap"] < 1.0
+               for d in docs)
+    assert {(d["scenario"], d["method"], d["shots"]) for d in docs if "noise" not in d} == {
+        (s, m, shots) for s in ("x-error", "z-error") for m in ("none", "pcc", "sk1", "quad")
+        for shots in (1, 200)}
+    assert sum("noise" in d for d in docs) == 2
 
 
 def test_reference_units_include_noisy_scans():

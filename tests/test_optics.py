@@ -234,3 +234,16 @@ class TestDeviceMapCsv:
             load_device_map_csv(path)
         assert str(info.value) == (f"device map CSV line 3: position and field must be two "
                                    f"finite numbers, got {row!r}")
+
+    @pytest.mark.parametrize("rows, repeated", [
+        ("0,1\n0,3", "0.0"), ("0,3\n0,1", "0.0"), ("-0.0,1\n0,1", "0.0"), ("2.5,1\n2.50,1", "2.5"),
+    ])
+    def test_rejects_a_repeated_position(self, tmp_path, rows, repeated):
+        # the map once depended on the rows' order: at x = -1 um rows 0,1
+        # then 0,3 read 0.0775, the other order 6.26
+        path = tmp_path / "repeat.csv"
+        path.write_text(f"position_um,relative_field\n-6,0.01\n{rows}\n6,0.01\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            load_device_map_csv(path)
+        assert str(info.value) == f"device map CSV line 4: position {repeated} repeats line 3"

@@ -832,3 +832,76 @@ class TestTemplateScans:
 
         with pytest.raises(ValueError, match="one slice"):
             _compile_scan(sk1(math.pi, 0.0, OMEGA), CTX, "phase", [0.0, 1.0])
+
+
+class TestTrainScans:
+    # detuned crosstalk reads the start column, pol_overlap < 1 adds the
+    # quadrature term; counts of 1, odd, unsorted and repeated
+    CTX = CrosstalkContext(omega_0=OMEGA, f_ct=0.096, delta_ct=0.05 * OMEGA, pol_overlap=0.8,
+                           ct_phase=0.7)
+    SETTING = CompensationSetting(0.97, math.pi + 0.02)
+    COUNTS = ([1], [17], [33, 17, 1, 17, 4])
+
+    def _unrolled(self, method, counts, closes=None):
+        seqs = [seq for seq, _ in pi_trains(method, OMEGA, counts, self.CTX, self.SETTING)]
+        if closes is not None:
+            seqs = [ramsey_wrap(seq, OMEGA, close) for seq, close in zip(seqs, closes)]
+        return seqs
+
+    def _closes(self, method, counts):
+        """z-error's closing phases: quad's read from its trains' spectator."""
+        from xtalk.pulses import _train_scan
+
+        if method != "quad":
+            return [math.pi] * len(counts)
+        u00 = _train_scan(method, counts, self.CTX, self.SETTING).amplitudes[:, SPECTATOR, 0]
+        return [math.pi + -2.0 * math.atan2(u.imag, u.real) for u in u00]
+
+    @pytest.mark.parametrize("counts", COUNTS, ids=["1", "17", "unsorted"])
+    @pytest.mark.parametrize("wrapped", [False, True], ids=["x-error", "z-error"])
+    @pytest.mark.parametrize("method", ["none", "pcc", "sk1", "quad"])
+    def test_table_is_the_unrolled_table(self, method, wrapped, counts):
+        from xtalk.kernel import _compile, _compile_segments, _train_segments
+        from xtalk.pulses import _ramsey_pulse, _train
+
+        closes = self._closes(method, counts) if wrapped else None
+        block, blocks, _, offsets = _train(method, OMEGA, counts, self.CTX, self.SETTING, 0.0)
+        wrap = None if closes is None else (_ramsey_pulse(OMEGA, 0.0),
+                                            [_ramsey_pulse(OMEGA, c) for c in closes])
+        table, lengths = _compile_segments(
+            _train_segments(block, np.array(blocks), offsets, wrap), self.CTX)
+        ref_table, ref_lengths = _compile(self._unrolled(method, counts, closes), self.CTX)
+        assert np.array_equal(lengths, ref_lengths)
+        assert table.tobytes() == ref_table.tobytes()
+
+    @pytest.mark.parametrize("wrapped", [False, True], ids=["x-error", "z-error"])
+    @pytest.mark.parametrize("method", ["none", "pcc", "sk1", "quad"])
+    def test_scan_is_the_unrolled_scan(self, method, wrapped):
+        from xtalk.pulses import _train_scan
+
+        counts = self.COUNTS[-1]
+        closes = self._closes(method, counts) if wrapped else None
+        seqs = self._unrolled(method, counts, closes)
+        noise = np.random.default_rng(4).normal(0.0, 0.2, size=(len(counts), 30))
+        for kwargs in ({}, {"shots": 1, "seed": 2}, {"shots": 200, "seed": 3,
+                                                     "point_indices": [9, 7, 5, 3, 1]},
+                       {"shots": 30, "seed": 4, "phase_noise": noise}):
+            got = _train_scan(method, counts, self.CTX, self.SETTING, closes, **kwargs)
+            ref = simulate_scan(seqs, self.CTX, **kwargs)
+            for a, b in zip((got.amplitudes, got.populations, got.sampled),
+                            (ref.amplitudes, ref.populations, ref.sampled)):
+                assert (a is None and b is None) or np.array_equal(a, b)
+
+    def test_checks_are_pi_trains_checks(self):
+        from xtalk.pulses import _train_scan
+
+        for args, match in ((("sk1", [2, 0]), "n_pulses"), (("sq", [1]), "unknown method"),
+                            (("pcc", [1]), "needs a context")):
+            with pytest.raises(ValueError, match=match):
+                pi_trains(args[0], OMEGA, args[1])
+            with pytest.raises(ValueError, match=match):
+                _train_scan(*args, self.CTX)
+        with pytest.raises(ValueError, match="phase must be finite"):
+            _train_scan("none", [1], self.CTX, close_phases=[math.nan])
+        empty = _train_scan("quad", [], self.CTX, close_phases=[], shots=3)
+        assert empty.amplitudes.shape == (0, 2, 2) and empty.sampled.shape == (0, 2)
