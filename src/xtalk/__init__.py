@@ -5,8 +5,6 @@ __version__ = "0.1.0"
 
 from .dynamics import (
     QubitState,
-    apply,
-    max_rotation_error,
     rotation_error,
     rotation_unitary,
 )
@@ -24,21 +22,16 @@ from .field import (
     CompensationSetting,
     CrosstalkContext,
     amplitude_tolerance,
-    best_compensation,
     effective_magnitude,
-    effective_rabi,
-    is_suppressing,
     phase_tolerance,
     pi_pulse_error,
     relative_error,
 )
 from .calibrate import (
     CalibrationResult,
-    FitModel,
     calibrate_amplitude,
     calibrate_phase,
     calibrate_stark_shift,
-    fit_crosstalk_model,
     measure_pi_time,
     recalibration_interval,
     run_full_calibration,
@@ -48,10 +41,7 @@ from .noise import (
     AomModel,
     DriftProcess,
     DutyCycleState,
-    beatnote_phase_measurement,
-    diffraction_efficiency,
     duty_cycle_drift_rate,
-    load_presets,
     matched_drive_power,
     ramsey_phase_probe,
     rf_absorption,
@@ -60,12 +50,10 @@ from .noise import (
 )
 from .optics import (
     BeamProfile,
-    CrosstalkEstimate,
     clipped_focus_profile,
     focal_field,
     gaussian_intensity,
     load_device_map_csv,
-    total_crosstalk_ratio,
 )
 from .pulses import (
     SPECTATOR,

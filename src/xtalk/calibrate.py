@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import count
 
@@ -35,18 +35,15 @@ from .pulses import (
     with_pcc,
     _target_drive,
     _template_scan,
-    _train_scan,
 )
 
 __all__ = [
     "CalibrationResult",
-    "FitModel",
     "measure_pi_time",
     "calibrate_amplitude",
     "calibrate_phase",
     "calibrate_stark_shift",
     "recalibration_interval",
-    "fit_crosstalk_model",
     "run_full_calibration",
     "save_result",
 ]
@@ -97,31 +94,6 @@ def save_result(result: CalibrationResult, path, diagnostics: dict | None = None
         with open(side + ".diag.json", "w", encoding="utf-8") as fh:
             json.dump(diagnostics, fh, indent=2, sort_keys=True)
             fh.write("\n")
-
-
-@dataclass
-class FitModel:
-    """Crosstalk benchmark fit configuration.
-
-    ``params`` is (f_eff, detuning ratio delta_ct / omega_0, offset).
-    """
-
-    model_id: str = "eq6-population"
-    params: np.ndarray = field(default_factory=lambda: np.array([0.05, 0.0, 0.0]))
-    bounds: tuple = (
-        np.array([0.0, -1.0, -0.2]),
-        np.array([1.0, 1.0, 0.2]),
-    )
-
-    def __post_init__(self):
-        if self.model_id not in ("eq6-population", "sk1-numeric"):
-            raise ValueError(f"unknown model id {self.model_id!r}")
-        self.params = np.asarray(self.params, dtype=float)
-        lo, hi = self.bounds
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise ValueError("bounds must be finite")
-        if np.any(self.params < lo) or np.any(self.params > hi):
-            raise ValueError("initial parameters must lie within bounds")
 
 
 def _measure(seq, varied, values, ctx, shots, seed, keys, channel=SPECTATOR) -> np.ndarray:
@@ -405,66 +377,6 @@ def recalibration_interval(drift_rate: float, suppression_target: float) -> floa
     if not 0.0 < suppression_target < 1.0:
         raise ValueError("suppression_target must be in (0, 1)")
     return phase_tolerance(suppression_target) / drift_rate
-
-
-def _sk1_spectator_populations(f_eff: float, det_ratio: float, counts) -> np.ndarray:
-    ctx = CrosstalkContext(omega_0=1.0, f_ct=max(f_eff, 1e-12), delta_ct=det_ratio)
-    return _train_scan("sk1", [int(n) for n in counts], ctx).populations[:, SPECTATOR]
-
-
-def fit_crosstalk_model(data, model: FitModel) -> FitResult:
-    """Fit spectator populations versus pi-pulse count.
-
-    ``data`` is a sequence of ``(n_pulses, population)`` pairs with at least
-    five points.  The ``eq6-population`` model is the closed-form detuned
-    flop; ``sk1-numeric`` simulates the composite sequence per point.  The
-    parameter covariance estimate from the Jacobian is attached to the
-    returned fit.
-
-    Raises
-    ------
-    DegenerateFitError
-        If the Jacobian is singular (for example featureless data).
-    """
-    pairs = [(int(n), float(p)) for n, p in data]
-    if len(pairs) < 5:
-        raise ValueError("need at least five (n, population) points")
-    ns = np.array([n for n, _ in pairs], dtype=float)
-    pops = np.array([p for _, p in pairs])
-
-    if model.model_id == "eq6-population":
-
-        def predict(params):
-            f_eff, d, off = params
-            gen = math.hypot(f_eff, d)
-            if gen == 0.0:
-                return np.full_like(ns, off)
-            weight = f_eff**2 / gen**2
-            return off + weight * np.sin(0.5 * math.pi * ns * gen) ** 2
-
-    else:
-
-        def predict(params):
-            f_eff, d, off = params
-            return off + _sk1_spectator_populations(f_eff, d, ns)
-
-    # parameters pinned by equal bounds stay fixed (e.g. a known zero
-    # detuning, where the model is even in d and the Jacobian degenerates)
-    lo, hi = (np.asarray(b, dtype=float) for b in model.bounds)
-    free = hi > lo
-    base = model.params.copy()
-
-    def expand(reduced):
-        full = base.copy()
-        full[free] = reduced
-        return full
-
-    def residual(reduced):
-        return predict(expand(reduced)) - pops
-
-    fit = gauss_newton(residual, base[free], bounds=(lo[free], hi[free]))
-    fit.params = expand(fit.params)
-    return fit
 
 
 def run_full_calibration(

@@ -22,10 +22,7 @@ __all__ = [
     "IDENTITY",
     "rotation_unitary",
     "rz",
-    "apply",
     "rotation_error",
-    "max_rotation_error",
-    "is_unitary",
 ]
 
 IDENTITY = np.eye(2, dtype=complex)
@@ -130,38 +127,8 @@ def rz(angle) -> np.ndarray:
     return half[..., None] * IDENTITY
 
 
-def apply(unitary: np.ndarray, state: QubitState) -> QubitState:
-    """Apply a 2x2 unitary to a qubit state."""
-    out = np.asarray(unitary, dtype=complex) @ state.vector
-    return QubitState(out[0], out[1])
-
-
 def rotation_error(state: QubitState, unitary: np.ndarray) -> float:
     """Overlap-based rotation error ``1 - |<psi|U|psi>|^2`` in [0, 1]."""
     amp = np.vdot(state.vector, np.asarray(unitary, dtype=complex) @ state.vector)
     err = 1.0 - abs(amp) ** 2
     return float(min(max(err, 0.0), 1.0))
-
-
-def max_rotation_error(omega_eff: complex, detuning: float, duration: float) -> float:
-    """Rotation error maximized over initial states.
-
-    For a rotation by angle ``gen * t`` about any axis, initial states whose
-    Bloch vector is orthogonal to that axis attain the maximum error
-    ``sin^2(gen * t / 2)`` with ``gen = sqrt(|omega|^2 + detuning^2)``.  At
-    zero detuning this is ``sin^2(|omega| t / 2)``.
-    """
-    om = complex(omega_eff)
-    _check_finite(om.real, om.imag, detuning, duration)
-    if duration < 0.0:
-        raise ValueError("duration must be >= 0")
-    gen = math.sqrt(abs(om) ** 2 + detuning**2)
-    return math.sin(0.5 * gen * duration) ** 2
-
-
-def is_unitary(matrix: np.ndarray, tol: float = 1e-10) -> bool:
-    m = np.asarray(matrix, dtype=complex)
-    if m.shape != (2, 2):
-        return False
-    dev = np.max(np.abs(m.conj().T @ m - IDENTITY))
-    return bool(dev <= tol and abs(abs(np.linalg.det(m)) - 1.0) <= tol)

@@ -15,13 +15,10 @@ import numpy as np
 __all__ = [
     "CompensationSetting",
     "CrosstalkContext",
-    "effective_rabi",
     "effective_magnitude",
     "effective_magnitude_polarized",
-    "is_suppressing",
     "pi_pulse_error",
     "relative_error",
-    "best_compensation",
     "phase_tolerance",
     "amplitude_tolerance",
 ]
@@ -105,11 +102,6 @@ class CrosstalkContext:
         return math.pi / rate
 
 
-def effective_rabi(omega_ct: complex, omega_comp: complex) -> complex:
-    """Effective spectator Rabi frequency, the complex sum of both fields."""
-    return complex(omega_ct) + complex(omega_comp)
-
-
 def effective_magnitude(f_comp: float, delta_phi: float) -> float:
     """Residual field magnitude ratio |1 + f_comp exp(i delta_phi)|."""
     if f_comp < 0.0:
@@ -140,16 +132,6 @@ def effective_magnitude_polarized(
     )
 
 
-def is_suppressing(f_comp: float, delta_phi: float) -> bool:
-    """True iff the compensation strictly reduces the crosstalk amplitude.
-
-    Equivalent to ``cos(delta_phi) < -f_comp / 2`` for ``f_comp > 0``.
-    """
-    if f_comp < 0.0:
-        raise ValueError("f_comp must be >= 0")
-    return f_comp > 0.0 and math.cos(delta_phi) < -0.5 * f_comp
-
-
 def pi_pulse_error(
     n_pulses: int, f_ct: float, f_comp: float = 0.0, delta_phi: float = 0.0
 ) -> float:
@@ -174,20 +156,6 @@ def relative_error(f_comp: float, delta_phi: float) -> float:
     if f_comp < 0.0:
         raise ValueError("f_comp must be >= 0")
     return float(effective_magnitude_polarized(f_comp, delta_phi, 1.0)) ** 2
-
-
-def best_compensation(pol_overlap: float = 1.0) -> tuple[CompensationSetting, float]:
-    """Optimal setting and the residual field floor for a given overlap.
-
-    With full overlap the floor is zero at (1, pi); with partial overlap the
-    optimum moves to ``f_comp = pol_overlap`` and the floor is
-    ``sqrt(1 - pol_overlap^2)``.
-    """
-    if not (0.0 <= pol_overlap <= 1.0):
-        raise ValueError("pol_overlap must be in [0, 1]")
-    setting = CompensationSetting(pol_overlap, math.pi)
-    floor = math.sqrt(max(1.0 - pol_overlap**2, 0.0))
-    return setting, floor
 
 
 def phase_tolerance(suppression: float) -> float:

@@ -2,36 +2,28 @@
 
 Covers slow ambient drift of the differential optical phase, thermal phase
 drift of pulsed fiber AOMs (duty-cycle effect) with its off-resonant
-mitigation tone, the beatnote phase detector, and the Ramsey phase probe.
+mitigation tone, and the Ramsey phase probe.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import accumulate, repeat
 
 import numpy as np
-
-from .schema import resolve
 
 __all__ = [
     "DriftProcess",
     "AomModel",
     "DutyCycleState",
     "sample_slow_drift",
-    "diffraction_efficiency",
     "rf_absorption",
     "matched_drive_power",
     "step_duty_cycle",
     "duty_cycle_drift_rate",
-    "beatnote_phase_measurement",
     "ramsey_phase_probe",
-    "wrap_phase",
-    "load_presets",
-    "rng",
 ]
 
 MITIGATION_FREQ_MHZ = 100.0
@@ -39,18 +31,6 @@ MITIGATION_FREQ_MHZ = 100.0
 # mitigated drift, 0.035 rad/s at worst-case duty cycle with the defaults
 DEFAULT_MATCH_ERROR = 0.2
 SETTLE_TAUS = 40.0  # thermal time constants before the drift rate is read
-
-
-def rng(seed, *key) -> np.random.Generator:
-    """The random stream keyed on ``(seed, *key)``, each word modulo 2**64:
-    ``default_rng(SeedSequence(words))``, bit for bit.
-
-    Every seeded draw in the package comes from here or from
-    :func:`_streams`, its many-key form, so it never depends on the order in
-    which scan points are evaluated.
-    """
-    *prefix, last = (seed, *key)
-    return _streams(prefix, [last])[0]
 
 
 # numpy's SeedSequence (bit_generator.pyx): its hash constants, a pool of
@@ -112,9 +92,14 @@ def _seeded_type() -> type:
 
 
 def _streams(prefix, keys) -> list:
-    """``rng(*prefix, key)`` for every key of ``keys``, bit for bit, keyed in
-    one pass: numpy's SeedSequence pool and ``generate_state(4, uint64)`` as
-    uint32 arithmetic over all keys of one word count at once."""
+    """The random stream keyed on ``(*prefix, key)`` for every key of
+    ``keys``, each word modulo 2**64: ``default_rng(SeedSequence(words))``,
+    bit for bit, keyed in one pass as uint32 arithmetic over all keys of one
+    word count at once.
+
+    Every seeded draw in the package comes from here, so it never depends on
+    the order in which scan points are evaluated.
+    """
     head = [w for p in prefix for w in _words(p)]
     keyed = np.array([int(k) & _MASK64 for k in keys], dtype=np.uint64)
     low, high = (keyed & _MASK32).astype(np.uint32), (keyed >> 32).astype(np.uint32)
@@ -192,7 +177,7 @@ class DriftProcess:
         return 6.0 * self.walk_sigma**2 / self.walk_window
 
 
-# the named drift presets, as accepted by configs and preset files
+# the named drift presets, as accepted by configs
 DRIFT_PRESETS = {"enclosed": DriftProcess.enclosed, "exposed": DriftProcess.exposed}
 
 
@@ -225,18 +210,16 @@ def _drift_traces(process: DriftProcess, duration_min: float, dt_min: float, see
 
 @dataclass(frozen=True)
 class AomModel:
-    """Fiber AOM response: optical diffraction, RF absorption, thermal phase.
+    """Fiber AOM response: RF absorption and thermal phase.
 
-    The diffraction efficiency is a Gaussian around the center frequency with
-    a width chosen so the far-detuned mitigation frequency transmits 1e-4 of
-    peak; the RF absorption is a broad Lorentzian at half strength there.
-    Absorbed RF power heats the device and shifts the optical path length
-    with coefficient ``thermal_coeff`` after low-pass filtering with time
-    constant ``thermal_tau``.
+    The RF absorption is a broad Lorentzian around the center frequency, at
+    half strength at the far-detuned mitigation frequency.  Absorbed RF power
+    heats the device and shifts the optical path length with coefficient
+    ``thermal_coeff`` after low-pass filtering with time constant
+    ``thermal_tau``.
     """
 
     center_mhz: float = 150.0
-    efficiency_width_mhz: float = 50.0 / math.sqrt(math.log(1e4))
     absorption_width_mhz: float = 50.0
     thermal_coeff: float = 0.35  # rad per (W * s)
     thermal_tau: float = 10.0  # s
@@ -246,18 +229,9 @@ class AomModel:
         for f in fields(self):
             if not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite")
-        for name in ("center_mhz", "efficiency_width_mhz", "absorption_width_mhz",
-                     "thermal_tau", "max_rf_power"):
+        for name in ("center_mhz", "absorption_width_mhz", "thermal_tau", "max_rf_power"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be > 0")
-
-
-def diffraction_efficiency(model: AomModel, f_rf_mhz: float) -> float:
-    """Optical diffraction efficiency in [0, 1], peak 1 at the center frequency."""
-    if f_rf_mhz <= 0.0:
-        raise ValueError("f_rf_mhz must be > 0")
-    d = (f_rf_mhz - model.center_mhz) / model.efficiency_width_mhz
-    return math.exp(-(d * d))
 
 
 def rf_absorption(model: AomModel, f_rf_mhz: float) -> float:
@@ -370,78 +344,16 @@ def duty_cycle_drift_rate(
     return probe.phase - state.phase
 
 
-def wrap_phase(phi: float) -> float:
-    """Wrap a phase to (-pi, pi]."""
-    return -((-phi + math.pi) % (2.0 * math.pi) - math.pi)
-
-
-def beatnote_phase_measurement(true_phase: float, noise_sigma: float = 0.0, seed: int = 0) -> float:
-    """One beatnote phase-detector reading: true phase plus Gaussian noise,
-    wrapped to (-pi, pi]."""
-    if noise_sigma < 0.0:
-        raise ValueError("noise_sigma must be >= 0")
-    phi = float(true_phase)
-    if noise_sigma > 0.0:
-        phi += float(rng(seed).normal(0.0, noise_sigma))
-    return wrap_phase(phi)
-
-
-def ramsey_phase_probe(delta_phi: float, shots: int, seed: int = 0) -> float:
-    """Shot-sampled excited fraction of a zero-wait Ramsey phase probe.
+def ramsey_phase_probe(delta_phi, shots: int, seed: int = 0) -> np.ndarray:
+    """Shot-sampled excited fractions of zero-wait Ramsey phase probes, one
+    per phase of the array ``delta_phi``, phase i drawn from the stream
+    ``(seed, i)``.
 
     The exact probability is ``(1 - cos(delta_phi)) / 2``.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    p = 0.5 * (1.0 - math.cos(delta_phi))
-    p = min(max(p, 0.0), 1.0)
-    return float(rng(seed).binomial(shots, p)) / shots
-
-
-# preset-file keys and the DriftProcess / AomModel fields they set
-_DRIFT_FIELDS = {
-    "linear_rate_rad_per_min": "linear_rate",
-    "walk_sigma_rad": "walk_sigma",
-    "walk_window_min": "walk_window",
-}
-_AOM_FIELDS = {
-    "center_mhz": "center_mhz",
-    "efficiency_width_mhz": "efficiency_width_mhz",
-    "absorption_width_mhz": "absorption_width_mhz",
-    "thermal_coeff_rad_per_w_s": "thermal_coeff",
-    "thermal_tau_s": "thermal_tau",
-    "max_rf_power_w": "max_rf_power",
-}
-_ABSENT = object()  # default of a preset key: the field keeps its base value
-
-
-def _fields(section, names: dict, what: str, extra: dict) -> dict:
-    """The fields a preset section sets, typed by the schema."""
-    table = {key: (float, _ABSENT, "") for key in names} | extra
-    given = resolve(section, table, what)
-    return {names.get(k, k): v for k, v in given.items() if v is not _ABSENT}
-
-
-def load_presets(path) -> dict:
-    """Load DriftProcess/AomModel constants from a JSON preset file.
-
-    The file may hold a ``drift`` and an ``aom`` section; numeric keys carry
-    SI unit suffixes (``_rad_per_min``, ``_mhz``, ``_s``, ...) and take
-    finite numbers, ``preset`` one of the drift preset names.  Unknown keys
-    and mistyped values raise :class:`ConfigError`; the dataclasses check
-    the ranges.
-    """
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    doc = resolve(doc, {"drift": (dict, _ABSENT, ""), "aom": (dict, _ABSENT, "")},
-                  "preset file", top=True)
-    out = {}
-    if doc["drift"] is not _ABSENT:
-        kw = _fields(doc["drift"], _DRIFT_FIELDS, "drift",
-                     {"preset": (tuple(DRIFT_PRESETS), _ABSENT, "")})
-        preset = kw.pop("preset", None)
-        base = DriftProcess(0.0, 0.0) if preset is None else DRIFT_PRESETS[preset]()
-        out["drift"] = replace(base, **kw)
-    if doc["aom"] is not _ABSENT:
-        out["aom"] = AomModel(**_fields(doc["aom"], _AOM_FIELDS, "aom", {}))
-    return out
+    phases = np.ravel(delta_phi).tolist()
+    probs = [min(max(0.5 * (1.0 - math.cos(phi)), 0.0), 1.0) for phi in phases]
+    streams = _streams([seed], range(len(probs)))
+    return np.array([float(s.binomial(shots, p)) / shots for p, s in zip(probs, streams)])

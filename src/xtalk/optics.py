@@ -19,11 +19,9 @@ from .errors import NumericalFailureError, OutOfRangeError
 
 __all__ = [
     "BeamProfile",
-    "CrosstalkEstimate",
     "focal_field",
     "clipped_focus_profile",
     "gaussian_intensity",
-    "total_crosstalk_ratio",
     "load_device_map_csv",
 ]
 
@@ -188,54 +186,6 @@ class BeamProfile:
         if not (grid[0] <= x_um <= grid[-1]):
             raise OutOfRangeError(f"position {x_um} um outside device map grid")
         return float(np.interp(x_um, grid, self.field))
-
-
-@dataclass(frozen=True)
-class CrosstalkEstimate:
-    """Combined device and diffraction crosstalk at one ion separation."""
-
-    intensity_ratio: float
-    rabi_ratio: float
-    incoherent_intensity_ratio: float
-    device_amplitude: float
-    diffraction_amplitude: float
-
-
-def total_crosstalk_ratio(
-    profile: BeamProfile,
-    diffraction_intensity: np.ndarray,
-    separation_um: float,
-    pol_overlap: float = 1.0,
-    relative_phase: float = 0.0,
-) -> CrosstalkEstimate:
-    """Crosstalk intensity and Rabi ratio at a given separation from the
-    driven core.
-
-    The device field (from the waveguide map) and the diffraction field (from
-    the clipped-focus profile, normalized to peak 1 on ``profile.grid_um``)
-    are combined as amplitudes with a configurable ``relative_phase``; the
-    paper-level physics does not fix this phase, so the default 0 is the
-    in-phase worst case and the incoherent sum is reported alongside.
-    ``rabi_ratio`` is ``pol_overlap * sqrt(intensity_ratio)``.
-    """
-    diff = np.asarray(diffraction_intensity, dtype=float)
-    grid = profile.grid_um
-    if diff.shape != grid.shape:
-        raise ValueError("diffraction intensity must be sampled on the profile grid")
-    if not (grid[0] <= separation_um <= grid[-1]):
-        raise OutOfRangeError(f"separation {separation_um} um outside the grid")
-    a_dev = abs(profile.device_field(separation_um))
-    a_diff = math.sqrt(max(float(np.interp(separation_um, grid, diff)), 0.0))
-    coherent = abs(a_dev + a_diff * complex(math.cos(relative_phase), math.sin(relative_phase)))
-    intensity = coherent**2
-    incoherent = a_dev**2 + a_diff**2
-    return CrosstalkEstimate(
-        intensity_ratio=intensity,
-        rabi_ratio=pol_overlap * math.sqrt(intensity),
-        incoherent_intensity_ratio=incoherent,
-        device_amplitude=a_dev,
-        diffraction_amplitude=a_diff,
-    )
 
 
 def load_device_map_csv(path) -> tuple[np.ndarray, np.ndarray]:

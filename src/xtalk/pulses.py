@@ -9,16 +9,16 @@ frame so that off-resonant light also produces the physical phase shifts.
 Simulation runs in one kernel, :mod:`xtalk.kernel`.  :func:`simulate_scan`
 evolves both ions from the ground state through one sequence per scan
 point in one kernel call; :func:`sequence_unitaries` returns one sequence's
-gate per ion, for any other initial state (``dynamics.apply``).  A scan that
-varies only a duration, the tone's dial or the target detuning of one
-square pulse compiles that pulse once and tiles it (``_template_scan``,
+gate per ion, for any other initial state (``gate @ state.vector``).  A
+scan that varies only a duration, the tone's dial or the target detuning of
+one square pulse compiles that pulse once and tiles it (``_template_scan``,
 which :mod:`xtalk.calibrate` and the rabi and phase scans use).  Trains of
 pi pulses repeat one block (``_train``): :func:`pi_trains` unrolls it, the
 shorter trains prefixes of the longest, whose shared slices the kernel
-multiplies once.  The x-error and z-error scans and the sk1 crosstalk fit
-run ``_train_scan`` instead, which hands the kernel the block and each
-train's block count, and the Ramsey pulses around each train, without
-building any train: the same tables and results, bit for bit.
+multiplies once.  The x-error and z-error scans run ``_train_scan``
+instead, which hands the kernel the block and each train's block count,
+and the Ramsey pulses around each train, without building any train: the
+same tables and results, bit for bit.
 """
 
 from __future__ import annotations

@@ -28,9 +28,9 @@ from .noise import (
     DRIFT_PRESETS,
     DEFAULT_MATCH_ERROR,
     duty_cycle_drift_rate,
+    ramsey_phase_probe,
     sample_slow_drift,
     _drift_traces,
-    _streams,
 )
 from .optics import BeamProfile, clipped_focus_profile, gaussian_intensity
 from .pulses import (
@@ -262,9 +262,7 @@ def run_drift_monitor(cfg: ScenarioConfig) -> ScanResult:
     trace = sample_slow_drift(process, cfg.scan["duration_min"], dt, seed=cfg.seed)
     times = np.arange(len(trace)) * dt
     rows = []
-    for phi, stream in zip(trace.tolist(), _streams([cfg.seed], range(len(trace)))):
-        p_true = 0.5 * (1.0 - math.cos(phi))
-        p_hat = float(stream.binomial(cfg.shots, min(max(p_true, 0.0), 1.0))) / cfg.shots
+    for phi, p_hat in zip(trace.tolist(), ramsey_phase_probe(trace, cfg.shots, cfg.seed).tolist()):
         phi_hat = math.acos(min(max(1.0 - 2.0 * p_hat, -1.0), 1.0))
         sigma_p = _binomial_stderr(p_hat, cfg.shots)
         slope = 2.0 / max(math.sin(phi_hat), 1e-3)
@@ -352,7 +350,7 @@ _ROWS = {
         "ratio_max": (float, 1.0, "> 0"),
         "points": (int, 13, ">= 1"),
         "mitigated": (bool, False, ""),
-        "match_error": (float, DEFAULT_MATCH_ERROR, ""),
+        "match_error": (float, DEFAULT_MATCH_ERROR, "> -1"),  # -1 drives no power
     }),
     "beam-profile": _Row(run_beam_profile, _BASE, {
         "x_min_um": (float, -10.0, ""),

@@ -1,4 +1,4 @@
-"""Strict typing of JSON documents: scenario configs and preset files.
+"""Strict typing of JSON documents: the scenario configs.
 
 A schema table maps each key of one section to ``(kind, default, lower
 bound)``.  A kind is int, float (finite), bool, str, dict, list (a non-empty

@@ -1,6 +1,8 @@
 """The public API: the names ``xtalk`` exports, the optional parameters of
-every public callable, and the README's quick start."""
+every public callable, the README's quick start and API references, and
+that every definition in the package reaches an output."""
 
+import ast
 import importlib
 import inspect
 import re
@@ -16,21 +18,21 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 PUBLIC_NAMES = [
     "AomModel", "BeamProfile", "CalibrationResult", "ChannelConflictError",
     "ChannelPulse", "CompensationSetting", "ConfigError", "CrosstalkContext",
-    "CrosstalkEstimate", "DegenerateFitError", "DriftProcess", "DutyCycleState",
-    "FitFailureError", "FitModel", "LowSignalError", "NumericalFailureError",
+    "DegenerateFitError", "DriftProcess", "DutyCycleState",
+    "FitFailureError", "LowSignalError", "NumericalFailureError",
     "OutOfRangeError", "PulseSegment", "PulseSequence", "QubitState", "SPECTATOR",
     "ScanResult", "ScenarioConfig", "SimulationResult", "TARGET", "XtalkError",
-    "amplitude_tolerance", "apply", "beatnote_phase_measurement", "best_compensation",
+    "amplitude_tolerance",
     "calibrate_amplitude", "calibrate_phase", "calibrate_stark_shift",
-    "clipped_focus_profile", "concat", "diffraction_efficiency", "duty_cycle_drift_rate",
-    "effective_magnitude", "effective_rabi", "fit_crosstalk_model", "focal_field",
-    "gaussian_intensity", "is_suppressing", "load_device_map_csv", "load_presets",
-    "matched_drive_power", "max_rotation_error", "measure_pi_time", "phase_tolerance",
+    "clipped_focus_profile", "concat", "duty_cycle_drift_rate",
+    "effective_magnitude", "focal_field",
+    "gaussian_intensity", "load_device_map_csv",
+    "matched_drive_power", "measure_pi_time", "phase_tolerance",
     "pi_pulse_error", "pi_trains", "quad_frame_step", "quadrilateral", "ramsey_phase_probe",
     "ramsey_wrap", "recalibration_interval", "relative_error", "rf_absorption",
     "rotation_error", "rotation_unitary", "run_full_calibration", "run_scenario",
     "sample_slow_drift", "save_result", "scaled", "simulate_scan", "sk1", "square_pi",
-    "step_duty_cycle", "total_crosstalk_ratio", "with_pcc",
+    "step_duty_cycle", "with_pcc",
 ]
 
 
@@ -38,32 +40,27 @@ PUBLIC_NAMES = [
 # the modules' __all__: adding a knob is deliberate too, so it changes this
 # table; a parameter no caller sets is a constant instead
 OPTIONAL_PARAMETERS = {
-    "calibrate.FitModel": ["model_id", "params", "bounds"],
     "calibrate.measure_pi_time": ["shots", "seed", "fits"],
     "calibrate.calibrate_amplitude": ["shots", "seed", "bracket", "fits"],
     "calibrate.calibrate_phase": ["n_periods", "shots", "seed", "points"],
     "calibrate.calibrate_stark_shift": ["shots", "seed"],
     "calibrate.run_full_calibration": ["shots", "seed", "include_stark", "timestamp"],
     "calibrate.save_result": ["diagnostics"],
-    "dynamics.is_unitary": ["tol"],
     "field.CrosstalkContext": ["delta_ct", "pol_overlap", "ct_phase", "stark_shift"],
     "field.effective_magnitude_polarized": ["pol_overlap"],
     "field.pi_pulse_error": ["f_comp", "delta_phi"],
-    "field.best_compensation": ["pol_overlap"],
     "fitting.FitResult": ["residual_trace", "covariance"],
     "fitting.gauss_newton": ["bounds", "max_iter", "jacobian"],
     "noise.DriftProcess": ["walk_window", "preset"],
-    "noise.AomModel": ["center_mhz", "efficiency_width_mhz", "absorption_width_mhz",
-                       "thermal_coeff", "thermal_tau", "max_rf_power"],
+    "noise.AomModel": ["center_mhz", "absorption_width_mhz", "thermal_coeff", "thermal_tau",
+                       "max_rf_power"],
     "noise.DutyCycleState": ["filtered_power", "phase"],
     "noise.sample_slow_drift": ["seed"],
     "noise.duty_cycle_drift_rate": ["mitigated", "match_error"],
-    "noise.beatnote_phase_measurement": ["noise_sigma", "seed"],
     "noise.ramsey_phase_probe": ["seed"],
     "optics.BeamProfile.default": ["waist_um"],
     "optics.focal_field": ["max_refinements"],
     "optics.clipped_focus_profile": ["max_refinements"],
-    "optics.total_crosstalk_ratio": ["pol_overlap", "relative_phase"],
     "pulses.PulseSegment": ["detuning", "duration"],
     "pulses.SimulationResult": ["sampled"],
     "pulses.square_pi": ["phase"],
@@ -111,12 +108,95 @@ def test_public_names_are_pinned():
     assert sorted(exported) == sorted(PUBLIC_NAMES)
 
 
-def test_readme_quick_start_runs(capsys):
+def _quick_start() -> str:
     text = README.read_text(encoding="utf-8")
     quick_start = text[text.index("## Library quick start"):]
-    block = re.search(r"```python\n(.*?)```", quick_start, re.S).group(1)
-    exec(compile(block, f"{README}:quick start", "exec"), {})
+    return re.search(r"```python\n(.*?)```", quick_start, re.S).group(1)
+
+
+def test_readme_quick_start_runs(capsys):
+    exec(compile(_quick_start(), f"{README}:quick start", "exec"), {})
     printed = capsys.readouterr().out
     # the spectator's population after 1, 2 and 4 compensated pi pulses
     values = [float(v) for v in printed.strip(" []\n").split()]
     assert len(values) == 3 and all(0.0 <= v < 1e-3 for v in values)
+
+
+def test_readme_api_references_resolve():
+    text = README.read_text(encoding="utf-8")
+    refs = sorted(set(re.findall(r"xtalk\.(\w+)\.(\w+)", text)))
+    missing = [f"xtalk.{m}.{n}" for m, n in refs
+               if not hasattr(importlib.import_module(f"xtalk.{m}"), n)]
+    assert refs and not missing
+
+
+SRC = Path(xtalk.__file__).parent
+ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
+# the definitions that no output reaches, each kept for what a test measures
+KEPT = {
+    "pulses.ramsey_wrap": "the unrolled reference TestTrainScans compares _train_scan to",
+    "calibrate.calibrate_phase": "the one-stage phase calibrator test_calibrate measures",
+    "calibrate.save_result": "the calibration chain's only file output",
+}
+
+
+def _imports(tree) -> dict:
+    """``{alias: "module.name"}`` of the ``from xtalk...`` and relative imports
+    in ``tree``; the package itself is the module ``__init__``."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("xtalk.")
+                                                 or node.module == "xtalk"):
+            module = (node.module or "").removeprefix("xtalk").strip(".") or "__init__"
+            out.update({a.asname or a.name: f"{module}.{a.name}" for a in node.names})
+    return out
+
+
+def test_every_definition_reaches_an_output():
+    """Every top-level def, class and assignment of ``src/xtalk`` is reached,
+    through the names each definition reads, from the CLI, the calibration
+    chain, the acceptance tests' imports or the README's quick start."""
+    scopes, bodies = {}, {}  # per module what each name stands for; each definition
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scope = scopes[path.stem] = _imports(tree)
+        for node in tree.body if path.stem != "__init__" else ():
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(node, "targets", [getattr(node, "target", None)])
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if not name.startswith("__"):  # __all__, read by the import system
+                    scope[name] = f"{path.stem}.{name}"
+                    bodies[scope[name]] = node
+
+    def where(module, name):  # the definition a name stands for, through re-exports
+        label = scopes[module].get(name)
+        while label is not None and label not in bodies:
+            label = scopes[label.split(".")[0]].get(label.split(".")[1])
+        return label
+
+    reads = {label: {where(label.split(".")[0], n.id) for n in ast.walk(node)
+                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)} - {None}
+             for label, node in bodies.items()}
+
+    def reach(labels):
+        seen, todo = set(), list(labels)
+        while todo:
+            label = todo.pop()
+            if label not in seen:
+                seen.add(label)
+                todo.extend(reads[label])
+        return seen
+
+    imported = [*_imports(ast.parse(ACCEPTANCE.read_text(encoding="utf-8"))).values(),
+                *_imports(ast.parse(_quick_start())).values()]
+    roots = ["cli.main", "calibrate.run_full_calibration",
+             *(where(*label.split(".")) for label in imported)]
+    assert None not in roots and KEPT.keys() <= bodies.keys()
+    assert not KEPT.keys() & reach(roots), "a kept definition is reached: drop it from KEPT"
+    orphans = sorted(bodies.keys() - reach(roots + list(KEPT)))
+    assert not orphans, f"reached from no output: {orphans}"

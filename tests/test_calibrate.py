@@ -6,11 +6,9 @@ import pytest
 
 from xtalk.calibrate import (
     CalibrationResult,
-    FitModel,
     calibrate_amplitude,
     calibrate_phase,
     calibrate_stark_shift,
-    fit_crosstalk_model,
     measure_pi_time,
     recalibration_interval,
     run_full_calibration,
@@ -18,11 +16,11 @@ from xtalk.calibrate import (
 )
 from xtalk.errors import (
     ConfigError,
-    DegenerateFitError,
     LowSignalError,
     OutOfRangeError,
 )
-from xtalk.field import CrosstalkContext, best_compensation, pi_pulse_error, relative_error
+from xtalk.field import (CrosstalkContext, effective_magnitude_polarized, pi_pulse_error,
+                         relative_error)
 
 OMEGA = 2 * math.pi * 50e3
 CTX = CrosstalkContext(omega_0=OMEGA, f_ct=0.096)
@@ -68,7 +66,8 @@ class TestCalibrateAmplitude:
         ctx = CrosstalkContext(omega_0=OMEGA, f_ct=0.096, pol_overlap=0.9)
         f_star = calibrate_amplitude(ctx, ctx.t_pi_ct, shots=None)
         assert abs(f_star - 1.0) <= 1e-3
-        _, floor = best_compensation(0.9)
+        # the residual field floor, at f_comp = pol_overlap and delta_phi = pi
+        floor = effective_magnitude_polarized(0.9, math.pi, 0.9)
         assert floor == pytest.approx(math.sqrt(1.0 - 0.81), abs=1e-12)
 
     @pytest.mark.parametrize("detuning", [0.0, 0.03, 0.06])
@@ -289,98 +288,6 @@ class TestRecalibrationInterval:
             recalibration_interval(0.0, 0.01)
         with pytest.raises(ValueError):
             recalibration_interval(1.0, 1.0)
-
-
-class TestFitCrosstalkModel:
-    @staticmethod
-    def synthetic(f_eff, ns):
-        return [(n, math.sin(0.5 * math.pi * n * f_eff) ** 2) for n in ns]
-
-    def test_exact_inversion(self):
-        data = self.synthetic(4e-3, [1, 2, 4, 8, 16, 32, 64, 128])
-        model = FitModel(
-            params=np.array([0.01, 0.0, 0.0]),
-            bounds=(np.array([0.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0])),
-        )
-        fit = fit_crosstalk_model(data, model)
-        assert fit.params[0] == pytest.approx(4e-3, abs=1e-9)
-
-    def test_monte_carlo_accuracy(self):
-        rng_master = np.random.default_rng(99)
-        # low counts break the phase aliasing, high counts pin the slope
-        ns = [1, 2, 4, 8, 16, 32, 64, 96, 128, 160, 192]
-        hits = 0
-        for _ in range(40):
-            rng = np.random.default_rng(rng_master.integers(2**32))
-            data = [
-                (n, rng.binomial(200, math.sin(0.5 * math.pi * n * 4e-3) ** 2) / 200)
-                for n in ns
-            ]
-            model = FitModel(
-                params=np.array([0.01, 0.0, 0.0]),
-                bounds=(np.array([0.0, 0.0, -0.05]), np.array([1.0, 0.0, 0.05])),
-            )
-            fit = fit_crosstalk_model(data, model)
-            if abs(fit.params[0] - 4e-3) <= 0.1 * 4e-3:
-                hits += 1
-        assert hits >= 36
-
-    def test_bare_crosstalk_regression(self):
-        data = self.synthetic(0.096, [1, 2, 3, 4, 6, 8, 10, 12])
-        model = FitModel(
-            params=np.array([0.08, 0.0, 0.0]),
-            bounds=(np.array([0.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0])),
-        )
-        fit = fit_crosstalk_model(data, model)
-        assert fit.params[0] == pytest.approx(0.096, abs=1e-6)
-
-    def test_detuned_model_inversion(self):
-        f_eff, d = 0.05, 0.03
-        gen = math.hypot(f_eff, d)
-        data = [
-            (n, (f_eff**2 / gen**2) * math.sin(0.5 * math.pi * n * gen) ** 2)
-            for n in [1, 2, 4, 8, 16, 24, 32]
-        ]
-        model = FitModel(
-            params=np.array([0.04, 0.02, 0.0]),
-            bounds=(np.array([0.0, 0.0, 0.0]), np.array([1.0, 0.5, 0.0])),
-        )
-        fit = fit_crosstalk_model(data, model)
-        assert fit.params[0] == pytest.approx(f_eff, abs=1e-6)
-        assert fit.params[1] == pytest.approx(d, abs=1e-6)
-        assert fit.covariance is not None
-
-    def test_sk1_numeric_model(self):
-        from xtalk.calibrate import _sk1_spectator_populations
-
-        truth = (0.096, 0.1)
-        counts = [1, 2, 3, 4, 5, 6]
-        data = list(zip(counts, _sk1_spectator_populations(truth[0], truth[1], counts)))
-        model = FitModel(
-            model_id="sk1-numeric",
-            params=np.array([0.09, 0.08, 0.0]),
-            bounds=(np.array([0.0, 0.0, 0.0]), np.array([0.5, 0.5, 0.0])),
-        )
-        fit = fit_crosstalk_model(data, model)
-        assert fit.params[0] == pytest.approx(truth[0], rel=1e-3)
-        assert fit.params[1] == pytest.approx(truth[1], rel=1e-3)
-
-    def test_repeated_point_is_degenerate(self):
-        data = [(4, 0.1)] * 6
-        model = FitModel(
-            params=np.array([0.05, 0.0, 0.0]),
-            bounds=(np.array([0.0, 0.0, -0.2]), np.array([1.0, 0.0, 0.2])),
-        )
-        with pytest.raises(DegenerateFitError):
-            fit_crosstalk_model(data, model)
-
-    def test_too_few_points(self):
-        with pytest.raises(ValueError):
-            fit_crosstalk_model(self.synthetic(0.1, [1, 2, 3]), FitModel())
-
-    def test_model_id_validation(self):
-        with pytest.raises(ValueError):
-            FitModel(model_id="other")
 
 
 class TestFullChain:

@@ -11,8 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xtalk.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
-from xtalk.errors import ConfigError
-from xtalk.noise import _AOM_FIELDS, _DRIFT_FIELDS, DRIFT_PRESETS, load_presets
 from xtalk.scenarios import SCENARIOS, _NOISE, _NOISY, _PHYSICS, _ROWS
 
 
@@ -231,6 +229,12 @@ def run_quietly(argv):
         # a noise block must name its preset and be an object
         ("x-error", {"noise": {}}, "noise.preset"),
         ("phase-scan", {"noise": False}, "noise"),
+        # used to exit 2 with a message that did not name the key (-2), or 0
+        # with drift rates from a drive power of zero (-1)
+        ("duty-cycle-sweep", {"scan": {"mitigated": True, "match_error": -2}},
+         "duty-cycle-sweep scan.match_error"),
+        ("duty-cycle-sweep", {"scan": {"mitigated": True, "match_error": -1}},
+         "duty-cycle-sweep scan.match_error"),
     ],
 )
 def test_bad_config_exits_2_naming_the_key(tmp_path, scenario, doc, key):
@@ -423,31 +427,3 @@ def test_config_with_a_rejected_key_exits_2(scenario, data):
     assert code == EXIT_CONFIG and len(err) == 1
     if section is None:  # the top level is resolved first
         assert scenario in err[0] and key in err[0]
-
-
-_PRESET_VALUE = st.one_of(_BAD, _EDGES, st.floats(-10.0, 10.0),
-                          st.sampled_from(sorted(DRIFT_PRESETS)))
-
-
-@settings(max_examples=100, deadline=None)
-@given(doc=st.one_of(
-    st.fixed_dictionaries({}, optional={
-        "drift": st.one_of(_BAD, st.dictionaries(
-            st.sampled_from(["preset", *_DRIFT_FIELDS, "x"]), _PRESET_VALUE)),
-        "aom": st.one_of(_BAD, st.dictionaries(
-            st.sampled_from([*_AOM_FIELDS, "x"]), _PRESET_VALUE)),
-        "x": _PRESET_VALUE,
-    }),
-    st.recursive(_PRESET_VALUE, lambda inner: st.one_of(
-        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=3)),
-        max_leaves=6),
-))
-def test_any_preset_file_loads_or_raises_config_error(doc):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "presets.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        try:
-            loaded = load_presets(path)
-        except (ConfigError, ValueError):
-            return
-    assert set(loaded) <= {"drift", "aom"}

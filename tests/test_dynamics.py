@@ -8,9 +8,6 @@ from hypothesis import strategies as st
 from xtalk.dynamics import (
     IDENTITY,
     QubitState,
-    apply,
-    is_unitary,
-    max_rotation_error,
     rotation_error,
     rotation_unitary,
     rz,
@@ -43,6 +40,12 @@ def random_state(rng):
     c0 = complex(v[0], v[1])
     c1 = complex(v[2], v[3])
     return QubitState.normalized(c0, c1)
+
+
+def max_rotation_error(omega, delta, t):
+    """The closed-form worst case over initial states, ``sin^2(gen t / 2)``:
+    a rotation by ``gen t`` moves a state orthogonal to its axis the most."""
+    return math.sin(0.5 * math.hypot(abs(omega), delta) * t) ** 2
 
 
 def random_unitary(rng):
@@ -89,7 +92,9 @@ class TestRotationUnitary:
     def test_unitarity(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
-            assert is_unitary(random_unitary(rng), tol=1e-10)
+            u = random_unitary(rng)
+            assert np.max(np.abs(u.conj().T @ u - IDENTITY)) <= 1e-10
+            assert abs(abs(np.linalg.det(u)) - 1.0) <= 1e-10
 
     def test_composition(self):
         omega = OMEGA * complex(math.cos(0.7), math.sin(0.7))
@@ -116,19 +121,21 @@ class TestRotationUnitary:
 
 
 class TestApply:
+    """A gate acts on a state as ``u @ state.vector``."""
+
     def test_identity_keeps_ground(self):
-        out = apply(IDENTITY, QubitState.ground())
+        out = QubitState(*(IDENTITY @ QubitState.ground().vector))
         assert out.c0 == pytest.approx(1.0) and out.c1 == pytest.approx(0.0)
 
     def test_pi_pulse_excites(self):
         u = rotation_unitary(OMEGA, 0.0, math.pi / OMEGA)
-        out = apply(u, QubitState.ground())
+        out = QubitState(*(u @ QubitState.ground().vector))
         assert out.excited_population() == pytest.approx(1.0, abs=1e-12)
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
-            out = apply(random_unitary(rng), random_state(rng))
+            out = QubitState(*(random_unitary(rng) @ random_state(rng).vector))
             assert abs(out.norm() - 1.0) < 1e-12
 
 
@@ -178,13 +185,17 @@ class TestRotationError:
 
 
 class TestMaxRotationError:
+    """The largest ``rotation_error`` over initial states: resonant, the
+    ground state attains it."""
+
     def test_pi_rotation_is_one(self):
-        assert max_rotation_error(OMEGA, 0.0, math.pi / OMEGA) == pytest.approx(1.0)
+        u = rotation_unitary(OMEGA * complex(math.cos(1.1), math.sin(1.1)), 0.0, math.pi / OMEGA)
+        assert rotation_error(QubitState.ground(), u) == pytest.approx(1.0)
 
     def test_small_area_error_value(self):
         # |omega| t = 0.096 pi reproduces the per-pulse error of a 9.6% drive
-        err = max_rotation_error(0.096 * OMEGA, 0.0, math.pi / OMEGA)
-        assert err == pytest.approx(2.26e-2, abs=1e-4)
+        u = rotation_unitary(0.096 * OMEGA, 0.0, math.pi / OMEGA)
+        assert rotation_error(QubitState.ground(), u) == pytest.approx(2.26e-2, abs=1e-4)
 
     def test_brute_force_maximization(self):
         omega = OMEGA * complex(math.cos(0.4), math.sin(0.4)) * 0.7
@@ -199,7 +210,8 @@ class TestMaxRotationError:
 
     def test_resonant_limit_closed_form(self):
         for f in (0.01, 0.096, 0.2):
-            err = max_rotation_error(f * OMEGA, 0.0, math.pi / OMEGA)
+            u = rotation_unitary(f * OMEGA, 0.0, math.pi / OMEGA)
+            err = rotation_error(QubitState.ground(), u)
             assert err == pytest.approx(math.sin(0.5 * math.pi * f) ** 2, abs=1e-15)
 
 

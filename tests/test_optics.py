@@ -12,7 +12,6 @@ from xtalk.optics import (
     focal_field,
     gaussian_intensity,
     load_device_map_csv,
-    total_crosstalk_ratio,
 )
 
 W0 = 1.6  # um
@@ -158,52 +157,6 @@ class TestBeamProfile:
         profile = BeamProfile.from_csv(path)
         assert np.array_equal(profile.grid_um, grid)
         assert np.array_equal(profile.field, fields[5])
-
-
-class TestTotalCrosstalkRatio:
-    @staticmethod
-    def _gaussian_only_profile():
-        grid = np.linspace(-12.0, 12.0, 2401)
-        return BeamProfile(grid, np.zeros(grid.size))
-
-    def test_pure_gaussian_limit(self):
-        profile = self._gaussian_only_profile()
-        diffraction = gaussian_intensity(profile.grid_um, W0)
-        est = total_crosstalk_ratio(profile, diffraction, 5.0)
-        expected = math.exp(-2.0 * (5.0 / W0) ** 2)
-        assert est.intensity_ratio == pytest.approx(expected, rel=1e-9)
-        assert est.rabi_ratio == pytest.approx(math.sqrt(expected), rel=1e-9)
-
-    def test_default_device_dominates(self):
-        profile = BeamProfile.default()
-        diffraction = clipped_focus_profile(W0, LAM, NA, profile.grid_um)
-        est = total_crosstalk_ratio(profile, diffraction, 5.0)
-        assert est.intensity_ratio == pytest.approx(1e-2, rel=0.1)
-        assert est.rabi_ratio == pytest.approx(0.1, rel=0.05)
-        assert est.device_amplitude > est.diffraction_amplitude
-
-    def test_coherent_bounds_bracket_incoherent(self):
-        profile = BeamProfile.default()
-        diffraction = clipped_focus_profile(W0, LAM, NA, profile.grid_um)
-        worst = total_crosstalk_ratio(profile, diffraction, 5.0, relative_phase=0.0)
-        best = total_crosstalk_ratio(profile, diffraction, 5.0, relative_phase=math.pi)
-        assert worst.intensity_ratio >= worst.incoherent_intensity_ratio >= best.intensity_ratio
-        a, b = worst.device_amplitude, worst.diffraction_amplitude
-        assert worst.intensity_ratio == pytest.approx((a + b) ** 2, rel=1e-12)
-        assert best.intensity_ratio == pytest.approx((a - b) ** 2, rel=1e-9)
-        assert worst.incoherent_intensity_ratio == pytest.approx(a * a + b * b, rel=1e-12)
-
-    def test_polarization_scales_rabi(self):
-        profile = self._gaussian_only_profile()
-        diffraction = gaussian_intensity(profile.grid_um, W0)
-        est = total_crosstalk_ratio(profile, diffraction, 5.0, pol_overlap=0.9)
-        assert est.rabi_ratio == pytest.approx(0.9 * math.sqrt(est.intensity_ratio), rel=1e-12)
-
-    def test_separation_out_of_range(self):
-        profile = self._gaussian_only_profile()
-        diffraction = gaussian_intensity(profile.grid_um, W0)
-        with pytest.raises(OutOfRangeError):
-            total_crosstalk_ratio(profile, diffraction, 100.0)
 
 
 class TestDeviceMapCsv:

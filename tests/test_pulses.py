@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from xtalk.dynamics import QubitState, apply, rz
+from xtalk.dynamics import QubitState, rz
 from xtalk.errors import ChannelConflictError
 from xtalk.field import CompensationSetting, CrosstalkContext
 from xtalk.pulses import (
@@ -217,9 +217,9 @@ class TestSimulate:
         seq = PulseSequence((ChannelPulse(TARGET, (PulseSegment(0.0, 0.0, 0.0, 1e-3),)),))
         plus = QubitState.normalized(1.0, 1.0)
         for u in sequence_unitaries(seq, CTX).values():
-            out = apply(u, plus)
-            assert out.c0 == pytest.approx(plus.c0, abs=1e-15)
-            assert out.c1 == pytest.approx(plus.c1, abs=1e-15)
+            out = u @ plus.vector
+            assert out[0] == pytest.approx(plus.c0, abs=1e-15)
+            assert out[1] == pytest.approx(plus.c1, abs=1e-15)
 
     def test_rabi_flop_periods(self):
         # target flops at omega_0, spectator at f_ct * omega_0
@@ -615,9 +615,9 @@ class TestKernel:
         for seq, amplitudes in zip(seqs, scan.amplitudes):
             gates = sequence_unitaries(seq, ctx)
             for ion in (TARGET, SPECTATOR):
-                ground = apply(gates[ion], QubitState.ground())
+                ground = gates[ion] @ QubitState.ground().vector
                 assert np.array_equal(amplitudes[ion], gates[ion][:, 0])
-                assert np.array_equal(amplitudes[ion], ground.vector)
+                assert np.array_equal(amplitudes[ion], ground)
 
     @pytest.mark.parametrize("kwargs, match", [
         ({"shots": 0}, "shots must be"),
