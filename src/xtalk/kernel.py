@@ -10,16 +10,20 @@ repeats and each point's block count, with a train's Ramsey pulses and dark
 gaps where ``pulses.ramsey_wrap`` puts them, so the table of an x-error or
 z-error scan is built without unrolling its trains.  The kernel runs points
 longest first and multiplies them slice by slice, evaluating with numpy only
-the slices of the points still running, over one batch axis of (slice x
-offset).  Offset column 0, the noiseless evolution behind the amplitudes and
-populations, goes through ``np.matmul`` of (matrices, 2, 2) stacks; the shot
-columns go through the 2x2 entry products written out elementwise, which
-round differently but make one numpy pass instead of one matrix call per
-shot.  Shot columns only feed the draws, so a sampled value can change only
-where a draw lands within a few ulps of its probability.  Leading slices
-that points share under equal offsets, as a shorter train shares those of a
-longer one, are multiplied once.  Each point's result is bit-identical to
-simulating it alone.  A scan that only varies one value of a one-slice
+the slices of the points still running.  Offset column 0, the noiseless
+evolution behind the amplitudes and populations, goes through ``np.matmul``
+of (matrices, 2, 2) stacks for both ions.  A noisy scan adds one column per
+shot, each its own spectator phase offset.  Per point, it evaluates each
+distinct slice once for all its columns: rows compare by bit pattern, their
+start only where an ion is detuned.  Shot columns are evaluated and carried
+only for the ions being sampled, and only as the state from the ground
+state, through the 2x2 entry products written out elementwise into reused
+buffers; these round differently but make one numpy pass instead of one
+matrix call per shot.  Shot columns only feed the draws, so a sampled value
+can change only where a draw lands within a few ulps of its probability.
+Leading slices that the points of a noiseless scan share, as a shorter
+train shares those of a longer one, are multiplied once.  Each point's
+result is bit-identical to simulating it alone.  A scan that only varies one value of a one-slice
 sequence (a calibration flop, dial or resonance scan) tiles that sequence's
 one slice, read from its segments, instead of compiling every point, with
 the same table.  :mod:`xtalk.pulses` builds the sequences, calls the kernel
@@ -306,15 +310,18 @@ def _abs2(re, im) -> np.ndarray:
     return np.float_power(np.hypot(re, im), 2.0)
 
 
-def _slice_propagators(table: np.ndarray, offsets: np.ndarray, ct_phase: float) -> np.ndarray:
-    """Qubit-frame propagator of every slice, shape ``(2,) + batch + (2, 2)``.
+def _slice_propagators(table: np.ndarray, offsets, ct_phase: float,
+                       ions=(TARGET, SPECTATOR)) -> np.ndarray:
+    """Qubit-frame propagator of every slice for each of ``ions``, shape
+    ``(len(ions),) + batch + (2, 2)``.
 
     ``table`` and ``offsets`` broadcast to the batch shape.  A slice without
     light leaves the qubit frame inertial, so it is an exact identity.
     """
     start, dur, *cols = np.moveaxis(table, -1, 0)
-    out = np.empty((2,) + np.broadcast_shapes(dur.shape, offsets.shape) + (2, 2), dtype=complex)
-    for ion in (TARGET, SPECTATOR):
+    out = np.empty((len(ions),) + np.broadcast_shapes(dur.shape, np.shape(offsets)) + (2, 2),
+                   dtype=complex)
+    for u, ion in zip(out, ions):
         det, fixed_re, fixed_im, amp, phase, quad = cols[_ION_COLUMNS * ion:][:_ION_COLUMNS]
         phase = phase + offsets + ct_phase if ion == TARGET else phase + offsets
         re = fixed_re + amp * np.cos(phase)
@@ -338,7 +345,6 @@ def _slice_propagators(table: np.ndarray, offsets: np.ndarray, ct_phase: float) 
         half_angle = 0.5 * gen * dur
         c, s = np.cos(half_angle), np.sin(half_angle)
         sx, sy, sz = s * (om_re / gen), s * (om_im / gen), s * (-det / gen)
-        u = out[ion]
         u[..., 0, 0], u[..., 0, 1] = c - 1.0j * sz, -sy - 1.0j * sx
         u[..., 1, 0], u[..., 1, 1] = sy - 1.0j * sx, c + 1.0j * sz
         framed = ~dark & (det != 0.0)
@@ -351,72 +357,66 @@ def _slice_propagators(table: np.ndarray, offsets: np.ndarray, ct_phase: float) 
     return out
 
 
-def _identities(points: int, width: int) -> np.ndarray:
-    return np.broadcast_to(IDENTITY, (2, points, width, 2, 2)).copy()
-
-
-def _shot_products(u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``u @ out`` over ``(2, points, width, 2, 2)`` stacks: the shot
-    columns as the 2x2 entry products, one numpy pass per entry instead of
-    one ``np.matmul`` call per matrix, and column 0 through ``np.matmul``,
-    whose rounding the elementwise products do not keep."""
-    prod = np.empty(out.shape, dtype=complex)
-    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        np.add(u[..., i, 0] * out[..., 0, j], u[..., i, 1] * out[..., 1, j], out=prod[..., i, j])
-    prod[:, :, :1] = np.matmul(u[:, :, :1], out[:, :, :1])
-    return prod
+def _identities(points: int) -> np.ndarray:
+    return np.broadcast_to(IDENTITY, (2, points, 2, 2)).copy()
 
 
 def _products(table, begin, count, out, shifts, ct_phase: float, marks=None) -> np.ndarray:
-    """``out``, shape ``(2, points, n, 2, 2)``, left-multiplied per point by
+    """``out``, shape ``(2, points, 2, 2)``, left-multiplied per point by
     the propagators of its ``count`` table rows from row ``begin`` on, in
-    order, under its ``n`` ``shifts``.  Points come longest first, so step k
-    evaluates the rows of the leading ``m_k`` points still running, steps
-    packed into calls of up to ``_BATCH`` propagators (at least one step).
-    Column 0 goes through ``np.matmul``, shot columns (``n > 1``) through
-    :func:`_shot_products`.  ``marks``, a dict keyed by row counts, receives
-    the product of a single point after each such count."""
-    points, width = shifts.shape
-    mul = np.matmul if width == 1 else _shot_products
+    order, under its phase offset ``shifts``.  Points come longest first, so
+    step k evaluates the rows of the leading ``m_k`` points still running,
+    steps packed into calls of up to ``_BATCH`` propagators (at least one
+    step), and multiplies them through ``np.matmul`` of (matrices, 2, 2)
+    stacks.  ``marks``, a dict keyed by row counts, receives the product of
+    a single point after each such count."""
+    points = len(count)
     steps = np.arange(count[0] if points else 0)
     running = np.searchsorted(-count, -steps)  # m_k, as count is descending
-    ends = np.cumsum(np.append(0, 2 * width * running))  # propagators before each step
+    ends = np.cumsum(np.append(0, 2 * running))  # propagators before each step
     k0 = 0
     while k0 < len(steps):
         k1 = max(k0 + 1, int(np.searchsorted(ends, ends[k0] + _BATCH, side="right")) - 1)
         live = np.arange(points) < running[k0:k1, None]  # step-major (step, point)
-        props = _slice_propagators(table[(begin + steps[k0:k1, None])[live], None],
+        props = _slice_propagators(table[(begin + steps[k0:k1, None])[live]],
                                    shifts[np.nonzero(live)[1]], ct_phase)
         full = max(0, min(k1, count[-1]) - k0)  # leading steps that run every point
-        whole = np.moveaxis(props[:, :full * points].reshape(2, full, points, width, 2, 2), 1, 0)
-        if width == 1:  # np.matmul of (matrices, 2, 2) stacks: the same products, less set-up
-            whole, out = whole.reshape(full, 2 * points, 2, 2), out.reshape(2 * points, 2, 2)
-        for i, u in enumerate(whole, k0 + 1):
-            out = mul(u, out)
+        whole = np.moveaxis(props[:, :full * points].reshape(2, full, points, 2, 2), 1, 0)
+        out = out.reshape(2 * points, 2, 2)
+        for i, u in enumerate(whole.reshape(full, 2 * points, 2, 2), k0 + 1):
+            out = np.matmul(u, out)
             if marks is not None and i in marks:
-                marks[i] = out.reshape(2, points, width, 2, 2)
-        out = out.reshape(2, points, width, 2, 2)
+                marks[i] = out.reshape(2, points, 2, 2)
+        out = out.reshape(2, points, 2, 2)
         at = full * points
         for m in running[k0 + full:k1].tolist():
-            out[:, :m] = mul(props[:, at:at + m], out[:, :m])
+            out[:, :m] = np.matmul(props[:, at:at + m], out[:, :m])
             at += m
         k0 = k1
     return out
 
 
-def _propagate(table: np.ndarray, lengths: np.ndarray, offsets: np.ndarray, ct_phase: float):
-    """The kernel: yields each point's total propagators, shape ``(2, n, 2, 2)``.
+def _propagate(table: np.ndarray, lengths: np.ndarray, offsets: np.ndarray, ct_phase: float,
+               ions=(TARGET, SPECTATOR)):
+    """The kernel: yields each point's propagator per ion under its first
+    offset, shape ``(2, 2, 2)``, and its shot states, or None.
 
-    Takes the compiled table, each point's slice count and one row of ``n``
-    spectator phase offsets (rad) per point.  When all points have the same
-    offsets, the leading rows a point shares with the longest point (a
-    shorter train is a prefix of a longer one) are multiplied once, on the
-    longest point.  The other rows go through :func:`_products` in groups
-    of ``_BATCH // (2 n)`` points, yielded in the caller's order.  Every
-    product is a sequential left product, so each element is bit-identical
-    to multiplying one point's propagators in turn.
+    Takes the compiled table, each point's slice count and one row of
+    spectator phase offsets (rad) per point: column 0 the noiseless
+    evolution, any others one shot each.  With shot columns, the shot
+    states are those of :func:`_shot_propagate` for ``ions``.  Without,
+    when all points have the same offset, the leading rows a point shares
+    with the longest point (a shorter train is a prefix of a longer one)
+    are multiplied once, on the longest point; the other rows go through
+    :func:`_products` in groups of ``_BATCH // 2`` points.  Points are
+    yielded in the caller's order.  Every product is a sequential left
+    product, so each element is bit-identical to multiplying one point's
+    propagators in turn.
     """
     n, width = offsets.shape
+    if width > 1:
+        yield from _shot_propagate(table, lengths, offsets, ct_phase, ions)
+        return
     first = np.cumsum(lengths) - lengths
     done = np.zeros(n, dtype=int)
     shared_products = {}
@@ -432,16 +432,133 @@ def _propagate(table: np.ndarray, lengths: np.ndarray, offsets: np.ndarray, ct_p
         if np.count_nonzero(shared) > 1:  # not the longest point alone
             done = shared
             shared_products = dict.fromkeys(done.tolist())
-            _products(table, first[[longest]], done[[longest]], _identities(1, width),
-                      offsets[:1], ct_phase, shared_products)
-    group = max(1, _BATCH // (2 * width))
+            _products(table, first[[longest]], done[[longest]], _identities(1),
+                      offsets[:1, 0], ct_phase, shared_products)
+    group = _BATCH // 2
     for g0 in range(0, n, group):
         part = np.arange(g0, min(g0 + group, n))
         order = part[np.argsort(done[part] - lengths[part], kind="stable")]  # longest first
-        out = _identities(len(order), width)
+        out = _identities(len(order))
         for i, k in enumerate(done[order].tolist()):
             if k:
                 out[:, i] = shared_products[k][:, 0]
         u = _products(table, first[order] + done[order], lengths[order] - done[order], out,
-                      offsets[order], ct_phase)
-        yield from np.moveaxis(u[:, np.argsort(order)], 1, 0)
+                      offsets[order, 0], ct_phase)
+        yield from ((p, None) for p in np.moveaxis(u[:, np.argsort(order)], 1, 0))
+
+
+def _distinct(table: np.ndarray, lengths: np.ndarray):
+    """Each row's id among the distinct rows of its point, and each point's
+    count of them.  Rows compare by bit pattern, their start only where an
+    ion is detuned: only a detuned lit slice reads it, in its Z-frame
+    sandwich."""
+    point = np.repeat(np.arange(len(lengths)), lengths)
+    keys = np.column_stack([point, table.view(np.int64)])
+    keys[(table[:, 2] == 0.0) & (table[:, 2 + _ION_COLUMNS] == 0.0), 1] = 0
+    rows = keys.view(np.dtype((np.void, keys.shape[1] * 8))).ravel()  # one bytes value a row
+    _, rep, ids = np.unique(rows, return_index=True, return_inverse=True)
+    return ids, np.bincount(point[rep], minlength=len(lengths))
+
+
+def _windows(ids: list, cost: int) -> list:
+    """Cuts of one point's rows, with distinct ``ids``, into runs whose
+    distinct rows take at most ``_BATCH`` propagators of ``cost`` each, at
+    least one row a run."""
+    cuts, seen = [0], set()
+    for k, i in enumerate(ids):
+        if i not in seen:
+            if seen and (len(seen) + 1) * cost > _BATCH:
+                cuts.append(k)
+                seen = set()
+            seen.add(i)
+    return cuts + [len(ids)]
+
+
+def _shot_propagate(table, lengths, offsets, ct_phase: float, ions):
+    """:func:`_propagate` with shot columns: per point, its propagator per
+    ion under offset column 0 and, per ion of ``ions`` and shot column, the
+    state from the ground state, shape ``(len(ions), 2, shots)``.
+
+    Per point, each distinct table row (:func:`_distinct`) is evaluated
+    once for all its columns: column 0 for both ions and the shot columns
+    for ``ions`` only.  Consecutive points whose distinct rows take at most
+    ``_BATCH`` propagators run as one group through :func:`_shot_steps`; a
+    point beyond that runs alone, its rows cut into :func:`_windows`.
+    """
+    n, width = offsets.shape
+    cost = 2 + (width - 1) * len(ions)  # propagators evaluated per distinct row
+    first = np.cumsum(lengths) - lengths
+    ids, distinct = _distinct(table, lengths)
+    weight = (np.maximum(distinct, 1) * cost).tolist()  # a state costs as much as a row
+    g0 = 0
+    while g0 < n:
+        g1, total = g0 + 1, weight[g0]
+        while g1 < n and total + weight[g1] <= _BATCH:
+            total, g1 = total + weight[g1], g1 + 1
+        part = np.arange(g0, g1)
+        order = part[np.argsort(-lengths[part], kind="stable")]  # longest first
+        count = lengths[order]
+        cuts = [0, int(count[0])]
+        if total > _BATCH:  # one point
+            cuts = _windows(ids[first[g0]:first[g0] + lengths[g0]].tolist(), cost)
+        u, states = _shot_steps(table, ids, first[order], count, offsets[order], ct_phase,
+                                ions, cuts)
+        for i in np.argsort(order).tolist():
+            yield u[:, i], states[count[i] % 2, i]
+        g0 = g1
+
+
+def _shot_steps(table, ids, begin, count, shifts, ct_phase: float, ions, cuts):
+    """The products of :func:`_shot_propagate` for points longest first:
+    column 0's propagators, shape ``(2, points, 2, 2)``, and the shot
+    states of ``ions`` in two buffers, shape ``(2, points, len(ions), 2,
+    shots)``; a point's last step wrote buffer ``count % 2``.
+
+    Steps between consecutive ``cuts`` evaluate their distinct rows in one
+    call per ion.  Step k multiplies column 0 through ``np.matmul``, as
+    :func:`_products` does, and the shot states of the leading ``m_k``
+    points through :func:`_shot_products`, from one buffer into the other.
+    """
+    points, width = shifts.shape
+    steps = np.arange(count[0])
+    running = np.searchsorted(-count, -steps)
+    ends = np.cumsum(np.append(0, running))  # entries before each step
+    live = np.arange(points) < running[:, None]
+    rows, at = (begin + steps[:, None])[live], np.nonzero(live)[1]  # step-major entries
+    out = _identities(points)
+    states = np.zeros((2, points, len(ions), 2, width - 1), dtype=complex)
+    states[0, :, :, 0] = 1.0
+    spare, gathered = np.empty_like(states[0]), np.empty(states[0].shape[:-1] + (2, width - 1),
+                                                            dtype=complex)
+    for k0, k1 in zip(cuts[:-1], cuts[1:]):
+        e0, e1 = ends[k0], ends[k1]
+        _, pick, inverse = np.unique(ids[rows[e0:e1]], return_index=True, return_inverse=True)
+        where, who = rows[e0:e1][pick, None], at[e0:e1][pick]
+        # per distinct row: column 0 of both ions, and (i, j, shot) entries
+        # of the shot columns of ions
+        zero = np.empty((2, len(pick), 2, 2), dtype=complex)
+        shot = np.empty((len(pick), len(ions), 2, 2, width - 1), dtype=complex)
+        for ion in (TARGET, SPECTATOR):
+            cols = shifts[who] if ion in ions else shifts[who, :1]
+            [props] = _slice_propagators(table[where], cols, ct_phase, (ion,))
+            zero[ion] = props[:, 0]
+            if ion in ions:
+                shot[:, ions.index(ion)] = np.moveaxis(props[:, 1:], 1, -1)
+        for k in range(k0, k1):
+            m, idx = running[k], inverse[ends[k] - e0:ends[k + 1] - e0]
+            out[:, :m] = np.matmul(zero[:, idx], out[:, :m])
+            np.take(shot, idx, axis=0, out=gathered[:m], mode="clip")  # "raise" would buffer
+            _shot_products(gathered[:m], states[k % 2, :m], states[1 - k % 2, :m], spare[:m])
+    return out, states
+
+
+def _shot_products(u: np.ndarray, state: np.ndarray, out: np.ndarray, spare: np.ndarray):
+    """``out``, the first column of ``u @ state`` per shot: ``u`` holds 2x2
+    entries ``(..., i, j, shot)`` and ``state`` the column ``(..., j,
+    shot)``.  Each entry is ``u_i0 c_0 + u_i1 c_1``, rounded as
+    ``np.add(u_i0 * c_0, u_i1 * c_1)``: one numpy pass per term instead of
+    one ``np.matmul`` call per matrix, written into ``out`` and ``spare``
+    instead of fresh arrays."""
+    np.multiply(u[..., 0, :], state[..., 0:1, :], out=out)
+    np.multiply(u[..., 1, :], state[..., 1:2, :], out=spare)
+    return np.add(out, spare, out=out)

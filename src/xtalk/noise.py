@@ -327,6 +327,8 @@ def duty_cycle_drift_rate(
     """
     if not 0.0 <= duty_ratio <= 1.0:
         raise ValueError("duty_ratio must be in [0, 1]")
+    if not (math.isfinite(match_error) and match_error > -1.0):  # -1 drives no power
+        raise ValueError(f"match_error must be a finite number > -1, got {match_error!r}")
     if mitigated:
         p_drive = matched_drive_power(model) * (1.0 + match_error)
     else:

@@ -331,8 +331,8 @@ class SimulationResult:
 def sequence_unitaries(seq: PulseSequence, ctx: CrosstalkContext) -> dict:
     """Total qubit-frame propagator per ion for the full sequence."""
     table, lengths = _compile([seq], ctx)
-    u = next(_propagate(table, lengths, np.zeros((1, 1)), ctx.ct_phase))
-    return {ch: u[ch, 0] for ch in (TARGET, SPECTATOR)}
+    u, _ = next(_propagate(table, lengths, np.zeros((1, 1)), ctx.ct_phase))
+    return {ch: u[ch] for ch in (TARGET, SPECTATOR)}
 
 
 def simulate_scan(
@@ -369,22 +369,26 @@ def _template_scan(
     seed: int | None = None,
     point_indices=None,
     phase_noise=None,
+    ions=(TARGET, SPECTATOR),
 ) -> SimulationResult:
     """:func:`simulate_scan` of the sequences that give the one-slice ``seq``
     each of ``values`` as its ``varied`` value (see ``kernel._compile_scan``),
-    without building them: the same result, bit for bit."""
+    without building them: the same result, bit for bit.  Under
+    ``phase_noise``, only ``ions`` are sampled (see :func:`_evaluate`)."""
     values = np.asarray(values, dtype=float)
     plan = _shot_plan(len(values), shots, point_indices, phase_noise)
-    return _evaluate(*_compile_scan(seq, ctx, varied, values), ctx, shots, seed, *plan)
+    return _evaluate(*_compile_scan(seq, ctx, varied, values), ctx, shots, seed, *plan, ions)
 
 
 def _train_scan(method: str, counts, ctx: CrosstalkContext, setting=None, close_phases=None,
-                shots=None, seed=None, point_indices=None, phase_noise=None) -> SimulationResult:
+                shots=None, seed=None, point_indices=None, phase_noise=None,
+                ions=(TARGET, SPECTATOR)) -> SimulationResult:
     """:func:`simulate_scan` of ``pi_trains(method, ctx.omega_0, counts,
     ctx, setting)``, each train :func:`ramsey_wrap`-ped with its closing
     phase if ``close_phases`` holds one per train, without building them:
     the kernel tiles the trains' block (``kernel._train_segments``).  The
-    same result, bit for bit."""
+    same result, bit for bit.  Under ``phase_noise``, only ``ions`` are
+    sampled (see :func:`_evaluate`)."""
     counts = list(counts)
     plan = _shot_plan(len(counts), shots, point_indices, phase_noise)
     block, blocks, _, offsets = _train(method, ctx.omega_0, counts, ctx, setting, 0.0)
@@ -393,7 +397,7 @@ def _train_scan(method: str, counts, ctx: CrosstalkContext, setting=None, close_
         wrap = (_ramsey_pulse(ctx.omega_0, 0.0),
                 [_ramsey_pulse(ctx.omega_0, close) for close in close_phases])
     segments = _train_segments(block, np.array(blocks, dtype=int), offsets, wrap)
-    return _evaluate(*_compile_segments(segments, ctx), ctx, shots, seed, *plan)
+    return _evaluate(*_compile_segments(segments, ctx), ctx, shots, seed, *plan, ions)
 
 
 def _shot_plan(n: int, shots, point_indices, phase_noise):
@@ -419,23 +423,29 @@ def _shot_plan(n: int, shots, point_indices, phase_noise):
     return offsets, keys
 
 
-def _evaluate(table, lengths, ctx: CrosstalkContext, shots, seed, offsets, keys) -> SimulationResult:
+def _evaluate(table, lengths, ctx: CrosstalkContext, shots, seed, offsets, keys,
+              ions=(TARGET, SPECTATOR)) -> SimulationResult:
     """The scan result of a compiled table, sampled as :func:`simulate_scan`
-    describes."""
-    n, noisy = len(lengths), offsets.shape[1] > 1
+    describes; under phase noise only ``ions`` are, the others' ``sampled``
+    entries NaN."""
+    n, noisy, ions = len(lengths), offsets.shape[1] > 1, list(ions)
     streams = [] if shots is None else _streams([0 if seed is None else seed], keys)
     amplitudes = np.empty((n, 2, 2), dtype=complex)
-    sampled = None if shots is None else np.empty((n, 2))
-    for i, u in enumerate(_propagate(table, lengths, offsets, ctx.ct_phase)):
-        amplitudes[i] = u[:, 0, :, 0]
+    excited = np.empty((n, len(ions), offsets.shape[1] - 1), dtype=complex)
+    sampled = None if shots is None else np.full((n, 2), np.nan)
+    for i, (u, states) in enumerate(_propagate(table, lengths, offsets, ctx.ct_phase, ions)):
+        amplitudes[i] = u[:, :, 0]
         if noisy:
-            # one draw per shot and ion: column 0 the target, 1 the spectator
-            c1 = u[:, 1:, 1, 0]
-            hits = streams[i].random((shots, 2)) < np.clip(_abs2(c1.real, c1.imag), 0.0, 1.0).T
-            sampled[i] = hits.sum(axis=0) / shots
+            excited[i] = states[:, 1]
     check_states(amplitudes)
     populations = _abs2(amplitudes[..., 1].real, amplitudes[..., 1].imag)
-    if shots is not None and not noisy:
+    if noisy:
+        # one draw per shot and ion, column 0 the target and 1 the
+        # spectator, whichever ions are sampled, so that no draw moves
+        probs = np.clip(_abs2(excited.real, excited.imag), 0.0, 1.0)
+        for p, stream, out in zip(probs, streams, sampled):
+            out[ions] = (stream.random((shots, 2))[:, ions] < p.T).sum(axis=0) / shots
+    elif shots is not None:
         # analytic populations may round just past 1
         for p, stream, out in zip(np.clip(populations, 0.0, 1.0), streams, sampled):
             out[:] = [stream.binomial(shots, pk) / shots for pk in p]

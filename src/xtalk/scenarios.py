@@ -176,17 +176,18 @@ def _binomial_stderr(p, shots: int):
 
 
 def _sweep(cfg: ScenarioConfig, x, scan, channel: int = SPECTATOR) -> ScanResult:
-    """One kernel call over the scan points, ``scan(shots=, seed=,
-    phase_noise=)``: per point the population of ``channel``, its shot
-    estimate and binomial error.  A ``noise`` block's drift offsets the
-    spectator channel per shot."""
-    phase_noise = None
+    """One kernel call over the scan points, ``scan(shots=, seed=)``: per
+    point the population of ``channel``, its shot estimate and binomial
+    error.  A ``noise`` block's drift offsets the spectator channel per shot
+    (``phase_noise=``), and only ``channel`` is sampled (``ions=``)."""
+    noisy = {}
     if cfg.noise is not None:
         process = DRIFT_PRESETS[cfg.noise["preset"]]()
         dt = cfg.noise["shot_interval_min"]
         seeds = [(cfg.seed + 7919) * 65537 + i for i in range(len(x))]
-        phase_noise = [trace[1:] for trace in _drift_traces(process, dt * cfg.shots, dt, seeds)]
-    res = scan(shots=cfg.shots, seed=cfg.seed, phase_noise=phase_noise)
+        traces = _drift_traces(process, dt * cfg.shots, dt, seeds)
+        noisy = {"phase_noise": [trace[1:] for trace in traces], "ions": (channel,)}
+    res = scan(shots=cfg.shots, seed=cfg.seed, **noisy)
     mean = res.populations[:, channel]
     return _result(cfg, x, mean, res.sampled[:, channel], _binomial_stderr(mean, cfg.shots))
 

@@ -169,6 +169,12 @@ class TestDutyCycle:
             mit = duty_cycle_drift_rate(m, float(r), mitigated=True)
             assert mit <= 0.1 * unmit + 1e-12
 
+    @pytest.mark.parametrize("match_error", [-1.0, -2.0, math.nan])
+    def test_match_error_must_exceed_minus_one(self, match_error):
+        # -1 returned a rate from zero drive power, -2 failed in step_duty_cycle
+        with pytest.raises(ValueError, match="match_error must be a finite number > -1, got"):
+            duty_cycle_drift_rate(AomModel(), 1e-3, True, match_error)
+
     def test_state_validation(self):
         with pytest.raises(ValueError):
             DutyCycleState(filtered_power=(-1.0, 0.0))

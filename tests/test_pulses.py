@@ -493,11 +493,14 @@ class TestKernel:
             offsets = rng.normal(size=(3, 4))
             table, lengths = _compile([scaled(s, x) for s, x in zip(seqs, scales)], ctx)
             kernel = _propagate(table, lengths, offsets, ctx.ct_phase)
-            for seq, scale, shifts, u in zip(seqs, scales, offsets, kernel):
+            for seq, scale, shifts, (u, states) in zip(seqs, scales, offsets, kernel):
                 for j, offset in enumerate(shifts):
                     ref = reference_unitaries(seq, ctx, scale, offset)
                     for ion in (TARGET, SPECTATOR):
-                        assert np.max(np.abs(u[ion, j] - ref[ion])) < 1e-12
+                        # column 0 the whole gate, shot columns the state from ground
+                        got, want = (u[ion], ref[ion]) if j == 0 else (states[ion, :, j - 1],
+                                                                       ref[ion][:, 0])
+                        assert np.max(np.abs(got - want)) < 1e-12
 
     @pytest.mark.parametrize("amp", [1e-150, 1e-160, 1e-162, 1e-200])
     def test_tiny_fields_match_scalar_reference(self, amp):
@@ -515,7 +518,7 @@ class TestKernel:
 
         def first_point(seqs):
             table, lengths = _compile(seqs, CTX)
-            return next(_propagate(table, lengths, np.zeros((len(seqs), 1)), CTX.ct_phase))
+            return next(_propagate(table, lengths, np.zeros((len(seqs), 1)), CTX.ct_phase))[0]
 
         (quad_1, _), (quad_3, _) = pi_trains("quad", OMEGA, [1, 3], CTX)
         [(sk1_3, _)] = pi_trains("sk1", OMEGA, [3], CTX)
@@ -636,8 +639,8 @@ class TestKernel:
 
     @pytest.mark.parametrize("method", ["pcc", "quad"])
     def test_unsorted_points_beyond_one_group_match_alone(self, method):
-        # 201 columns make groups of 10 points; shorter points leave the
-        # batch as they finish
+        # 200 shots make groups of a few points, and the longer points run
+        # alone in windows; shorter points leave a group as they finish
         ctx = CrosstalkContext(omega_0=OMEGA, f_ct=0.096, delta_ct=0.05 * OMEGA,
                                pol_overlap=0.8, ct_phase=0.7)
         setting = CompensationSetting(0.9, math.pi + 0.8)
@@ -653,32 +656,52 @@ class TestKernel:
 
     @pytest.mark.parametrize("batch, shots", [(4096, 200), (64, 6), (64, 40), (4, 1)])
     def test_only_real_slices_are_evaluated(self, monkeypatch, batch, shots):
+        # each point evaluates each of its distinct rows once: column 0 for
+        # both ions, the shot columns for the sampled ions only
         from xtalk import kernel
+        from xtalk.pulses import _train_scan
 
         sizes = []
         evaluate = kernel._slice_propagators
 
-        def counted(table, offsets, ct_phase):
-            sizes.append(2 * np.broadcast(table[..., 0], offsets).size)
-            return evaluate(table, offsets, ct_phase)
+        def counted(table, offsets, ct_phase, ions=(TARGET, SPECTATOR)):
+            sizes.append(len(ions) * np.broadcast(table[..., 0], offsets).size)
+            return evaluate(table, offsets, ct_phase, ions)
 
         monkeypatch.setattr(kernel, "_BATCH", batch)
         monkeypatch.setattr(kernel, "_slice_propagators", counted)
-        seqs = [seq for seq, _ in pi_trains("sk1", OMEGA, [5, 1, 12, 1, 7, 3, 2], CTX)]
-        noise = np.random.default_rng(3).normal(0.0, 0.2, size=(len(seqs), shots))
-        simulate_scan(seqs, CTX, shots=shots, phase_noise=noise)
-        width = 1 + shots
-        _, lengths = kernel._compile(seqs, CTX)
-        assert sum(sizes) == 2 * width * lengths.sum()  # no dark rows
-        # a call exceeds the batch only when one step of one point does
-        assert max(sizes) <= max(batch, 2 * width)
-        # steps shrink as points finish, so every call but a group's last
-        # holds more than half a batch
-        groups = -(-len(seqs) // max(1, batch // (2 * width)))
-        assert len(sizes) <= 2 * sum(sizes) / batch + groups
+        counts = [5, 1, 12, 1, 7, 3, 2]
+        noise = np.random.default_rng(3).normal(0.0, 0.2, size=(len(counts), shots))
+        detuned = CrosstalkContext(omega_0=OMEGA, f_ct=0.096, delta_ct=0.05 * OMEGA,
+                                   pol_overlap=0.8)
+        for ctx in (CTX, detuned):
+            seqs = [seq for seq, _ in pi_trains("sk1", OMEGA, counts, ctx)]
+            table, lengths = kernel._compile(seqs, ctx)
+            # a slice reads its start only where an ion is detuned
+            keys = table.copy()
+            keys[(keys[:, 2] == 0.0) & (keys[:, 8] == 0.0), 0] = 0.0
+            rows = np.split(keys, np.cumsum(lengths)[:-1])
+            distinct = np.array([len({row.tobytes() for row in point}) for point in rows])
+            for ions in ((TARGET, SPECTATOR), (SPECTATOR,), (TARGET,)):
+                sizes.clear()
+                _train_scan("sk1", counts, ctx, shots=shots, phase_noise=noise, ions=ions)
+                cost = 2 + shots * len(ions)
+                if distinct.max() * cost <= batch:
+                    assert sum(sizes) == cost * distinct.sum()
+                else:  # a longer point is cut into runs of rows, each run deduplicated
+                    assert cost * distinct.sum() <= sum(sizes) <= cost * lengths.sum()
+                # one call per ion and run of steps; a run exceeds the batch
+                # only when one row of one point does
+                calls = np.add(sizes[0::2], sizes[1::2])
+                assert max(calls) <= max(batch, cost)
+                # every run but the last of a group or point holds more than
+                # half a batch
+                cut = np.count_nonzero(distinct * cost > batch)
+                assert len(calls) <= 2 * sum(sizes) / batch + 1 + cut
+        assert distinct.sum() == lengths.sum()  # detuned: every start is read
 
     def test_shot_products_match_matmul(self):
-        from xtalk.kernel import _identities, _shot_products
+        from xtalk.kernel import _shot_products
 
         rng = np.random.default_rng(9)
 
@@ -689,14 +712,18 @@ class TestKernel:
             return np.stack([alpha, -beta.conj(), beta, alpha.conj()], axis=-1).reshape(
                 shape + (2, 2))
 
-        for points, width in ((1, 2), (3, 7), (5, 201)):
-            u, out = su2((2, points, width)), su2((2, points, width))
-            prod, ref = _shot_products(u, out), np.matmul(u, out)
-            assert np.array_equal(prod[:, :, 0], ref[:, :, 0])
-            assert np.max(np.abs(prod - ref)) < 1e-15
-            ones = _identities(points, width)
-            assert np.max(np.abs(_shot_products(ones, out) - out)) < 1e-15
-            assert np.max(np.abs(_shot_products(u, ones) - u)) < 1e-15
+        for points, ions, shots in ((1, 1, 1), (3, 2, 7), (5, 1, 200)):
+            u, gate = su2((points, ions, shots)), su2((points, ions, shots))
+            state = np.moveaxis(gate[..., 0], -2, -1)  # (point, ion, j, shot)
+            entries = np.moveaxis(u, 2, -1)  # (point, ion, i, j, shot)
+            out, spare = np.empty_like(state), np.empty_like(state)
+            assert _shot_products(entries, state, out, spare) is out
+            ref = np.moveaxis(np.matmul(u, gate)[..., 0], -2, -1)
+            assert np.max(np.abs(out - ref)) < 1e-15
+            ground = np.zeros_like(state)
+            ground[:, :, 0] = 1.0
+            _shot_products(entries, ground, out, spare)
+            assert np.array_equal(out, np.moveaxis(u[..., 0], -2, -1))
 
     def test_trains_are_prefixes_of_the_longest(self):
         setting = CompensationSetting(1.0, math.pi)

@@ -413,6 +413,58 @@ class TestDeterminism:
         assert first == second
         assert len(calls) <= 1
 
+    # simulate_scan's shot counts of both ions, out of 60, for z-error
+    # trains of 3, 1, 6 and 2 pulses under phase noise
+    BOTH_IONS_SAMPLED = {
+        "none": [[59, 6], [59, 1], [0, 22], [0, 2]],
+        "pcc": [[59, 2], [59, 0], [0, 14], [0, 1]],
+        "sk1": [[60, 0], [59, 0], [0, 1], [1, 2]],
+        "quad": [[59, 0], [60, 0], [0, 0], [0, 0]],
+    }
+
+    @pytest.mark.parametrize("method", ["none", "pcc", "sk1", "quad"])
+    def test_noisy_scans_sample_only_the_reported_ion(self, monkeypatch, method):
+        # detuned crosstalk keeps each slice's start; pol_overlap < 1 adds
+        # the quadrature term
+        from xtalk import scenarios
+        from xtalk.field import CompensationSetting, CrosstalkContext
+        from xtalk.pulses import pi_trains, ramsey_wrap
+
+        physics = {"delta_ct_rad_per_s": 0.05 * OMEGA, "pol_overlap": 0.8, "ct_phase_rad": 0.7}
+        cfgs = [make_cfg(scenario, physics, {"n_values": [3, 1, 6, 2]}, seed=4, method=method,
+                         shots=60, noise={"preset": "exposed"})
+                for scenario in ("x-error", "z-error")]
+        if method == "pcc":
+            cfgs.append(make_cfg("phase-scan", physics, {"points": 12}, seed=4, shots=60,
+                                 noise={"preset": "exposed"}))
+        single = [run_scenario(cfg).to_csv() for cfg in cfgs]
+        sampled = []
+
+        def both_ions(scan):
+            def run(*args, ions=None, **kwargs):
+                if ions is None:  # z-error quad's noiseless closing-phase scan
+                    return scan(*args, **kwargs)
+                one, both = scan(*args, ions=ions, **kwargs), scan(*args, **kwargs)
+                sampled.append(ions)
+                spectator = both.sampled[:, SPECTATOR]
+                assert np.array_equal(one.sampled[:, SPECTATOR], spectator)
+                assert np.isnan(one.sampled[:, TARGET]).all() and np.isfinite(both.sampled).all()
+                return both
+            return run
+
+        for name in ("_train_scan", "_template_scan"):
+            monkeypatch.setattr(scenarios, name, both_ions(getattr(scenarios, name)))
+        assert [run_scenario(cfg).to_csv() for cfg in cfgs] == single
+        assert sampled == [(SPECTATOR,)] * len(cfgs)
+        # the public scan still samples both ions, with the same draws
+        ctx = CrosstalkContext(omega_0=OMEGA, f_ct=0.096, delta_ct=0.05 * OMEGA,
+                               pol_overlap=0.8, ct_phase=0.7)
+        trains = pi_trains(method, OMEGA, [3, 1, 6, 2], ctx, CompensationSetting(1.0, math.pi + 0.7))
+        noise = np.random.default_rng(4).normal(0.0, 0.5, size=(4, 60))
+        res = simulate_scan([ramsey_wrap(seq, OMEGA) for seq, _ in trains], ctx, shots=60, seed=4,
+                            phase_noise=noise)
+        assert np.array_equal(res.sampled * 60, self.BOTH_IONS_SAMPLED[method])
+
     def test_noise_block_reproducible(self):
         cfg = make_cfg(
             "x-error",
