@@ -23,12 +23,16 @@ matrix call per shot.  Shot columns only feed the draws, so a sampled value
 can change only where a draw lands within a few ulps of its probability.
 Leading slices that the points of a noiseless scan share, as a shorter
 train shares those of a longer one, are multiplied once.  Each point's
-result is bit-identical to simulating it alone.  A scan that only varies one value of a one-slice
-sequence (a calibration flop, dial or resonance scan) tiles that sequence's
-one slice, read from its segments, instead of compiling every point, with
-the same table.  :mod:`xtalk.pulses` builds the sequences, calls the kernel
-and reads each state, from the ground state, as its propagator's first
-column.  Whole 2x2 products are kept: ``np.matmul`` on that column alone
+result is bit-identical to simulating it alone.  A scan that only varies one
+value of a one-slice sequence (a calibration flop, dial or resonance scan)
+tiles that sequence's one slice, read from its segments, instead of
+compiling every point, with the same table.  A scan whose points hold at
+most one slice each, as such a scan's do, skips the products: a point's
+propagator is its slice's and each shot state its shot propagator's first
+column, the values a product from the identity gives (a product could only
+flip the sign of a zero).  :mod:`xtalk.pulses` builds the sequences, calls
+the kernel and reads each state, from the ground state, as its propagator's
+first column.  Whole 2x2 products are kept: ``np.matmul`` on that column alone
 rounds differently (in most entries of random stacks, numpy 2.4) and would
 move the exactly compared ``stderr`` outputs.
 """
@@ -36,7 +40,7 @@ move the exactly compared ``stderr`` outputs.
 from __future__ import annotations
 
 import math
-from itertools import chain
+from itertools import chain, repeat
 from operator import attrgetter
 
 import numpy as np
@@ -324,14 +328,15 @@ def _slice_propagators(table: np.ndarray, offsets, ct_phase: float,
     for u, ion in zip(out, ions):
         det, fixed_re, fixed_im, amp, phase, quad = cols[_ION_COLUMNS * ion:][:_ION_COLUMNS]
         phase = phase + offsets + ct_phase if ion == TARGET else phase + offsets
-        re = fixed_re + amp * np.cos(phase)
-        im = fixed_im + amp * np.sin(phase)
-        # the orthogonal polarization adds in quadrature: along i * (the
-        # coherent field's direction), or along i when that field vanishes
-        norm = np.hypot(re, im)
-        safe = np.where(norm > 0.0, norm, 1.0)
-        om_re = re - quad * (im / safe)
-        om_im = im + quad * np.where(norm > 0.0, re / safe, 1.0)
+        om_re = re = fixed_re + amp * np.cos(phase)
+        om_im = im = fixed_im + amp * np.sin(phase)
+        if quad.any():  # else re - 0 * x and im + 0 * x are re and im: neither is -0.0
+            # the orthogonal polarization adds in quadrature: along i * (the
+            # coherent field's direction), or along i when that field vanishes
+            norm = np.hypot(re, im)
+            safe = np.where(norm > 0.0, norm, 1.0)
+            om_re = re - quad * (im / safe)
+            om_im = im + quad * np.where(norm > 0.0, re / safe, 1.0)
         if not (np.isfinite(om_re).all() and np.isfinite(om_im).all()):
             raise ValueError("non-finite input")
         # rotation_unitary elementwise, with its roundings
@@ -408,12 +413,17 @@ def _propagate(table: np.ndarray, lengths: np.ndarray, offsets: np.ndarray, ct_p
     when all points have the same offset, the leading rows a point shares
     with the longest point (a shorter train is a prefix of a longer one)
     are multiplied once, on the longest point; the other rows go through
-    :func:`_products` in groups of ``_BATCH // 2`` points.  Points are
-    yielded in the caller's order.  Every product is a sequential left
-    product, so each element is bit-identical to multiplying one point's
-    propagators in turn.
+    :func:`_products` in groups of ``_BATCH // 2`` points.  A scan whose
+    points have at most one slice each, as every template scan's do, takes
+    neither path: :func:`_one_slice_propagate` evaluates each slice once,
+    with no products.  Points are yielded in the caller's order.  Every
+    product is a sequential left product, so each element is bit-identical
+    to multiplying one point's propagators in turn.
     """
     n, width = offsets.shape
+    if lengths.max(initial=0) <= 1:
+        yield from _one_slice_propagate(table, lengths, offsets, ct_phase, ions)
+        return
     if width > 1:
         yield from _shot_propagate(table, lengths, offsets, ct_phase, ions)
         return
@@ -445,6 +455,29 @@ def _propagate(table: np.ndarray, lengths: np.ndarray, offsets: np.ndarray, ct_p
         u = _products(table, first[order] + done[order], lengths[order] - done[order], out,
                       offsets[order, 0], ct_phase)
         yield from ((p, None) for p in np.moveaxis(u[:, np.argsort(order)], 1, 0))
+
+
+def _one_slice_propagate(table, lengths, offsets, ct_phase: float, ions):
+    """:func:`_propagate` of points of at most one slice each: a point's
+    propagator is its slice's, and each shot state the first column of its
+    shot propagator, read in place.  Consecutive points go in groups that
+    evaluate at most ``_BATCH`` propagators, at least one point a group."""
+    n, width = offsets.shape
+    ions = list(ions)
+    others = [ion for ion in (TARGET, SPECTATOR) if ion not in ions]
+    group = max(1, _BATCH // (2 + (width - 1) * len(ions)))
+    # a point without a slice reads a dark row, whose propagators are exact identities
+    rows = np.where(lengths > 0, np.cumsum(lengths) - 1, len(table))
+    table = np.append(table, np.zeros((1, _COLUMNS)), axis=0)
+    for g0 in range(0, n, group):
+        where, shifts = table[rows[g0:g0 + group], None], offsets[g0:g0 + group]
+        props = _slice_propagators(where, shifts, ct_phase, ions)
+        u = np.empty((2, len(where), 2, 2), dtype=complex)
+        u[ions] = props[:, :, 0]
+        if others:
+            u[others] = _slice_propagators(where, shifts[:, :1], ct_phase, others)[:, :, 0]
+        states = np.moveaxis(props[:, :, 1:, :, 0], (0, 2), (1, 3))  # (point, ion, 2, shot)
+        yield from zip(np.moveaxis(u, 1, 0), states if width > 1 else repeat(None))
 
 
 def _distinct(table: np.ndarray, lengths: np.ndarray):

@@ -191,9 +191,9 @@ def sample_slow_drift(
     return _drift_traces(process, duration_min, dt_min, [seed])[0]
 
 
-def _drift_traces(process: DriftProcess, duration_min: float, dt_min: float, seeds) -> list:
-    """:func:`sample_slow_drift` for each of ``seeds``, their streams keyed
-    in one pass."""
+def _drift_traces(process: DriftProcess, duration_min: float, dt_min: float, seeds) -> np.ndarray:
+    """:func:`sample_slow_drift` for each of ``seeds`` (rows), their streams
+    keyed in one pass."""
     if dt_min <= 0.0:
         raise ValueError("dt_min must be > 0")
     if duration_min < 0.0:
@@ -202,10 +202,14 @@ def _drift_traces(process: DriftProcess, duration_min: float, dt_min: float, see
     t = np.arange(n_steps + 1) * dt_min
     trace = process.linear_rate * t
     if not (process.walk_sigma > 0.0 and n_steps > 0):
-        return [trace.copy() for _ in seeds]
+        return np.tile(trace, (len(seeds), 1))
     sigma = math.sqrt(process.diffusion * dt_min)
-    return [trace + np.concatenate([[0.0], np.cumsum(stream.normal(0.0, sigma, size=n_steps))])
-            for stream in _streams([], seeds)]
+    steps = np.zeros((len(seeds), n_steps + 1))
+    for row, stream in zip(steps, _streams([], seeds)):
+        row[1:] = stream.normal(0.0, sigma, size=n_steps)
+    # a sequential sum along each row, as each walk's own np.cumsum: 0 + d is
+    # d, since a draw, 0 + sigma * z, is never -0.0
+    return trace + np.cumsum(steps, axis=1)
 
 
 @dataclass(frozen=True)

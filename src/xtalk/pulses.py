@@ -448,5 +448,5 @@ def _evaluate(table, lengths, ctx: CrosstalkContext, shots, seed, offsets, keys,
     elif shots is not None:
         # analytic populations may round just past 1
         for p, stream, out in zip(np.clip(populations, 0.0, 1.0), streams, sampled):
-            out[:] = [stream.binomial(shots, pk) / shots for pk in p]
+            out[:] = [stream.binomial(shots, pk) / shots for pk in p.tolist()]
     return SimulationResult(amplitudes, populations, sampled)

@@ -186,7 +186,7 @@ def _sweep(cfg: ScenarioConfig, x, scan, channel: int = SPECTATOR) -> ScanResult
         dt = cfg.noise["shot_interval_min"]
         seeds = [(cfg.seed + 7919) * 65537 + i for i in range(len(x))]
         traces = _drift_traces(process, dt * cfg.shots, dt, seeds)
-        noisy = {"phase_noise": [trace[1:] for trace in traces], "ions": (channel,)}
+        noisy = {"phase_noise": traces[:, 1:], "ions": (channel,)}
     res = scan(shots=cfg.shots, seed=cfg.seed, **noisy)
     mean = res.populations[:, channel]
     return _result(cfg, x, mean, res.sampled[:, channel], _binomial_stderr(mean, cfg.shots))

@@ -700,6 +700,68 @@ class TestKernel:
                 assert len(calls) <= 2 * sum(sizes) / batch + 1 + cut
         assert distinct.sum() == lengths.sum()  # detuned: every start is read
 
+    @pytest.mark.parametrize("shots", [1, 200])
+    @pytest.mark.parametrize("pol_overlap", [1.0, 0.8])
+    @pytest.mark.parametrize("delta_ct", [0.0, 0.05 * OMEGA], ids=["resonant", "detuned"])
+    def test_one_slice_scan_matches_the_general_path(self, delta_ct, pol_overlap, shots):
+        # a trailing dark slice on every point sends the same scan through
+        # the product path; a detuned ion's slices are Z-framed
+        from xtalk.kernel import _compile
+        from xtalk.pulses import _evaluate, _shot_plan
+
+        ctx = CrosstalkContext(omega_0=OMEGA, f_ct=0.096, delta_ct=delta_ct,
+                               pol_overlap=pol_overlap, ct_phase=0.7)
+
+        def drive(channel, amp, phase, t):
+            return PulseSequence((ChannelPulse(channel, (PulseSegment(amp, phase, 0.0, t),)),))
+
+        setting = CompensationSetting(0.9, math.pi + 0.8)
+        seqs = [with_pcc(drive(TARGET, OMEGA, 0.4, k * ctx.t_pi), ctx, setting)
+                for k in (0.0, 0.3, 1.0, 2.5)]  # the first makes no slice
+        seqs += [drive(SPECTATOR, 0.5 * OMEGA, 1.1, ctx.t_pi_ct / 3),
+                 drive(TARGET, OMEGA, -0.2, ctx.t_pi)]
+        dark = drive(TARGET, 0.0, 0.0, 1e-6)
+        padded = [concat(seq, dark) for seq in seqs]
+        noise = np.random.default_rng(4).normal(0.0, 0.3, size=(len(seqs), shots))
+        assert _compile(seqs, ctx)[1].tolist() == [0, 1, 1, 1, 1, 1]
+        assert _compile(padded, ctx)[1].tolist() == [1, 2, 2, 2, 2, 2]
+        for phase_noise, ions in ((None, (TARGET, SPECTATOR)), (noise, (TARGET, SPECTATOR)),
+                                  (noise, (SPECTATOR,))):
+            plan = _shot_plan(len(seqs), shots, None, phase_noise)
+            one, general = (_evaluate(*_compile(s, ctx), ctx, shots, 5, *plan, ions)
+                            for s in (seqs, padded))
+            assert one.populations.tobytes() == general.populations.tobytes()
+            assert one.sampled.tobytes() == general.sampled.tobytes()  # NaN where unsampled
+            assert (one.amplitudes == general.amplitudes).all()
+
+    @pytest.mark.parametrize("batch", [4096, 64])
+    @pytest.mark.parametrize("ions", [(TARGET, SPECTATOR), (SPECTATOR,)],
+                             ids=["both", "spectator"])
+    def test_one_slice_groups_stay_within_a_batch(self, monkeypatch, batch, ions):
+        from xtalk import kernel
+        from xtalk.pulses import _template_scan
+
+        sizes = []
+        evaluate = kernel._slice_propagators
+
+        def counted(table, offsets, ct_phase, ions=(TARGET, SPECTATOR)):
+            sizes.append(len(ions) * np.broadcast(table[..., 0], offsets).size)
+            return evaluate(table, offsets, ct_phase, ions)
+
+        monkeypatch.setattr(kernel, "_BATCH", batch)
+        monkeypatch.setattr(kernel, "_slice_propagators", counted)
+        points, shots = 2000, 200
+        template = with_pcc(square_pi(OMEGA), CTX, CompensationSetting(0.97, 0.0))
+        dials = np.linspace(0.0, 2.0 * math.pi, points)
+        noise = np.random.default_rng(6).normal(0.0, 0.3, size=(points, shots))
+        _template_scan(template, "phase", dials, CTX, shots=shots, phase_noise=noise, ions=ions)
+        cost = 2 + shots * len(ions)  # each point's slice, once, as in the product path
+        assert sum(sizes) == points * cost
+        # a call exceeds the batch only when one point alone does; one call
+        # a group of points, and one more for an unsampled ion's column 0
+        assert max(sizes) <= max(batch, cost)
+        assert len(sizes) == (3 - len(ions)) * -(-points // max(1, batch // cost))
+
     def test_shot_products_match_matmul(self):
         from xtalk.kernel import _shot_products
 
