@@ -44,22 +44,9 @@ class QubitState:
     def ground(cls) -> "QubitState":
         return cls(1.0 + 0.0j, 0.0j)
 
-    @classmethod
-    def normalized(cls, c0: complex, c1: complex) -> "QubitState":
-        n = math.hypot(abs(c0), abs(c1))
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return cls(c0 / n, c1 / n)
-
     @property
     def vector(self) -> np.ndarray:
         return np.array([self.c0, self.c1], dtype=complex)
-
-    def norm(self) -> float:
-        return math.sqrt(abs(self.c0) ** 2 + abs(self.c1) ** 2)
-
-    def excited_population(self) -> float:
-        return float(abs(self.c1) ** 2)
 
 
 def check_states(amplitudes) -> None:

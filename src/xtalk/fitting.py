@@ -31,7 +31,6 @@ class FitResult:
     converged: bool
     stop: str  # why the iteration ended: "tol", "exact", "floor", "halvings" or "max_iter"
     residual_trace: list = field(default_factory=list)
-    covariance: np.ndarray | None = None
 
     def diagnostics(self) -> dict:
         return {
@@ -106,7 +105,6 @@ def gauss_newton(
     trace = [math.sqrt(current / n_res)]
     converged = False
     stop = "max_iter"
-    jac = None
     iterations = 0
     for iterations in range(1, max_iter + 1):
         if jacobian is None:
@@ -151,14 +149,6 @@ def gauss_newton(
 
     if current <= n_res * 1e-24:
         converged = True
-
-    cov = None
-    dof = n_res - x.size
-    if jac is not None and dof > 0:
-        try:
-            cov = np.linalg.inv(jac.T @ jac) * (current / dof)
-        except np.linalg.LinAlgError:
-            cov = None
     return FitResult(
         params=x,
         residual_rms=math.sqrt(current / n_res),
@@ -166,5 +156,4 @@ def gauss_newton(
         converged=converged,
         stop=stop,
         residual_trace=trace,
-        covariance=cov,
     )

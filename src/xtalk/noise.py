@@ -146,7 +146,6 @@ class DriftProcess:
     linear_rate: float  # rad/min
     walk_sigma: float  # rad over the reference window
     walk_window: float = 8.0  # min
-    preset: str | None = None
 
     def __post_init__(self):
         for name in ("linear_rate", "walk_sigma", "walk_window"):
@@ -160,12 +159,12 @@ class DriftProcess:
     @classmethod
     def enclosed(cls) -> "DriftProcess":
         """Fiber paths boxed in a passive enclosure."""
-        return cls(linear_rate=3.5e-3, walk_sigma=0.05, walk_window=8.0, preset="enclosed")
+        return cls(linear_rate=3.5e-3, walk_sigma=0.05, walk_window=8.0)
 
     @classmethod
     def exposed(cls) -> "DriftProcess":
         """Fiber paths open to ambient temperature and pressure swings."""
-        return cls(linear_rate=0.0, walk_sigma=0.49, walk_window=8.0, preset="exposed")
+        return cls(linear_rate=0.0, walk_sigma=0.49, walk_window=8.0)
 
     @property
     def diffusion(self) -> float:

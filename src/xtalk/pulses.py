@@ -156,7 +156,7 @@ def sk1(theta: float, phase: float, omega_0: float) -> PulseSequence:
     return PulseSequence((ChannelPulse(TARGET, segs),))
 
 
-def quadrilateral(omega_0: float, phase_offset: float = 0.0) -> PulseSequence:
+def quadrilateral(omega_0: float) -> PulseSequence:
     """Four-segment composite pi/2 block: +X, -Y, -X, +Y quarter rotations.
 
     At full drive it equals an X pi/2 rotation up to a software Z rotation
@@ -167,7 +167,7 @@ def quadrilateral(omega_0: float, phase_offset: float = 0.0) -> PulseSequence:
         raise ValueError("omega_0 must be > 0")
     dur = 0.5 * math.pi / omega_0
     phases = (0.0, -0.5 * math.pi, math.pi, 0.5 * math.pi)
-    segs = tuple(PulseSegment(omega_0, p + phase_offset, 0.0, dur) for p in phases)
+    segs = tuple(PulseSegment(omega_0, p, 0.0, dur) for p in phases)
     return PulseSequence((ChannelPulse(TARGET, segs),))
 
 

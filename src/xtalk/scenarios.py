@@ -107,7 +107,7 @@ class ScenarioConfig:
                 ct_phase=phys["ct_phase_rad"])
             setting = CompensationSetting(f_comp=phys["f_comp"], delta_phi=phys["delta_phi_rad"])
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError(f"{name} physics: {exc}") from exc
         noise = None if top["noise"] is None else resolve(top["noise"], _NOISE, f"{name} noise")
 
         # the hash identifies the document as given, not the output path

@@ -195,14 +195,15 @@ def test_criterion_07_quadrilateral_scaling():
 
 def test_criterion_08_noise_presets_and_mitigation():
     with criterion(8, "drift presets within 30%, duty-cycle mitigation 10x to 0.035 rad/s"):
-        for process, target in ((DriftProcess.enclosed(), 0.05), (DriftProcess.exposed(), 0.49)):
+        for name, process, target in (("enclosed", DriftProcess.enclosed(), 0.05),
+                                      ("exposed", DriftProcess.exposed(), 0.49)):
             stds = [
                 float(np.std(sample_slow_drift(process, 8.0, 0.05, seed=s)))
                 for s in range(100)
             ]
             mean_std = float(np.mean(stds))
             assert 0.7 * target <= mean_std <= 1.3 * target, (
-                f"{process.preset}: {mean_std:.3f} vs {target}"
+                f"{name}: {mean_std:.3f} vs {target}"
             )
         model = AomModel()
         unmit = duty_cycle_drift_rate(model, 1e-3, mitigated=False)

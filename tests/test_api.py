@@ -1,11 +1,13 @@
 """The public API: the names ``xtalk`` exports, the optional parameters of
 every public callable, the README's quick start and API references, and
-that every definition in the package reaches an output."""
+that every definition and class member in the package reaches an output."""
 
 import ast
+import functools
 import importlib
 import inspect
 import re
+import shutil
 import types
 from pathlib import Path
 
@@ -49,9 +51,9 @@ OPTIONAL_PARAMETERS = {
     "field.CrosstalkContext": ["delta_ct", "pol_overlap", "ct_phase", "stark_shift"],
     "field.effective_magnitude_polarized": ["pol_overlap"],
     "field.pi_pulse_error": ["f_comp", "delta_phi"],
-    "fitting.FitResult": ["residual_trace", "covariance"],
+    "fitting.FitResult": ["residual_trace"],
     "fitting.gauss_newton": ["bounds", "max_iter", "jacobian"],
-    "noise.DriftProcess": ["walk_window", "preset"],
+    "noise.DriftProcess": ["walk_window"],
     "noise.AomModel": ["center_mhz", "absorption_width_mhz", "thermal_coeff", "thermal_tau",
                        "max_rf_power"],
     "noise.DutyCycleState": ["filtered_power", "phase"],
@@ -64,7 +66,6 @@ OPTIONAL_PARAMETERS = {
     "pulses.PulseSegment": ["detuning", "duration"],
     "pulses.SimulationResult": ["sampled"],
     "pulses.square_pi": ["phase"],
-    "pulses.quadrilateral": ["phase_offset"],
     "pulses.pi_trains": ["ctx", "setting", "phase"],
     "pulses.ramsey_wrap": ["close_phase"],
     "pulses.simulate_scan": ["shots", "seed", "point_indices", "phase_noise"],
@@ -152,26 +153,63 @@ def _imports(tree) -> dict:
     return out
 
 
-def test_every_definition_reaches_an_output():
-    """Every top-level def, class and assignment of ``src/xtalk`` is reached,
-    through the names each definition reads, from the CLI, the calibration
-    chain, the acceptance tests' imports or the README's quick start."""
-    scopes, bodies = {}, {}  # per module what each name stands for; each definition
-    for path in sorted(SRC.glob("*.py")):
+def _targets(node) -> list:
+    """The names an assignment binds."""
+    targets = getattr(node, "targets", [getattr(node, "target", None)])
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def _reads(nodes, scope, members) -> set:
+    """The labels ``nodes`` read: each loaded name through ``scope``, and
+    each loaded attribute as every class member of that name."""
+    out = set()
+    for node in (n for top in nodes for n in ast.walk(top)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(scope(node.id))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out |= members.get(node.attr, set())
+    return out - {None}
+
+
+def _walk(src: Path):
+    """``(definitions, roots, reach)`` for the package in ``src``.
+
+    ``definitions`` labels every top-level def, class and assignment and
+    every class member: method, property, classmethod and field.  ``roots``
+    are the outputs: the CLI, the calibration chain, and what the acceptance
+    tests and the README's quick start import or read as attributes.
+    ``reach`` maps labels to every label they reach.  A class reads its
+    decorators, bases, fields and dunder methods, which Python calls for it;
+    a member is reached when a reached definition reads its name as an
+    attribute."""
+    scopes, bodies, members = {}, {}, {}  # per module what each name stands for
+    for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         scope = scopes[path.stem] = _imports(tree)
         for node in tree.body if path.stem != "__init__" else ():
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names = [node.name]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = getattr(node, "targets", [getattr(node, "target", None)])
-                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+                names = _targets(node)
             else:
                 continue
+            own = [node]
+            if isinstance(node, ast.ClassDef):
+                own = [*node.decorator_list, *node.bases, *node.keywords]
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                        member = [item.name]
+                    else:
+                        own.append(item)
+                        member = _targets(item) if isinstance(item, ast.AnnAssign) else []
+                    for name in member:
+                        label = f"{path.stem}.{node.name}.{name}"
+                        bodies[label] = (path.stem, [item])
+                        members.setdefault(name, set()).add(label)
             for name in names:
                 if not name.startswith("__"):  # __all__, read by the import system
                     scope[name] = f"{path.stem}.{name}"
-                    bodies[scope[name]] = node
+                    bodies[scope[name]] = (path.stem, own)
 
     def where(module, name):  # the definition a name stands for, through re-exports
         label = scopes[module].get(name)
@@ -179,9 +217,8 @@ def test_every_definition_reaches_an_output():
             label = scopes[label.split(".")[0]].get(label.split(".")[1])
         return label
 
-    reads = {label: {where(label.split(".")[0], n.id) for n in ast.walk(node)
-                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)} - {None}
-             for label, node in bodies.items()}
+    reads = {label: _reads(nodes, functools.partial(where, module), members)
+             for label, (module, nodes) in bodies.items()}
 
     def reach(labels):
         seen, todo = set(), list(labels)
@@ -192,11 +229,41 @@ def test_every_definition_reaches_an_output():
                 todo.extend(reads[label])
         return seen
 
-    imported = [*_imports(ast.parse(ACCEPTANCE.read_text(encoding="utf-8"))).values(),
-                *_imports(ast.parse(_quick_start())).values()]
+    outputs = [ast.parse(ACCEPTANCE.read_text(encoding="utf-8")), ast.parse(_quick_start())]
+    imported = [label for tree in outputs for label in _imports(tree).values()]
     roots = ["cli.main", "calibrate.run_full_calibration",
-             *(where(*label.split(".")) for label in imported)]
-    assert None not in roots and KEPT.keys() <= bodies.keys()
+             *(where(*label.split(".")) for label in imported),
+             *_reads(outputs, lambda name: None, members)]
+    assert None not in roots
+    return bodies.keys(), roots, reach
+
+
+def test_every_definition_reaches_an_output():
+    """Every top-level definition and class member of ``src/xtalk`` is
+    reached from an output, through the names and attributes each reached
+    definition reads, or is one of ``KEPT``."""
+    definitions, roots, reach = _walk(SRC)
+    assert KEPT.keys() <= definitions
     assert not KEPT.keys() & reach(roots), "a kept definition is reached: drop it from KEPT"
-    orphans = sorted(bodies.keys() - reach(roots + list(KEPT)))
+    orphans = sorted(definitions - reach(roots + list(KEPT)))
     assert not orphans, f"reached from no output: {orphans}"
+
+
+def _add_to_class(path: Path, cls: str, lines: list) -> None:
+    """Append ``lines``, indented, to the body of class ``cls`` in ``path``."""
+    text = path.read_text(encoding="utf-8").splitlines()
+    node = next(n for n in ast.parse("\n".join(text)).body
+                if isinstance(n, ast.ClassDef) and n.name == cls)
+    text[node.end_lineno:node.end_lineno] = ["    " + line for line in lines]
+    path.write_text("\n".join(text) + "\n", encoding="utf-8")
+
+
+def test_the_walk_finds_an_unused_method_and_an_unread_field(tmp_path):
+    src = tmp_path / "xtalk"
+    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+    _add_to_class(src / "optics.py", "BeamProfile",
+                  ["def unused_method(self):", "    return self.grid_um"])
+    _add_to_class(src / "fitting.py", "FitResult", ["unread_field: float = 0.0"])
+    definitions, roots, reach = _walk(src)
+    assert sorted(definitions - reach(roots + list(KEPT))) == [
+        "fitting.FitResult.unread_field", "optics.BeamProfile.unused_method"]

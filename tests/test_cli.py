@@ -235,6 +235,9 @@ def run_quietly(argv):
          "duty-cycle-sweep scan.match_error"),
         ("duty-cycle-sweep", {"scan": {"mitigated": True, "match_error": -1}},
          "duty-cycle-sweep scan.match_error"),
+        # used to name the key but not its section
+        ("x-error", {"physics": {"pol_overlap": 1.5}}, "x-error physics: pol_overlap"),
+        ("x-error", {"physics": {"f_comp": -1}}, "x-error physics: f_comp"),
     ],
 )
 def test_bad_config_exits_2_naming_the_key(tmp_path, scenario, doc, key):

@@ -33,8 +33,6 @@ def test_recovers_sinusoid_with_noise():
     fit = gauss_newton(residual, np.array([1.0, 2.0]))
     assert fit.params[0] == pytest.approx(0.9, abs=0.02)
     assert fit.params[1] == pytest.approx(2.3, abs=0.02)
-    assert fit.covariance is not None
-    assert np.all(np.diag(fit.covariance) > 0.0)
 
 
 def test_residual_trace_is_monotone():

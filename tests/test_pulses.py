@@ -215,7 +215,8 @@ class TestBackAction:
 class TestSimulate:
     def test_zero_amplitude_leaves_states(self):
         seq = PulseSequence((ChannelPulse(TARGET, (PulseSegment(0.0, 0.0, 0.0, 1e-3),)),))
-        plus = QubitState.normalized(1.0, 1.0)
+        n = math.hypot(1.0, 1.0)
+        plus = QubitState(1.0 / n, 1.0 / n)
         for u in sequence_unitaries(seq, CTX).values():
             out = u @ plus.vector
             assert out[0] == pytest.approx(plus.c0, abs=1e-15)
