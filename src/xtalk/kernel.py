@@ -19,18 +19,20 @@ start only where an ion is detuned.  Shot columns are evaluated and carried
 only for the ions being sampled, and only as the state from the ground
 state, through the 2x2 entry products written out elementwise into reused
 buffers; these round differently but make one numpy pass instead of one
-matrix call per shot.  Shot columns only feed the draws, so a sampled value
-can change only where a draw lands within a few ulps of its probability.
-Leading slices that the points of a noiseless scan share, as a shorter
-train shares those of a longer one, are multiplied once.  Each point's
-result is bit-identical to simulating it alone.  A scan that only varies one
-value of a one-slice sequence (a calibration flop, dial or resonance scan)
-tiles that sequence's one slice, read from its segments, instead of
-compiling every point, with the same table.  A scan whose points hold at
-most one slice each, as such a scan's do, skips the products: a point's
-propagator is its slice's and each shot state its shot propagator's first
-column, the values a product from the identity gives (a product could only
-flip the sign of a zero).  :mod:`xtalk.pulses` builds the sequences, calls
+matrix call per shot.  A shot column ends as the excited population
+``|c_1|^2`` that its draws read.  Shot columns only feed the draws, so a
+sampled value can change only where a draw lands within a few ulps of its
+probability.  Leading slices that the points of a noiseless scan share, as
+a shorter train shares those of a longer one, are multiplied once.  Each
+point's result is bit-identical to simulating it alone.  A scan that only
+varies one value of a one-slice sequence (a calibration flop, dial or
+resonance scan) tiles that sequence's one slice, read from its segments,
+instead of compiling every point, with the same table.  A scan whose points
+hold at most one slice each, as such a scan's do, skips the products: a
+point's propagator is its slice's, the value a product from the identity
+gives (a product could only flip the sign of a zero), and each shot's
+excited population comes from the Rabi formula, with no shot propagator
+(:func:`_excitations`).  :mod:`xtalk.pulses` builds the sequences, calls
 the kernel and reads each state, from the ground state, as its propagator's
 first column.  Whole 2x2 products are kept: ``np.matmul`` on that column alone
 rounds differently (in most entries of random stacks, numpy 2.4) and would
@@ -314,6 +316,16 @@ def _abs2(re, im) -> np.ndarray:
     return np.float_power(np.hypot(re, im), 2.0)
 
 
+def _ion_field(table: np.ndarray, offsets, ct_phase: float, ion: int):
+    """``ion``'s columns of every slice: start, duration, detuning, the
+    in-phase field (real, imaginary) with the spectator channel's term under
+    its phase offset, and the quadrature amplitude."""
+    start, dur, *cols = np.moveaxis(table, -1, 0)
+    det, fixed_re, fixed_im, amp, phase, quad = cols[_ION_COLUMNS * ion:][:_ION_COLUMNS]
+    phase = phase + offsets + ct_phase if ion == TARGET else phase + offsets
+    return start, dur, det, fixed_re + amp * np.cos(phase), fixed_im + amp * np.sin(phase), quad
+
+
 def _slice_propagators(table: np.ndarray, offsets, ct_phase: float,
                        ions=(TARGET, SPECTATOR)) -> np.ndarray:
     """Qubit-frame propagator of every slice for each of ``ions``, shape
@@ -322,14 +334,11 @@ def _slice_propagators(table: np.ndarray, offsets, ct_phase: float,
     ``table`` and ``offsets`` broadcast to the batch shape.  A slice without
     light leaves the qubit frame inertial, so it is an exact identity.
     """
-    start, dur, *cols = np.moveaxis(table, -1, 0)
-    out = np.empty((len(ions),) + np.broadcast_shapes(dur.shape, np.shape(offsets)) + (2, 2),
-                   dtype=complex)
+    out = np.empty((len(ions),) + np.broadcast_shapes(table.shape[:-1], np.shape(offsets))
+                   + (2, 2), dtype=complex)
     for u, ion in zip(out, ions):
-        det, fixed_re, fixed_im, amp, phase, quad = cols[_ION_COLUMNS * ion:][:_ION_COLUMNS]
-        phase = phase + offsets + ct_phase if ion == TARGET else phase + offsets
-        om_re = re = fixed_re + amp * np.cos(phase)
-        om_im = im = fixed_im + amp * np.sin(phase)
+        start, dur, det, re, im, quad = _ion_field(table, offsets, ct_phase, ion)
+        om_re, om_im = re, im
         if quad.any():  # else re - 0 * x and im + 0 * x are re and im: neither is -0.0
             # the orthogonal polarization adds in quadrature: along i * (the
             # coherent field's direction), or along i when that field vanishes
@@ -359,6 +368,37 @@ def _slice_propagators(table: np.ndarray, offsets, ct_phase: float,
             d, t0, t = (np.broadcast_to(a, framed.shape)[framed] for a in (det, start, dur))
             u[framed] = rz(d * (t0 + t)) @ u[framed] @ rz(-d * t0)
         u[dark] = IDENTITY
+    return out
+
+
+def _excitations(table: np.ndarray, offsets, ct_phase: float, ions) -> np.ndarray:
+    """|u_10|^2 of every slice propagator of :func:`_slice_propagators` for
+    each of ``ions``, shape ``(len(ions),) + batch``: the excited population
+    a slice leaves from the ground state, by the Rabi formula
+    ``|Omega|^2 / G^2 sin^2(G t / 2)`` with ``G^2 = |Omega|^2 + Delta^2``.
+
+    The orthogonal polarization adds to ``|Omega|^2`` in quadrature, and a
+    detuned slice's Z-frame sandwich leaves ``|u_10|`` as it is.  A dark
+    slice gives 0.  Slices whose ``G^2`` is subnormal or 0, dark or not,
+    take :func:`_slice_propagators` instead.
+    """
+    shape = np.broadcast_shapes(table.shape[:-1], np.shape(offsets))
+    out = np.empty((len(ions),) + shape)
+    for p, ion in zip(out, ions):
+        _, dur, det, re, im, quad = _ion_field(table, offsets, ct_phase, ion)
+        if not (np.isfinite(re).all() and np.isfinite(im).all() and np.isfinite(quad).all()):
+            raise ValueError("non-finite input")
+        field = re * re + im * im + quad * quad
+        squares = field + det * det
+        # a dark detuned slice's field of 0 gives 0; a tiny G^2 (0 for a dark
+        # resonant slice) is kept out of the division and overwritten below
+        tiny = squares < np.finfo(float).tiny
+        squares = np.where(tiny, 1.0, squares)
+        np.multiply(field / squares, np.sin(0.5 * np.sqrt(squares) * dur) ** 2, out=p)
+        if tiny.any():
+            rows = np.broadcast_to(table, shape + table.shape[-1:])[tiny]
+            [u] = _slice_propagators(rows, np.broadcast_to(offsets, shape)[tiny], ct_phase, (ion,))
+            p[tiny] = _abs2(u[:, 1, 0].real, u[:, 1, 0].imag)
     return out
 
 
@@ -404,19 +444,21 @@ def _products(table, begin, count, out, shifts, ct_phase: float, marks=None) -> 
 def _propagate(table: np.ndarray, lengths: np.ndarray, offsets: np.ndarray, ct_phase: float,
                ions=(TARGET, SPECTATOR)):
     """The kernel: yields each point's propagator per ion under its first
-    offset, shape ``(2, 2, 2)``, and its shot states, or None.
+    offset, shape ``(2, 2, 2)``, and the excited populations of its shot
+    columns for ``ions``, shape ``(len(ions), shots)``, or None.
 
     Takes the compiled table, each point's slice count and one row of
     spectator phase offsets (rad) per point: column 0 the noiseless
     evolution, any others one shot each.  With shot columns, the shot
-    states are those of :func:`_shot_propagate` for ``ions``.  Without,
-    when all points have the same offset, the leading rows a point shares
-    with the longest point (a shorter train is a prefix of a longer one)
-    are multiplied once, on the longest point; the other rows go through
+    populations are ``|c_1|^2`` of the states of :func:`_shot_propagate`.
+    Without, when all points have the same offset, the leading rows a point
+    shares with the longest point (a shorter train is a prefix of a longer
+    one) are multiplied once, on the longest point; the other rows go through
     :func:`_products` in groups of ``_BATCH // 2`` points.  A scan whose
     points have at most one slice each, as every template scan's do, takes
     neither path: :func:`_one_slice_propagate` evaluates each slice once,
-    with no products.  Points are yielded in the caller's order.  Every
+    with no products, and its shot populations by the Rabi formula
+    (:func:`_excitations`).  Points are yielded in the caller's order.  Every
     product is a sequential left product, so each element is bit-identical
     to multiplying one point's propagators in turn.
     """
@@ -459,25 +501,23 @@ def _propagate(table: np.ndarray, lengths: np.ndarray, offsets: np.ndarray, ct_p
 
 def _one_slice_propagate(table, lengths, offsets, ct_phase: float, ions):
     """:func:`_propagate` of points of at most one slice each: a point's
-    propagator is its slice's, and each shot state the first column of its
-    shot propagator, read in place.  Consecutive points go in groups that
-    evaluate at most ``_BATCH`` propagators, at least one point a group."""
+    propagator is its slice's, and its shot columns' excited populations
+    those of :func:`_excitations`.  Consecutive points go in groups that
+    hold at most the entries of ``_BATCH`` propagators, four per propagator
+    and one float per shot, at least one point a group."""
     n, width = offsets.shape
-    ions = list(ions)
-    others = [ion for ion in (TARGET, SPECTATOR) if ion not in ions]
-    group = max(1, _BATCH // (2 + (width - 1) * len(ions)))
+    group = max(1, 4 * _BATCH // (4 * 2 + (width - 1) * len(ions)))
     # a point without a slice reads a dark row, whose propagators are exact identities
     rows = np.where(lengths > 0, np.cumsum(lengths) - 1, len(table))
     table = np.append(table, np.zeros((1, _COLUMNS)), axis=0)
     for g0 in range(0, n, group):
         where, shifts = table[rows[g0:g0 + group], None], offsets[g0:g0 + group]
-        props = _slice_propagators(where, shifts, ct_phase, ions)
-        u = np.empty((2, len(where), 2, 2), dtype=complex)
-        u[ions] = props[:, :, 0]
-        if others:
-            u[others] = _slice_propagators(where, shifts[:, :1], ct_phase, others)[:, :, 0]
-        states = np.moveaxis(props[:, :, 1:, :, 0], (0, 2), (1, 3))  # (point, ion, 2, shot)
-        yield from zip(np.moveaxis(u, 1, 0), states if width > 1 else repeat(None))
+        u = np.moveaxis(_slice_propagators(where, shifts[:, :1], ct_phase)[:, :, 0], 1, 0)
+        if width == 1:
+            yield from zip(u, repeat(None))
+        else:
+            probs = _excitations(where, shifts[:, 1:], ct_phase, ions)
+            yield from zip(u, np.moveaxis(probs, 1, 0))
 
 
 def _distinct(table: np.ndarray, lengths: np.ndarray):
@@ -510,7 +550,8 @@ def _windows(ids: list, cost: int) -> list:
 def _shot_propagate(table, lengths, offsets, ct_phase: float, ions):
     """:func:`_propagate` with shot columns: per point, its propagator per
     ion under offset column 0 and, per ion of ``ions`` and shot column, the
-    state from the ground state, shape ``(len(ions), 2, shots)``.
+    excited population ``|c_1|^2`` of the state from the ground state, shape
+    ``(len(ions), shots)``.
 
     Per point, each distinct table row (:func:`_distinct`) is evaluated
     once for all its columns: column 0 for both ions and the shot columns
@@ -537,7 +578,8 @@ def _shot_propagate(table, lengths, offsets, ct_phase: float, ions):
         u, states = _shot_steps(table, ids, first[order], count, offsets[order], ct_phase,
                                 ions, cuts)
         for i in np.argsort(order).tolist():
-            yield u[:, i], states[count[i] % 2, i]
+            c1 = states[count[i] % 2, i, :, 1]
+            yield u[:, i], _abs2(c1.real, c1.imag)
         g0 = g1
 
 

@@ -55,12 +55,14 @@ def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
 
 _HASH_B = _hash_constants(_INIT_B, _MULT_B, _STATE_WORDS + 1)
 _OTHERS = [np.array([d for d in range(_POOL) if d != s]) for s in range(_POOL)]
+_STATE_ROWS = np.arange(_STATE_WORDS) % _POOL  # the pool word each state word hashes
 
 
-def _hashmix(value: np.ndarray, consts: np.ndarray, j: int) -> np.ndarray:
-    """hashmix of each row of ``value``, the rows taking the hash constants
-    of calls ``j, j + 1, ...``; uint32 arrays wrap silently."""
-    value = (value ^ consts[j:j + len(value)]) * consts[j + 1:j + 1 + len(value)]
+def _hashmix(value: np.ndarray, consts: np.ndarray, j: int, rows: int) -> np.ndarray:
+    """hashmix of ``rows`` rows of ``value``, or of its one row ``rows``
+    times, row i taking the hash constant of call ``j + i``; uint32 arrays
+    wrap silently."""
+    value = (value ^ consts[j:j + rows]) * consts[j + 1:j + 1 + rows]
     return value ^ value >> _SHIFT
 
 
@@ -117,16 +119,15 @@ def _streams(prefix, keys) -> list:
         consts = _hash_constants(_INIT_A, _MULT_A, _POOL * max(len(entropy), _POOL) + 1)
         pool = np.zeros((_POOL, len(idx)), dtype=np.uint32)
         pool[:len(entropy)] = entropy[:_POOL]
-        pool = _hashmix(pool, consts, 0)
+        pool = _hashmix(pool, consts, 0, _POOL)
         j = _POOL
         for src, others in enumerate(_OTHERS):
-            mixed = _hashmix(np.broadcast_to(pool[src], (len(others), len(idx))), consts, j)
-            pool[others] = _mix(pool[others], mixed)
+            pool[others] = _mix(pool[others], _hashmix(pool[src], consts, j, len(others)))
             j += len(others)
         for word in entropy[_POOL:]:
-            pool = _mix(pool, _hashmix(np.broadcast_to(word, pool.shape), consts, j))
+            pool = _mix(pool, _hashmix(word, consts, j, _POOL))
             j += _POOL
-        words = _hashmix(pool[np.arange(_STATE_WORDS) % _POOL], _HASH_B, 0).astype(np.uint64)
+        words = _hashmix(pool[_STATE_ROWS], _HASH_B, 0, _STATE_WORDS).astype(np.uint64)
         # uint64 word k is 32-bit words 2k (low) and 2k + 1, per key
         state = np.ascontiguousarray((words[0::2] | words[1::2] << 32).T)
         for i, s in zip(idx.tolist(), state):

@@ -431,20 +431,22 @@ def _evaluate(table, lengths, ctx: CrosstalkContext, shots, seed, offsets, keys,
     n, noisy, ions = len(lengths), offsets.shape[1] > 1, list(ions)
     streams = [] if shots is None else _streams([0 if seed is None else seed], keys)
     amplitudes = np.empty((n, 2, 2), dtype=complex)
-    excited = np.empty((n, len(ions), offsets.shape[1] - 1), dtype=complex)
+    excited = np.empty((n, len(ions), offsets.shape[1] - 1))
     sampled = None if shots is None else np.full((n, 2), np.nan)
-    for i, (u, states) in enumerate(_propagate(table, lengths, offsets, ctx.ct_phase, ions)):
+    for i, (u, probs) in enumerate(_propagate(table, lengths, offsets, ctx.ct_phase, ions)):
         amplitudes[i] = u[:, :, 0]
         if noisy:
-            excited[i] = states[:, 1]
+            excited[i] = probs
     check_states(amplitudes)
     populations = _abs2(amplitudes[..., 1].real, amplitudes[..., 1].imag)
     if noisy:
         # one draw per shot and ion, column 0 the target and 1 the
         # spectator, whichever ions are sampled, so that no draw moves
-        probs = np.clip(_abs2(excited.real, excited.imag), 0.0, 1.0)
-        for p, stream, out in zip(probs, streams, sampled):
-            out[ions] = (stream.random((shots, 2))[:, ions] < p.T).sum(axis=0) / shots
+        draws = np.empty((n, shots, 2))
+        for stream, out in zip(streams, draws):
+            stream.random(out=out)
+        hits = draws[:, :, ions] < np.clip(excited, 0.0, 1.0).transpose(0, 2, 1)
+        sampled[:, ions] = np.count_nonzero(hits, axis=1) / shots
     elif shots is not None:
         # analytic populations may round just past 1
         for p, stream, out in zip(np.clip(populations, 0.0, 1.0), streams, sampled):

@@ -55,7 +55,7 @@ METHODS = ("none", "pcc", "sk1", "quad")
 # only what its scenario uses.  A default of None may also leave the value to
 # the runner.  CrosstalkContext and CompensationSetting check physics ranges.
 _PHYSICS = {
-    "omega_0_rad_per_s": (float, 2.0 * math.pi * 50e3, ""),  # a 50 kHz target drive
+    "omega_0_rad_per_s": (float, 2.0 * math.pi * 50e3, "> 0"),  # a 50 kHz target drive
     "f_ct": (float, 0.096, ""),
     "f_comp": (float, 1.0, ""),
     "delta_phi_rad": (float, math.pi, ""),

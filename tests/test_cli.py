@@ -238,6 +238,9 @@ def run_quietly(argv):
         # used to name the key but not its section
         ("x-error", {"physics": {"pol_overlap": 1.5}}, "x-error physics: pol_overlap"),
         ("x-error", {"physics": {"f_comp": -1}}, "x-error physics: f_comp"),
+        # used to name the dataclass field omega_0, which no config key is called
+        ("x-error", {"physics": {"omega_0_rad_per_s": 0}}, "x-error physics.omega_0_rad_per_s"),
+        ("x-error", {"physics": {"omega_0_rad_per_s": -5}}, "x-error physics.omega_0_rad_per_s"),
     ],
 )
 def test_bad_config_exits_2_naming_the_key(tmp_path, scenario, doc, key):

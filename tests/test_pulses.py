@@ -494,14 +494,16 @@ class TestKernel:
             offsets = rng.normal(size=(3, 4))
             table, lengths = _compile([scaled(s, x) for s, x in zip(seqs, scales)], ctx)
             kernel = _propagate(table, lengths, offsets, ctx.ct_phase)
-            for seq, scale, shifts, (u, states) in zip(seqs, scales, offsets, kernel):
+            for seq, scale, shifts, (u, probs) in zip(seqs, scales, offsets, kernel):
                 for j, offset in enumerate(shifts):
                     ref = reference_unitaries(seq, ctx, scale, offset)
                     for ion in (TARGET, SPECTATOR):
-                        # column 0 the whole gate, shot columns the state from ground
-                        got, want = (u[ion], ref[ion]) if j == 0 else (states[ion, :, j - 1],
-                                                                       ref[ion][:, 0])
-                        assert np.max(np.abs(got - want)) < 1e-12
+                        # column 0 the whole gate, shot columns the excited
+                        # population from the ground state
+                        if j == 0:
+                            assert np.max(np.abs(u[ion] - ref[ion])) < 1e-12
+                        else:
+                            assert abs(probs[ion, j - 1] - abs(ref[ion][1, 0]) ** 2) < 1e-12
 
     @pytest.mark.parametrize("amp", [1e-150, 1e-160, 1e-162, 1e-200])
     def test_tiny_fields_match_scalar_reference(self, amp):
@@ -735,33 +737,79 @@ class TestKernel:
             assert one.sampled.tobytes() == general.sampled.tobytes()  # NaN where unsampled
             assert (one.amplitudes == general.amplitudes).all()
 
-    @pytest.mark.parametrize("batch", [4096, 64])
+    @pytest.mark.parametrize("batch", [4096, 256, 64])
     @pytest.mark.parametrize("ions", [(TARGET, SPECTATOR), (SPECTATOR,)],
                              ids=["both", "spectator"])
     def test_one_slice_groups_stay_within_a_batch(self, monkeypatch, batch, ions):
+        # a group holds four entries per propagator and one float per shot,
+        # at most the entries of a batch of propagators
         from xtalk import kernel
         from xtalk.pulses import _template_scan
 
         sizes = []
-        evaluate = kernel._slice_propagators
+        propagators, excitations = kernel._slice_propagators, kernel._excitations
 
-        def counted(table, offsets, ct_phase, ions=(TARGET, SPECTATOR)):
-            sizes.append(len(ions) * np.broadcast(table[..., 0], offsets).size)
-            return evaluate(table, offsets, ct_phase, ions)
+        def counted(evaluate, held):
+            def wrapped(table, offsets, ct_phase, ions=(TARGET, SPECTATOR)):
+                sizes.append(held * len(ions) * np.broadcast(table[..., 0], offsets).size)
+                return evaluate(table, offsets, ct_phase, ions)
+            return wrapped
 
         monkeypatch.setattr(kernel, "_BATCH", batch)
-        monkeypatch.setattr(kernel, "_slice_propagators", counted)
+        monkeypatch.setattr(kernel, "_slice_propagators", counted(propagators, 4))
+        monkeypatch.setattr(kernel, "_excitations", counted(excitations, 1))
         points, shots = 2000, 200
         template = with_pcc(square_pi(OMEGA), CTX, CompensationSetting(0.97, 0.0))
         dials = np.linspace(0.0, 2.0 * math.pi, points)
         noise = np.random.default_rng(6).normal(0.0, 0.3, size=(points, shots))
         _template_scan(template, "phase", dials, CTX, shots=shots, phase_noise=noise, ions=ions)
-        cost = 2 + shots * len(ions)  # each point's slice, once, as in the product path
+        cost = 4 * 2 + shots * len(ions)  # column 0 of both ions, then the shots of ions
         assert sum(sizes) == points * cost
-        # a call exceeds the batch only when one point alone does; one call
-        # a group of points, and one more for an unsampled ion's column 0
-        assert max(sizes) <= max(batch, cost)
-        assert len(sizes) == (3 - len(ions)) * -(-points // max(1, batch // cost))
+        # per group, one call for column 0 and one for the shots; a group
+        # holds more than the entries of a batch only when one point alone does
+        groups = -(-points // max(1, 4 * batch // cost))
+        assert len(sizes) == 2 * groups
+        assert max(np.add(sizes[0::2], sizes[1::2])) <= max(4 * batch, cost)
+
+    def test_excitations_match_the_slice_propagators(self):
+        # |u_10|^2 of the propagators, for resonant and detuned rows, both
+        # polarizations, dark rows, zero durations and subnormal |Omega|^2
+        from xtalk.kernel import _COLUMNS, _ION_COLUMNS, _excitations, _slice_propagators
+
+        rng = np.random.default_rng(22)
+        for pol_overlap in (1.0, 0.8, 0.0):
+            q = math.sqrt(1.0 - pol_overlap**2)
+            table = np.zeros((60, _COLUMNS))
+            table[:, 0] = rng.uniform(0.0, 1e-4, 60)
+            table[:, 1] = rng.uniform(0.0, 3.0, 60) * CTX.t_pi
+            for ion in (TARGET, SPECTATOR):
+                cols = table[:, 2 + _ION_COLUMNS * ion:][:, :_ION_COLUMNS]
+                amp = rng.uniform(0.0, OMEGA, 60)
+                cols[:, 0] = rng.choice([0.0, 1.0], 60) * rng.normal(0.0, 0.2 * OMEGA, 60)
+                cols[:, 1:3] = rng.normal(0.0, 0.3 * OMEGA, (60, 2))
+                cols[:, 3], cols[:, 5] = pol_overlap * amp, q * amp
+                cols[:, 4] = rng.uniform(0.0, 7.0, 60)
+            table[:8, 2:] = 0.0  # dark rows, the last four detuned
+            table[4:8, [2, 2 + _ION_COLUMNS]] = 0.1 * OMEGA
+            table[8:12, 1] = 0.0
+            # fields of 1e-160 rad/s, where |Omega|^2 is subnormal, and of
+            # 1e-170 rad/s, where it is 0; half of them detuned as much
+            field = np.repeat([1e-160, 1e-170], 4)[:, None]
+            tiny = table[12:20, 2:]
+            tiny[:, [1, 2, 3, 5, 7, 8, 9, 11]] = field
+            tiny[:, [0, 6]] = np.where((np.arange(8) % 4 < 2)[:, None], 0.0, field)
+            table[12:20, 1] = 3.0 / field[:, 0]
+            offsets = rng.normal(0.0, 0.5, (60, 5))
+            for ions in ((TARGET, SPECTATOR), (SPECTATOR,)):
+                probs = _excitations(table[:, None], offsets, 0.7, ions)
+                u = _slice_propagators(table[:, None], offsets, 0.7, ions)
+                assert probs.shape == (len(ions), 60, 5)
+                assert np.max(np.abs(probs - np.abs(u[..., 1, 0]) ** 2)) < 1e-14
+                assert (probs[:, :8] == 0.0).all() and (probs[:, 8:12] == 0.0).all()
+                assert (probs[:, 12:20] > 0.0).all()
+        offsets[3, 2] = math.nan
+        with pytest.raises(ValueError, match="non-finite input"):
+            _excitations(table[:, None], offsets, 0.7, (SPECTATOR,))
 
     def test_shot_products_match_matmul(self):
         from xtalk.kernel import _shot_products
