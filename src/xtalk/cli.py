@@ -1,8 +1,9 @@
 """Command line interface: ``xtalk <scenario> --config <path> [options]``.
 
 Exit codes: 0 on success, 2 on configuration errors (including any
-``ValueError``, ``OverflowError`` or ``OSError`` raised while loading,
-running or writing the CSV), 3 on numerical failures; an error prints one
+``ValueError``, ``OverflowError``, ``OSError`` or ``MemoryError`` raised
+while loading, running or writing the CSV, the last from a scan too large
+to hold), 3 on numerical failures; an error prints one
 ``stderr`` line.  The environment variable ``XTALK_SEED`` overrides the
 built-in default seed; an explicit ``--seed`` flag wins over everything.
 """
@@ -80,8 +81,9 @@ def main(argv=None) -> int:
         except NumericalFailureError as exc:
             print(f"numerical failure: {_one_line(exc)}", file=sys.stderr)
             return EXIT_NUMERICAL
-        except (XtalkError, ValueError, OverflowError, OSError) as exc:
-            print(f"config error: {_one_line(exc)}", file=sys.stderr)
+        except (XtalkError, ValueError, OverflowError, OSError, MemoryError) as exc:
+            # numpy's MemoryError names the allocation; Python's may say nothing
+            print(f"config error: {_one_line(exc) or 'out of memory'}", file=sys.stderr)
             return EXIT_CONFIG
     for w in caught:
         warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)

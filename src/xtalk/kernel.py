@@ -8,26 +8,26 @@ per-shot spectator phase offset.  The table is cut from segment columns
 sequences, and :func:`_train_segments` tiles them from the one block a train
 repeats and each point's block count, with a train's Ramsey pulses and dark
 gaps where ``pulses.ramsey_wrap`` puts them, so the table of an x-error or
-z-error scan is built without unrolling its trains.  The kernel runs points
-longest first and multiplies them slice by slice, evaluating with numpy only
-the slices of the points still running.  Offset column 0, the noiseless
-evolution behind the amplitudes and populations, goes through ``np.matmul``
-of (matrices, 2, 2) stacks for both ions.  A noisy scan adds one column per
-shot, each its own spectator phase offset.  Per point, it evaluates each
-distinct slice once for all its columns: rows compare by bit pattern, their
-start only where an ion is detuned.  Shot columns are evaluated and carried
-only for the ions being sampled, and only as the state from the ground
-state, through the 2x2 entry products written out elementwise into reused
+z-error scan is built without unrolling its trains.  Each quantity has
+one path.  Column 0, the noiseless evolution behind the amplitudes and
+populations, runs the points longest first and multiplies them slice by
+slice through ``np.matmul`` of (matrices, 2, 2) stacks for both ions,
+evaluating only the slices of the points still running; leading slices the
+points share, as a shorter train shares those of a longer one, are
+multiplied once.  A noisy scan adds one shot column per shot, each under
+its own spectator phase offset.  Per point, it evaluates each distinct
+slice once for all its shots: rows compare by bit pattern, their start only
+where an ion is detuned.  Shot columns are evaluated and carried only for
+the ions being sampled, and only as the state from the ground state,
+through the 2x2 entry products written out elementwise into reused
 buffers; these round differently but make one numpy pass instead of one
 matrix call per shot.  A shot column ends as the excited population
-``|c_1|^2`` that its draws read.  Shot columns only feed the draws, so a
-sampled value can change only where a draw lands within a few ulps of its
-probability.  Leading slices that the points of a noiseless scan share, as
-a shorter train shares those of a longer one, are multiplied once.  Each
-point's result is bit-identical to simulating it alone.  A scan that only
-varies one value of a one-slice sequence (a calibration flop, dial or
-resonance scan) tiles that sequence's one slice, read from its segments,
-instead of compiling every point, with the same table.  A scan whose points
+``|c_1|^2`` that its draws read, so a sampled value can change only where a
+draw lands within a few ulps of its probability.  Each point's result is
+bit-identical to simulating it alone.  A scan that only varies one value
+of a one-slice sequence (a calibration flop, dial or resonance scan) tiles
+that sequence's one slice, read from its segments, instead of compiling
+every point, with the same table.  A scan whose points
 hold at most one slice each, as such a scan's do, skips the products: a
 point's propagator is its slice's, the value a product from the identity
 gives (a product could only flip the sign of a zero), and each shot's
@@ -406,15 +406,15 @@ def _identities(points: int) -> np.ndarray:
     return np.broadcast_to(IDENTITY, (2, points, 2, 2)).copy()
 
 
-def _products(table, begin, count, out, shifts, ct_phase: float, marks=None) -> np.ndarray:
+def _products(table, begin, count, out, ct_phase: float, marks=None) -> np.ndarray:
     """``out``, shape ``(2, points, 2, 2)``, left-multiplied per point by
-    the propagators of its ``count`` table rows from row ``begin`` on, in
-    order, under its phase offset ``shifts``.  Points come longest first, so
-    step k evaluates the rows of the leading ``m_k`` points still running,
-    steps packed into calls of up to ``_BATCH`` propagators (at least one
-    step), and multiplies them through ``np.matmul`` of (matrices, 2, 2)
-    stacks.  ``marks``, a dict keyed by row counts, receives the product of
-    a single point after each such count."""
+    the noiseless propagators of its ``count`` table rows from row ``begin``
+    on, in order.  Points come longest first, so step k evaluates the rows
+    of the leading ``m_k`` points still running, steps packed into calls of
+    up to ``_BATCH`` propagators (at least one step), and multiplies them
+    through ``np.matmul`` of (matrices, 2, 2) stacks.  ``marks``, a dict
+    keyed by row counts, receives the product of a single point after each
+    such count."""
     points = len(count)
     steps = np.arange(count[0] if points else 0)
     running = np.searchsorted(-count, -steps)  # m_k, as count is descending
@@ -423,8 +423,7 @@ def _products(table, begin, count, out, shifts, ct_phase: float, marks=None) -> 
     while k0 < len(steps):
         k1 = max(k0 + 1, int(np.searchsorted(ends, ends[k0] + _BATCH, side="right")) - 1)
         live = np.arange(points) < running[k0:k1, None]  # step-major (step, point)
-        props = _slice_propagators(table[(begin + steps[k0:k1, None])[live]],
-                                   shifts[np.nonzero(live)[1]], ct_phase)
+        props = _slice_propagators(table[(begin + steps[k0:k1, None])[live]], 0.0, ct_phase)
         full = max(0, min(k1, count[-1]) - k0)  # leading steps that run every point
         whole = np.moveaxis(props[:, :full * points].reshape(2, full, points, 2, 2), 1, 0)
         out = out.reshape(2 * points, 2, 2)
@@ -441,38 +440,41 @@ def _products(table, begin, count, out, shifts, ct_phase: float, marks=None) -> 
     return out
 
 
-def _propagate(table: np.ndarray, lengths: np.ndarray, offsets: np.ndarray, ct_phase: float,
+def _propagate(table: np.ndarray, lengths: np.ndarray, shots, ct_phase: float,
                ions=(TARGET, SPECTATOR)):
-    """The kernel: yields each point's propagator per ion under its first
-    offset, shape ``(2, 2, 2)``, and the excited populations of its shot
+    """The kernel: an iterator of each point's noiseless propagator per
+    ion, shape ``(2, 2, 2)``, and the excited populations of its shot
     columns for ``ions``, shape ``(len(ions), shots)``, or None.
 
-    Takes the compiled table, each point's slice count and one row of
-    spectator phase offsets (rad) per point: column 0 the noiseless
-    evolution, any others one shot each.  With shot columns, the shot
-    populations are ``|c_1|^2`` of the states of :func:`_shot_propagate`.
-    Without, when all points have the same offset, the leading rows a point
-    shares with the longest point (a shorter train is a prefix of a longer
-    one) are multiplied once, on the longest point; the other rows go through
-    :func:`_products` in groups of ``_BATCH // 2`` points.  A scan whose
-    points have at most one slice each, as every template scan's do, takes
-    neither path: :func:`_one_slice_propagate` evaluates each slice once,
-    with no products, and its shot populations by the Rabi formula
-    (:func:`_excitations`).  Points are yielded in the caller's order.  Every
-    product is a sequential left product, so each element is bit-identical
-    to multiplying one point's propagators in turn.
+    Takes the compiled table, each point's slice count and, in a noisy
+    scan, one row of spectator phase offsets (rad) per point, one per shot
+    (else None).  Each quantity has one owner: :func:`_column_propagate`
+    multiplies column 0, the noiseless evolution, and
+    :func:`_shot_propagate` the shot columns.  A scan whose points have at
+    most one slice each, as every template scan's do, takes neither:
+    :func:`_one_slice_propagate` evaluates each slice once, with no
+    products, and its shot populations by the Rabi formula
+    (:func:`_excitations`).  Points are yielded in the caller's order.
     """
-    n, width = offsets.shape
     if lengths.max(initial=0) <= 1:
-        yield from _one_slice_propagate(table, lengths, offsets, ct_phase, ions)
-        return
-    if width > 1:
-        yield from _shot_propagate(table, lengths, offsets, ct_phase, ions)
-        return
+        return _one_slice_propagate(table, lengths, shots, ct_phase, ions)
+    return zip(_column_propagate(table, lengths, ct_phase), repeat(None) if shots is None
+               else _shot_propagate(table, lengths, shots, ct_phase, ions))
+
+
+def _column_propagate(table, lengths, ct_phase: float):
+    """Column 0 of :func:`_propagate`: yields each point's noiseless
+    propagator per ion.  The leading rows a point shares with the longest
+    point (a shorter train is a prefix of a longer one) are multiplied
+    once, on the longest point; the other rows go through :func:`_products`
+    in groups of ``_BATCH // 2`` points.  Every product is a sequential left
+    product, so each element is bit-identical to multiplying one point's
+    propagators in turn."""
+    n = len(lengths)
     first = np.cumsum(lengths) - lengths
     done = np.zeros(n, dtype=int)
     shared_products = {}
-    if n > 1 and len(table) and (offsets == offsets[0]).all():
+    if n > 1 and len(table):
         longest = int(np.argmax(lengths))
         # each row against the longest point's row at the same position
         pos = np.arange(len(table)) - np.repeat(first, lengths)
@@ -484,8 +486,8 @@ def _propagate(table: np.ndarray, lengths: np.ndarray, offsets: np.ndarray, ct_p
         if np.count_nonzero(shared) > 1:  # not the longest point alone
             done = shared
             shared_products = dict.fromkeys(done.tolist())
-            _products(table, first[[longest]], done[[longest]], _identities(1),
-                      offsets[:1, 0], ct_phase, shared_products)
+            _products(table, first[[longest]], done[[longest]], _identities(1), ct_phase,
+                      shared_products)
     group = _BATCH // 2
     for g0 in range(0, n, group):
         part = np.arange(g0, min(g0 + group, n))
@@ -495,28 +497,28 @@ def _propagate(table: np.ndarray, lengths: np.ndarray, offsets: np.ndarray, ct_p
             if k:
                 out[:, i] = shared_products[k][:, 0]
         u = _products(table, first[order] + done[order], lengths[order] - done[order], out,
-                      offsets[order, 0], ct_phase)
-        yield from ((p, None) for p in np.moveaxis(u[:, np.argsort(order)], 1, 0))
+                      ct_phase)
+        yield from np.moveaxis(u[:, np.argsort(order)], 1, 0)
 
 
-def _one_slice_propagate(table, lengths, offsets, ct_phase: float, ions):
+def _one_slice_propagate(table, lengths, shots, ct_phase: float, ions):
     """:func:`_propagate` of points of at most one slice each: a point's
     propagator is its slice's, and its shot columns' excited populations
     those of :func:`_excitations`.  Consecutive points go in groups that
     hold at most the entries of ``_BATCH`` propagators, four per propagator
     and one float per shot, at least one point a group."""
-    n, width = offsets.shape
-    group = max(1, 4 * _BATCH // (4 * 2 + (width - 1) * len(ions)))
+    width = 0 if shots is None else shots.shape[1]
+    group = max(1, 4 * _BATCH // (4 * 2 + width * len(ions)))
     # a point without a slice reads a dark row, whose propagators are exact identities
     rows = np.where(lengths > 0, np.cumsum(lengths) - 1, len(table))
     table = np.append(table, np.zeros((1, _COLUMNS)), axis=0)
-    for g0 in range(0, n, group):
-        where, shifts = table[rows[g0:g0 + group], None], offsets[g0:g0 + group]
-        u = np.moveaxis(_slice_propagators(where, shifts[:, :1], ct_phase)[:, :, 0], 1, 0)
-        if width == 1:
+    for g0 in range(0, len(lengths), group):
+        where = table[rows[g0:g0 + group]]
+        u = np.moveaxis(_slice_propagators(where, 0.0, ct_phase), 1, 0)
+        if shots is None:
             yield from zip(u, repeat(None))
         else:
-            probs = _excitations(where, shifts[:, 1:], ct_phase, ions)
+            probs = _excitations(where[:, None], shots[g0:g0 + group], ct_phase, ions)
             yield from zip(u, np.moveaxis(probs, 1, 0))
 
 
@@ -547,20 +549,20 @@ def _windows(ids: list, cost: int) -> list:
     return cuts + [len(ids)]
 
 
-def _shot_propagate(table, lengths, offsets, ct_phase: float, ions):
-    """:func:`_propagate` with shot columns: per point, its propagator per
-    ion under offset column 0 and, per ion of ``ions`` and shot column, the
-    excited population ``|c_1|^2`` of the state from the ground state, shape
-    ``(len(ions), shots)``.
+def _shot_propagate(table, lengths, shots, ct_phase: float, ions):
+    """The shot columns of :func:`_propagate`: yields per point, per ion of
+    ``ions`` and shot, the excited population ``|c_1|^2`` of the state from
+    the ground state under that shot's phase offset, shape ``(len(ions),
+    shots)``.
 
     Per point, each distinct table row (:func:`_distinct`) is evaluated
-    once for all its columns: column 0 for both ions and the shot columns
-    for ``ions`` only.  Consecutive points whose distinct rows take at most
-    ``_BATCH`` propagators run as one group through :func:`_shot_steps`; a
-    point beyond that runs alone, its rows cut into :func:`_windows`.
+    once for all its shots of ``ions``.  Consecutive points whose distinct
+    rows take at most ``_BATCH`` propagators run as one group through
+    :func:`_shot_steps`; a point beyond that runs alone, its rows cut into
+    :func:`_windows`.
     """
-    n, width = offsets.shape
-    cost = 2 + (width - 1) * len(ions)  # propagators evaluated per distinct row
+    n, width = shots.shape
+    cost = width * len(ions)  # propagators evaluated per distinct row
     first = np.cumsum(lengths) - lengths
     ids, distinct = _distinct(table, lengths)
     weight = (np.maximum(distinct, 1) * cost).tolist()  # a state costs as much as a row
@@ -575,56 +577,45 @@ def _shot_propagate(table, lengths, offsets, ct_phase: float, ions):
         cuts = [0, int(count[0])]
         if total > _BATCH:  # one point
             cuts = _windows(ids[first[g0]:first[g0] + lengths[g0]].tolist(), cost)
-        u, states = _shot_steps(table, ids, first[order], count, offsets[order], ct_phase,
-                                ions, cuts)
+        states = _shot_steps(table, ids, first[order], count, shots[order], ct_phase, ions, cuts)
         for i in np.argsort(order).tolist():
             c1 = states[count[i] % 2, i, :, 1]
-            yield u[:, i], _abs2(c1.real, c1.imag)
+            yield _abs2(c1.real, c1.imag)
         g0 = g1
 
 
-def _shot_steps(table, ids, begin, count, shifts, ct_phase: float, ions, cuts):
-    """The products of :func:`_shot_propagate` for points longest first:
-    column 0's propagators, shape ``(2, points, 2, 2)``, and the shot
-    states of ``ions`` in two buffers, shape ``(2, points, len(ions), 2,
+def _shot_steps(table, ids, begin, count, shots, ct_phase: float, ions, cuts):
+    """The shot states of :func:`_shot_propagate` for points longest first,
+    per ion of ``ions``, in two buffers, shape ``(2, points, len(ions), 2,
     shots)``; a point's last step wrote buffer ``count % 2``.
 
     Steps between consecutive ``cuts`` evaluate their distinct rows in one
-    call per ion.  Step k multiplies column 0 through ``np.matmul``, as
-    :func:`_products` does, and the shot states of the leading ``m_k``
-    points through :func:`_shot_products`, from one buffer into the other.
+    call, and step k multiplies the states of the leading ``m_k`` points
+    through :func:`_shot_products`, from one buffer into the other.
     """
-    points, width = shifts.shape
+    points, width = shots.shape
     steps = np.arange(count[0])
     running = np.searchsorted(-count, -steps)
     ends = np.cumsum(np.append(0, running))  # entries before each step
     live = np.arange(points) < running[:, None]
     rows, at = (begin + steps[:, None])[live], np.nonzero(live)[1]  # step-major entries
-    out = _identities(points)
-    states = np.zeros((2, points, len(ions), 2, width - 1), dtype=complex)
+    states = np.zeros((2, points, len(ions), 2, width), dtype=complex)
     states[0, :, :, 0] = 1.0
-    spare, gathered = np.empty_like(states[0]), np.empty(states[0].shape[:-1] + (2, width - 1),
+    spare, gathered = np.empty_like(states[0]), np.empty(states[0].shape[:-1] + (2, width),
                                                             dtype=complex)
     for k0, k1 in zip(cuts[:-1], cuts[1:]):
         e0, e1 = ends[k0], ends[k1]
         _, pick, inverse = np.unique(ids[rows[e0:e1]], return_index=True, return_inverse=True)
         where, who = rows[e0:e1][pick, None], at[e0:e1][pick]
-        # per distinct row: column 0 of both ions, and (i, j, shot) entries
-        # of the shot columns of ions
-        zero = np.empty((2, len(pick), 2, 2), dtype=complex)
-        shot = np.empty((len(pick), len(ions), 2, 2, width - 1), dtype=complex)
-        for ion in (TARGET, SPECTATOR):
-            cols = shifts[who] if ion in ions else shifts[who, :1]
-            [props] = _slice_propagators(table[where], cols, ct_phase, (ion,))
-            zero[ion] = props[:, 0]
-            if ion in ions:
-                shot[:, ions.index(ion)] = np.moveaxis(props[:, 1:], 1, -1)
+        # (i, j, shot) entries per distinct row and ion, contiguous: np.take
+        # from the moved-axis view itself is several times slower
+        entries = np.ascontiguousarray(np.moveaxis(
+            _slice_propagators(table[where], shots[who], ct_phase, ions), (0, 2), (1, 4)))
         for k in range(k0, k1):
             m, idx = running[k], inverse[ends[k] - e0:ends[k + 1] - e0]
-            out[:, :m] = np.matmul(zero[:, idx], out[:, :m])
-            np.take(shot, idx, axis=0, out=gathered[:m], mode="clip")  # "raise" would buffer
+            np.take(entries, idx, axis=0, out=gathered[:m], mode="clip")  # "raise" would buffer
             _shot_products(gathered[:m], states[k % 2, :m], states[1 - k % 2, :m], spare[:m])
-    return out, states
+    return states
 
 
 def _shot_products(u: np.ndarray, state: np.ndarray, out: np.ndarray, spare: np.ndarray):

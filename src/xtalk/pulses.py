@@ -331,7 +331,7 @@ class SimulationResult:
 def sequence_unitaries(seq: PulseSequence, ctx: CrosstalkContext) -> dict:
     """Total qubit-frame propagator per ion for the full sequence."""
     table, lengths = _compile([seq], ctx)
-    u, _ = next(_propagate(table, lengths, np.zeros((1, 1)), ctx.ct_phase))
+    u, _ = next(_propagate(table, lengths, None, ctx.ct_phase))
     return {ch: u[ch] for ch in (TARGET, SPECTATOR)}
 
 
@@ -402,8 +402,8 @@ def _train_scan(method: str, counts, ctx: CrosstalkContext, setting=None, close_
 
 def _shot_plan(n: int, shots, point_indices, phase_noise):
     """Checks the shot arguments of an ``n``-point scan.  Returns each
-    point's spectator phase offsets, column 0 the noiseless evolution and
-    then one per shot of a ``phase_noise`` row, and its stream key."""
+    point's spectator phase offset per shot, from its ``phase_noise`` row
+    (None without noise), and its stream key."""
     if shots is None and phase_noise is not None:
         raise ValueError("phase_noise needs shots")
     if shots is not None and shots < 1:
@@ -411,15 +411,15 @@ def _shot_plan(n: int, shots, point_indices, phase_noise):
     keys = list(range(n) if point_indices is None else point_indices)
     if len(keys) != n:
         raise ValueError("point_indices must hold one key per point")
-    noisy = phase_noise is not None
-    if noisy and len(phase_noise) != n:
+    if phase_noise is None:
+        return None, keys
+    if len(phase_noise) != n:
         raise ValueError("phase_noise must hold one row per point")
-    offsets = np.zeros((n, 1 + shots if noisy else 1))
-    if noisy:
-        for row, noise in zip(offsets, phase_noise):
-            if np.size(noise) < shots:
-                raise ValueError("phase_noise must provide one offset per shot")
-            row[1:] = np.asarray(noise, dtype=float)[:shots]
+    offsets = np.empty((n, shots))
+    for row, noise in zip(offsets, phase_noise):
+        if np.size(noise) < shots:
+            raise ValueError("phase_noise must provide one offset per shot")
+        row[:] = np.asarray(noise, dtype=float)[:shots]
     return offsets, keys
 
 
@@ -428,10 +428,10 @@ def _evaluate(table, lengths, ctx: CrosstalkContext, shots, seed, offsets, keys,
     """The scan result of a compiled table, sampled as :func:`simulate_scan`
     describes; under phase noise only ``ions`` are, the others' ``sampled``
     entries NaN."""
-    n, noisy, ions = len(lengths), offsets.shape[1] > 1, list(ions)
+    n, noisy, ions = len(lengths), offsets is not None, list(ions)
     streams = [] if shots is None else _streams([0 if seed is None else seed], keys)
     amplitudes = np.empty((n, 2, 2), dtype=complex)
-    excited = np.empty((n, len(ions), offsets.shape[1] - 1))
+    excited = np.empty((n, len(ions), shots if noisy else 0))
     sampled = None if shots is None else np.full((n, 2), np.nan)
     for i, (u, probs) in enumerate(_propagate(table, lengths, offsets, ctx.ct_phase, ions)):
         amplitudes[i] = u[:, :, 0]

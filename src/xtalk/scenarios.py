@@ -74,6 +74,9 @@ _DRIVEN = {**_SHOTS, "method": (METHODS, "none", ""), "physics": (dict, {}, "")}
 _NOISY = {**_DRIVEN, "noise": (dict, None, "")}
 # what a scenario without these keys runs with, hashes and prints
 _UNREAD = {"method": "none", "physics": {}, "noise": None, "shots": 200}
+# points x shots a noisy scan may hold: each is a drift offset, its draws
+# and excited populations, some 55 bytes (about 0.5 GB at the bound)
+_NOISY_DRAWS = 10**7
 
 
 @dataclass(frozen=True)
@@ -108,6 +111,14 @@ class ScenarioConfig:
             setting = CompensationSetting(f_comp=phys["f_comp"], delta_phi=phys["delta_phi_rad"])
         except ValueError as exc:
             raise ConfigError(f"{name} physics: {exc}") from exc
+        # the kernel squares each drive, and a pi pulse lasts pi / omega_0
+        w, ct = context.omega_0, context.f_ct * context.omega_0
+        for key, value, rule in (
+                ("omega_0_rad_per_s", w * w + math.pi / w, "omega_0^2 and pi / omega_0"),
+                ("f_ct", ct * ct, "(f_ct omega_0)^2")):
+            if math.isinf(value):
+                raise ConfigError(f"{name} physics.{key} overflows: {rule} must be finite, "
+                                  f"got {phys[key]!r}")
         noise = None if top["noise"] is None else resolve(top["noise"], _NOISE, f"{name} noise")
 
         # the hash identifies the document as given, not the output path
@@ -182,6 +193,9 @@ def _sweep(cfg: ScenarioConfig, x, scan, channel: int = SPECTATOR) -> ScanResult
     (``phase_noise=``), and only ``channel`` is sampled (``ions=``)."""
     noisy = {}
     if cfg.noise is not None:
+        if len(x) * cfg.shots > _NOISY_DRAWS:
+            raise ConfigError(f"{cfg.scenario} shots: {len(x)} points x {cfg.shots} shots "
+                              f"exceed the {_NOISY_DRAWS} drift offsets a noisy scan may hold")
         process = DRIFT_PRESETS[cfg.noise["preset"]]()
         dt = cfg.noise["shot_interval_min"]
         seeds = [(cfg.seed + 7919) * 65537 + i for i in range(len(x))]

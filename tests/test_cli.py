@@ -201,6 +201,56 @@ def run_quietly(argv):
     return code, err.getvalue().splitlines(), caught
 
 
+@pytest.mark.parametrize("scenario, doc", [
+    ("drift-monitor", {"scan": {"duration_min": 1e15, "dt_min": 0.001}}),
+    ("beam-profile", {"scan": {"points": 10**14}}),
+])
+def test_a_scan_too_large_to_hold_exits_2(tmp_path, scenario, doc):
+    # each used to end in a traceback; numpy refuses these allocations at once
+    code, err, caught = run_quietly([scenario, "--config", write_config(tmp_path, doc)])
+    assert code == EXIT_CONFIG
+    assert caught == []
+    assert len(err) == 1 and err[0].startswith("config error: Unable to allocate")
+
+
+def test_a_bare_memory_error_exits_2_with_one_line(tmp_path, monkeypatch):
+    import xtalk.cli
+
+    def run(cfg):
+        raise MemoryError
+
+    monkeypatch.setattr(xtalk.cli, "run_scenario", run)
+    code, err, _ = run_quietly(["x-error", "--config", write_config(tmp_path, {})])
+    assert code == EXIT_CONFIG
+    assert err == ["config error: out of memory"]
+
+
+@pytest.mark.parametrize("scenario", ["x-error", "z-error", "phase-scan"])
+def test_noisy_scan_past_the_size_bound_exits_2_naming_shots(tmp_path, monkeypatch, scenario):
+    # shots: 10**9 with noise was killed by SIGKILL; the bound on points x
+    # shots is checked before any drift trace is drawn
+    from xtalk import scenarios
+
+    class Reached(Exception):
+        pass
+
+    def drift_traces(*args):
+        raise Reached
+
+    monkeypatch.setattr(scenarios, "_drift_traces", drift_traces)
+    points = {"scan": {"n_values": [1, 2]}} if scenario != "phase-scan" else {"scan": {"points": 2}}
+    doc = {**points, "noise": {"preset": "enclosed"}}
+    limit = scenarios._NOISY_DRAWS // 2
+    for shots in (10**9, limit + 1):
+        code, err, _ = run_quietly([scenario, "--config",
+                                    write_config(tmp_path, {**doc, "shots": shots})])
+        assert code == EXIT_CONFIG
+        assert err == [f"config error: {scenario} shots: 2 points x {shots} shots exceed the "
+                       f"{scenarios._NOISY_DRAWS} drift offsets a noisy scan may hold"]
+    with pytest.raises(Reached):  # at the bound, the scan goes on to draw its traces
+        run_quietly([scenario, "--config", write_config(tmp_path, {**doc, "shots": limit})])
+
+
 @pytest.mark.parametrize(
     "scenario, doc, key",
     [
@@ -241,6 +291,13 @@ def run_quietly(argv):
         # used to name the dataclass field omega_0, which no config key is called
         ("x-error", {"physics": {"omega_0_rad_per_s": 0}}, "x-error physics.omega_0_rad_per_s"),
         ("x-error", {"physics": {"omega_0_rad_per_s": -5}}, "x-error physics.omega_0_rad_per_s"),
+        # used to overflow in the kernel, exiting 2 with a line that named no key
+        ("x-error", {"physics": {"omega_0_rad_per_s": 1e300}}, "x-error physics.omega_0_rad_per_s"),
+        ("x-error", {"physics": {"omega_0_rad_per_s": 1e160}}, "x-error physics.omega_0_rad_per_s"),
+        ("x-error", {"physics": {"omega_0_rad_per_s": 1e-320}},
+         "x-error physics.omega_0_rad_per_s"),
+        ("x-error", {"physics": {"f_ct": 1e200}}, "x-error physics.f_ct"),
+        ("phase-scan", {"physics": {"f_ct": 1e160}}, "phase-scan physics.f_ct"),
     ],
 )
 def test_bad_config_exits_2_naming_the_key(tmp_path, scenario, doc, key):

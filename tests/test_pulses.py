@@ -491,19 +491,19 @@ class TestKernel:
                                    ct_phase=rng.uniform(0, 2 * math.pi))
             seqs = [random_sequence(rng, ctx) for _ in range(3)]
             scales = rng.uniform(0.5, 1.5, size=3)
-            offsets = rng.normal(size=(3, 4))
+            offsets = rng.normal(size=(3, 3))  # one per shot
             table, lengths = _compile([scaled(s, x) for s, x in zip(seqs, scales)], ctx)
             kernel = _propagate(table, lengths, offsets, ctx.ct_phase)
             for seq, scale, shifts, (u, probs) in zip(seqs, scales, offsets, kernel):
+                # column 0 the whole noiseless gate, each shot the excited
+                # population from the ground state under its offset
+                ref = reference_unitaries(seq, ctx, scale, 0.0)
+                for ion in (TARGET, SPECTATOR):
+                    assert np.max(np.abs(u[ion] - ref[ion])) < 1e-12
                 for j, offset in enumerate(shifts):
                     ref = reference_unitaries(seq, ctx, scale, offset)
                     for ion in (TARGET, SPECTATOR):
-                        # column 0 the whole gate, shot columns the excited
-                        # population from the ground state
-                        if j == 0:
-                            assert np.max(np.abs(u[ion] - ref[ion])) < 1e-12
-                        else:
-                            assert abs(probs[ion, j - 1] - abs(ref[ion][1, 0]) ** 2) < 1e-12
+                        assert abs(probs[ion, j] - abs(ref[ion][1, 0]) ** 2) < 1e-12
 
     @pytest.mark.parametrize("amp", [1e-150, 1e-160, 1e-162, 1e-200])
     def test_tiny_fields_match_scalar_reference(self, amp):
@@ -521,7 +521,7 @@ class TestKernel:
 
         def first_point(seqs):
             table, lengths = _compile(seqs, CTX)
-            return next(_propagate(table, lengths, np.zeros((len(seqs), 1)), CTX.ct_phase))[0]
+            return next(_propagate(table, lengths, None, CTX.ct_phase))[0]
 
         (quad_1, _), (quad_3, _) = pi_trains("quad", OMEGA, [1, 3], CTX)
         [(sk1_3, _)] = pi_trains("sk1", OMEGA, [3], CTX)
@@ -659,8 +659,8 @@ class TestKernel:
 
     @pytest.mark.parametrize("batch, shots", [(4096, 200), (64, 6), (64, 40), (4, 1)])
     def test_only_real_slices_are_evaluated(self, monkeypatch, batch, shots):
-        # each point evaluates each of its distinct rows once: column 0 for
-        # both ions, the shot columns for the sampled ions only
+        # the shot path evaluates each distinct row of a point once per shot
+        # of the sampled ions, and no column-0 propagator
         from xtalk import kernel
         from xtalk.pulses import _train_scan
 
@@ -668,7 +668,9 @@ class TestKernel:
         evaluate = kernel._slice_propagators
 
         def counted(table, offsets, ct_phase, ions=(TARGET, SPECTATOR)):
-            sizes.append(len(ions) * np.broadcast(table[..., 0], offsets).size)
+            if np.ndim(offsets):  # a shot call, one offset per shot; column 0 passes 0.0
+                assert np.shape(offsets)[-1] == shots
+                sizes.append(len(ions) * np.broadcast(table[..., 0], offsets).size)
             return evaluate(table, offsets, ct_phase, ions)
 
         monkeypatch.setattr(kernel, "_BATCH", batch)
@@ -688,20 +690,49 @@ class TestKernel:
             for ions in ((TARGET, SPECTATOR), (SPECTATOR,), (TARGET,)):
                 sizes.clear()
                 _train_scan("sk1", counts, ctx, shots=shots, phase_noise=noise, ions=ions)
-                cost = 2 + shots * len(ions)
+                cost = shots * len(ions)
                 if distinct.max() * cost <= batch:
                     assert sum(sizes) == cost * distinct.sum()
                 else:  # a longer point is cut into runs of rows, each run deduplicated
                     assert cost * distinct.sum() <= sum(sizes) <= cost * lengths.sum()
-                # one call per ion and run of steps; a run exceeds the batch
-                # only when one row of one point does
-                calls = np.add(sizes[0::2], sizes[1::2])
-                assert max(calls) <= max(batch, cost)
+                # one call per run of steps; a run exceeds the batch only
+                # when one row of one point does
+                assert max(sizes) <= max(batch, cost)
                 # every run but the last of a group or point holds more than
                 # half a batch
                 cut = np.count_nonzero(distinct * cost > batch)
-                assert len(calls) <= 2 * sum(sizes) / batch + 1 + cut
+                assert len(sizes) <= 2 * sum(sizes) / batch + 1 + cut
         assert distinct.sum() == lengths.sum()  # detuned: every start is read
+
+    @pytest.mark.parametrize("wrapped", [False, True], ids=["x-error", "z-error"])
+    @pytest.mark.parametrize("method", ["pcc", "quad"])
+    def test_noisy_column_0_is_evaluated_as_without_noise(self, monkeypatch, method, wrapped):
+        # column 0 has one path: a noisy train scan evaluates the same
+        # column-0 propagators, in the same calls, as its noiseless twin
+        from xtalk import kernel
+        from xtalk.pulses import _train_scan
+
+        calls, shot_calls = [], []
+        evaluate = kernel._slice_propagators
+
+        def recorded(table, offsets, ct_phase, ions=(TARGET, SPECTATOR)):
+            record = shot_calls if np.ndim(offsets) else calls
+            record.append((table.tobytes(), np.asarray(offsets).tobytes(), tuple(ions)))
+            return evaluate(table, offsets, ct_phase, ions)
+
+        monkeypatch.setattr(kernel, "_slice_propagators", recorded)
+        ctx = CrosstalkContext(omega_0=OMEGA, f_ct=0.096, delta_ct=0.05 * OMEGA,
+                               pol_overlap=0.8, ct_phase=0.7)
+        setting = CompensationSetting(0.9, math.pi + 0.8)
+        counts = [4, 1, 7, 2, 7]
+        close = [math.pi + 0.1 * n for n in counts] if wrapped else None
+        noise = np.random.default_rng(5).normal(0.0, 0.3, size=(len(counts), 37))
+        _train_scan(method, counts, ctx, setting, close)
+        clean, calls[:] = list(calls), []
+        _train_scan(method, counts, ctx, setting, close, shots=37, seed=1, phase_noise=noise,
+                    ions=(SPECTATOR,))
+        assert clean and calls == clean
+        assert shot_calls and all(ions == (SPECTATOR,) for _, _, ions in shot_calls)
 
     @pytest.mark.parametrize("shots", [1, 200])
     @pytest.mark.parametrize("pol_overlap", [1.0, 0.8])
