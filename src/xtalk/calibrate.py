@@ -26,6 +26,7 @@ from .field import (
     phase_tolerance,
 )
 from .fitting import FitResult, gauss_newton
+from .kernel import _compile_scan
 from .pulses import (
     SPECTATOR,
     TARGET,
@@ -33,8 +34,9 @@ from .pulses import (
     PulseSegment,
     PulseSequence,
     with_pcc,
+    _evaluate,
+    _shot_plan,
     _target_drive,
-    _template_scan,
 )
 
 __all__ = [
@@ -99,17 +101,17 @@ def save_result(result: CalibrationResult, path, diagnostics: dict | None = None
 def _measure(seq, varied, values, ctx, shots, seed, keys, channel=SPECTATOR) -> np.ndarray:
     """Populations of ``channel`` over the scan that gives the one-slice
     ``seq`` each of ``values`` as its ``varied`` value (a duration, the dial
-    or the target detuning), one kernel call for the whole scan.
+    or the target detuning), compiled by ``kernel._compile_scan``: one call.
 
     With ``shots`` each point is sampled from the stream ``(seed, k)`` for the
     next ``k`` of ``keys``, a counter shared by repeated scans so that they
     never share draws; without, the analytic populations are returned.
     """
-    if not shots:
-        return _template_scan(seq, varied, values, ctx).populations[:, channel]
-    idx = [next(keys) for _ in values]
-    scan = _template_scan(seq, varied, values, ctx, shots=shots, seed=seed, point_indices=idx)
-    return scan.sampled[:, channel]
+    shots = shots or None
+    idx = None if shots is None else [next(keys) for _ in values]
+    plan = _shot_plan(len(values), shots, idx, None)
+    scan = _evaluate(*_compile_scan(seq, ctx, varied, values), ctx, shots, seed, *plan)
+    return (scan.populations if shots is None else scan.sampled)[:, channel]
 
 
 def _compensation_drive(ctx: CrosstalkContext, f_comp: float, duration: float) -> PulseSequence:

@@ -8,41 +8,42 @@ per-shot spectator phase offset.  The table is cut from segment columns
 sequences, and :func:`_train_segments` tiles them from the one block a train
 repeats and each point's block count, with a train's Ramsey pulses and dark
 gaps where ``pulses.ramsey_wrap`` puts them, so the table of an x-error or
-z-error scan is built without unrolling its trains.  Each quantity has
-one path.  Column 0, the noiseless evolution behind the amplitudes and
+z-error scan is built without unrolling its trains.  Each quantity has one
+path.  Column 0, the noiseless evolution behind the amplitudes and
 populations, runs the points longest first and multiplies them slice by
 slice through ``np.matmul`` of (matrices, 2, 2) stacks for both ions,
 evaluating only the slices of the points still running; leading slices the
 points share, as a shorter train shares those of a longer one, are
-multiplied once.  A noisy scan adds one shot column per shot, each under
-its own spectator phase offset.  Per point, it evaluates each distinct
-slice once for all its shots: rows compare by bit pattern, their start only
-where an ion is detuned.  Shot columns are evaluated and carried only for
-the ions being sampled, and only as the state from the ground state,
-through the 2x2 entry products written out elementwise into reused
-buffers; these round differently but make one numpy pass instead of one
-matrix call per shot.  A shot column ends as the excited population
-``|c_1|^2`` that its draws read, so a sampled value can change only where a
-draw lands within a few ulps of its probability.  Each point's result is
-bit-identical to simulating it alone.  A scan that only varies one value
-of a one-slice sequence (a calibration flop, dial or resonance scan) tiles
-that sequence's one slice, read from its segments, instead of compiling
-every point, with the same table.  A scan whose points
-hold at most one slice each, as such a scan's do, skips the products: a
-point's propagator is its slice's, the value a product from the identity
-gives (a product could only flip the sign of a zero), and each shot's
-excited population comes from the Rabi formula, with no shot propagator
-(:func:`_excitations`).  :mod:`xtalk.pulses` builds the sequences, calls
-the kernel and reads each state, from the ground state, as its propagator's
-first column.  Whole 2x2 products are kept: ``np.matmul`` on that column alone
-rounds differently (in most entries of random stacks, numpy 2.4) and would
-move the exactly compared ``stderr`` outputs.
+multiplied once.  A noisy scan adds one shot column per shot, each under its
+own spectator phase offset.  Per point, it evaluates each distinct slice
+once for all its shots: rows compare by bit pattern, their start only where
+an ion is detuned.  Shot columns are evaluated and carried only for the ions
+being sampled, and only as the state from the ground state, through the 2x2
+entry products written out elementwise into reused buffers; these round
+differently but make one numpy pass instead of one matrix call per shot.
+Shots go in passes of at most a batch of propagators per slice, which bounds
+their memory.  A shot column ends as the excited population ``|c_1|^2`` that
+its draws read, so a sampled value can change only where a draw lands within
+a few ulps of its probability.  Each point's result is bit-identical to
+simulating it alone.  A scan that only varies one value of a one-slice
+sequence (a calibration flop, dial or resonance scan) tiles that sequence's
+one slice, read from its segments, instead of compiling every point, with
+the same table.  A scan whose points hold at most one slice each, as such a
+scan's do, skips the products: a point's propagator is its slice's, the
+value a product from the identity gives (a product could only flip the sign
+of a zero), and each shot's excited population comes from the Rabi formula,
+with no shot propagator (:func:`_excitations`).  :mod:`xtalk.pulses`
+compiles the scans, calls the kernel, which returns whole arrays in the
+caller's point order, and reads each state, from the ground state, as its
+propagator's first column.  Whole 2x2 products are kept: ``np.matmul`` on
+that column alone rounds differently (in most entries of random stacks,
+numpy 2.4) and would move the exactly compared ``stderr`` outputs.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain, repeat
+from itertools import chain
 from operator import attrgetter
 
 import numpy as np
@@ -442,9 +443,9 @@ def _products(table, begin, count, out, ct_phase: float, marks=None) -> np.ndarr
 
 def _propagate(table: np.ndarray, lengths: np.ndarray, shots, ct_phase: float,
                ions=(TARGET, SPECTATOR)):
-    """The kernel: an iterator of each point's noiseless propagator per
-    ion, shape ``(2, 2, 2)``, and the excited populations of its shot
-    columns for ``ions``, shape ``(len(ions), shots)``, or None.
+    """The kernel: each point's noiseless propagator per ion, shape
+    ``(points, 2, 2, 2)``, and the excited populations of its shot columns
+    for ``ions``, shape ``(points, len(ions), shots)``, or None.
 
     Takes the compiled table, each point's slice count and, in a noisy
     scan, one row of spectator phase offsets (rad) per point, one per shot
@@ -454,22 +455,22 @@ def _propagate(table: np.ndarray, lengths: np.ndarray, shots, ct_phase: float,
     most one slice each, as every template scan's do, takes neither:
     :func:`_one_slice_propagate` evaluates each slice once, with no
     products, and its shot populations by the Rabi formula
-    (:func:`_excitations`).  Points are yielded in the caller's order.
+    (:func:`_excitations`).  Points come in the caller's order.
     """
     if lengths.max(initial=0) <= 1:
         return _one_slice_propagate(table, lengths, shots, ct_phase, ions)
-    return zip(_column_propagate(table, lengths, ct_phase), repeat(None) if shots is None
-               else _shot_propagate(table, lengths, shots, ct_phase, ions))
+    return (_column_propagate(table, lengths, ct_phase),
+            None if shots is None else _shot_propagate(table, lengths, shots, ct_phase, ions))
 
 
-def _column_propagate(table, lengths, ct_phase: float):
-    """Column 0 of :func:`_propagate`: yields each point's noiseless
-    propagator per ion.  The leading rows a point shares with the longest
-    point (a shorter train is a prefix of a longer one) are multiplied
-    once, on the longest point; the other rows go through :func:`_products`
-    in groups of ``_BATCH // 2`` points.  Every product is a sequential left
-    product, so each element is bit-identical to multiplying one point's
-    propagators in turn."""
+def _column_propagate(table, lengths, ct_phase: float) -> np.ndarray:
+    """Column 0 of :func:`_propagate`: each point's noiseless propagator per
+    ion.  The leading rows a point shares with the longest point (a shorter
+    train is a prefix of a longer one) are multiplied once, on the longest
+    point; the other rows go through :func:`_products` in groups of
+    ``_BATCH // 2`` points.  Every product is a sequential left product, so
+    each element is bit-identical to multiplying one point's propagators in
+    turn."""
     n = len(lengths)
     first = np.cumsum(lengths) - lengths
     done = np.zeros(n, dtype=int)
@@ -488,17 +489,19 @@ def _column_propagate(table, lengths, ct_phase: float):
             shared_products = dict.fromkeys(done.tolist())
             _products(table, first[[longest]], done[[longest]], _identities(1), ct_phase,
                       shared_products)
+    out = np.empty((n, 2, 2, 2), dtype=complex)
     group = _BATCH // 2
     for g0 in range(0, n, group):
         part = np.arange(g0, min(g0 + group, n))
         order = part[np.argsort(done[part] - lengths[part], kind="stable")]  # longest first
-        out = _identities(len(order))
+        u = _identities(len(order))
         for i, k in enumerate(done[order].tolist()):
             if k:
-                out[:, i] = shared_products[k][:, 0]
-        u = _products(table, first[order] + done[order], lengths[order] - done[order], out,
+                u[:, i] = shared_products[k][:, 0]
+        u = _products(table, first[order] + done[order], lengths[order] - done[order], u,
                       ct_phase)
-        yield from np.moveaxis(u[:, np.argsort(order)], 1, 0)
+        out[order] = np.moveaxis(u, 1, 0)
+    return out
 
 
 def _one_slice_propagate(table, lengths, shots, ct_phase: float, ions):
@@ -507,19 +510,21 @@ def _one_slice_propagate(table, lengths, shots, ct_phase: float, ions):
     those of :func:`_excitations`.  Consecutive points go in groups that
     hold at most the entries of ``_BATCH`` propagators, four per propagator
     and one float per shot, at least one point a group."""
+    n = len(lengths)
     width = 0 if shots is None else shots.shape[1]
     group = max(1, 4 * _BATCH // (4 * 2 + width * len(ions)))
     # a point without a slice reads a dark row, whose propagators are exact identities
     rows = np.where(lengths > 0, np.cumsum(lengths) - 1, len(table))
     table = np.append(table, np.zeros((1, _COLUMNS)), axis=0)
-    for g0 in range(0, len(lengths), group):
+    u = np.empty((n, 2, 2, 2), dtype=complex)
+    probs = None if shots is None else np.empty((n, len(ions), width))
+    for g0 in range(0, n, group):
         where = table[rows[g0:g0 + group]]
-        u = np.moveaxis(_slice_propagators(where, 0.0, ct_phase), 1, 0)
-        if shots is None:
-            yield from zip(u, repeat(None))
-        else:
-            probs = _excitations(where[:, None], shots[g0:g0 + group], ct_phase, ions)
-            yield from zip(u, np.moveaxis(probs, 1, 0))
+        u[g0:g0 + group] = np.moveaxis(_slice_propagators(where, 0.0, ct_phase), 1, 0)
+        if shots is not None:
+            probs[g0:g0 + group] = np.moveaxis(
+                _excitations(where[:, None], shots[g0:g0 + group], ct_phase, ions), 1, 0)
+    return u, probs
 
 
 def _distinct(table: np.ndarray, lengths: np.ndarray):
@@ -549,39 +554,46 @@ def _windows(ids: list, cost: int) -> list:
     return cuts + [len(ids)]
 
 
-def _shot_propagate(table, lengths, shots, ct_phase: float, ions):
-    """The shot columns of :func:`_propagate`: yields per point, per ion of
+def _shot_propagate(table, lengths, shots, ct_phase: float, ions) -> np.ndarray:
+    """The shot columns of :func:`_propagate`: per point, per ion of
     ``ions`` and shot, the excited population ``|c_1|^2`` of the state from
-    the ground state under that shot's phase offset, shape ``(len(ions),
-    shots)``.
+    the ground state under that shot's phase offset, shape ``(points,
+    len(ions), shots)``.
 
-    Per point, each distinct table row (:func:`_distinct`) is evaluated
-    once for all its shots of ``ions``.  Consecutive points whose distinct
+    Shots run in passes of at most ``_BATCH // len(ions)``; each shot's
+    arithmetic is elementwise, so a pass leaves every value as it is.  Per
+    point, each distinct table row (:func:`_distinct`) is evaluated once
+    for all the pass's shots of ``ions``.  Consecutive points whose distinct
     rows take at most ``_BATCH`` propagators run as one group through
     :func:`_shot_steps`; a point beyond that runs alone, its rows cut into
     :func:`_windows`.
     """
     n, width = shots.shape
-    cost = width * len(ions)  # propagators evaluated per distinct row
+    out = np.empty((n, len(ions), width))
     first = np.cumsum(lengths) - lengths
     ids, distinct = _distinct(table, lengths)
-    weight = (np.maximum(distinct, 1) * cost).tolist()  # a state costs as much as a row
-    g0 = 0
-    while g0 < n:
-        g1, total = g0 + 1, weight[g0]
-        while g1 < n and total + weight[g1] <= _BATCH:
-            total, g1 = total + weight[g1], g1 + 1
-        part = np.arange(g0, g1)
-        order = part[np.argsort(-lengths[part], kind="stable")]  # longest first
-        count = lengths[order]
-        cuts = [0, int(count[0])]
-        if total > _BATCH:  # one point
-            cuts = _windows(ids[first[g0]:first[g0] + lengths[g0]].tolist(), cost)
-        states = _shot_steps(table, ids, first[order], count, shots[order], ct_phase, ions, cuts)
-        for i in np.argsort(order).tolist():
-            c1 = states[count[i] % 2, i, :, 1]
-            yield _abs2(c1.real, c1.imag)
-        g0 = g1
+    step = max(1, _BATCH // len(ions))
+    for s0 in range(0, width, step):
+        part_shots = shots[:, s0:s0 + step]
+        cost = part_shots.shape[1] * len(ions)  # propagators evaluated per distinct row
+        weight = (np.maximum(distinct, 1) * cost).tolist()  # a state costs as much as a row
+        g0 = 0
+        while g0 < n:
+            g1, total = g0 + 1, weight[g0]
+            while g1 < n and total + weight[g1] <= _BATCH:
+                total, g1 = total + weight[g1], g1 + 1
+            part = np.arange(g0, g1)
+            order = part[np.argsort(-lengths[part], kind="stable")]  # longest first
+            count = lengths[order]
+            cuts = [0, int(count[0])]
+            if total > _BATCH:  # one point
+                cuts = _windows(ids[first[g0]:first[g0] + lengths[g0]].tolist(), cost)
+            states = _shot_steps(table, ids, first[order], count, part_shots[order], ct_phase,
+                                 ions, cuts)
+            c1 = states[count % 2, np.arange(len(order)), :, 1]
+            out[order, :, s0:s0 + step] = _abs2(c1.real, c1.imag)
+            g0 = g1
+    return out
 
 
 def _shot_steps(table, ids, begin, count, shots, ct_phase: float, ions, cuts):

@@ -6,19 +6,18 @@ its own channel's field plus a fraction ``f_ct`` of the other channel's
 field (the crosstalk), evolved exactly with 2x2 propagators in the ion's own
 frame so that off-resonant light also produces the physical phase shifts.
 
-Simulation runs in one kernel, :mod:`xtalk.kernel`.  :func:`simulate_scan`
-evolves both ions from the ground state through one sequence per scan
-point in one kernel call; :func:`sequence_unitaries` returns one sequence's
-gate per ion, for any other initial state (``gate @ state.vector``).  A
-scan that varies only a duration, the tone's dial or the target detuning of
-one square pulse compiles that pulse once and tiles it (``_template_scan``,
-which :mod:`xtalk.calibrate` and the rabi and phase scans use).  Trains of
-pi pulses repeat one block (``_train``): :func:`pi_trains` unrolls it, the
-shorter trains prefixes of the longest, whose shared slices the kernel
-multiplies once.  The x-error and z-error scans run ``_train_scan``
-instead, which hands the kernel the block and each train's block count,
-and the Ramsey pulses around each train, without building any train: the
-same tables and results, bit for bit.
+Simulation runs in one kernel, :mod:`xtalk.kernel`, in three calls: compile
+a slice table, propagate it (``kernel._propagate``), sample it
+(``_evaluate``).  :func:`simulate_scan` evolves both ions from the ground
+state through one sequence per scan point; :func:`sequence_unitaries`
+returns one sequence's gate per ion, for any other initial state (``gate @
+state.vector``).  Trains of pi pulses repeat one block (``_train``):
+:func:`pi_trains` unrolls it, the shorter trains prefixes of the longest,
+whose shared slices the kernel multiplies once.  ``_train_table`` compiles
+the trains, Ramsey-wrapped or not, from the block and each train's block
+count without building them, and ``kernel._compile_scan`` a scan that
+varies only the duration, the tone's dial or the target detuning of one
+square pulse: the same tables, byte for byte.
 """
 
 from __future__ import annotations
@@ -34,8 +33,8 @@ import numpy as np
 from .dynamics import check_states
 from .errors import ChannelConflictError
 from .field import CompensationSetting, CrosstalkContext
-from .kernel import (SPECTATOR, TARGET, _abs2, _compile, _compile_scan, _compile_segments,
-                     _propagate, _train_segments)
+from .kernel import (SPECTATOR, TARGET, _abs2, _compile, _compile_segments, _propagate,
+                     _train_segments)
 from .noise import _streams
 
 __all__ = [
@@ -202,7 +201,7 @@ def pi_trains(
     frame any later pulse must absorb.  The longest train is unrolled once
     from one block (the ``quad`` blocks differ only by their frame phase),
     and every shorter train is a prefix of it.  The kernel tiles the same
-    block without unrolling it (``_train_scan``).
+    block without unrolling it (``_train_table``).
     """
     block, blocks, frames, offsets = _train(method, omega_0, counts, ctx, setting, phase)
     target, spectator = (block.channel(ch).segments for ch in (TARGET, SPECTATOR))
@@ -331,7 +330,7 @@ class SimulationResult:
 def sequence_unitaries(seq: PulseSequence, ctx: CrosstalkContext) -> dict:
     """Total qubit-frame propagator per ion for the full sequence."""
     table, lengths = _compile([seq], ctx)
-    u, _ = next(_propagate(table, lengths, None, ctx.ct_phase))
+    [u], _ = _propagate(table, lengths, None, ctx.ct_phase)
     return {ch: u[ch] for ch in (TARGET, SPECTATOR)}
 
 
@@ -360,44 +359,16 @@ def simulate_scan(
     return _evaluate(*_compile(seqs, ctx), ctx, shots, seed, *plan)
 
 
-def _template_scan(
-    seq: PulseSequence,
-    varied: str,
-    values,
-    ctx: CrosstalkContext,
-    shots: int | None = None,
-    seed: int | None = None,
-    point_indices=None,
-    phase_noise=None,
-    ions=(TARGET, SPECTATOR),
-) -> SimulationResult:
-    """:func:`simulate_scan` of the sequences that give the one-slice ``seq``
-    each of ``values`` as its ``varied`` value (see ``kernel._compile_scan``),
-    without building them: the same result, bit for bit.  Under
-    ``phase_noise``, only ``ions`` are sampled (see :func:`_evaluate`)."""
-    values = np.asarray(values, dtype=float)
-    plan = _shot_plan(len(values), shots, point_indices, phase_noise)
-    return _evaluate(*_compile_scan(seq, ctx, varied, values), ctx, shots, seed, *plan, ions)
-
-
-def _train_scan(method: str, counts, ctx: CrosstalkContext, setting=None, close_phases=None,
-                shots=None, seed=None, point_indices=None, phase_noise=None,
-                ions=(TARGET, SPECTATOR)) -> SimulationResult:
-    """:func:`simulate_scan` of ``pi_trains(method, ctx.omega_0, counts,
-    ctx, setting)``, each train :func:`ramsey_wrap`-ped with its closing
-    phase if ``close_phases`` holds one per train, without building them:
-    the kernel tiles the trains' block (``kernel._train_segments``).  The
-    same result, bit for bit.  Under ``phase_noise``, only ``ions`` are
-    sampled (see :func:`_evaluate`)."""
-    counts = list(counts)
-    plan = _shot_plan(len(counts), shots, point_indices, phase_noise)
+def _train_table(method: str, counts, ctx: CrosstalkContext, setting=None, close_phases=None):
+    """``kernel._compile`` of ``pi_trains(method, ctx.omega_0, counts, ctx,
+    setting)``, each train :func:`ramsey_wrap`-ped with its closing phase if
+    ``close_phases`` holds one per train, without building them: the kernel
+    tiles the trains' block (``kernel._train_segments``), byte for byte."""
     block, blocks, _, offsets = _train(method, ctx.omega_0, counts, ctx, setting, 0.0)
-    wrap = None
-    if close_phases is not None:
-        wrap = (_ramsey_pulse(ctx.omega_0, 0.0),
-                [_ramsey_pulse(ctx.omega_0, close) for close in close_phases])
+    wrap = None if close_phases is None else (
+        _ramsey_pulse(ctx.omega_0, 0.0), [_ramsey_pulse(ctx.omega_0, c) for c in close_phases])
     segments = _train_segments(block, np.array(blocks, dtype=int), offsets, wrap)
-    return _evaluate(*_compile_segments(segments, ctx), ctx, shots, seed, *plan, ions)
+    return _compile_segments(segments, ctx)
 
 
 def _shot_plan(n: int, shots, point_indices, phase_noise):
@@ -423,23 +394,19 @@ def _shot_plan(n: int, shots, point_indices, phase_noise):
     return offsets, keys
 
 
-def _evaluate(table, lengths, ctx: CrosstalkContext, shots, seed, offsets, keys,
-              ions=(TARGET, SPECTATOR)) -> SimulationResult:
+def _evaluate(table, lengths, ctx: CrosstalkContext, shots=None, seed=None, offsets=None,
+              keys=None, ions=(TARGET, SPECTATOR)) -> SimulationResult:
     """The scan result of a compiled table, sampled as :func:`simulate_scan`
-    describes; under phase noise only ``ions`` are, the others' ``sampled``
-    entries NaN."""
-    n, noisy, ions = len(lengths), offsets is not None, list(ions)
-    streams = [] if shots is None else _streams([0 if seed is None else seed], keys)
-    amplitudes = np.empty((n, 2, 2), dtype=complex)
-    excited = np.empty((n, len(ions), shots if noisy else 0))
-    sampled = None if shots is None else np.full((n, 2), np.nan)
-    for i, (u, probs) in enumerate(_propagate(table, lengths, offsets, ctx.ct_phase, ions)):
-        amplitudes[i] = u[:, :, 0]
-        if noisy:
-            excited[i] = probs
+    describes from the offsets and keys of :func:`_shot_plan` if given
+    shots; under phase noise only ``ions`` are, the others' entries NaN."""
+    n, ions = len(lengths), list(ions)
+    u, excited = _propagate(table, lengths, offsets, ctx.ct_phase, ions)
+    amplitudes = u[..., 0]
     check_states(amplitudes)
     populations = _abs2(amplitudes[..., 1].real, amplitudes[..., 1].imag)
-    if noisy:
+    streams = [] if shots is None else _streams([0 if seed is None else seed], keys)
+    sampled = None if shots is None else np.full((n, 2), np.nan)
+    if excited is not None:
         # one draw per shot and ion, column 0 the target and 1 the
         # spectator, whichever ions are sampled, so that no draw moves
         draws = np.empty((n, shots, 2))

@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError
 from .field import CompensationSetting, CrosstalkContext
+from .kernel import _compile, _compile_scan
 from .noise import (
     AomModel,
     DRIFT_PRESETS,
@@ -38,11 +39,11 @@ from .pulses import (
     TARGET,
     pi_trains,
     scaled,
-    simulate_scan,
     with_pcc,
+    _evaluate,
+    _shot_plan,
     _target_drive,
-    _template_scan,
-    _train_scan,
+    _train_table,
 )
 from .schema import resolve
 
@@ -75,7 +76,8 @@ _NOISY = {**_DRIVEN, "noise": (dict, None, "")}
 # what a scenario without these keys runs with, hashes and prints
 _UNREAD = {"method": "none", "physics": {}, "noise": None, "shots": 200}
 # points x shots a noisy scan may hold: each is a drift offset, its draws
-# and excited populations, some 55 bytes (about 0.5 GB at the bound)
+# and excited population, 57 bytes at peak under tracemalloc for trains and
+# one-slice scans alike (about 0.6 GB at the bound)
 _NOISY_DRAWS = 10**7
 
 
@@ -111,22 +113,32 @@ class ScenarioConfig:
             setting = CompensationSetting(f_comp=phys["f_comp"], delta_phi=phys["delta_phi_rad"])
         except ValueError as exc:
             raise ConfigError(f"{name} physics: {exc}") from exc
-        # the kernel squares each drive, and a pi pulse lasts pi / omega_0
+        # the kernel squares each lit drive and detuning; a pi pulse lasts pi / omega_0
         w, ct = context.omega_0, context.f_ct * context.omega_0
+        comp = setting.f_comp * ct if top["method"] == "pcc" else 0.0
+        delta = context.delta_ct if ct > 0.0 else 0.0
         for key, value, rule in (
                 ("omega_0_rad_per_s", w * w + math.pi / w, "omega_0^2 and pi / omega_0"),
-                ("f_ct", ct * ct, "(f_ct omega_0)^2")):
+                ("f_ct", ct * ct, "(f_ct omega_0)^2"),
+                ("f_comp", comp * comp, "(f_comp f_ct omega_0)^2"),
+                ("delta_ct_rad_per_s", delta * delta, "delta_ct^2")):
             if math.isinf(value):
                 raise ConfigError(f"{name} physics.{key} overflows: {rule} must be finite, "
                                   f"got {phys[key]!r}")
         noise = None if top["noise"] is None else resolve(top["noise"], _NOISE, f"{name} noise")
+        scan = resolve(top["scan"], row.scan, f"{name} scan")
+        # before compiling the scan or drawing any drift trace
+        points = len(scan["n_values"]) if "n_values" in scan else scan.get("points")
+        if noise is not None and points * top["shots"] > _NOISY_DRAWS:
+            raise ConfigError(f"{name} shots: {points} points x {top['shots']} shots exceed "
+                              f"the {_NOISY_DRAWS} drift offsets a noisy scan may hold")
 
         # the hash identifies the document as given, not the output path
         resolved = {k: v for k, v in doc.items() if k != "out"}
         resolved.update({k: top[k] for k in ("scenario", "method", "shots", "seed")})
         return cls(scenario=name, method=top["method"], context=context, setting=setting,
-                   scan=resolve(top["scan"], row.scan, f"{name} scan"), noise=noise,
-                   shots=top["shots"], seed=top["seed"], out=top["out"], raw=resolved)
+                   scan=scan, noise=noise, shots=top["shots"], seed=top["seed"], out=top["out"],
+                   raw=resolved)
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
@@ -186,22 +198,19 @@ def _binomial_stderr(p, shots: int):
     return np.sqrt(np.maximum(p * (1.0 - p), 0.0) / shots)
 
 
-def _sweep(cfg: ScenarioConfig, x, scan, channel: int = SPECTATOR) -> ScanResult:
-    """One kernel call over the scan points, ``scan(shots=, seed=)``: per
-    point the population of ``channel``, its shot estimate and binomial
-    error.  A ``noise`` block's drift offsets the spectator channel per shot
-    (``phase_noise=``), and only ``channel`` is sampled (``ions=``)."""
-    noisy = {}
+def _sweep(cfg: ScenarioConfig, x, compiled, channel: int = SPECTATOR) -> ScanResult:
+    """One kernel call over the scan points of the ``compiled`` table and
+    slice counts: per point the population of ``channel``, its shot
+    estimate and binomial error.  A ``noise`` block's drift offsets the
+    spectator channel per shot, and only ``channel`` is sampled."""
+    phase_noise = None
     if cfg.noise is not None:
-        if len(x) * cfg.shots > _NOISY_DRAWS:
-            raise ConfigError(f"{cfg.scenario} shots: {len(x)} points x {cfg.shots} shots "
-                              f"exceed the {_NOISY_DRAWS} drift offsets a noisy scan may hold")
         process = DRIFT_PRESETS[cfg.noise["preset"]]()
         dt = cfg.noise["shot_interval_min"]
         seeds = [(cfg.seed + 7919) * 65537 + i for i in range(len(x))]
-        traces = _drift_traces(process, dt * cfg.shots, dt, seeds)
-        noisy = {"phase_noise": traces[:, 1:], "ions": (channel,)}
-    res = scan(shots=cfg.shots, seed=cfg.seed, **noisy)
+        phase_noise = _drift_traces(process, dt * cfg.shots, dt, seeds)[:, 1:]
+    plan = _shot_plan(len(x), cfg.shots, None, phase_noise)
+    res = _evaluate(*compiled, cfg.context, cfg.shots, cfg.seed, *plan, ions=(channel,))
     mean = res.populations[:, channel]
     return _result(cfg, x, mean, res.sampled[:, channel], _binomial_stderr(mean, cfg.shots))
 
@@ -209,8 +218,8 @@ def _sweep(cfg: ScenarioConfig, x, scan, channel: int = SPECTATOR) -> ScanResult
 def run_x_error(cfg: ScenarioConfig) -> ScanResult:
     """Spectator excited population after N target pi pulses, from ground."""
     counts = cfg.scan["n_values"]
-    scan = functools.partial(_train_scan, cfg.method, counts, cfg.context, cfg.setting)
-    return _sweep(cfg, np.array(counts, dtype=float), scan)
+    table = _train_table(cfg.method, counts, cfg.context, cfg.setting)
+    return _sweep(cfg, np.array(counts, dtype=float), table)
 
 
 def run_z_error(cfg: ScenarioConfig) -> ScanResult:
@@ -228,10 +237,11 @@ def run_z_error(cfg: ScenarioConfig) -> ScanResult:
     close_phases = [math.pi] * len(counts)
     if cfg.method == "quad":
         # from the ground state, the final |0> amplitude is the train unitary's u[0, 0]
-        u00 = _train_scan(cfg.method, counts, ctx, cfg.setting).amplitudes[:, SPECTATOR, 0]
-        close_phases = [math.pi + -2.0 * math.atan2(u.imag, u.real) for u in u00]
-    scan = functools.partial(_train_scan, cfg.method, counts, ctx, cfg.setting, close_phases)
-    return _sweep(cfg, np.array(counts, dtype=float), scan)
+        trains = _evaluate(*_train_table(cfg.method, counts, ctx, cfg.setting), ctx)
+        close_phases = [math.pi + -2.0 * math.atan2(u.imag, u.real)
+                        for u in trains.amplitudes[:, SPECTATOR, 0]]
+    table = _train_table(cfg.method, counts, ctx, cfg.setting, close_phases)
+    return _sweep(cfg, np.array(counts, dtype=float), table)
 
 
 def run_phase_scan(cfg: ScenarioConfig) -> ScanResult:
@@ -242,7 +252,7 @@ def run_phase_scan(cfg: ScenarioConfig) -> ScanResult:
     dials = np.arange(points) * (2.0 * math.pi / points)
     template = with_pcc(_target_drive(ctx.omega_0, duration), ctx,
                         CompensationSetting(cfg.setting.f_comp, 0.0))
-    return _sweep(cfg, dials, functools.partial(_template_scan, template, "phase", dials, ctx))
+    return _sweep(cfg, dials, _compile_scan(template, ctx, "phase", dials))
 
 
 def run_rabi_scan(cfg: ScenarioConfig) -> ScanResult:
@@ -257,8 +267,7 @@ def run_rabi_scan(cfg: ScenarioConfig) -> ScanResult:
     template = _target_drive(ctx.omega_0, ctx.t_pi)
     if cfg.method == "pcc":
         template = with_pcc(template, ctx, cfg.setting)
-    scan = functools.partial(_template_scan, template, "duration", times, ctx)
-    return _sweep(cfg, times, scan, channel)
+    return _sweep(cfg, times, _compile_scan(template, ctx, "duration", times), channel)
 
 
 def run_amplitude_scan(cfg: ScenarioConfig) -> ScanResult:
@@ -266,8 +275,7 @@ def run_amplitude_scan(cfg: ScenarioConfig) -> ScanResult:
     scales = np.linspace(cfg.scan["scale_min"], cfg.scan["scale_max"], cfg.scan["points"])
     ctx = cfg.context
     seq, _ = pi_trains(cfg.method, ctx.omega_0, [1], ctx, cfg.setting)[0]
-    seqs = [scaled(seq, float(s)) for s in scales]
-    return _sweep(cfg, scales, functools.partial(simulate_scan, seqs, ctx), TARGET)
+    return _sweep(cfg, scales, _compile([scaled(seq, float(s)) for s in scales], ctx), TARGET)
 
 
 def run_drift_monitor(cfg: ScenarioConfig) -> ScanResult:

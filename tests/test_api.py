@@ -135,7 +135,7 @@ SRC = Path(xtalk.__file__).parent
 ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
 # the definitions that no output reaches, each kept for what a test measures
 KEPT = {
-    "pulses.ramsey_wrap": "the unrolled reference TestTrainScans compares _train_scan to",
+    "pulses.ramsey_wrap": "the unrolled reference TestTrainScans compares _train_table to",
     "calibrate.calibrate_phase": "the one-stage phase calibrator test_calibrate measures",
     "calibrate.save_result": "the calibration chain's only file output",
 }

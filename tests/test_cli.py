@@ -298,6 +298,14 @@ def test_noisy_scan_past_the_size_bound_exits_2_naming_shots(tmp_path, monkeypat
          "x-error physics.omega_0_rad_per_s"),
         ("x-error", {"physics": {"f_ct": 1e200}}, "x-error physics.f_ct"),
         ("phase-scan", {"physics": {"f_ct": 1e160}}, "phase-scan physics.f_ct"),
+        # used to exit 2 with "state amplitudes must be finite", which named no key
+        *[(scenario, {"method": "pcc", "physics": {"f_comp": 1e300}}, f"{scenario} physics.f_comp")
+          for scenario in ("x-error", "z-error", "rabi-scan")],
+        ("phase-scan", {"physics": {"f_comp": 1e300}}, "phase-scan physics.f_comp"),
+        ("x-error", {"physics": {"delta_ct_rad_per_s": 1e300}},
+         "x-error physics.delta_ct_rad_per_s"),
+        ("z-error", {"method": "pcc", "physics": {"delta_ct_rad_per_s": 1e300}},
+         "z-error physics.delta_ct_rad_per_s"),
     ],
 )
 def test_bad_config_exits_2_naming_the_key(tmp_path, scenario, doc, key):
@@ -307,6 +315,25 @@ def test_bad_config_exits_2_naming_the_key(tmp_path, scenario, doc, key):
     assert len(err) == 1
     assert err[0].startswith("config error: ")
     assert key in err[0]
+
+
+@pytest.mark.parametrize("scenario, doc", [
+    *[(scenario, {"physics": {"f_comp": 1e300}}) for scenario in ("x-error", "z-error",
+                                                                  "rabi-scan")],
+    *[(scenario, {"physics": {"delta_ct_rad_per_s": 1e300, "f_ct": 0.0}})
+      for scenario in ("x-error", "z-error")],
+    *[(scenario, {"method": "pcc", "physics": {"f_comp": 1e149}})
+      for scenario in ("x-error", "z-error", "rabi-scan")],
+    *[(scenario, {"method": "pcc", "physics": {"delta_ct_rad_per_s": 1.3e154}})
+      for scenario in ("x-error", "z-error", "rabi-scan")],
+    ("phase-scan", {"physics": {"f_comp": 1e149, "delta_ct_rad_per_s": 1.3e154}}),
+])
+def test_large_physics_that_does_not_overflow_exits_0(tmp_path, scenario, doc):
+    # the tone is dark under none and the crosstalk detuning under f_ct = 0;
+    # these squares are finite
+    scan = {"n_values": [1, 2]} if scenario.endswith("error") else {"points": 3}
+    cfg = write_config(tmp_path, {**doc, "scan": scan, "shots": 4})
+    assert main([scenario, "--config", cfg, "--out", str(tmp_path / "out.csv")]) == EXIT_OK
 
 
 @pytest.mark.parametrize("row", ["nan,0.5", "inf,0.5", "0.5,-inf", "0.5"])

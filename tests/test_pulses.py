@@ -447,6 +447,15 @@ def loop_table(seq, ctx, scale=1.0):
     return np.array(rows, dtype=float).reshape(-1, 2 + 12)
 
 
+def evaluate_compiled(compiled, ctx, shots=None, seed=None, point_indices=None,
+                      phase_noise=None, ions=(TARGET, SPECTATOR)):
+    """simulate_scan's sampling of a compiled table and its slice counts."""
+    from xtalk.pulses import _evaluate, _shot_plan
+
+    plan = _shot_plan(len(compiled[1]), shots, point_indices, phase_noise)
+    return _evaluate(*compiled, ctx, shots, seed, *plan, ions)
+
+
 class TestKernel:
     def test_compile_matches_loop_reference(self):
         from xtalk.kernel import _compile
@@ -493,7 +502,7 @@ class TestKernel:
             scales = rng.uniform(0.5, 1.5, size=3)
             offsets = rng.normal(size=(3, 3))  # one per shot
             table, lengths = _compile([scaled(s, x) for s, x in zip(seqs, scales)], ctx)
-            kernel = _propagate(table, lengths, offsets, ctx.ct_phase)
+            kernel = zip(*_propagate(table, lengths, offsets, ctx.ct_phase))
             for seq, scale, shifts, (u, probs) in zip(seqs, scales, offsets, kernel):
                 # column 0 the whole noiseless gate, each shot the excited
                 # population from the ground state under its offset
@@ -521,7 +530,7 @@ class TestKernel:
 
         def first_point(seqs):
             table, lengths = _compile(seqs, CTX)
-            return next(_propagate(table, lengths, None, CTX.ct_phase))[0]
+            return _propagate(table, lengths, None, CTX.ct_phase)[0][0]
 
         (quad_1, _), (quad_3, _) = pi_trains("quad", OMEGA, [1, 3], CTX)
         [(sk1_3, _)] = pi_trains("sk1", OMEGA, [3], CTX)
@@ -660,16 +669,18 @@ class TestKernel:
     @pytest.mark.parametrize("batch, shots", [(4096, 200), (64, 6), (64, 40), (4, 1)])
     def test_only_real_slices_are_evaluated(self, monkeypatch, batch, shots):
         # the shot path evaluates each distinct row of a point once per shot
-        # of the sampled ions, and no column-0 propagator
+        # of the sampled ions, and no column-0 propagator; shots run in
+        # passes of at most a batch of propagators per row
         from xtalk import kernel
-        from xtalk.pulses import _train_scan
+        from xtalk.pulses import _train_table
 
         sizes = []
         evaluate = kernel._slice_propagators
 
         def counted(table, offsets, ct_phase, ions=(TARGET, SPECTATOR)):
             if np.ndim(offsets):  # a shot call, one offset per shot; column 0 passes 0.0
-                assert np.shape(offsets)[-1] == shots
+                step = max(1, batch // len(ions))
+                assert np.shape(offsets)[-1] in (min(shots, step), shots % step)
                 sizes.append(len(ions) * np.broadcast(table[..., 0], offsets).size)
             return evaluate(table, offsets, ct_phase, ions)
 
@@ -689,7 +700,8 @@ class TestKernel:
             distinct = np.array([len({row.tobytes() for row in point}) for point in rows])
             for ions in ((TARGET, SPECTATOR), (SPECTATOR,), (TARGET,)):
                 sizes.clear()
-                _train_scan("sk1", counts, ctx, shots=shots, phase_noise=noise, ions=ions)
+                evaluate_compiled(_train_table("sk1", counts, ctx), ctx, shots=shots,
+                                  phase_noise=noise, ions=ions)
                 cost = shots * len(ions)
                 if distinct.max() * cost <= batch:
                     assert sum(sizes) == cost * distinct.sum()
@@ -704,13 +716,41 @@ class TestKernel:
                 assert len(sizes) <= 2 * sum(sizes) / batch + 1 + cut
         assert distinct.sum() == lengths.sum()  # detuned: every start is read
 
+    @pytest.mark.parametrize("ions", [(TARGET, SPECTATOR), (SPECTATOR,)],
+                             ids=["both", "spectator"])
+    @pytest.mark.parametrize("method", ["pcc", "quad"])
+    def test_shot_passes_change_no_value(self, monkeypatch, method, ions):
+        # at a batch of 64, 300 shots run in passes of 32 or 64: each shot's
+        # arithmetic is elementwise, so every value stays as in one pass
+        from xtalk import kernel
+        from xtalk.pulses import _train_table
+
+        ctx = CrosstalkContext(omega_0=OMEGA, f_ct=0.096, delta_ct=0.05 * OMEGA,
+                               pol_overlap=0.8, ct_phase=0.7)
+        counts = [4, 1, 7, 2]
+        compiled = _train_table(method, counts, ctx, CompensationSetting(0.9, math.pi + 0.8),
+                                [math.pi + 0.1 * n for n in counts])
+        noise = np.random.default_rng(7).normal(0.0, 0.3, size=(len(counts), 300))
+
+        def run():
+            probs = kernel._propagate(*compiled, noise, ctx.ct_phase, ions)[1]
+            return probs, evaluate_compiled(compiled, ctx, shots=300, seed=2, phase_noise=noise,
+                                            ions=ions)
+
+        probs, scan = run()
+        monkeypatch.setattr(kernel, "_BATCH", 64)
+        passed_probs, passed = run()
+        assert passed_probs.tobytes() == probs.tobytes()
+        assert passed.sampled.tobytes() == scan.sampled.tobytes()
+        assert passed.populations.tobytes() == scan.populations.tobytes()
+
     @pytest.mark.parametrize("wrapped", [False, True], ids=["x-error", "z-error"])
     @pytest.mark.parametrize("method", ["pcc", "quad"])
     def test_noisy_column_0_is_evaluated_as_without_noise(self, monkeypatch, method, wrapped):
         # column 0 has one path: a noisy train scan evaluates the same
         # column-0 propagators, in the same calls, as its noiseless twin
         from xtalk import kernel
-        from xtalk.pulses import _train_scan
+        from xtalk.pulses import _train_table
 
         calls, shot_calls = [], []
         evaluate = kernel._slice_propagators
@@ -727,10 +767,10 @@ class TestKernel:
         counts = [4, 1, 7, 2, 7]
         close = [math.pi + 0.1 * n for n in counts] if wrapped else None
         noise = np.random.default_rng(5).normal(0.0, 0.3, size=(len(counts), 37))
-        _train_scan(method, counts, ctx, setting, close)
+        evaluate_compiled(_train_table(method, counts, ctx, setting, close), ctx)
         clean, calls[:] = list(calls), []
-        _train_scan(method, counts, ctx, setting, close, shots=37, seed=1, phase_noise=noise,
-                    ions=(SPECTATOR,))
+        evaluate_compiled(_train_table(method, counts, ctx, setting, close), ctx, shots=37, seed=1,
+                          phase_noise=noise, ions=(SPECTATOR,))
         assert clean and calls == clean
         assert shot_calls and all(ions == (SPECTATOR,) for _, _, ions in shot_calls)
 
@@ -775,7 +815,6 @@ class TestKernel:
         # a group holds four entries per propagator and one float per shot,
         # at most the entries of a batch of propagators
         from xtalk import kernel
-        from xtalk.pulses import _template_scan
 
         sizes = []
         propagators, excitations = kernel._slice_propagators, kernel._excitations
@@ -793,7 +832,8 @@ class TestKernel:
         template = with_pcc(square_pi(OMEGA), CTX, CompensationSetting(0.97, 0.0))
         dials = np.linspace(0.0, 2.0 * math.pi, points)
         noise = np.random.default_rng(6).normal(0.0, 0.3, size=(points, shots))
-        _template_scan(template, "phase", dials, CTX, shots=shots, phase_noise=noise, ions=ions)
+        evaluate_compiled(kernel._compile_scan(template, CTX, "phase", dials), CTX, shots=shots,
+                          phase_noise=noise, ions=ions)
         cost = 4 * 2 + shots * len(ions)  # column 0 of both ions, then the shots of ions
         assert sum(sizes) == points * cost
         # per group, one call for column 0 and one for the shots; a group
@@ -968,14 +1008,15 @@ class TestTemplateScans:
     @pytest.mark.parametrize("case", range(4), ids=["target-flop", "spectator-flop", "phase",
                                                     "stark"])
     def test_scan_is_the_unrolled_scan(self, case):
-        from xtalk.pulses import _template_scan
+        from xtalk.kernel import _compile_scan
 
         template, varied, values, seqs = _template_cases(self.CTX)[case]
         keys = list(range(7, 7 + len(seqs)))
         noise = np.random.default_rng(case).normal(0.0, 0.2, size=(len(seqs), 30))
         for kwargs in ({}, {"shots": 200, "seed": 3, "point_indices": keys},
                        {"shots": 30, "seed": 4, "phase_noise": noise}):
-            got = _template_scan(template, varied, values, self.CTX, **kwargs)
+            got = evaluate_compiled(_compile_scan(template, self.CTX, varied, values), self.CTX,
+                                    **kwargs)
             ref = simulate_scan(seqs, self.CTX, **kwargs)
             for a, b in zip((got.amplitudes, got.populations, got.sampled),
                             (ref.amplitudes, ref.populations, ref.sampled)):
@@ -1019,11 +1060,12 @@ class TestTrainScans:
 
     def _closes(self, method, counts):
         """z-error's closing phases: quad's read from its trains' spectator."""
-        from xtalk.pulses import _train_scan
+        from xtalk.pulses import _evaluate, _train_table
 
         if method != "quad":
             return [math.pi] * len(counts)
-        u00 = _train_scan(method, counts, self.CTX, self.SETTING).amplitudes[:, SPECTATOR, 0]
+        trains = _evaluate(*_train_table(method, counts, self.CTX, self.SETTING), self.CTX)
+        u00 = trains.amplitudes[:, SPECTATOR, 0]
         return [math.pi + -2.0 * math.atan2(u.imag, u.real) for u in u00]
 
     @pytest.mark.parametrize("counts", COUNTS, ids=["1", "17", "unsorted"])
@@ -1046,7 +1088,7 @@ class TestTrainScans:
     @pytest.mark.parametrize("wrapped", [False, True], ids=["x-error", "z-error"])
     @pytest.mark.parametrize("method", ["none", "pcc", "sk1", "quad"])
     def test_scan_is_the_unrolled_scan(self, method, wrapped):
-        from xtalk.pulses import _train_scan
+        from xtalk.pulses import _train_table
 
         counts = self.COUNTS[-1]
         closes = self._closes(method, counts) if wrapped else None
@@ -1055,22 +1097,24 @@ class TestTrainScans:
         for kwargs in ({}, {"shots": 1, "seed": 2}, {"shots": 200, "seed": 3,
                                                      "point_indices": [9, 7, 5, 3, 1]},
                        {"shots": 30, "seed": 4, "phase_noise": noise}):
-            got = _train_scan(method, counts, self.CTX, self.SETTING, closes, **kwargs)
+            got = evaluate_compiled(_train_table(method, counts, self.CTX, self.SETTING, closes),
+                                    self.CTX, **kwargs)
             ref = simulate_scan(seqs, self.CTX, **kwargs)
             for a, b in zip((got.amplitudes, got.populations, got.sampled),
                             (ref.amplitudes, ref.populations, ref.sampled)):
                 assert (a is None and b is None) or np.array_equal(a, b)
 
     def test_checks_are_pi_trains_checks(self):
-        from xtalk.pulses import _train_scan
+        from xtalk.pulses import _train_table
 
         for args, match in ((("sk1", [2, 0]), "n_pulses"), (("sq", [1]), "unknown method"),
                             (("pcc", [1]), "needs a context")):
             with pytest.raises(ValueError, match=match):
                 pi_trains(args[0], OMEGA, args[1])
             with pytest.raises(ValueError, match=match):
-                _train_scan(*args, self.CTX)
+                _train_table(*args, self.CTX)
         with pytest.raises(ValueError, match="phase must be finite"):
-            _train_scan("none", [1], self.CTX, close_phases=[math.nan])
-        empty = _train_scan("quad", [], self.CTX, close_phases=[], shots=3)
+            _train_table("none", [1], self.CTX, close_phases=[math.nan])
+        empty = evaluate_compiled(_train_table("quad", [], self.CTX, close_phases=[]), self.CTX,
+                                  shots=3)
         assert empty.amplitudes.shape == (0, 2, 2) and empty.sampled.shape == (0, 2)

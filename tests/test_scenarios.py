@@ -381,6 +381,22 @@ class TestStatisticsAndRuntime:
             run_scenario(make_cfg(scenario))
             assert time.perf_counter() - start < 60.0
 
+    def test_noisy_train_memory_is_bounded_per_shot(self):
+        # the shot columns of a train point used to take about 460 B a shot
+        # at once (some 46 MB here); in passes, the drift offsets, draws and
+        # excited populations remain, about 60 B a shot
+        import tracemalloc
+
+        cfg = make_cfg("x-error", method="pcc", scan={"n_values": [8]}, shots=100_000,
+                       noise={"preset": "enclosed"}, seed=1)
+        tracemalloc.start()
+        try:
+            run_scenario(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 15e6
+
 
 class TestDeterminism:
     def test_byte_identical_rerun(self):
@@ -440,11 +456,11 @@ class TestDeterminism:
         single = [run_scenario(cfg).to_csv() for cfg in cfgs]
         sampled = []
 
-        def both_ions(scan):
-            def run(*args, ions=None, **kwargs):
+        def both_ions(evaluate):
+            def run(*args, ions=None):
                 if ions is None:  # z-error quad's noiseless closing-phase scan
-                    return scan(*args, **kwargs)
-                one, both = scan(*args, ions=ions, **kwargs), scan(*args, **kwargs)
+                    return evaluate(*args)
+                one, both = evaluate(*args, ions=ions), evaluate(*args)
                 sampled.append(ions)
                 spectator = both.sampled[:, SPECTATOR]
                 assert np.array_equal(one.sampled[:, SPECTATOR], spectator)
@@ -452,8 +468,7 @@ class TestDeterminism:
                 return both
             return run
 
-        for name in ("_train_scan", "_template_scan"):
-            monkeypatch.setattr(scenarios, name, both_ions(getattr(scenarios, name)))
+        monkeypatch.setattr(scenarios, "_evaluate", both_ions(scenarios._evaluate))
         assert [run_scenario(cfg).to_csv() for cfg in cfgs] == single
         assert sampled == [(SPECTATOR,)] * len(cfgs)
         # the public scan still samples both ions, with the same draws
