@@ -1,10 +1,9 @@
 """Damped Gauss-Newton least squares for small calibration fits.
 
-The Jacobian is the caller's analytic one or, by default, central
-differences (relative step 1e-6).  Each iteration factors it once (an SVD),
-stops at the rounding floor when the linear model predicts no real
-decrease, and otherwise halves the step until the residual decreases, so
-the residual norm is monotone over accepted steps.
+The Jacobian is the caller's analytic one.  Each iteration factors it once
+(an SVD), stops at the rounding floor when the linear model predicts no
+real decrease, and otherwise halves the step until the residual decreases,
+so the residual norm is monotone over accepted steps.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from .errors import DegenerateFitError
 
 __all__ = ["FitResult", "gauss_newton"]
 
-_REL_STEP = 1e-6
+_MAX_ITER = 60  # iterations before the fit stops
 _MAX_HALVINGS = 30  # step halvings per iteration before the fit stops
 _TOL = 1e-14  # relative decrease of the squared residual that ends the fit
 
@@ -42,26 +41,7 @@ class FitResult:
         }
 
 
-def _jacobian(residual_fn, x: np.ndarray, n_res: int) -> np.ndarray:
-    jac = np.empty((n_res, x.size))
-    for j in range(x.size):
-        h = _REL_STEP * max(abs(x[j]), 1.0)
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += h
-        xm[j] -= h
-        jac[:, j] = (np.asarray(residual_fn(xp), dtype=float)
-                     - np.asarray(residual_fn(xm), dtype=float)) / (2.0 * h)
-    return jac
-
-
-def gauss_newton(
-    residual_fn,
-    x0,
-    bounds=None,
-    max_iter: int = 60,
-    jacobian=None,
-) -> FitResult:
+def gauss_newton(residual_fn, x0, bounds, jacobian) -> FitResult:
     """Minimize ``sum(residual_fn(x)**2)`` from ``x0``.
 
     Parameters
@@ -70,31 +50,27 @@ def gauss_newton(
         Maps a parameter vector to a residual vector.
     x0 : array-like
         Starting parameters.
-    bounds : optional
-        Pair of arrays ``(lower, upper)``; candidate steps are clipped to
-        the box.
-    max_iter : int
-        Iteration limit.  Each iteration halves its step up to 30 times
-        until the residual decreases, and the fit has converged once the
-        squared residual decreases by less than 1e-14 relative.  It has
-        also converged, with ``stop="floor"`` and no step tried, when the
-        decrease the linear model predicts, ``|J step|^2``, is below 1e-14
-        of the squared residual: what is left is rounding.
-    jacobian : callable, optional
+    bounds : tuple
+        Pair of arrays ``(lower, upper)``; the start and candidate steps are
+        clipped to the box.
+    jacobian : callable
         Maps a parameter vector to the Jacobian of the residuals, shape
-        ``(residuals, parameters)``; central differences by default.
+        ``(residuals, parameters)``.
+
+    The fit runs at most 60 iterations.  Each iteration halves its step up
+    to 30 times until the residual decreases, and the fit has converged
+    once the squared residual decreases by less than 1e-14 relative.  It
+    has also converged, with ``stop="floor"`` and no step tried, when the
+    decrease the linear model predicts, ``|J step|^2``, is below 1e-14 of
+    the squared residual: what is left is rounding.
 
     Raises
     ------
     DegenerateFitError
         If the Jacobian is numerically rank deficient.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    lo = hi = None
-    if bounds is not None:
-        lo = np.asarray(bounds[0], dtype=float)
-        hi = np.asarray(bounds[1], dtype=float)
-        x = np.clip(x, lo, hi)
+    lo, hi = (np.asarray(b, dtype=float) for b in bounds)
+    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
 
     def residuals(params):
         return np.atleast_1d(np.asarray(residual_fn(params), dtype=float))
@@ -105,12 +81,8 @@ def gauss_newton(
     trace = [math.sqrt(current / n_res)]
     converged = False
     stop = "max_iter"
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        if jacobian is None:
-            jac = _jacobian(residual_fn, x, n_res)
-        else:
-            jac = np.asarray(jacobian(x), dtype=float)
+    for iterations in range(1, _MAX_ITER + 1):
+        jac = np.asarray(jacobian(x), dtype=float)
         if not np.all(np.isfinite(jac)):
             raise DegenerateFitError("non-finite Jacobian")
         u, sv, vt = np.linalg.svd(jac, full_matrices=False)
@@ -127,9 +99,7 @@ def gauss_newton(
         accepted = False
         scale = 1.0
         for _ in range(_MAX_HALVINGS + 1):
-            cand = x + scale * step
-            if lo is not None:
-                cand = np.clip(cand, lo, hi)
+            cand = np.clip(x + scale * step, lo, hi)
             r_cand = residuals(cand)
             new = float(np.dot(r_cand, r_cand))
             if new < current:

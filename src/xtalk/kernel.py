@@ -18,8 +18,8 @@ multiplied once.  A noisy scan adds one shot column per shot, each under its
 own spectator phase offset.  Per point, it evaluates each distinct slice
 once for all its shots: rows compare by bit pattern, their start only where
 an ion is detuned.  Shot columns are evaluated and carried only for the ions
-being sampled, and only as the state from the ground state, through the 2x2
-entry products written out elementwise into reused buffers; these round
+being sampled, and only as the state from the ground state, updated in
+place through the 2x2 entry products written out elementwise; these round
 differently but make one numpy pass instead of one matrix call per shot.
 Shots go in passes of at most a batch of propagators per slice, which bounds
 their memory.  A shot column ends as the excited population ``|c_1|^2`` that
@@ -37,7 +37,8 @@ compiles the scans, calls the kernel, which returns whole arrays in the
 caller's point order, and reads each state, from the ground state, as its
 propagator's first column.  Whole 2x2 products are kept: ``np.matmul`` on
 that column alone rounds differently (in most entries of random stacks,
-numpy 2.4) and would move the exactly compared ``stderr`` outputs.
+numpy 2.4) and would move the exactly compared ``stderr`` outputs.  Every
+array has one layout: points first, then any shot axis, then the ion axis.
 """
 
 from __future__ import annotations
@@ -330,14 +331,15 @@ def _ion_field(table: np.ndarray, offsets, ct_phase: float, ion: int):
 def _slice_propagators(table: np.ndarray, offsets, ct_phase: float,
                        ions=(TARGET, SPECTATOR)) -> np.ndarray:
     """Qubit-frame propagator of every slice for each of ``ions``, shape
-    ``(len(ions),) + batch + (2, 2)``.
+    ``batch + (len(ions), 2, 2)``.
 
     ``table`` and ``offsets`` broadcast to the batch shape.  A slice without
     light leaves the qubit frame inertial, so it is an exact identity.
     """
-    out = np.empty((len(ions),) + np.broadcast_shapes(table.shape[:-1], np.shape(offsets))
-                   + (2, 2), dtype=complex)
-    for u, ion in zip(out, ions):
+    out = np.empty(np.broadcast_shapes(table.shape[:-1], np.shape(offsets))
+                   + (len(ions), 2, 2), dtype=complex)
+    for i, ion in enumerate(ions):
+        u = out[..., i, :, :]
         start, dur, det, re, im, quad = _ion_field(table, offsets, ct_phase, ion)
         om_re, om_im = re, im
         if quad.any():  # else re - 0 * x and im + 0 * x are re and im: neither is -0.0
@@ -374,7 +376,7 @@ def _slice_propagators(table: np.ndarray, offsets, ct_phase: float,
 
 def _excitations(table: np.ndarray, offsets, ct_phase: float, ions) -> np.ndarray:
     """|u_10|^2 of every slice propagator of :func:`_slice_propagators` for
-    each of ``ions``, shape ``(len(ions),) + batch``: the excited population
+    each of ``ions``, shape ``batch + (len(ions),)``: the excited population
     a slice leaves from the ground state, by the Rabi formula
     ``|Omega|^2 / G^2 sin^2(G t / 2)`` with ``G^2 = |Omega|^2 + Delta^2``.
 
@@ -384,8 +386,9 @@ def _excitations(table: np.ndarray, offsets, ct_phase: float, ions) -> np.ndarra
     take :func:`_slice_propagators` instead.
     """
     shape = np.broadcast_shapes(table.shape[:-1], np.shape(offsets))
-    out = np.empty((len(ions),) + shape)
-    for p, ion in zip(out, ions):
+    out = np.empty(shape + (len(ions),))
+    for i, ion in enumerate(ions):
+        p = out[..., i]
         _, dur, det, re, im, quad = _ion_field(table, offsets, ct_phase, ion)
         if not (np.isfinite(re).all() and np.isfinite(im).all() and np.isfinite(quad).all()):
             raise ValueError("non-finite input")
@@ -398,17 +401,17 @@ def _excitations(table: np.ndarray, offsets, ct_phase: float, ions) -> np.ndarra
         np.multiply(field / squares, np.sin(0.5 * np.sqrt(squares) * dur) ** 2, out=p)
         if tiny.any():
             rows = np.broadcast_to(table, shape + table.shape[-1:])[tiny]
-            [u] = _slice_propagators(rows, np.broadcast_to(offsets, shape)[tiny], ct_phase, (ion,))
-            p[tiny] = _abs2(u[:, 1, 0].real, u[:, 1, 0].imag)
+            u = _slice_propagators(rows, np.broadcast_to(offsets, shape)[tiny], ct_phase, (ion,))
+            p[tiny] = _abs2(u[:, 0, 1, 0].real, u[:, 0, 1, 0].imag)
     return out
 
 
 def _identities(points: int) -> np.ndarray:
-    return np.broadcast_to(IDENTITY, (2, points, 2, 2)).copy()
+    return np.broadcast_to(IDENTITY, (points, 2, 2, 2)).copy()
 
 
 def _products(table, begin, count, out, ct_phase: float, marks=None) -> np.ndarray:
-    """``out``, shape ``(2, points, 2, 2)``, left-multiplied per point by
+    """``out``, shape ``(points, 2, 2, 2)``, left-multiplied per point by
     the noiseless propagators of its ``count`` table rows from row ``begin``
     on, in order.  Points come longest first, so step k evaluates the rows
     of the leading ``m_k`` points still running, steps packed into calls of
@@ -426,16 +429,15 @@ def _products(table, begin, count, out, ct_phase: float, marks=None) -> np.ndarr
         live = np.arange(points) < running[k0:k1, None]  # step-major (step, point)
         props = _slice_propagators(table[(begin + steps[k0:k1, None])[live]], 0.0, ct_phase)
         full = max(0, min(k1, count[-1]) - k0)  # leading steps that run every point
-        whole = np.moveaxis(props[:, :full * points].reshape(2, full, points, 2, 2), 1, 0)
         out = out.reshape(2 * points, 2, 2)
-        for i, u in enumerate(whole.reshape(full, 2 * points, 2, 2), k0 + 1):
+        for i, u in enumerate(props[:full * points].reshape(full, 2 * points, 2, 2), k0 + 1):
             out = np.matmul(u, out)
             if marks is not None and i in marks:
-                marks[i] = out.reshape(2, points, 2, 2)
-        out = out.reshape(2, points, 2, 2)
+                marks[i] = out.reshape(points, 2, 2, 2)
+        out = out.reshape(points, 2, 2, 2)
         at = full * points
         for m in running[k0 + full:k1].tolist():
-            out[:, :m] = np.matmul(props[:, at:at + m], out[:, :m])
+            out[:m] = np.matmul(props[at:at + m], out[:m])
             at += m
         k0 = k1
     return out
@@ -445,7 +447,7 @@ def _propagate(table: np.ndarray, lengths: np.ndarray, shots, ct_phase: float,
                ions=(TARGET, SPECTATOR)):
     """The kernel: each point's noiseless propagator per ion, shape
     ``(points, 2, 2, 2)``, and the excited populations of its shot columns
-    for ``ions``, shape ``(points, len(ions), shots)``, or None.
+    for ``ions``, shape ``(points, shots, len(ions))``, or None.
 
     Takes the compiled table, each point's slice count and, in a noisy
     scan, one row of spectator phase offsets (rad) per point, one per shot
@@ -474,7 +476,7 @@ def _column_propagate(table, lengths, ct_phase: float) -> np.ndarray:
     n = len(lengths)
     first = np.cumsum(lengths) - lengths
     done = np.zeros(n, dtype=int)
-    shared_products = {}
+    shared_products = {0: _identities(1)}  # keyed by the rows a point shares
     if n > 1 and len(table):
         longest = int(np.argmax(lengths))
         # each row against the longest point's row at the same position
@@ -486,7 +488,7 @@ def _column_propagate(table, lengths, ct_phase: float) -> np.ndarray:
         shared = np.minimum(differs[np.searchsorted(differs, first)] - first, lengths)
         if np.count_nonzero(shared) > 1:  # not the longest point alone
             done = shared
-            shared_products = dict.fromkeys(done.tolist())
+            shared_products = dict.fromkeys(done.tolist()) | shared_products
             _products(table, first[[longest]], done[[longest]], _identities(1), ct_phase,
                       shared_products)
     out = np.empty((n, 2, 2, 2), dtype=complex)
@@ -494,13 +496,9 @@ def _column_propagate(table, lengths, ct_phase: float) -> np.ndarray:
     for g0 in range(0, n, group):
         part = np.arange(g0, min(g0 + group, n))
         order = part[np.argsort(done[part] - lengths[part], kind="stable")]  # longest first
-        u = _identities(len(order))
-        for i, k in enumerate(done[order].tolist()):
-            if k:
-                u[:, i] = shared_products[k][:, 0]
-        u = _products(table, first[order] + done[order], lengths[order] - done[order], u,
-                      ct_phase)
-        out[order] = np.moveaxis(u, 1, 0)
+        u = np.concatenate([shared_products[k] for k in done[order].tolist()])
+        out[order] = _products(table, first[order] + done[order], lengths[order] - done[order],
+                               u, ct_phase)
     return out
 
 
@@ -517,13 +515,13 @@ def _one_slice_propagate(table, lengths, shots, ct_phase: float, ions):
     rows = np.where(lengths > 0, np.cumsum(lengths) - 1, len(table))
     table = np.append(table, np.zeros((1, _COLUMNS)), axis=0)
     u = np.empty((n, 2, 2, 2), dtype=complex)
-    probs = None if shots is None else np.empty((n, len(ions), width))
+    probs = None if shots is None else np.empty((n, width, len(ions)))
     for g0 in range(0, n, group):
         where = table[rows[g0:g0 + group]]
-        u[g0:g0 + group] = np.moveaxis(_slice_propagators(where, 0.0, ct_phase), 1, 0)
+        u[g0:g0 + group] = _slice_propagators(where, 0.0, ct_phase)
         if shots is not None:
-            probs[g0:g0 + group] = np.moveaxis(
-                _excitations(where[:, None], shots[g0:g0 + group], ct_phase, ions), 1, 0)
+            probs[g0:g0 + group] = _excitations(where[:, None], shots[g0:g0 + group], ct_phase,
+                                                ions)
     return u, probs
 
 
@@ -540,36 +538,37 @@ def _distinct(table: np.ndarray, lengths: np.ndarray):
     return ids, np.bincount(point[rep], minlength=len(lengths))
 
 
-def _windows(ids: list, cost: int) -> list:
-    """Cuts of one point's rows, with distinct ``ids``, into runs whose
-    distinct rows take at most ``_BATCH`` propagators of ``cost`` each, at
-    least one row a run."""
+def _windows(ids: list, ends: list, cost: int) -> list:
+    """Cuts of a group's steps, step k holding entries ``ends[k]`` to
+    ``ends[k + 1]`` of ``ids``, into runs whose distinct ids take at most
+    ``_BATCH`` propagators of ``cost`` each, at least one step a run."""
+    if len(set(ids)) * cost <= _BATCH:
+        return [0, len(ends) - 1]
     cuts, seen = [0], set()
-    for k, i in enumerate(ids):
-        if i not in seen:
-            if seen and (len(seen) + 1) * cost > _BATCH:
-                cuts.append(k)
-                seen = set()
-            seen.add(i)
-    return cuts + [len(ids)]
+    for k in range(len(ends) - 1):
+        step = set(ids[ends[k]:ends[k + 1]])
+        if seen and (len(seen) + len(step - seen)) * cost > _BATCH:
+            cuts.append(k)
+            seen = set()
+        seen |= step
+    return cuts + [len(ends) - 1]
 
 
 def _shot_propagate(table, lengths, shots, ct_phase: float, ions) -> np.ndarray:
-    """The shot columns of :func:`_propagate`: per point, per ion of
-    ``ions`` and shot, the excited population ``|c_1|^2`` of the state from
-    the ground state under that shot's phase offset, shape ``(points,
-    len(ions), shots)``.
+    """The shot columns of :func:`_propagate`: per point, shot and ion of
+    ``ions``, the excited population ``|c_1|^2`` of the state from the
+    ground state under that shot's phase offset, shape ``(points, shots,
+    len(ions))``.
 
     Shots run in passes of at most ``_BATCH // len(ions)``; each shot's
     arithmetic is elementwise, so a pass leaves every value as it is.  Per
     point, each distinct table row (:func:`_distinct`) is evaluated once
     for all the pass's shots of ``ions``.  Consecutive points whose distinct
     rows take at most ``_BATCH`` propagators run as one group through
-    :func:`_shot_steps`; a point beyond that runs alone, its rows cut into
-    :func:`_windows`.
+    :func:`_shot_states`; a point beyond that runs alone.
     """
     n, width = shots.shape
-    out = np.empty((n, len(ions), width))
+    out = np.empty((n, width, len(ions)))
     first = np.cumsum(lengths) - lengths
     ids, distinct = _distinct(table, lengths)
     step = max(1, _BATCH // len(ions))
@@ -584,26 +583,20 @@ def _shot_propagate(table, lengths, shots, ct_phase: float, ions) -> np.ndarray:
                 total, g1 = total + weight[g1], g1 + 1
             part = np.arange(g0, g1)
             order = part[np.argsort(-lengths[part], kind="stable")]  # longest first
-            count = lengths[order]
-            cuts = [0, int(count[0])]
-            if total > _BATCH:  # one point
-                cuts = _windows(ids[first[g0]:first[g0] + lengths[g0]].tolist(), cost)
-            states = _shot_steps(table, ids, first[order], count, part_shots[order], ct_phase,
-                                 ions, cuts)
-            c1 = states[count % 2, np.arange(len(order)), :, 1]
-            out[order, :, s0:s0 + step] = _abs2(c1.real, c1.imag)
+            c1 = _shot_states(table, ids, first[order], lengths[order], part_shots[order],
+                              ct_phase, ions)[..., 1]
+            out[order, s0:s0 + step] = _abs2(c1.real, c1.imag)
             g0 = g1
     return out
 
 
-def _shot_steps(table, ids, begin, count, shots, ct_phase: float, ions, cuts):
+def _shot_states(table, ids, begin, count, shots, ct_phase: float, ions) -> np.ndarray:
     """The shot states of :func:`_shot_propagate` for points longest first,
-    per ion of ``ions``, in two buffers, shape ``(2, points, len(ions), 2,
-    shots)``; a point's last step wrote buffer ``count % 2``.
+    shape ``(points, shots, len(ions), 2)``.
 
-    Steps between consecutive ``cuts`` evaluate their distinct rows in one
-    call, and step k multiplies the states of the leading ``m_k`` points
-    through :func:`_shot_products`, from one buffer into the other.
+    The steps go in :func:`_windows`, each evaluating its distinct rows in
+    one call, and step k updates the states of the leading ``m_k`` points
+    in place, each entry ``c_i`` becoming ``u_i0 c_0 + u_i1 c_1``.
     """
     points, width = shots.shape
     steps = np.arange(count[0])
@@ -611,32 +604,16 @@ def _shot_steps(table, ids, begin, count, shots, ct_phase: float, ions, cuts):
     ends = np.cumsum(np.append(0, running))  # entries before each step
     live = np.arange(points) < running[:, None]
     rows, at = (begin + steps[:, None])[live], np.nonzero(live)[1]  # step-major entries
-    states = np.zeros((2, points, len(ions), 2, width), dtype=complex)
-    states[0, :, :, 0] = 1.0
-    spare, gathered = np.empty_like(states[0]), np.empty(states[0].shape[:-1] + (2, width),
-                                                            dtype=complex)
+    keys = ids[rows]
+    states = np.zeros((points, width, len(ions), 2), dtype=complex)
+    states[..., 0] = 1.0
+    cuts = _windows(keys.tolist(), ends.tolist(), width * len(ions))
     for k0, k1 in zip(cuts[:-1], cuts[1:]):
         e0, e1 = ends[k0], ends[k1]
-        _, pick, inverse = np.unique(ids[rows[e0:e1]], return_index=True, return_inverse=True)
-        where, who = rows[e0:e1][pick, None], at[e0:e1][pick]
-        # (i, j, shot) entries per distinct row and ion, contiguous: np.take
-        # from the moved-axis view itself is several times slower
-        entries = np.ascontiguousarray(np.moveaxis(
-            _slice_propagators(table[where], shots[who], ct_phase, ions), (0, 2), (1, 4)))
+        _, pick, inverse = np.unique(keys[e0:e1], return_index=True, return_inverse=True)
+        u = _slice_propagators(table[rows[e0:e1][pick, None]], shots[at[e0:e1][pick]], ct_phase,
+                               ions)
         for k in range(k0, k1):
-            m, idx = running[k], inverse[ends[k] - e0:ends[k + 1] - e0]
-            np.take(entries, idx, axis=0, out=gathered[:m], mode="clip")  # "raise" would buffer
-            _shot_products(gathered[:m], states[k % 2, :m], states[1 - k % 2, :m], spare[:m])
+            c, step = states[:running[k]], u[inverse[ends[k] - e0:ends[k + 1] - e0]]
+            c[:] = step[..., 0] * c[..., 0:1] + step[..., 1] * c[..., 1:2]
     return states
-
-
-def _shot_products(u: np.ndarray, state: np.ndarray, out: np.ndarray, spare: np.ndarray):
-    """``out``, the first column of ``u @ state`` per shot: ``u`` holds 2x2
-    entries ``(..., i, j, shot)`` and ``state`` the column ``(..., j,
-    shot)``.  Each entry is ``u_i0 c_0 + u_i1 c_1``, rounded as
-    ``np.add(u_i0 * c_0, u_i1 * c_1)``: one numpy pass per term instead of
-    one ``np.matmul`` call per matrix, written into ``out`` and ``spare``
-    instead of fresh arrays."""
-    np.multiply(u[..., 0, :], state[..., 0:1, :], out=out)
-    np.multiply(u[..., 1, :], state[..., 1:2, :], out=spare)
-    return np.add(out, spare, out=out)

@@ -412,7 +412,7 @@ def _evaluate(table, lengths, ctx: CrosstalkContext, shots=None, seed=None, offs
         draws = np.empty((n, shots, 2))
         for stream, out in zip(streams, draws):
             stream.random(out=out)
-        hits = draws[:, :, ions] < np.clip(excited, 0.0, 1.0).transpose(0, 2, 1)
+        hits = draws[:, :, ions] < np.clip(excited, 0.0, 1.0)
         sampled[:, ions] = np.count_nonzero(hits, axis=1) / shots
     elif shots is not None:
         # analytic populations may round just past 1

@@ -79,6 +79,10 @@ _UNREAD = {"method": "none", "physics": {}, "noise": None, "shots": 200}
 # and excited population, 57 bytes at peak under tracemalloc for trains and
 # one-slice scans alike (about 0.6 GB at the bound)
 _NOISY_DRAWS = 10**7
+# pulses an x-error or z-error scan may compile, summed over n_values: a quad
+# train's table peaks at about 3.2 KB a pulse under tracemalloc (about 0.6 GB
+# at the bound), the other methods' at less
+_TRAIN_PULSES = 2 * 10**5
 
 
 @dataclass(frozen=True)
@@ -128,6 +132,21 @@ class ScenarioConfig:
         noise = None if top["noise"] is None else resolve(top["noise"], _NOISE, f"{name} noise")
         scan = resolve(top["scan"], row.scan, f"{name} scan")
         # before compiling the scan or drawing any drift trace
+        pulses = sum(scan.get("n_values", ()))
+        if pulses > _TRAIN_PULSES:
+            raise ConfigError(f"{name} scan.n_values: {pulses} pulses in all exceed the "
+                              f"{_TRAIN_PULSES} a scan may compile")
+        # phase-scan, and rabi-scan's default spectator span, last 2 n_periods
+        # crosstalk pi times, over which the kernel turns the target by omega_0
+        # and frames the spectator by delta_ct
+        periods = scan.get("n_periods", 0)
+        if name == "rabi-scan" and scan["t_max_s"] is None and scan["observe"] == "spectator":
+            periods = 1
+        span = 2.0 * periods * (math.pi / ct) if ct > 0.0 else math.inf
+        if periods and math.isinf(span * max(1.0, 0.5 * w, abs(delta))):
+            raise ConfigError(f"{name} physics.f_ct overflows: 2 n_periods pi / (f_ct omega_0) "
+                              f"times max(1, omega_0 / 2, |delta_ct|) must be finite, "
+                              f"got {phys['f_ct']!r}")
         points = len(scan["n_values"]) if "n_values" in scan else scan.get("points")
         if noise is not None and points * top["shots"] > _NOISY_DRAWS:
             raise ConfigError(f"{name} shots: {points} points x {top['shots']} shots exceed "

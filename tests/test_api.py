@@ -52,7 +52,6 @@ OPTIONAL_PARAMETERS = {
     "field.effective_magnitude_polarized": ["pol_overlap"],
     "field.pi_pulse_error": ["f_comp", "delta_phi"],
     "fitting.FitResult": ["residual_trace"],
-    "fitting.gauss_newton": ["bounds", "max_iter", "jacobian"],
     "noise.DriftProcess": ["walk_window"],
     "noise.AomModel": ["center_mhz", "absorption_width_mhz", "thermal_coeff", "thermal_tau",
                        "max_rf_power"],

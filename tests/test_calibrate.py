@@ -191,10 +191,10 @@ def _fits(monkeypatch, run):
 
 
 def _assert_jacobian_matches_differences(residual, jacobian, x):
-    from xtalk.fitting import _jacobian
+    from test_fitting import central_differences
 
     analytic = jacobian(x)
-    numeric = _jacobian(residual, x, len(residual(x)))
+    numeric = central_differences(residual, x, len(residual(x)))
     assert analytic.shape == numeric.shape
     for got, expected in zip(analytic.T, numeric.T):
         np.testing.assert_allclose(got, expected, rtol=1e-6, atol=1e-6 * np.abs(expected).max())

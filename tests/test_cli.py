@@ -306,6 +306,17 @@ def test_noisy_scan_past_the_size_bound_exits_2_naming_shots(tmp_path, monkeypat
          "x-error physics.delta_ct_rad_per_s"),
         ("z-error", {"method": "pcc", "physics": {"delta_ct_rad_per_s": 1e300}},
          "z-error physics.delta_ct_rad_per_s"),
+        # used to exit 2 naming no key: "state amplitudes must be finite" (1e-310,
+        # a spectator framed past overflow, 10^4 periods), "duration must be
+        # finite" (1e-318) or "t_pi_ct undefined for f_ct * omega_0 = 0" (0)
+        *[(scenario, {"physics": {"f_ct": f_ct}}, f"{scenario} physics.f_ct")
+          for scenario in ("phase-scan", "rabi-scan") for f_ct in (1e-310, 1e-318, 0.0)],
+        ("phase-scan", {"physics": {"f_ct": 1e-200, "delta_ct_rad_per_s": 1e150}},
+         "phase-scan physics.f_ct"),
+        ("phase-scan", {"physics": {"f_ct": 1e-305}, "scan": {"n_periods": 10**4}},
+         "phase-scan physics.f_ct"),
+        # used to compile a table of about 30 GB
+        ("x-error", {"method": "quad", "scan": {"n_values": [10**7]}}, "x-error scan.n_values"),
     ],
 )
 def test_bad_config_exits_2_naming_the_key(tmp_path, scenario, doc, key):
@@ -327,13 +338,47 @@ def test_bad_config_exits_2_naming_the_key(tmp_path, scenario, doc, key):
     *[(scenario, {"method": "pcc", "physics": {"delta_ct_rad_per_s": 1.3e154}})
       for scenario in ("x-error", "z-error", "rabi-scan")],
     ("phase-scan", {"physics": {"f_comp": 1e149, "delta_ct_rad_per_s": 1.3e154}}),
+    # only phase-scan and rabi-scan's default spectator span last crosstalk
+    # pi times, and at f_ct 1e-305 that span stays finite
+    ("x-error", {"physics": {"f_ct": 1e-310}}),
+    ("z-error", {"physics": {"f_ct": 0.0}}),
+    ("rabi-scan", {"physics": {"f_ct": 0.0}, "scan": {"observe": "target", "points": 3}}),
+    ("rabi-scan", {"physics": {"f_ct": 1e-318}, "scan": {"t_max_s": 1e-4, "points": 3}}),
+    ("amplitude-scan", {"physics": {"f_ct": 0.0}}),
+    ("phase-scan", {"physics": {"f_ct": 1e-305}}),
 ])
 def test_large_physics_that_does_not_overflow_exits_0(tmp_path, scenario, doc):
     # the tone is dark under none and the crosstalk detuning under f_ct = 0;
     # these squares are finite
     scan = {"n_values": [1, 2]} if scenario.endswith("error") else {"points": 3}
-    cfg = write_config(tmp_path, {**doc, "scan": scan, "shots": 4})
+    cfg = write_config(tmp_path, {"scan": scan, **doc, "shots": 4})
     assert main([scenario, "--config", cfg, "--out", str(tmp_path / "out.csv")]) == EXIT_OK
+
+
+@pytest.mark.parametrize("scenario", ["x-error", "z-error"])
+def test_train_scan_past_the_pulse_bound_exits_2_naming_n_values(tmp_path, monkeypatch,
+                                                                  scenario):
+    # n_values: [10**7] under quad would compile about 30 GB of tables; the
+    # bound on the summed pulse count is checked before any table is compiled
+    from xtalk import scenarios
+
+    class Reached(Exception):
+        pass
+
+    def train_table(*args):
+        raise Reached
+
+    monkeypatch.setattr(scenarios, "_train_table", train_table)
+    limit = scenarios._TRAIN_PULSES
+    for n_values in ([10**7], [1, limit]):
+        doc = {"method": "quad", "scan": {"n_values": n_values}}
+        code, err, _ = run_quietly([scenario, "--config", write_config(tmp_path, doc)])
+        assert code == EXIT_CONFIG
+        assert err == [f"config error: {scenario} scan.n_values: {sum(n_values)} pulses in all "
+                       f"exceed the {limit} a scan may compile"]
+    with pytest.raises(Reached):  # at the bound, the scan goes on to compile its trains
+        doc = {"method": "quad", "scan": {"n_values": [1, limit - 1]}}
+        run_quietly([scenario, "--config", write_config(tmp_path, doc)])
 
 
 @pytest.mark.parametrize("row", ["nan,0.5", "inf,0.5", "0.5,-inf", "0.5"])

@@ -3,7 +3,8 @@
 The benchmark's references live in ``perfbench/golden`` and are only read
 here.  ``tests/golden/trains.json`` adds x-error and z-error trains of all
 four methods at ``delta_ct`` 0.05 Omega, ``pol_overlap`` 0.8 and counts of 1,
-odd, unsorted and repeated, at 200 and 1 shots, and noisy pcc trains: each
+odd, unsorted and repeated, at 200 and 1 shots, and noisy trains of all
+four methods at 200 shots, which pin the multi-slice shot path: each
 unit is a config and the CSV ``run_scenario`` wrote for it, ``# build:``
 dropped.  The rule is the benchmark's: ``value_mean`` within a relative
 1e-12, every other column and header line exact, the ``# build:`` line
@@ -87,7 +88,9 @@ def test_reference_trains_cover_detuned_crosstalk():
     assert {(d["scenario"], d["method"], d["shots"]) for d in docs if "noise" not in d} == {
         (s, m, shots) for s in ("x-error", "z-error") for m in ("none", "pcc", "sk1", "quad")
         for shots in (1, 200)}
-    assert sum("noise" in d for d in docs) == 2
+    assert {(d["scenario"], d["method"], d["shots"]) for d in docs if "noise" in d} == {
+        (s, m, 200) for s in ("x-error", "z-error") for m in ("none", "pcc", "sk1", "quad")}
+    assert sum("noise" in d for d in docs) == 8
 
 
 def test_reference_units_include_noisy_scans():

@@ -512,7 +512,7 @@ class TestKernel:
                 for j, offset in enumerate(shifts):
                     ref = reference_unitaries(seq, ctx, scale, offset)
                     for ion in (TARGET, SPECTATOR):
-                        assert abs(probs[ion, j] - abs(ref[ion][1, 0]) ** 2) < 1e-12
+                        assert abs(probs[j, ion] - abs(ref[ion][1, 0]) ** 2) < 1e-12
 
     @pytest.mark.parametrize("amp", [1e-150, 1e-160, 1e-162, 1e-200])
     def test_tiny_fields_match_scalar_reference(self, amp):
@@ -874,38 +874,36 @@ class TestKernel:
             for ions in ((TARGET, SPECTATOR), (SPECTATOR,)):
                 probs = _excitations(table[:, None], offsets, 0.7, ions)
                 u = _slice_propagators(table[:, None], offsets, 0.7, ions)
-                assert probs.shape == (len(ions), 60, 5)
+                assert probs.shape == (60, 5, len(ions))
                 assert np.max(np.abs(probs - np.abs(u[..., 1, 0]) ** 2)) < 1e-14
-                assert (probs[:, :8] == 0.0).all() and (probs[:, 8:12] == 0.0).all()
-                assert (probs[:, 12:20] > 0.0).all()
+                assert (probs[:8] == 0.0).all() and (probs[8:12] == 0.0).all()
+                assert (probs[12:20] > 0.0).all()
         offsets[3, 2] = math.nan
         with pytest.raises(ValueError, match="non-finite input"):
             _excitations(table[:, None], offsets, 0.7, (SPECTATOR,))
 
     def test_shot_products_match_matmul(self):
-        from xtalk.kernel import _shot_products
+        # a step takes each shot's state c to u c, c_i = u_i0 c_0 + u_i1 c_1:
+        # from the ground state exactly u's first column, and after that
+        # within rounding of np.matmul's first column
+        from xtalk.kernel import _COLUMNS, _distinct, _shot_states, _slice_propagators
 
         rng = np.random.default_rng(9)
-
-        def su2(shape):
-            a, b, c, d = np.moveaxis(rng.normal(size=shape + (4,)), -1, 0)
-            norm = np.sqrt(a * a + b * b + c * c + d * d)
-            alpha, beta = (a + 1j * b) / norm, (c + 1j * d) / norm
-            return np.stack([alpha, -beta.conj(), beta, alpha.conj()], axis=-1).reshape(
-                shape + (2, 2))
-
-        for points, ions, shots in ((1, 1, 1), (3, 2, 7), (5, 1, 200)):
-            u, gate = su2((points, ions, shots)), su2((points, ions, shots))
-            state = np.moveaxis(gate[..., 0], -2, -1)  # (point, ion, j, shot)
-            entries = np.moveaxis(u, 2, -1)  # (point, ion, i, j, shot)
-            out, spare = np.empty_like(state), np.empty_like(state)
-            assert _shot_products(entries, state, out, spare) is out
-            ref = np.moveaxis(np.matmul(u, gate)[..., 0], -2, -1)
-            assert np.max(np.abs(out - ref)) < 1e-15
-            ground = np.zeros_like(state)
-            ground[:, :, 0] = 1.0
-            _shot_products(entries, ground, out, spare)
-            assert np.array_equal(out, np.moveaxis(u[..., 0], -2, -1))
+        for points, ions, shots in ((1, (SPECTATOR,), 1), (3, (TARGET, SPECTATOR), 7),
+                                    (5, (TARGET,), 200)):
+            table = np.zeros((2 * points, _COLUMNS))
+            table[:, 1] = rng.uniform(0.1, 2.0, 2 * points) * CTX.t_pi
+            table[:, 2:] = rng.normal(0.0, 0.3 * OMEGA, (2 * points, _COLUMNS - 2))
+            offsets = rng.normal(0.0, 0.5, (points, shots))
+            lengths, begin = np.full(points, 2), 2 * np.arange(points)
+            ids = _distinct(table, lengths)[0]
+            u = _slice_propagators(table.reshape(points, 2, 1, _COLUMNS), offsets[:, None], 0.7,
+                                   ions)  # (point, row, shot, ion, i, j)
+            one = _shot_states(table, ids, begin, np.ones(points, dtype=int), offsets, 0.7, ions)
+            assert one.shape == (points, shots, len(ions), 2)
+            assert np.array_equal(one, u[:, 0, ..., 0])
+            two = _shot_states(table, ids, begin, lengths, offsets, 0.7, ions)
+            assert np.max(np.abs(two - np.matmul(u[:, 1], u[:, 0])[..., 0])) < 1e-15
 
     def test_trains_are_prefixes_of_the_longest(self):
         setting = CompensationSetting(1.0, math.pi)
