@@ -14,6 +14,7 @@ import io
 import json
 import math
 import subprocess
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -24,27 +25,11 @@ from . import __version__
 from .errors import ConfigError
 from .field import CompensationSetting, CrosstalkContext
 from .kernel import _compile, _compile_scan
-from .noise import (
-    AomModel,
-    DRIFT_PRESETS,
-    DEFAULT_MATCH_ERROR,
-    duty_cycle_drift_rate,
-    ramsey_phase_probe,
-    sample_slow_drift,
-    _drift_traces,
-)
+from .noise import (AomModel, DRIFT_PRESETS, DEFAULT_MATCH_ERROR, duty_cycle_drift_rate,
+                    ramsey_phase_probe, sample_slow_drift, _drift_traces)
 from .optics import BeamProfile, clipped_focus_profile, gaussian_intensity
-from .pulses import (
-    SPECTATOR,
-    TARGET,
-    pi_trains,
-    scaled,
-    with_pcc,
-    _evaluate,
-    _shot_plan,
-    _target_drive,
-    _train_table,
-)
+from .pulses import (SPECTATOR, TARGET, pi_trains, scaled, with_pcc, _evaluate, _shot_plan,
+                     _target_drive, _train_table)
 from .schema import resolve
 
 __all__ = ["ScenarioConfig", "ScanResult", "run_scenario", "SCENARIOS"]
@@ -75,14 +60,26 @@ _DRIVEN = {**_SHOTS, "method": (METHODS, "none", ""), "physics": (dict, {}, "")}
 _NOISY = {**_DRIVEN, "noise": (dict, None, "")}
 # what a scenario without these keys runs with, hashes and prints
 _UNREAD = {"method": "none", "physics": {}, "noise": None, "shots": 200}
-# points x shots a noisy scan may hold: each is a drift offset, its draws
-# and excited population, 57 bytes at peak under tracemalloc for trains and
-# one-slice scans alike (about 0.6 GB at the bound)
+# Per quantity of a config's plan (_plan): its bound and message.  A size bound
+# holds a tracemalloc peak near 0.6 GB (57 B a noisy point-shot, 90 B in a lone
+# one-slice point; 3.2 KB a quad pulse; a sample its _SAMPLE_BYTES).  Past 2**42
+# rad an angle's float64 spacing exceeds 1e-3 rad: a read channel keeps no digit.
 _NOISY_DRAWS = 10**7
-# pulses an x-error or z-error scan may compile, summed over n_values: a quad
-# train's table peaks at about 3.2 KB a pulse under tracemalloc (about 0.6 GB
-# at the bound), the other methods' at less
 _TRAIN_PULSES = 2 * 10**5
+_BOUNDS = {
+    "shots": (2**63 - 1, "{value} shots exceed the {bound} numpy can count"),
+    "pulses": (_TRAIN_PULSES, "{value} pulses in all exceed the {bound} a scan may compile"),
+    "draws": (_NOISY_DRAWS, "{what} shots exceed the {bound} drift offsets a noisy scan may hold"),
+    "samples": (6 * 10**8, "{what} exceed the 0.6 GB a scan may hold"),
+    "rate": (sys.float_info.max, "({what})^2 must be finite, got {value!r}"),
+    "span": (sys.float_info.max, "{what} must be finite, got {value!r}"),
+    "angle": (2.0**42, "{what} is {value:.3g} rad, past 2^42 rad: float64 spacing > 1e-3 rad"),
+}
+# peak bytes a point or drift step may take; target pi times per method's pi pulse
+_SAMPLE_BYTES = {"phase-scan": 1500, "rabi-scan": 1500, "amplitude-scan": 5000,
+                 "drift-monitor": 1100, "duty-cycle-sweep": 300, "beam-profile": 20000}
+_PI_TIMES = {"none": 1, "pcc": 1, "sk1": 5, "quad": 4}
+_OMEGA = "physics.omega_0_rad_per_s"
 
 
 @dataclass(frozen=True)
@@ -117,40 +114,14 @@ class ScenarioConfig:
             setting = CompensationSetting(f_comp=phys["f_comp"], delta_phi=phys["delta_phi_rad"])
         except ValueError as exc:
             raise ConfigError(f"{name} physics: {exc}") from exc
-        # the kernel squares each lit drive and detuning; a pi pulse lasts pi / omega_0
-        w, ct = context.omega_0, context.f_ct * context.omega_0
-        comp = setting.f_comp * ct if top["method"] == "pcc" else 0.0
-        delta = context.delta_ct if ct > 0.0 else 0.0
-        for key, value, rule in (
-                ("omega_0_rad_per_s", w * w + math.pi / w, "omega_0^2 and pi / omega_0"),
-                ("f_ct", ct * ct, "(f_ct omega_0)^2"),
-                ("f_comp", comp * comp, "(f_comp f_ct omega_0)^2"),
-                ("delta_ct_rad_per_s", delta * delta, "delta_ct^2")):
-            if math.isinf(value):
-                raise ConfigError(f"{name} physics.{key} overflows: {rule} must be finite, "
-                                  f"got {phys[key]!r}")
         noise = None if top["noise"] is None else resolve(top["noise"], _NOISE, f"{name} noise")
         scan = resolve(top["scan"], row.scan, f"{name} scan")
-        # before compiling the scan or drawing any drift trace
-        pulses = sum(scan.get("n_values", ()))
-        if pulses > _TRAIN_PULSES:
-            raise ConfigError(f"{name} scan.n_values: {pulses} pulses in all exceed the "
-                              f"{_TRAIN_PULSES} a scan may compile")
-        # phase-scan, and rabi-scan's default spectator span, last 2 n_periods
-        # crosstalk pi times, over which the kernel turns the target by omega_0
-        # and frames the spectator by delta_ct
-        periods = scan.get("n_periods", 0)
-        if name == "rabi-scan" and scan["t_max_s"] is None and scan["observe"] == "spectator":
-            periods = 1
-        span = 2.0 * periods * (math.pi / ct) if ct > 0.0 else math.inf
-        if periods and math.isinf(span * max(1.0, 0.5 * w, abs(delta))):
-            raise ConfigError(f"{name} physics.f_ct overflows: 2 n_periods pi / (f_ct omega_0) "
-                              f"times max(1, omega_0 / 2, |delta_ct|) must be finite, "
-                              f"got {phys['f_ct']!r}")
-        points = len(scan["n_values"]) if "n_values" in scan else scan.get("points")
-        if noise is not None and points * top["shots"] > _NOISY_DRAWS:
-            raise ConfigError(f"{name} shots: {points} points x {top['shots']} shots exceed "
-                              f"the {_NOISY_DRAWS} drift offsets a noisy scan may hold")
+        # every bound, before any table, trace or grid is built
+        for quantity, value, keys, what in _plan(name, top, scan, noise, context, setting):
+            bound, text = _BOUNDS[quantity]
+            if not value <= bound:
+                raise ConfigError(f"{name} {', '.join(dict.fromkeys(keys))}: "
+                                  + text.format(value=value, bound=bound, what=what))
 
         # the hash identifies the document as given, not the output path
         resolved = {k: v for k, v in doc.items() if k != "out"}
@@ -164,18 +135,67 @@ class ScenarioConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _plan(name: str, top: dict, scan: dict, noise, ctx: CrosstalkContext, setting):
+    """What a config asks of the host and the kernel, as (quantity, value, keys,
+    what) entries for ``_BOUNDS``, sizes first.  A lit drive or detuning is a
+    ``rate``; its half angle or Z-frame angle over the longest point is an
+    ``angle`` if the scan reads its channel, else a ``span``."""
+    shots, counts, points = top["shots"], scan.get("n_values"), scan.get("points")
+    yield "shots", shots, ("shots",), ""
+    if counts is not None:
+        points = len(counts)
+        yield "pulses", sum(counts), ("scan.n_values",), ""
+    if noise is not None:
+        yield "draws", points * shots, ("shots",), f"{points} points x {shots}"
+        yield ("span", noise["shot_interval_min"] * shots, ("noise.shot_interval_min", "shots"),
+               "the drift trace's shot_interval_min times shots")
+    count, keys = min(points or 0, 2**64), ("scan.points",)  # past 2**64 any count fails alike
+    if name == "drift-monitor":
+        count, keys = scan["duration_min"] / scan["dt_min"], ("scan.duration_min", "scan.dt_min")
+    if size := _SAMPLE_BYTES.get(name):
+        yield "samples", count * size, keys, f"{count:.3g} samples of {size} B"
+    if scan.get("curve") == "clipped":  # phases 2 pi x s / wavelength, s within the pupil
+        lam, far = scan["wavelength_nm"] * 1e-3, max(abs(scan["x_min_um"]), abs(scan["x_max_um"]))
+        phase = far * min(scan["na"], 6.0 * lam / (math.pi * scan["w0_um"])) * 2.0 * math.pi
+        yield ("angle", phase / lam if lam else math.inf,
+               ("scan.wavelength_nm", "scan.x_min_um", "scan.x_max_um"), "the diffraction phase")
+    if "method" not in _ROWS[name].top:
+        return
+    w, ct, method = ctx.omega_0, ctx.f_ct * ctx.omega_0, top["method"]
+    comp = setting.f_comp * ct if method == "pcc" else 0.0
+    scale, scaled, target = 1.0, (), name == "amplitude-scan" or scan.get("observe") == "target"
+    pi_t, cross = math.pi / w, 2.0 * math.pi / ct if ct else math.inf  # two crosstalk pi times
+    # the longest point's duration, and the keys that set it
+    if counts is not None:
+        span = ((_PI_TIMES[method] * max(counts) + (name == "z-error")) * pi_t,
+                (_OMEGA, "scan.n_values"))
+    elif name == "phase-scan":  # past 2**64 periods every spectator angle fails alike
+        span = min(scan["n_periods"], 2**64) * cross, ("physics.f_ct", "scan.n_periods")
+    elif name == "amplitude-scan":
+        scale, scaled = max(scan["scale_min"], scan["scale_max"]), ("scan.scale_max",
+                                                                    "scan.scale_min")
+        span = _PI_TIMES[method] * pi_t, (_OMEGA,)
+    elif scan["t_max_s"] is not None:  # rabi-scan, whose template lasts a pi time
+        span = max((scan["t_max_s"], ("scan.t_max_s",)), (pi_t, (_OMEGA,)))
+    else:
+        span = (4.0 * pi_t, (_OMEGA,)) if target else (cross, ("physics.f_ct",))
+    for rate, half, key, what, on_target in (
+            (w, 0.5, _OMEGA, "omega_0", True), (ct, 0.5, "physics.f_ct", "f_ct omega_0", False),
+            (comp, 0.5, "physics.f_comp", "f_comp f_ct omega_0", False),
+            (abs(ctx.delta_ct) if ct > 0.0 else 0.0, 1.0, "physics.delta_ct_rad_per_s",
+             "delta_ct", False)):
+        yield "rate", rate * scale * (rate * scale), (key, *scaled), what
+        yield ("angle" if on_target == target else "span", half * rate * scale * span[0],
+               (*span[1], *scaled, key), f"{what}{' / 2' * (half < 1.0)} times {span[0]:.3g} s")
+
+
 @functools.cache
 def _build_describe() -> str:
     """Build id from ``git describe``, spawned once per process."""
     try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            cwd=Path(__file__).resolve().parent,
-            capture_output=True,
-            text=True,
-            timeout=5.0,
-            check=False,
-        )
+        out = subprocess.run(["git", "describe", "--always", "--dirty"],
+                             cwd=Path(__file__).resolve().parent, capture_output=True, text=True,
+                             timeout=5.0, check=False)
         if out.returncode == 0 and out.stdout.strip():
             return f"xtalk-{__version__}+g{out.stdout.strip()}"
     except OSError:
@@ -344,13 +364,8 @@ def run_beam_profile(cfg: ScenarioConfig) -> ScanResult:
 
 
 def _result(cfg: ScenarioConfig, x, mean, sampled, err) -> ScanResult:
-    meta = {
-        "scenario": cfg.scenario,
-        "method": cfg.method,
-        "seed": cfg.seed,
-        "config_hash": cfg.config_hash(),
-        "build": _build_describe(),
-    }
+    meta = {"scenario": cfg.scenario, "method": cfg.method, "seed": cfg.seed,
+            "config_hash": cfg.config_hash(), "build": _build_describe()}
     return ScanResult(x=x, value_mean=mean, value_sampled=sampled, stderr=err, metadata=meta)
 
 
@@ -373,38 +388,25 @@ _ROWS = {
         {k: v for k, v in _PHYSICS.items() if k != "delta_phi_rad"}),
     "rabi-scan": _Row(run_rabi_scan, {**_DRIVEN, "method": (("none", "pcc"), "none", "")}, {
         "t_max_s": (float, None, ">= 0"),  # None: two spectator or four target pi times
-        "points": (int, 81, ">= 1"),
-        "observe": (("target", "spectator"), "spectator", ""),
-    }),
+        "points": (int, 81, ">= 1"), "observe": (("target", "spectator"), "spectator", "")}),
     # observes the target, which the crosstalk detuning never reaches
     "amplitude-scan": _Row(run_amplitude_scan, _DRIVEN, {
-        "scale_min": (float, 0.0, ">= 0"),
-        "scale_max": (float, 1.5, ">= 0"),
+        "scale_min": (float, 0.0, ">= 0"), "scale_max": (float, 1.5, ">= 0"),
         "points": (int, 61, ">= 1"),
     }, {k: v for k, v in _PHYSICS.items() if k != "delta_ct_rad_per_s"}),
     "drift-monitor": _Row(run_drift_monitor, _SHOTS, {
         "preset": (tuple(DRIFT_PRESETS), "enclosed", ""),
-        "duration_min": (float, 8.0, ">= 0"),
-        "dt_min": (float, 0.1, "> 0"),
-    }),
+        "duration_min": (float, 8.0, ">= 0"), "dt_min": (float, 0.1, "> 0")}),
     "duty-cycle-sweep": _Row(run_duty_cycle_sweep, _BASE, {
-        "ratio_min": (float, 1e-3, "> 0"),
-        "ratio_max": (float, 1.0, "> 0"),
-        "points": (int, 13, ">= 1"),
-        "mitigated": (bool, False, ""),
-        "match_error": (float, DEFAULT_MATCH_ERROR, "> -1"),  # -1 drives no power
-    }),
+        "ratio_min": (float, 1e-3, "> 0"), "ratio_max": (float, 1.0, "> 0"),
+        "points": (int, 13, ">= 1"), "mitigated": (bool, False, ""),
+        "match_error": (float, DEFAULT_MATCH_ERROR, "> -1")}),  # -1 drives no power
     "beam-profile": _Row(run_beam_profile, _BASE, {
-        "x_min_um": (float, -10.0, ""),
-        "x_max_um": (float, 10.0, ""),
-        "points": (int, 401, ">= 1"),
+        "x_min_um": (float, -10.0, ""), "x_max_um": (float, 10.0, ""), "points": (int, 401, ">= 1"),
         "curve": (("clipped", "device", "gaussian"), "clipped", ""),
-        "w0_um": (float, 1.6, "> 0"),
-        "wavelength_nm": (float, 729.0, "> 0"),
-        "na": (float, 0.35, "> 0"),
-        "device_csv": (str, None, ""),
-        "max_refinements": (int, 12, ">= 0"),
-    }),
+        "w0_um": (float, 1.6, "> 0"), "wavelength_nm": (float, 729.0, "> 0"),
+        "na": (float, 0.35, "> 0"), "device_csv": (str, None, ""),
+        "max_refinements": (int, 12, ">= 0")}),
 }
 SCENARIOS = tuple(_ROWS)
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -191,6 +192,11 @@ def test_invalid_values_exit_2_with_one_line(tmp_path, capsys, scenario, doc):
     assert "Traceback" not in err
 
 
+# a small scan of each driven scenario
+_SMALL = {scenario: {"scan": {"n_values": [1, 2]} if scenario.endswith("error") else {"points": 3}}
+          for scenario in ("x-error", "z-error", "phase-scan", "rabi-scan", "amplitude-scan")}
+
+
 def run_quietly(argv):
     """Exit code and stderr lines of one CLI run; every warning is recorded."""
     err = io.StringIO()
@@ -206,11 +212,13 @@ def run_quietly(argv):
     ("beam-profile", {"scan": {"points": 10**14}}),
 ])
 def test_a_scan_too_large_to_hold_exits_2(tmp_path, scenario, doc):
-    # each used to end in a traceback; numpy refuses these allocations at once
+    # each used to end in a traceback, then in numpy's refusal to allocate,
+    # which named no key; the plan's samples bound names the first scan key
     code, err, caught = run_quietly([scenario, "--config", write_config(tmp_path, doc)])
     assert code == EXIT_CONFIG
     assert caught == []
-    assert len(err) == 1 and err[0].startswith("config error: Unable to allocate")
+    key = next(iter(doc["scan"]))
+    assert len(err) == 1 and err[0].startswith(f"config error: {scenario} scan.{key}")
 
 
 def test_a_bare_memory_error_exits_2_with_one_line(tmp_path, monkeypatch):
@@ -317,6 +325,33 @@ def test_noisy_scan_past_the_size_bound_exits_2_naming_shots(tmp_path, monkeypat
          "phase-scan physics.f_ct"),
         # used to compile a table of about 30 GB
         ("x-error", {"method": "quad", "scan": {"n_values": [10**7]}}, "x-error scan.n_values"),
+        # used to exit 2 naming no key: "Python int too large to convert to C
+        # long", "cannot convert float infinity to integer", "state amplitudes
+        # must be finite" or numpy's "Unable to allocate"
+        *[(scenario, {"shots": 2**63}, f"{scenario} shots")
+          for scenario in ("x-error", "drift-monitor")],
+        ("drift-monitor", {"scan": {"duration_min": 1e300, "dt_min": 1e-300}},
+         "drift-monitor scan.duration_min"),
+        ("drift-monitor", {"scan": {"duration_min": 1e15}}, "drift-monitor scan.duration_min"),
+        ("rabi-scan", {"scan": {"t_max_s": 1e305, "points": 3}}, "rabi-scan scan.t_max_s"),
+        ("amplitude-scan", {"scan": {"scale_max": 1e150, "points": 3}}, "scan.scale_max"),
+        *[(scenario, {"scan": {"points": 10**11}}, f"{scenario} scan.points")
+          for scenario in ("phase-scan", "rabi-scan", "duty-cycle-sweep")],
+        # used to exit 0 with angles past 2**42 rad, whose float64 spacing
+        # exceeds 1e-3 rad: 0.67 from the closed form at 10**15 periods
+        ("phase-scan", {"scan": {"points": 3, "n_periods": 10**15}}, "scan.n_periods"),
+        ("rabi-scan", {"scan": {"t_max_s": 1e20, "points": 3}}, "scan.t_max_s"),
+        *[(scenario, {"method": "pcc", "physics": {"f_comp": 1e149}, **_SMALL[scenario]},
+           "physics.f_comp") for scenario in ("x-error", "z-error", "rabi-scan")],
+        *[(scenario, {"method": "pcc", "physics": {"delta_ct_rad_per_s": 1.3e154},
+                      **_SMALL[scenario]}, "physics.delta_ct_rad_per_s")
+          for scenario in ("x-error", "z-error", "rabi-scan")],
+        ("phase-scan", {"physics": {"f_comp": 1e149, "delta_ct_rad_per_s": 1.3e154},
+                        **_SMALL["phase-scan"]}, "physics.f_comp"),
+        ("x-error", {"noise": {"preset": "enclosed", "shot_interval_min": 1e305}, "shots": 10**4,
+                     **_SMALL["x-error"]}, "x-error noise.shot_interval_min"),
+        # used to end in a traceback (ZeroDivisionError)
+        ("beam-profile", {"scan": {"wavelength_nm": 5e-324}}, "beam-profile scan.wavelength_nm"),
     ],
 )
 def test_bad_config_exits_2_naming_the_key(tmp_path, scenario, doc, key):
@@ -328,30 +363,30 @@ def test_bad_config_exits_2_naming_the_key(tmp_path, scenario, doc, key):
     assert key in err[0]
 
 
-@pytest.mark.parametrize("scenario, doc", [
-    *[(scenario, {"physics": {"f_comp": 1e300}}) for scenario in ("x-error", "z-error",
-                                                                  "rabi-scan")],
-    *[(scenario, {"physics": {"delta_ct_rad_per_s": 1e300, "f_ct": 0.0}})
-      for scenario in ("x-error", "z-error")],
-    *[(scenario, {"method": "pcc", "physics": {"f_comp": 1e149}})
-      for scenario in ("x-error", "z-error", "rabi-scan")],
-    *[(scenario, {"method": "pcc", "physics": {"delta_ct_rad_per_s": 1.3e154}})
-      for scenario in ("x-error", "z-error", "rabi-scan")],
-    ("phase-scan", {"physics": {"f_comp": 1e149, "delta_ct_rad_per_s": 1.3e154}}),
+# ids number the rows as they stood before those whose angles pass 2**42 rad
+# (docs 5-11) moved to test_bad_config_exits_2_naming_the_key
+@pytest.mark.parametrize("scenario, doc", [pytest.param(scenario, doc, id=f"{scenario}-doc{i}")
+                                           for i, scenario, doc in [
+    *[(i, scenario, {"physics": {"f_comp": 1e300}})
+      for i, scenario in enumerate(("x-error", "z-error", "rabi-scan"))],
+    *[(i, scenario, {"physics": {"delta_ct_rad_per_s": 1e300, "f_ct": 0.0}})
+      for i, scenario in enumerate(("x-error", "z-error"), 3)],
     # only phase-scan and rabi-scan's default spectator span last crosstalk
-    # pi times, and at f_ct 1e-305 that span stays finite
-    ("x-error", {"physics": {"f_ct": 1e-310}}),
-    ("z-error", {"physics": {"f_ct": 0.0}}),
-    ("rabi-scan", {"physics": {"f_ct": 0.0}, "scan": {"observe": "target", "points": 3}}),
-    ("rabi-scan", {"physics": {"f_ct": 1e-318}, "scan": {"t_max_s": 1e-4, "points": 3}}),
-    ("amplitude-scan", {"physics": {"f_ct": 0.0}}),
-    ("phase-scan", {"physics": {"f_ct": 1e-305}}),
-])
+    # pi times, and at f_ct 1e-305 that span stays finite: the target it
+    # turns by 3e305 rad is not read, and the spectator turns by pi
+    (12, "x-error", {"physics": {"f_ct": 1e-310}}),
+    (13, "z-error", {"physics": {"f_ct": 0.0}}),
+    (14, "rabi-scan", {"physics": {"f_ct": 0.0}, "scan": {"observe": "target", "points": 3}}),
+    (15, "rabi-scan", {"physics": {"f_ct": 1e-318}, "scan": {"t_max_s": 1e-4, "points": 3}}),
+    (16, "amplitude-scan", {"physics": {"f_ct": 0.0}}),
+    (17, "phase-scan", {"physics": {"f_ct": 1e-305}}),
+    # the spectator turns by 3.1e11 rad, inside 2**42
+    (18, "phase-scan", {"scan": {"points": 3, "n_periods": 10**11}}),
+]])
 def test_large_physics_that_does_not_overflow_exits_0(tmp_path, scenario, doc):
     # the tone is dark under none and the crosstalk detuning under f_ct = 0;
     # these squares are finite
-    scan = {"n_values": [1, 2]} if scenario.endswith("error") else {"points": 3}
-    cfg = write_config(tmp_path, {"scan": scan, **doc, "shots": 4})
+    cfg = write_config(tmp_path, {**_SMALL[scenario], **doc, "shots": 4})
     assert main([scenario, "--config", cfg, "--out", str(tmp_path / "out.csv")]) == EXIT_OK
 
 
@@ -463,7 +498,9 @@ def test_shots_flag_exits_2_where_shots_are_not_read(tmp_path, scenario):
 _BAD = st.sampled_from([True, None, "abc", [1], {}, math.nan, math.inf, -1, 0, 1.5, 10**400])
 # physics values at the edges of their ranges
 _EDGE_VALUES = [0.0, -0.0, 5e-324, 1e300]
-_EDGES = st.sampled_from(_EDGE_VALUES)
+# numbers at the edges of what a float64, an int64 or the host holds
+_LIMITS = [0, *_EDGE_VALUES, -1e300, 1e-300, -1e-300, 1e20, 2**63 + 1, 10**11]
+_COUNTS = st.sampled_from([2**63 + 1, 10**11])
 
 
 def _value(kind, default):
@@ -474,7 +511,8 @@ def _value(kind, default):
     elif kind is int:
         valid = st.integers(0, 4)
     elif kind is list:
-        valid = st.lists(st.integers(0, 64), max_size=4)
+        valid = st.one_of(st.lists(st.integers(0, 64), max_size=4),
+                          st.lists(_COUNTS, min_size=1, max_size=2))
     elif kind is str:
         valid = st.sampled_from(["", "missing.csv"])
     elif default:
@@ -493,11 +531,12 @@ def _section(table, extra=st.nothing()):
 def _config(scenario):
     """A config of the keys the scenario's row accepts, valid or not."""
     row = _ROWS[scenario]
+    limits = st.sampled_from(_LIMITS)
     drawn = {
-        "physics": _section(row.physics, _EDGES),
-        "scan": _section(row.scan),
-        "noise": st.one_of(st.none(), _section(_NOISE)),
-        "shots": st.one_of(st.integers(1, 8), _BAD),
+        "physics": _section(row.physics, limits),
+        "scan": _section(row.scan, limits),
+        "noise": st.one_of(st.none(), _section(_NOISE, limits)),
+        "shots": st.one_of(st.integers(1, 8), _COUNTS, _BAD),
         "seed": st.one_of(st.integers(-(2**70), 2**70), _BAD),
         "out": st.one_of(st.sampled_from(["out.csv", "missing-dir/out.csv"]), _BAD),
     }
@@ -517,13 +556,65 @@ def run_doc(scenario, doc):
     return code, err
 
 
+class OverBudget(Exception):
+    """A config larger than any the fuzzer draws to run reached a runner."""
+
+
+_BUDGET = 10**4  # points, pulses or drift steps a drawn config may build
+
+
+def _guard(mp):
+    """Make each runner's entry point raise OverBudget past ``_BUDGET``: the
+    admission plan must refuse every larger config before it allocates."""
+    from xtalk import optics, scenarios
+
+    def guard(owner, name, size):
+        real = getattr(owner, name)
+
+        def entry(*args, **kwargs):
+            if not size(*args, **kwargs) <= _BUDGET:
+                raise OverBudget(f"{name} reached with {size(*args, **kwargs)}")
+            return real(*args, **kwargs)
+        mp.setattr(owner, name, entry)
+
+    calls = []  # the device curve's per-point field reads
+    guard(scenarios, "_train_table", lambda method, counts, *_: sum(counts))
+    guard(scenarios, "_compile_scan", lambda template, ctx, kind, values: len(values))
+    guard(scenarios, "_compile", lambda seqs, ctx: len(seqs))
+    guard(scenarios, "_drift_traces", lambda process, duration, dt, seeds: duration / dt)
+    guard(scenarios, "sample_slow_drift", lambda process, duration, dt, **_: duration / dt)
+    guard(scenarios, "clipped_focus_profile", lambda w0, lam, na, grid, **_: len(grid))
+    guard(scenarios, "gaussian_intensity", lambda grid, w0: len(grid))
+    guard(optics.BeamProfile, "device_field", lambda *_: calls.append(1) or len(calls))
+
+
+def _names_a_key(scenario, doc, line):
+    """Whether ``line`` names a key of ``doc``: ``section.key`` (the physics
+    ranges write ``section: key``), a top-level key after the scenario, or the
+    file a path key holds, which a file error names."""
+    names = [f"{scenario} {key}" for key in doc]
+    names += [f"{section}{sep}{key}" for section, keys in doc.items() if isinstance(keys, dict)
+              for key in [*keys, *(["preset"] if section == "noise" else [])]  # required
+              for sep in (".", ": ")]
+    paths = [doc.get("out"), (doc["scan"] if isinstance(doc.get("scan"), dict) else {}).get(
+        "device_csv")]
+    return (any(re.search(re.escape(name) + r"(?![\w.])", line) for name in names)
+            or any(isinstance(path, str) and path and path in line for path in paths))
+
+
 @pytest.mark.parametrize("scenario", SCENARIOS)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_any_config_exits_0_2_or_3(scenario, data):
-    code, err = run_doc(scenario, data.draw(_config(scenario)))
+    # edge numbers in every section; any exit 2 names what it refused, and
+    # no config past the budget reaches a runner
+    doc = data.draw(_config(scenario))
+    with pytest.MonkeyPatch.context() as mp:
+        _guard(mp)
+        code, err = run_doc(scenario, doc)
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)
     assert code == EXIT_OK or len(err) == 1
+    assert code != EXIT_CONFIG or _names_a_key(scenario, doc, err[0]), err
 
 
 @pytest.mark.parametrize("scenario, key", [
@@ -532,8 +623,7 @@ def test_any_config_exits_0_2_or_3(scenario, data):
 @pytest.mark.parametrize("value", _EDGE_VALUES)
 def test_physics_range_edges_exit_0_or_2(scenario, key, value):
     # a small scan of each scenario: the edges must not reach a traceback
-    scan = {"n_values": [1, 2]} if "n_values" in _ROWS[scenario].scan else {"points": 3}
-    code, err = run_doc(scenario, {"physics": {key: value}, "scan": scan, "shots": 4})
+    code, err = run_doc(scenario, {"physics": {key: value}, **_SMALL[scenario], "shots": 4})
     assert code in (EXIT_OK, EXIT_CONFIG)
     assert code == EXIT_OK or len(err) == 1
 

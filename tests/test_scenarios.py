@@ -397,6 +397,51 @@ class TestStatisticsAndRuntime:
             tracemalloc.stop()
         assert peak < 15e6
 
+    @pytest.mark.parametrize("scenario, doc", [
+        # noisy point-shots: trains, and one-slice points, alone or not
+        ("x-error", {"method": "pcc", "scan": {"n_values": [8]}, "shots": 100_000}),
+        ("x-error", {"method": "none", "scan": {"n_values": [1]}, "shots": 100_000}),
+        ("z-error", {"method": "quad", "scan": {"n_values": [2]}, "shots": 20_000}),
+        ("phase-scan", {"scan": {"points": 2}, "shots": 50_000}),
+        # quad pulses, noiseless and noisy
+        ("x-error", {"method": "quad", "scan": {"n_values": [1, 10, 100, 1000]}}),
+        ("z-error", {"method": "quad", "scan": {"n_values": [1000]}}),
+        ("x-error", {"method": "quad", "scan": {"n_values": [200]}, "shots": 100}),
+        # samples: points, or drift-monitor steps, at their dearest settings
+        ("phase-scan", {"scan": {"points": 3000}}),
+        ("rabi-scan", {"method": "pcc", "scan": {"points": 3000, "observe": "target"}}),
+        ("amplitude-scan", {"method": "quad", "scan": {"points": 500}}),
+        ("drift-monitor", {"scan": {"duration_min": 200.0}}),
+        ("duty-cycle-sweep", {"scan": {"points": 300, "mitigated": True}}),
+        ("beam-profile", {"scan": {"points": 1000}}),
+    ])
+    def test_peak_memory_is_within_the_plan(self, scenario, doc):
+        # the bytes each size of the admission plan is priced at, checked:
+        # a noisy point-shot takes 57 B, or up to 90 B where one point of
+        # one slice runs alone, a quad train pulse 3.2 KB and a sample its
+        # _SAMPLE_BYTES; 2 MB covers the kernel's batch of propagators and
+        # the optics' chunk at these sizes, which no count grows
+        import tracemalloc
+
+        from xtalk import scenarios
+
+        if "shots" in doc:
+            doc = {**doc, "noise": {"preset": "enclosed"}}
+        cfg = make_cfg(scenario, **doc)
+        top = {"shots": cfg.shots, "method": cfg.method}
+        sizes = {quantity: value for quantity, value, _, _ in scenarios._plan(
+            scenario, top, cfg.scan, cfg.noise, cfg.context, cfg.setting)}
+        budget = (2e6 + 90 * sizes.get("draws", 0) + 3200 * sizes.get("pulses", 0)
+                  + sizes.get("samples", 0))
+        run_scenario(make_cfg("x-error", scan={"n_values": [1]}))  # caches filled once
+        tracemalloc.start()
+        try:
+            run_scenario(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget, (peak, budget)
+
 
 class TestDeterminism:
     def test_byte_identical_rerun(self):
