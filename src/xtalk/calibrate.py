@@ -35,7 +35,6 @@ from .pulses import (
     PulseSequence,
     with_pcc,
     _evaluate,
-    _shot_plan,
     _target_drive,
 )
 
@@ -108,9 +107,10 @@ def _measure(seq, varied, values, ctx, shots, seed, keys, channel=SPECTATOR) -> 
     never share draws; without, the analytic populations are returned.
     """
     shots = shots or None
+    if shots is not None and shots < 1:
+        raise ValueError("shots must be >= 1")
     idx = None if shots is None else [next(keys) for _ in values]
-    plan = _shot_plan(len(values), shots, idx, None)
-    scan = _evaluate(*_compile_scan(seq, ctx, varied, values), ctx, shots, seed, *plan)
+    scan = _evaluate(*_compile_scan(seq, ctx, varied, values), ctx, shots, seed, keys=idx)
     return (scan.populations if shots is None else scan.sampled)[:, channel]
 
 

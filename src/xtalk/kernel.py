@@ -15,30 +15,31 @@ slice through ``np.matmul`` of (matrices, 2, 2) stacks for both ions,
 evaluating only the slices of the points still running; leading slices the
 points share, as a shorter train shares those of a longer one, are
 multiplied once.  A noisy scan adds one shot column per shot, each under its
-own spectator phase offset.  Per point, it evaluates each distinct slice
-once for all its shots: rows compare by bit pattern, their start only where
-an ion is detuned.  Shot columns are evaluated and carried only for the ions
-being sampled, and only as the state from the ground state, updated in
-place through the 2x2 entry products written out elementwise; these round
-differently but make one numpy pass instead of one matrix call per shot.
-Shots go in passes of at most a batch of propagators per slice, which bounds
-their memory.  A shot column ends as the excited population ``|c_1|^2`` that
-its draws read, so a sampled value can change only where a draw lands within
-a few ulps of its probability.  Each point's result is bit-identical to
-simulating it alone.  A scan that only varies one value of a one-slice
-sequence (a calibration flop, dial or resonance scan) tiles that sequence's
-one slice, read from its segments, instead of compiling every point, with
-the same table.  A scan whose points hold at most one slice each, as such a
-scan's do, skips the products: a point's propagator is its slice's, the
-value a product from the identity gives (a product could only flip the sign
-of a zero), and each shot's excited population comes from the Rabi formula,
-with no shot propagator (:func:`_excitations`).  :mod:`xtalk.pulses`
-compiles the scans, calls the kernel, which returns whole arrays in the
-caller's point order, and reads each state, from the ground state, as its
-propagator's first column.  Whole 2x2 products are kept: ``np.matmul`` on
-that column alone rounds differently (in most entries of random stacks,
-numpy 2.4) and would move the exactly compared ``stderr`` outputs.  Every
-array has one layout: points first, then any shot axis, then the ion axis.
+own spectator phase offset, for the one ion it samples.  Per point, it
+evaluates each distinct slice once for all its shots: rows compare by bit
+pattern, their start only where an ion is detuned.  A shot column carries
+only that ion's state from the ground state, updated in place through the
+2x2 entry products written out elementwise; these round differently but make
+one numpy pass instead of one matrix call per shot.  Shots go in passes of at
+most a batch of propagators per slice, or of point-shots in a one-slice
+scan, which bounds their memory.  A shot column ends as the excited
+population ``|c_1|^2`` that its draws read, so a sampled value can change
+only where a draw lands within a few ulps of its probability.  Each point's
+result is bit-identical to simulating it alone.  A scan that only varies one
+value of a one-slice sequence (a calibration flop, dial or resonance scan)
+tiles that sequence's one slice, read from its segments, instead of
+compiling every point, with the same table.  A scan whose points hold at most
+one slice each, as such a scan's do, skips the products: a point's
+propagator is its slice's, the value a product from the identity gives (a
+product could only flip the sign of a zero), and each shot's excited
+population comes from the Rabi formula, with no shot propagator
+(:func:`_excitations`).  :mod:`xtalk.pulses` compiles the scans, calls the
+kernel, which returns whole arrays in the caller's point order, and reads
+each state, from the ground state, as its propagator's first column.  Whole
+2x2 products are kept: ``np.matmul`` on that column alone rounds differently
+(in most entries of random stacks, numpy 2.4) and would move the exactly
+compared ``stderr`` outputs.  Every array is point-major; a shot array is
+``(points, shots)``.
 """
 
 from __future__ import annotations
@@ -331,13 +332,13 @@ def _ion_field(table: np.ndarray, offsets, ct_phase: float, ion: int):
 def _slice_propagators(table: np.ndarray, offsets, ct_phase: float,
                        ions=(TARGET, SPECTATOR)) -> np.ndarray:
     """Qubit-frame propagator of every slice for each of ``ions``, shape
-    ``batch + (len(ions), 2, 2)``.
+    ``batch + (ions, 2, 2)``: one entry per ion of ``ions``.
 
     ``table`` and ``offsets`` broadcast to the batch shape.  A slice without
     light leaves the qubit frame inertial, so it is an exact identity.
     """
-    out = np.empty(np.broadcast_shapes(table.shape[:-1], np.shape(offsets))
-                   + (len(ions), 2, 2), dtype=complex)
+    out = np.empty(np.broadcast_shapes(table.shape[:-1], np.shape(offsets)) + np.shape(ions)
+                   + (2, 2), dtype=complex)
     for i, ion in enumerate(ions):
         u = out[..., i, :, :]
         start, dur, det, re, im, quad = _ion_field(table, offsets, ct_phase, ion)
@@ -374,11 +375,11 @@ def _slice_propagators(table: np.ndarray, offsets, ct_phase: float,
     return out
 
 
-def _excitations(table: np.ndarray, offsets, ct_phase: float, ions) -> np.ndarray:
+def _excitations(table: np.ndarray, offsets, ct_phase: float, ion: int) -> np.ndarray:
     """|u_10|^2 of every slice propagator of :func:`_slice_propagators` for
-    each of ``ions``, shape ``batch + (len(ions),)``: the excited population
-    a slice leaves from the ground state, by the Rabi formula
-    ``|Omega|^2 / G^2 sin^2(G t / 2)`` with ``G^2 = |Omega|^2 + Delta^2``.
+    ``ion``, shape ``batch``: the excited population a slice leaves from the
+    ground state, by the Rabi formula ``|Omega|^2 / G^2 sin^2(G t / 2)`` with
+    ``G^2 = |Omega|^2 + Delta^2``.
 
     The orthogonal polarization adds to ``|Omega|^2`` in quadrature, and a
     detuned slice's Z-frame sandwich leaves ``|u_10|`` as it is.  A dark
@@ -386,24 +387,21 @@ def _excitations(table: np.ndarray, offsets, ct_phase: float, ions) -> np.ndarra
     take :func:`_slice_propagators` instead.
     """
     shape = np.broadcast_shapes(table.shape[:-1], np.shape(offsets))
-    out = np.empty(shape + (len(ions),))
-    for i, ion in enumerate(ions):
-        p = out[..., i]
-        _, dur, det, re, im, quad = _ion_field(table, offsets, ct_phase, ion)
-        if not (np.isfinite(re).all() and np.isfinite(im).all() and np.isfinite(quad).all()):
-            raise ValueError("non-finite input")
-        field = re * re + im * im + quad * quad
-        squares = field + det * det
-        # a dark detuned slice's field of 0 gives 0; a tiny G^2 (0 for a dark
-        # resonant slice) is kept out of the division and overwritten below
-        tiny = squares < np.finfo(float).tiny
-        squares = np.where(tiny, 1.0, squares)
-        np.multiply(field / squares, np.sin(0.5 * np.sqrt(squares) * dur) ** 2, out=p)
-        if tiny.any():
-            rows = np.broadcast_to(table, shape + table.shape[-1:])[tiny]
-            u = _slice_propagators(rows, np.broadcast_to(offsets, shape)[tiny], ct_phase, (ion,))
-            p[tiny] = _abs2(u[:, 0, 1, 0].real, u[:, 0, 1, 0].imag)
-    return out
+    _, dur, det, re, im, quad = _ion_field(table, offsets, ct_phase, ion)
+    if not (np.isfinite(re).all() and np.isfinite(im).all() and np.isfinite(quad).all()):
+        raise ValueError("non-finite input")
+    field = re * re + im * im + quad * quad
+    squares = field + det * det
+    # a dark detuned slice's field of 0 gives 0; a tiny G^2 (0 for a dark
+    # resonant slice) is kept out of the division and overwritten below
+    tiny = squares < np.finfo(float).tiny
+    squares = np.where(tiny, 1.0, squares)
+    p = np.multiply(field / squares, np.sin(0.5 * np.sqrt(squares) * dur) ** 2)
+    if tiny.any():
+        rows = np.broadcast_to(table, shape + table.shape[-1:])[tiny]
+        u = _slice_propagators(rows, np.broadcast_to(offsets, shape)[tiny], ct_phase, (ion,))
+        p[tiny] = _abs2(u[:, 0, 1, 0].real, u[:, 0, 1, 0].imag)
+    return p
 
 
 def _identities(points: int) -> np.ndarray:
@@ -443,11 +441,11 @@ def _products(table, begin, count, out, ct_phase: float, marks=None) -> np.ndarr
     return out
 
 
-def _propagate(table: np.ndarray, lengths: np.ndarray, shots, ct_phase: float,
-               ions=(TARGET, SPECTATOR)):
+def _propagate(table: np.ndarray, lengths: np.ndarray, offsets, ct_phase: float,
+               ion: int = SPECTATOR):
     """The kernel: each point's noiseless propagator per ion, shape
     ``(points, 2, 2, 2)``, and the excited populations of its shot columns
-    for ``ions``, shape ``(points, shots, len(ions))``, or None.
+    for ``ion``, shape ``(points, shots)``, or None.
 
     Takes the compiled table, each point's slice count and, in a noisy
     scan, one row of spectator phase offsets (rad) per point, one per shot
@@ -460,9 +458,9 @@ def _propagate(table: np.ndarray, lengths: np.ndarray, shots, ct_phase: float,
     (:func:`_excitations`).  Points come in the caller's order.
     """
     if lengths.max(initial=0) <= 1:
-        return _one_slice_propagate(table, lengths, shots, ct_phase, ions)
+        return _one_slice_propagate(table, lengths, offsets, ct_phase, ion)
     return (_column_propagate(table, lengths, ct_phase),
-            None if shots is None else _shot_propagate(table, lengths, shots, ct_phase, ions))
+            None if offsets is None else _shot_propagate(table, lengths, offsets, ct_phase, ion))
 
 
 def _column_propagate(table, lengths, ct_phase: float) -> np.ndarray:
@@ -502,26 +500,30 @@ def _column_propagate(table, lengths, ct_phase: float) -> np.ndarray:
     return out
 
 
-def _one_slice_propagate(table, lengths, shots, ct_phase: float, ions):
+def _one_slice_propagate(table, lengths, offsets, ct_phase: float, ion: int):
     """:func:`_propagate` of points of at most one slice each: a point's
     propagator is its slice's, and its shot columns' excited populations
-    those of :func:`_excitations`.  Consecutive points go in groups that
-    hold at most the entries of ``_BATCH`` propagators, four per propagator
-    and one float per shot, at least one point a group."""
+    those of :func:`_excitations`.  Column 0 goes in groups of ``_BATCH // 2``
+    points, a batch of propagators, and the shots in passes of at most
+    ``_BATCH`` point-shots: consecutive points, or one point's consecutive
+    shots."""
     n = len(lengths)
-    width = 0 if shots is None else shots.shape[1]
-    group = max(1, 4 * _BATCH // (4 * 2 + width * len(ions)))
     # a point without a slice reads a dark row, whose propagators are exact identities
     rows = np.where(lengths > 0, np.cumsum(lengths) - 1, len(table))
     table = np.append(table, np.zeros((1, _COLUMNS)), axis=0)
     u = np.empty((n, 2, 2, 2), dtype=complex)
-    probs = None if shots is None else np.empty((n, width, len(ions)))
+    for g0 in range(0, n, _BATCH // 2):
+        u[g0:g0 + _BATCH // 2] = _slice_propagators(table[rows[g0:g0 + _BATCH // 2]], 0.0, ct_phase)
+    if offsets is None:
+        return u, None
+    width = offsets.shape[1]
+    probs = np.empty((n, width))
+    group = max(1, _BATCH // width)
     for g0 in range(0, n, group):
-        where = table[rows[g0:g0 + group]]
-        u[g0:g0 + group] = _slice_propagators(where, 0.0, ct_phase)
-        if shots is not None:
-            probs[g0:g0 + group] = _excitations(where[:, None], shots[g0:g0 + group], ct_phase,
-                                                ions)
+        where = table[rows[g0:g0 + group], None]
+        for s0 in range(0, width, _BATCH):
+            probs[g0:g0 + group, s0:s0 + _BATCH] = _excitations(
+                where, offsets[g0:g0 + group, s0:s0 + _BATCH], ct_phase, ion)
     return u, probs
 
 
@@ -554,27 +556,25 @@ def _windows(ids: list, ends: list, cost: int) -> list:
     return cuts + [len(ends) - 1]
 
 
-def _shot_propagate(table, lengths, shots, ct_phase: float, ions) -> np.ndarray:
-    """The shot columns of :func:`_propagate`: per point, shot and ion of
-    ``ions``, the excited population ``|c_1|^2`` of the state from the
-    ground state under that shot's phase offset, shape ``(points, shots,
-    len(ions))``.
+def _shot_propagate(table, lengths, offsets, ct_phase: float, ion: int) -> np.ndarray:
+    """The shot columns of :func:`_propagate`: per point and shot, the
+    excited population ``|c_1|^2`` of ``ion``'s state from the ground state
+    under that shot's phase offset, shape ``(points, shots)``.
 
-    Shots run in passes of at most ``_BATCH // len(ions)``; each shot's
-    arithmetic is elementwise, so a pass leaves every value as it is.  Per
-    point, each distinct table row (:func:`_distinct`) is evaluated once
-    for all the pass's shots of ``ions``.  Consecutive points whose distinct
-    rows take at most ``_BATCH`` propagators run as one group through
-    :func:`_shot_states`; a point beyond that runs alone.
+    Shots run in passes of at most ``_BATCH``; each shot's arithmetic is
+    elementwise, so a pass leaves every value as it is.  Per point, each
+    distinct table row (:func:`_distinct`) is evaluated once for all the
+    pass's shots.  Consecutive points whose distinct rows take at most
+    ``_BATCH`` propagators run as one group through :func:`_shot_states`; a
+    point beyond that runs alone.
     """
-    n, width = shots.shape
-    out = np.empty((n, width, len(ions)))
+    n, width = offsets.shape
+    out = np.empty((n, width))
     first = np.cumsum(lengths) - lengths
     ids, distinct = _distinct(table, lengths)
-    step = max(1, _BATCH // len(ions))
-    for s0 in range(0, width, step):
-        part_shots = shots[:, s0:s0 + step]
-        cost = part_shots.shape[1] * len(ions)  # propagators evaluated per distinct row
+    for s0 in range(0, width, _BATCH):
+        part_offsets = offsets[:, s0:s0 + _BATCH]
+        cost = part_offsets.shape[1]  # propagators evaluated per distinct row
         weight = (np.maximum(distinct, 1) * cost).tolist()  # a state costs as much as a row
         g0 = 0
         while g0 < n:
@@ -583,37 +583,37 @@ def _shot_propagate(table, lengths, shots, ct_phase: float, ions) -> np.ndarray:
                 total, g1 = total + weight[g1], g1 + 1
             part = np.arange(g0, g1)
             order = part[np.argsort(-lengths[part], kind="stable")]  # longest first
-            c1 = _shot_states(table, ids, first[order], lengths[order], part_shots[order],
-                              ct_phase, ions)[..., 1]
-            out[order, s0:s0 + step] = _abs2(c1.real, c1.imag)
+            c1 = _shot_states(table, ids, first[order], lengths[order], part_offsets[order],
+                              ct_phase, ion)
+            out[order, s0:s0 + _BATCH] = _abs2(c1.real, c1.imag)
             g0 = g1
     return out
 
 
-def _shot_states(table, ids, begin, count, shots, ct_phase: float, ions) -> np.ndarray:
-    """The shot states of :func:`_shot_propagate` for points longest first,
-    shape ``(points, shots, len(ions), 2)``.
+def _shot_states(table, ids, begin, count, offsets, ct_phase: float, ion: int) -> np.ndarray:
+    """The excited amplitudes ``c_1`` of :func:`_shot_propagate`'s states
+    for points longest first, shape ``(points, shots)``.
 
     The steps go in :func:`_windows`, each evaluating its distinct rows in
     one call, and step k updates the states of the leading ``m_k`` points
     in place, each entry ``c_i`` becoming ``u_i0 c_0 + u_i1 c_1``.
     """
-    points, width = shots.shape
+    points, width = offsets.shape
     steps = np.arange(count[0])
     running = np.searchsorted(-count, -steps)
     ends = np.cumsum(np.append(0, running))  # entries before each step
     live = np.arange(points) < running[:, None]
     rows, at = (begin + steps[:, None])[live], np.nonzero(live)[1]  # step-major entries
     keys = ids[rows]
-    states = np.zeros((points, width, len(ions), 2), dtype=complex)
-    states[..., 0] = 1.0
-    cuts = _windows(keys.tolist(), ends.tolist(), width * len(ions))
+    c0, c1 = np.ones((points, width), dtype=complex), np.zeros((points, width), dtype=complex)
+    cuts = _windows(keys.tolist(), ends.tolist(), width)
     for k0, k1 in zip(cuts[:-1], cuts[1:]):
         e0, e1 = ends[k0], ends[k1]
         _, pick, inverse = np.unique(keys[e0:e1], return_index=True, return_inverse=True)
-        u = _slice_propagators(table[rows[e0:e1][pick, None]], shots[at[e0:e1][pick]], ct_phase,
-                               ions)
+        u = _slice_propagators(table[rows[e0:e1][pick, None]], offsets[at[e0:e1][pick]], ct_phase,
+                               (ion,))[..., 0, :, :]
         for k in range(k0, k1):
-            c, step = states[:running[k]], u[inverse[ends[k] - e0:ends[k + 1] - e0]]
-            c[:] = step[..., 0] * c[..., 0:1] + step[..., 1] * c[..., 1:2]
-    return states
+            m, step = running[k], u[inverse[ends[k] - e0:ends[k + 1] - e0]]
+            c0[:m], c1[:m] = (step[..., 0, 0] * c0[:m] + step[..., 0, 1] * c1[:m],
+                              step[..., 1, 0] * c0[:m] + step[..., 1, 1] * c1[:m])
+    return c1

@@ -9,15 +9,18 @@ frame so that off-resonant light also produces the physical phase shifts.
 Simulation runs in one kernel, :mod:`xtalk.kernel`, in three calls: compile
 a slice table, propagate it (``kernel._propagate``), sample it
 (``_evaluate``).  :func:`simulate_scan` evolves both ions from the ground
-state through one sequence per scan point; :func:`sequence_unitaries`
-returns one sequence's gate per ion, for any other initial state (``gate @
-state.vector``).  Trains of pi pulses repeat one block (``_train``):
-:func:`pi_trains` unrolls it, the shorter trains prefixes of the longest,
-whose shared slices the kernel multiplies once.  ``_train_table`` compiles
-the trains, Ramsey-wrapped or not, from the block and each train's block
-count without building them, and ``kernel._compile_scan`` a scan that
-varies only the duration, the tone's dial or the target detuning of one
-square pulse: the same tables, byte for byte.
+state through one sequence per scan point, noiseless; phase noise comes
+only from a scenario's ``noise`` block, whose drift offsets ``_evaluate``
+applies to the spectator channel, sampling the one ion the scenario
+reports.  :func:`sequence_unitaries` returns one sequence's gate per ion,
+for any other initial state (``gate @ state.vector``).  Trains of pi pulses
+repeat one block (``_train``): :func:`pi_trains` unrolls it, the shorter
+trains prefixes of the longest, whose shared slices the kernel multiplies
+once.  ``_train_table`` compiles the trains, Ramsey-wrapped or not, from the
+block and each train's block count without building them, and
+``kernel._compile_scan`` a scan that varies only the duration, the tone's
+dial or the target detuning of one square pulse: the same tables, byte for
+byte.
 """
 
 from __future__ import annotations
@@ -334,29 +337,21 @@ def sequence_unitaries(seq: PulseSequence, ctx: CrosstalkContext) -> dict:
     return {ch: u[ch] for ch in (TARGET, SPECTATOR)}
 
 
-def simulate_scan(
-    seqs,
-    ctx: CrosstalkContext,
-    shots: int | None = None,
-    seed: int | None = None,
-    point_indices=None,
-    phase_noise=None,
-) -> SimulationResult:
+def simulate_scan(seqs, ctx: CrosstalkContext, shots: int | None = None,
+                  seed: int | None = None) -> SimulationResult:
     """Evolve both ions from the ground state through one sequence per scan
     point, in one kernel call; each final state is its propagator's first
     column.
 
     ``seqs`` may be any iterable.  ``shots``, if given, samples both ions
-    that many times per point.  Per point, ``point_indices`` (default ``0,
-    1, ...``) keys those draws on ``(seed, index)`` (``seed`` defaults to
-    0), and ``phase_noise`` holds ``shots`` offsets (rad) of the whole
-    spectator channel, modeling differential path phase drift.  Returns one
-    :class:`SimulationResult` with a leading point axis.  A drive amplitude
-    scale goes into the sequences (:func:`scaled`).
+    that many times per point, point i from the stream ``(seed, i)``
+    (``seed`` defaults to 0).  Returns one :class:`SimulationResult` with a
+    leading point axis.  A drive amplitude scale goes into the sequences
+    (:func:`scaled`).
     """
-    seqs = list(seqs)
-    plan = _shot_plan(len(seqs), shots, point_indices, phase_noise)
-    return _evaluate(*_compile(seqs, ctx), ctx, shots, seed, *plan)
+    if shots is not None and shots < 1:
+        raise ValueError("shots must be >= 1")
+    return _evaluate(*_compile(seqs, ctx), ctx, shots, seed)
 
 
 def _train_table(method: str, counts, ctx: CrosstalkContext, setting=None, close_phases=None):
@@ -371,50 +366,31 @@ def _train_table(method: str, counts, ctx: CrosstalkContext, setting=None, close
     return _compile_segments(segments, ctx)
 
 
-def _shot_plan(n: int, shots, point_indices, phase_noise):
-    """Checks the shot arguments of an ``n``-point scan.  Returns each
-    point's spectator phase offset per shot, from its ``phase_noise`` row
-    (None without noise), and its stream key."""
-    if shots is None and phase_noise is not None:
-        raise ValueError("phase_noise needs shots")
-    if shots is not None and shots < 1:
-        raise ValueError("shots must be >= 1")
-    keys = list(range(n) if point_indices is None else point_indices)
-    if len(keys) != n:
-        raise ValueError("point_indices must hold one key per point")
-    if phase_noise is None:
-        return None, keys
-    if len(phase_noise) != n:
-        raise ValueError("phase_noise must hold one row per point")
-    offsets = np.empty((n, shots))
-    for row, noise in zip(offsets, phase_noise):
-        if np.size(noise) < shots:
-            raise ValueError("phase_noise must provide one offset per shot")
-        row[:] = np.asarray(noise, dtype=float)[:shots]
-    return offsets, keys
-
-
 def _evaluate(table, lengths, ctx: CrosstalkContext, shots=None, seed=None, offsets=None,
-              keys=None, ions=(TARGET, SPECTATOR)) -> SimulationResult:
+              keys=None, ion=SPECTATOR) -> SimulationResult:
     """The scan result of a compiled table, sampled as :func:`simulate_scan`
-    describes from the offsets and keys of :func:`_shot_plan` if given
-    shots; under phase noise only ``ions`` are, the others' entries NaN."""
-    n, ions = len(lengths), list(ions)
-    u, excited = _propagate(table, lengths, offsets, ctx.ct_phase, ions)
+    describes if given shots, point i from the stream ``(seed, keys[i])``
+    (``keys`` defaults to ``0, 1, ...``).  ``offsets``, one row of spectator
+    phase offsets (rad) per point, one per shot, makes a noisy scan: only
+    ``ion`` is sampled, the other's entries NaN."""
+    n = len(lengths)
+    u, excited = _propagate(table, lengths, offsets, ctx.ct_phase, ion)
     amplitudes = u[..., 0]
     check_states(amplitudes)
     populations = _abs2(amplitudes[..., 1].real, amplitudes[..., 1].imag)
-    streams = [] if shots is None else _streams([0 if seed is None else seed], keys)
-    sampled = None if shots is None else np.full((n, 2), np.nan)
+    if shots is None:
+        return SimulationResult(amplitudes, populations)
+    streams = _streams([0 if seed is None else seed], range(n) if keys is None else keys)
+    sampled = np.full((n, 2), np.nan)
     if excited is not None:
-        # one draw per shot and ion, column 0 the target and 1 the
-        # spectator, whichever ions are sampled, so that no draw moves
+        # two draws per shot, column 0 the target's and 1 the spectator's,
+        # whichever ion is sampled, so that no draw moves
         draws = np.empty((n, shots, 2))
         for stream, out in zip(streams, draws):
             stream.random(out=out)
-        hits = draws[:, :, ions] < np.clip(excited, 0.0, 1.0)
-        sampled[:, ions] = np.count_nonzero(hits, axis=1) / shots
-    elif shots is not None:
+        hits = draws[..., ion] < np.clip(excited, 0.0, 1.0)
+        sampled[:, ion] = np.count_nonzero(hits, axis=1) / shots
+    else:
         # analytic populations may round just past 1
         for p, stream, out in zip(np.clip(populations, 0.0, 1.0), streams, sampled):
             out[:] = [stream.binomial(shots, pk) / shots for pk in p.tolist()]

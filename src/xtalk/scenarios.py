@@ -28,8 +28,8 @@ from .kernel import _compile, _compile_scan
 from .noise import (AomModel, DRIFT_PRESETS, DEFAULT_MATCH_ERROR, duty_cycle_drift_rate,
                     ramsey_phase_probe, sample_slow_drift, _drift_traces)
 from .optics import BeamProfile, clipped_focus_profile, gaussian_intensity
-from .pulses import (SPECTATOR, TARGET, pi_trains, scaled, with_pcc, _evaluate, _shot_plan,
-                     _target_drive, _train_table)
+from .pulses import (SPECTATOR, TARGET, pi_trains, scaled, with_pcc, _evaluate, _target_drive,
+                     _train_table)
 from .schema import resolve
 
 __all__ = ["ScenarioConfig", "ScanResult", "run_scenario", "SCENARIOS"]
@@ -61,9 +61,9 @@ _NOISY = {**_DRIVEN, "noise": (dict, None, "")}
 # what a scenario without these keys runs with, hashes and prints
 _UNREAD = {"method": "none", "physics": {}, "noise": None, "shots": 200}
 # Per quantity of a config's plan (_plan): its bound and message.  A size bound
-# holds a tracemalloc peak near 0.6 GB (57 B a noisy point-shot, 90 B in a lone
-# one-slice point; 3.2 KB a quad pulse; a sample its _SAMPLE_BYTES).  Past 2**42
-# rad an angle's float64 spacing exceeds 1e-3 rad: a read channel keeps no digit.
+# holds a tracemalloc peak near 0.6 GB (41 B a noisy point-shot; 3.2 KB a quad
+# pulse; a sample its _SAMPLE_BYTES).  Past 2**42 rad an angle's float64
+# spacing exceeds 1e-3 rad: a read channel keeps no digit.
 _NOISY_DRAWS = 10**7
 _TRAIN_PULSES = 2 * 10**5
 _BOUNDS = {
@@ -242,14 +242,13 @@ def _sweep(cfg: ScenarioConfig, x, compiled, channel: int = SPECTATOR) -> ScanRe
     slice counts: per point the population of ``channel``, its shot
     estimate and binomial error.  A ``noise`` block's drift offsets the
     spectator channel per shot, and only ``channel`` is sampled."""
-    phase_noise = None
+    offsets = None
     if cfg.noise is not None:
         process = DRIFT_PRESETS[cfg.noise["preset"]]()
         dt = cfg.noise["shot_interval_min"]
         seeds = [(cfg.seed + 7919) * 65537 + i for i in range(len(x))]
-        phase_noise = _drift_traces(process, dt * cfg.shots, dt, seeds)[:, 1:]
-    plan = _shot_plan(len(x), cfg.shots, None, phase_noise)
-    res = _evaluate(*compiled, cfg.context, cfg.shots, cfg.seed, *plan, ions=(channel,))
+        offsets = _drift_traces(process, dt * cfg.shots, dt, seeds)[:, 1:]
+    res = _evaluate(*compiled, cfg.context, cfg.shots, cfg.seed, offsets, ion=channel)
     mean = res.populations[:, channel]
     return _result(cfg, x, mean, res.sampled[:, channel], _binomial_stderr(mean, cfg.shots))
 

@@ -67,7 +67,7 @@ OPTIONAL_PARAMETERS = {
     "pulses.square_pi": ["phase"],
     "pulses.pi_trains": ["ctx", "setting", "phase"],
     "pulses.ramsey_wrap": ["close_phase"],
-    "pulses.simulate_scan": ["shots", "seed", "point_indices", "phase_noise"],
+    "pulses.simulate_scan": ["shots", "seed"],
 }
 MODULES = ("calibrate", "dynamics", "field", "fitting", "noise", "optics", "pulses",
            "scenarios")

@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xtalk.dynamics import QubitState, rz
 from xtalk.errors import ChannelConflictError
@@ -242,17 +245,24 @@ class TestSimulate:
         assert abs(res.sampled[0, SPECTATOR] - p) < 5.0 * sigma
 
     def test_shot_sampling_deterministic(self):
-        a = simulate_scan([square_pi(OMEGA)], CTX, shots=500, seed=9, point_indices=[3])
-        b = simulate_scan([square_pi(OMEGA)], CTX, shots=500, seed=9, point_indices=[3])
+        # point i draws from the stream (seed, i), whatever the other points
+        a = simulate_scan([square_pi(OMEGA)] * 4, CTX, shots=500, seed=9)
+        b = simulate_scan([square_pi(OMEGA)] * 4, CTX, shots=500, seed=9)
         assert np.array_equal(a.sampled, b.sampled)
-        c = simulate_scan([square_pi(OMEGA)], CTX, shots=500, seed=9, point_indices=[4])
-        assert (not np.array_equal(a.sampled, c.sampled)
-                or a.sampled[0, SPECTATOR] == c.sampled[0, SPECTATOR])
+        from xtalk.kernel import _compile
+
+        for key in range(4):
+            alone = evaluate_compiled(_compile([square_pi(OMEGA)], CTX), CTX, shots=500, seed=9,
+                                      keys=[key])
+            assert np.array_equal(alone.sampled[0], a.sampled[key])
+        assert len({tuple(row) for row in a.sampled.tolist()}) > 1
 
     def test_phase_noise_shifts_cancellation(self):
         seq = with_pcc(square_pi(OMEGA), CTX, CompensationSetting(1.0, math.pi))
-        offsets = np.full(400, 0.3)
-        res = simulate_scan([seq], CTX, shots=400, seed=1, phase_noise=[offsets])
+        from xtalk.kernel import _compile
+
+        offsets = np.full((1, 400), 0.3)
+        res = evaluate_compiled(_compile([seq], CTX), CTX, shots=400, seed=1, offsets=offsets)
         # a static 0.3 rad offset leaves a known residual error
         from xtalk.field import pi_pulse_error
 
@@ -447,13 +457,13 @@ def loop_table(seq, ctx, scale=1.0):
     return np.array(rows, dtype=float).reshape(-1, 2 + 12)
 
 
-def evaluate_compiled(compiled, ctx, shots=None, seed=None, point_indices=None,
-                      phase_noise=None, ions=(TARGET, SPECTATOR)):
-    """simulate_scan's sampling of a compiled table and its slice counts."""
-    from xtalk.pulses import _evaluate, _shot_plan
+def evaluate_compiled(compiled, ctx, shots=None, seed=None, keys=None, offsets=None,
+                      ion=SPECTATOR):
+    """The sampling of a compiled table and its slice counts: simulate_scan's
+    without ``offsets``, else a noisy scenario's, which samples ``ion``."""
+    from xtalk.pulses import _evaluate
 
-    plan = _shot_plan(len(compiled[1]), shots, point_indices, phase_noise)
-    return _evaluate(*compiled, ctx, shots, seed, *plan, ions)
+    return _evaluate(*compiled, ctx, shots, seed, offsets, keys, ion)
 
 
 class TestKernel:
@@ -502,17 +512,18 @@ class TestKernel:
             scales = rng.uniform(0.5, 1.5, size=3)
             offsets = rng.normal(size=(3, 3))  # one per shot
             table, lengths = _compile([scaled(s, x) for s, x in zip(seqs, scales)], ctx)
-            kernel = zip(*_propagate(table, lengths, offsets, ctx.ct_phase))
-            for seq, scale, shifts, (u, probs) in zip(seqs, scales, offsets, kernel):
-                # column 0 the whole noiseless gate, each shot the excited
-                # population from the ground state under its offset
-                ref = reference_unitaries(seq, ctx, scale, 0.0)
-                for ion in (TARGET, SPECTATOR):
-                    assert np.max(np.abs(u[ion] - ref[ion])) < 1e-12
-                for j, offset in enumerate(shifts):
-                    ref = reference_unitaries(seq, ctx, scale, offset)
-                    for ion in (TARGET, SPECTATOR):
-                        assert abs(probs[j, ion] - abs(ref[ion][1, 0]) ** 2) < 1e-12
+            for ion in (TARGET, SPECTATOR):
+                kernel = zip(*_propagate(table, lengths, offsets, ctx.ct_phase, ion))
+                for seq, scale, shifts, (u, probs) in zip(seqs, scales, offsets, kernel):
+                    # column 0 the whole noiseless gate of both ions, each
+                    # shot ion's excited population from the ground state
+                    # under its offset
+                    ref = reference_unitaries(seq, ctx, scale, 0.0)
+                    for each in (TARGET, SPECTATOR):
+                        assert np.max(np.abs(u[each] - ref[each])) < 1e-12
+                    for j, offset in enumerate(shifts):
+                        ref = reference_unitaries(seq, ctx, scale, offset)
+                        assert abs(probs[j] - abs(ref[ion][1, 0]) ** 2) < 1e-12
 
     @pytest.mark.parametrize("amp", [1e-150, 1e-160, 1e-162, 1e-200])
     def test_tiny_fields_match_scalar_reference(self, amp):
@@ -540,40 +551,42 @@ class TestKernel:
         assert np.array_equal(alone, first_point([quad_1, sk1_3]))
 
     def test_scan_matches_one_point_simulations(self):
+        from xtalk.kernel import _compile
+
         setting = CompensationSetting(1.0, math.pi)
         seqs = [seq for seq, _ in pi_trains("pcc", OMEGA, [3, 1], CTX, setting)]
-        noise = [np.linspace(0.0, 0.5, 50), np.linspace(-0.3, 0.1, 50)]
-        scan = simulate_scan(seqs, CTX, shots=50, seed=4, point_indices=[7, 8], phase_noise=noise)
-        for i, (seq, index, offsets) in enumerate(zip(seqs, (7, 8), noise)):
-            alone = simulate_scan([seq], CTX, shots=50, seed=4, point_indices=[index],
-                                  phase_noise=[offsets])
-            assert np.array_equal(scan.populations[i], alone.populations[0])
-            assert np.array_equal(scan.sampled[i], alone.sampled[0])
-
-    @pytest.mark.parametrize("rows", [1, 3])
-    def test_phase_noise_needs_one_row_per_point(self, rows):
-        # one row short used to run the last point with zero offsets
-        [(seq, _)] = pi_trains("pcc", OMEGA, [1], CTX, CompensationSetting(1.0, math.pi))
-        seqs = [seq] * 2
-        with pytest.raises(ValueError, match="one row per point"):
-            simulate_scan(seqs, CTX, shots=4, phase_noise=[np.ones(4)] * rows)
+        noise = np.array([np.linspace(0.0, 0.5, 50), np.linspace(-0.3, 0.1, 50)])
+        for ion in (TARGET, SPECTATOR):
+            scan = evaluate_compiled(_compile(seqs, CTX), CTX, shots=50, seed=4, keys=[7, 8],
+                                     offsets=noise, ion=ion)
+            for i, (seq, index) in enumerate(zip(seqs, (7, 8))):
+                alone = evaluate_compiled(_compile([seq], CTX), CTX, shots=50, seed=4,
+                                          keys=[index], offsets=noise[i:i + 1], ion=ion)
+                assert np.array_equal(scan.populations[i], alone.populations[0])
+                assert np.array_equal(scan.sampled[i], alone.sampled[0], equal_nan=True)
 
     @pytest.mark.parametrize("noisy", [False, True])
     def test_scan_returns_point_arrays(self, noisy):
+        from xtalk.kernel import _compile
+
         seqs = [seq for seq, _ in pi_trains("sk1", OMEGA, [1, 4, 2], CTX)]
-        noise = [np.linspace(0.0, 0.4 * k, 30) for k in range(3)] if noisy else None
-        scan = simulate_scan(seqs, CTX, shots=30, seed=2, phase_noise=noise)
-        assert scan.amplitudes.shape == (3, 2, 2)
-        assert scan.populations.shape == scan.sampled.shape == (3, 2)
-        for i, seq in enumerate(seqs):
-            alone = simulate_scan([seq], CTX, shots=30, seed=2, point_indices=[i],
-                                  phase_noise=None if noise is None else [noise[i]])
-            assert np.array_equal(scan.amplitudes[i], alone.amplitudes[0])
-            assert np.array_equal(scan.populations[i], alone.populations[0])
-            assert np.array_equal(scan.sampled[i], alone.sampled[0])
+        noise = np.array([np.linspace(0.0, 0.4 * k, 30) for k in range(3)]) if noisy else None
+        for ion in (TARGET, SPECTATOR):
+            scan = evaluate_compiled(_compile(seqs, CTX), CTX, shots=30, seed=2, offsets=noise,
+                                     ion=ion)
+            assert scan.amplitudes.shape == (3, 2, 2)
+            assert scan.populations.shape == scan.sampled.shape == (3, 2)
+            # a noisy scan samples only its ion
+            assert np.isfinite(scan.sampled[:, ion]).all()
+            assert np.isnan(scan.sampled[:, 1 - ion]).all() == noisy
+            for i, seq in enumerate(seqs):
+                alone = evaluate_compiled(_compile([seq], CTX), CTX, shots=30, seed=2, keys=[i],
+                                          offsets=None if noise is None else noise[i:i + 1],
+                                          ion=ion)
+                assert np.array_equal(scan.amplitudes[i], alone.amplitudes[0])
+                assert np.array_equal(scan.populations[i], alone.populations[0])
+                assert np.array_equal(scan.sampled[i], alone.sampled[0], equal_nan=True)
         assert simulate_scan(seqs, CTX).sampled is None
-        with pytest.raises(ValueError, match="one key per point"):
-            simulate_scan(seqs, CTX, shots=30, point_indices=[0])
 
     @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
     @pytest.mark.parametrize("wrapped", [False, True], ids=["x-error", "z-error"])
@@ -588,16 +601,21 @@ class TestKernel:
         seqs = [seq for seq, _ in pi_trains(method, OMEGA, counts, ctx, setting)]
         if wrapped:
             seqs = [ramsey_wrap(seq, OMEGA) for seq in seqs]
-        noise = [np.linspace(0.0, 0.2 * i, 20) for i in range(len(counts))] if noisy else None
-        scan = simulate_scan(seqs, ctx, shots=20, seed=3, phase_noise=noise)
-        for i, n in enumerate(counts):
-            [(seq, _)] = pi_trains(method, OMEGA, [n], ctx, setting)
-            alone = simulate_scan([ramsey_wrap(seq, OMEGA) if wrapped else seq], ctx, shots=20,
-                                  seed=3, point_indices=[i],
-                                  phase_noise=None if noise is None else [noise[i]])
-            assert np.array_equal(scan.amplitudes[i], alone.amplitudes[0])
-            assert np.array_equal(scan.populations[i], alone.populations[0])
-            assert np.array_equal(scan.sampled[i], alone.sampled[0])
+        from xtalk.kernel import _compile
+
+        noise = (np.array([np.linspace(0.0, 0.2 * i, 20) for i in range(len(counts))])
+                 if noisy else None)
+        for ion in (TARGET, SPECTATOR):
+            scan = evaluate_compiled(_compile(seqs, ctx), ctx, shots=20, seed=3, offsets=noise,
+                                     ion=ion)
+            for i, n in enumerate(counts):
+                [(seq, _)] = pi_trains(method, OMEGA, [n], ctx, setting)
+                alone = evaluate_compiled(
+                    _compile([ramsey_wrap(seq, OMEGA) if wrapped else seq], ctx), ctx, shots=20,
+                    seed=3, keys=[i], offsets=None if noise is None else noise[i:i + 1], ion=ion)
+                assert np.array_equal(scan.amplitudes[i], alone.amplitudes[0])
+                assert np.array_equal(scan.populations[i], alone.populations[0])
+                assert np.array_equal(scan.sampled[i], alone.sampled[0], equal_nan=True)
 
     @pytest.mark.parametrize("wrapped", [False, True], ids=["x-error", "z-error"])
     @pytest.mark.parametrize("method", ["none", "pcc", "sk1", "quad"])
@@ -609,11 +627,15 @@ class TestKernel:
         seqs = [seq for seq, _ in pi_trains(method, OMEGA, [4, 1, 7, 2], ctx, setting)]
         if wrapped:
             seqs = [ramsey_wrap(seq, OMEGA) for seq in seqs]
+        from xtalk.kernel import _compile
+
         noise = np.random.default_rng(5).normal(0.0, 0.3, size=(len(seqs), 37))
-        noisy = simulate_scan(seqs, ctx, shots=37, seed=1, phase_noise=noise)
         clean = simulate_scan(seqs, ctx)
-        assert np.array_equal(noisy.amplitudes, clean.amplitudes)
-        assert np.array_equal(noisy.populations, clean.populations)
+        for ion in (TARGET, SPECTATOR):
+            noisy = evaluate_compiled(_compile(seqs, ctx), ctx, shots=37, seed=1, offsets=noise,
+                                      ion=ion)
+            assert np.array_equal(noisy.amplitudes, clean.amplitudes)
+            assert np.array_equal(noisy.populations, clean.populations)
 
     @pytest.mark.parametrize("wrapped", [False, True], ids=["x-error", "z-error"])
     @pytest.mark.parametrize("method", ["none", "pcc", "sk1", "quad"])
@@ -636,11 +658,7 @@ class TestKernel:
 
     @pytest.mark.parametrize("kwargs, match", [
         ({"shots": 0}, "shots must be"),
-        ({"shots": 3, "point_indices": [0]}, "one key per point"),
-        ({"shots": 3, "phase_noise": [np.ones(3)]}, "one row per point"),
-        ({"shots": 3, "phase_noise": [np.ones(2)] * 2}, "one offset per shot"),
-        ({"phase_noise": [np.ones(3)] * 2}, "needs shots"),
-    ], ids=["shots", "point-indices", "noise-rows", "noise-shots", "noise-without-shots"])
+    ], ids=["shots"])
     def test_arguments_are_checked_before_compiling(self, kwargs, match):
         # the second sequence fails to compile; a bad argument is named first
         target = ChannelPulse(TARGET, (PulseSegment(OMEGA, 0.0, 0.0, 1e-4),))
@@ -658,18 +676,22 @@ class TestKernel:
         setting = CompensationSetting(0.9, math.pi + 0.8)
         counts = [5, 1, 32, 1, 17, 3, 40, 2, 9, 11, 13]
         seqs = [seq for seq, _ in pi_trains(method, OMEGA, counts, ctx, setting)]
+        from xtalk.kernel import _compile
+
         noise = np.random.default_rng(8).normal(0.0, 0.3, size=(len(seqs), 200))
-        scan = simulate_scan(seqs, ctx, shots=200, seed=2, phase_noise=noise)
-        for i, seq in enumerate(seqs):
-            alone = simulate_scan([seq], ctx, shots=200, seed=2, point_indices=[i],
-                                  phase_noise=noise[i:i + 1])
-            assert np.array_equal(scan.amplitudes[i], alone.amplitudes[0])
-            assert np.array_equal(scan.sampled[i], alone.sampled[0])
+        for ion in (TARGET, SPECTATOR):
+            scan = evaluate_compiled(_compile(seqs, ctx), ctx, shots=200, seed=2, offsets=noise,
+                                     ion=ion)
+            for i, seq in enumerate(seqs):
+                alone = evaluate_compiled(_compile([seq], ctx), ctx, shots=200, seed=2, keys=[i],
+                                          offsets=noise[i:i + 1], ion=ion)
+                assert np.array_equal(scan.amplitudes[i], alone.amplitudes[0])
+                assert np.array_equal(scan.sampled[i], alone.sampled[0], equal_nan=True)
 
     @pytest.mark.parametrize("batch, shots", [(4096, 200), (64, 6), (64, 40), (4, 1)])
     def test_only_real_slices_are_evaluated(self, monkeypatch, batch, shots):
         # the shot path evaluates each distinct row of a point once per shot
-        # of the sampled ions, and no column-0 propagator; shots run in
+        # of the sampled ion, and no column-0 propagator; shots run in
         # passes of at most a batch of propagators per row
         from xtalk import kernel
         from xtalk.pulses import _train_table
@@ -679,9 +701,9 @@ class TestKernel:
 
         def counted(table, offsets, ct_phase, ions=(TARGET, SPECTATOR)):
             if np.ndim(offsets):  # a shot call, one offset per shot; column 0 passes 0.0
-                step = max(1, batch // len(ions))
-                assert np.shape(offsets)[-1] in (min(shots, step), shots % step)
-                sizes.append(len(ions) * np.broadcast(table[..., 0], offsets).size)
+                assert len(ions) == 1
+                assert np.shape(offsets)[-1] in (min(shots, batch), shots % batch)
+                sizes.append(np.broadcast(table[..., 0], offsets).size)
             return evaluate(table, offsets, ct_phase, ions)
 
         monkeypatch.setattr(kernel, "_BATCH", batch)
@@ -698,11 +720,11 @@ class TestKernel:
             keys[(keys[:, 2] == 0.0) & (keys[:, 8] == 0.0), 0] = 0.0
             rows = np.split(keys, np.cumsum(lengths)[:-1])
             distinct = np.array([len({row.tobytes() for row in point}) for point in rows])
-            for ions in ((TARGET, SPECTATOR), (SPECTATOR,), (TARGET,)):
+            for ion in (TARGET, SPECTATOR):
                 sizes.clear()
                 evaluate_compiled(_train_table("sk1", counts, ctx), ctx, shots=shots,
-                                  phase_noise=noise, ions=ions)
-                cost = shots * len(ions)
+                                  offsets=noise, ion=ion)
+                cost = shots
                 if distinct.max() * cost <= batch:
                     assert sum(sizes) == cost * distinct.sum()
                 else:  # a longer point is cut into runs of rows, each run deduplicated
@@ -720,7 +742,7 @@ class TestKernel:
                              ids=["both", "spectator"])
     @pytest.mark.parametrize("method", ["pcc", "quad"])
     def test_shot_passes_change_no_value(self, monkeypatch, method, ions):
-        # at a batch of 64, 300 shots run in passes of 32 or 64: each shot's
+        # at a batch of 64, 300 shots run in passes of 64: each shot's
         # arithmetic is elementwise, so every value stays as in one pass
         from xtalk import kernel
         from xtalk.pulses import _train_table
@@ -732,17 +754,19 @@ class TestKernel:
                                 [math.pi + 0.1 * n for n in counts])
         noise = np.random.default_rng(7).normal(0.0, 0.3, size=(len(counts), 300))
 
-        def run():
-            probs = kernel._propagate(*compiled, noise, ctx.ct_phase, ions)[1]
-            return probs, evaluate_compiled(compiled, ctx, shots=300, seed=2, phase_noise=noise,
-                                            ions=ions)
+        def run(ion):
+            probs = kernel._propagate(*compiled, noise, ctx.ct_phase, ion)[1]
+            return probs, evaluate_compiled(compiled, ctx, shots=300, seed=2, offsets=noise,
+                                            ion=ion)
 
-        probs, scan = run()
-        monkeypatch.setattr(kernel, "_BATCH", 64)
-        passed_probs, passed = run()
-        assert passed_probs.tobytes() == probs.tobytes()
-        assert passed.sampled.tobytes() == scan.sampled.tobytes()
-        assert passed.populations.tobytes() == scan.populations.tobytes()
+        for ion in ions:
+            monkeypatch.setattr(kernel, "_BATCH", 4096)
+            probs, scan = run(ion)
+            monkeypatch.setattr(kernel, "_BATCH", 64)
+            passed_probs, passed = run(ion)
+            assert passed_probs.tobytes() == probs.tobytes()
+            assert passed.sampled.tobytes() == scan.sampled.tobytes()
+            assert passed.populations.tobytes() == scan.populations.tobytes()
 
     @pytest.mark.parametrize("wrapped", [False, True], ids=["x-error", "z-error"])
     @pytest.mark.parametrize("method", ["pcc", "quad"])
@@ -768,11 +792,13 @@ class TestKernel:
         close = [math.pi + 0.1 * n for n in counts] if wrapped else None
         noise = np.random.default_rng(5).normal(0.0, 0.3, size=(len(counts), 37))
         evaluate_compiled(_train_table(method, counts, ctx, setting, close), ctx)
-        clean, calls[:] = list(calls), []
-        evaluate_compiled(_train_table(method, counts, ctx, setting, close), ctx, shots=37, seed=1,
-                          phase_noise=noise, ions=(SPECTATOR,))
-        assert clean and calls == clean
-        assert shot_calls and all(ions == (SPECTATOR,) for _, _, ions in shot_calls)
+        clean = list(calls)
+        for ion in (TARGET, SPECTATOR):
+            calls[:], shot_calls[:] = [], []
+            evaluate_compiled(_train_table(method, counts, ctx, setting, close), ctx, shots=37,
+                              seed=1, offsets=noise, ion=ion)
+            assert clean and calls == clean
+            assert shot_calls and all(ions == (ion,) for _, _, ions in shot_calls)
 
     @pytest.mark.parametrize("shots", [1, 200])
     @pytest.mark.parametrize("pol_overlap", [1.0, 0.8])
@@ -781,7 +807,6 @@ class TestKernel:
         # a trailing dark slice on every point sends the same scan through
         # the product path; a detuned ion's slices are Z-framed
         from xtalk.kernel import _compile
-        from xtalk.pulses import _evaluate, _shot_plan
 
         ctx = CrosstalkContext(omega_0=OMEGA, f_ct=0.096, delta_ct=delta_ct,
                                pol_overlap=pol_overlap, ct_phase=0.7)
@@ -799,11 +824,9 @@ class TestKernel:
         noise = np.random.default_rng(4).normal(0.0, 0.3, size=(len(seqs), shots))
         assert _compile(seqs, ctx)[1].tolist() == [0, 1, 1, 1, 1, 1]
         assert _compile(padded, ctx)[1].tolist() == [1, 2, 2, 2, 2, 2]
-        for phase_noise, ions in ((None, (TARGET, SPECTATOR)), (noise, (TARGET, SPECTATOR)),
-                                  (noise, (SPECTATOR,))):
-            plan = _shot_plan(len(seqs), shots, None, phase_noise)
-            one, general = (_evaluate(*_compile(s, ctx), ctx, shots, 5, *plan, ions)
-                            for s in (seqs, padded))
+        for offsets, ion in ((None, SPECTATOR), (noise, TARGET), (noise, SPECTATOR)):
+            one, general = (evaluate_compiled(_compile(s, ctx), ctx, shots, 5, offsets=offsets,
+                                              ion=ion) for s in (seqs, padded))
             assert one.populations.tobytes() == general.populations.tobytes()
             assert one.sampled.tobytes() == general.sampled.tobytes()  # NaN where unsampled
             assert (one.amplitudes == general.amplitudes).all()
@@ -812,35 +835,40 @@ class TestKernel:
     @pytest.mark.parametrize("ions", [(TARGET, SPECTATOR), (SPECTATOR,)],
                              ids=["both", "spectator"])
     def test_one_slice_groups_stay_within_a_batch(self, monkeypatch, batch, ions):
-        # a group holds four entries per propagator and one float per shot,
-        # at most the entries of a batch of propagators
+        # column 0 goes in groups of half a batch of points, a batch of
+        # propagators, and the shots of the sampled ion in passes of at most
+        # a batch of point-shots: consecutive points, or one point's shots
         from xtalk import kernel
 
-        sizes = []
+        columns, passes = [], []
         propagators, excitations = kernel._slice_propagators, kernel._excitations
 
-        def counted(evaluate, held):
-            def wrapped(table, offsets, ct_phase, ions=(TARGET, SPECTATOR)):
-                sizes.append(held * len(ions) * np.broadcast(table[..., 0], offsets).size)
-                return evaluate(table, offsets, ct_phase, ions)
-            return wrapped
+        def counted_propagators(table, offsets, ct_phase, ions=(TARGET, SPECTATOR)):
+            assert np.ndim(offsets) == 0  # column 0 only: a shot needs no propagator
+            columns.append(len(ions) * np.broadcast(table[..., 0], offsets).size)
+            return propagators(table, offsets, ct_phase, ions)
+
+        def counted_excitations(table, offsets, ct_phase, ion):
+            passes.append(np.broadcast(table[..., 0], offsets).size)
+            return excitations(table, offsets, ct_phase, ion)
 
         monkeypatch.setattr(kernel, "_BATCH", batch)
-        monkeypatch.setattr(kernel, "_slice_propagators", counted(propagators, 4))
-        monkeypatch.setattr(kernel, "_excitations", counted(excitations, 1))
+        monkeypatch.setattr(kernel, "_slice_propagators", counted_propagators)
+        monkeypatch.setattr(kernel, "_excitations", counted_excitations)
         points, shots = 2000, 200
         template = with_pcc(square_pi(OMEGA), CTX, CompensationSetting(0.97, 0.0))
         dials = np.linspace(0.0, 2.0 * math.pi, points)
         noise = np.random.default_rng(6).normal(0.0, 0.3, size=(points, shots))
-        evaluate_compiled(kernel._compile_scan(template, CTX, "phase", dials), CTX, shots=shots,
-                          phase_noise=noise, ions=ions)
-        cost = 4 * 2 + shots * len(ions)  # column 0 of both ions, then the shots of ions
-        assert sum(sizes) == points * cost
-        # per group, one call for column 0 and one for the shots; a group
-        # holds more than the entries of a batch only when one point alone does
-        groups = -(-points // max(1, 4 * batch // cost))
-        assert len(sizes) == 2 * groups
-        assert max(np.add(sizes[0::2], sizes[1::2])) <= max(4 * batch, cost)
+        for ion in ions:
+            columns.clear()
+            passes.clear()
+            evaluate_compiled(kernel._compile_scan(template, CTX, "phase", dials), CTX,
+                              shots=shots, offsets=noise, ion=ion)
+            assert sum(columns) == 2 * points and max(columns) <= batch
+            assert len(columns) == -(-points // (batch // 2))
+            assert sum(passes) == points * shots and max(passes) <= batch
+            group = max(1, batch // shots)
+            assert len(passes) == -(-points // group) * -(-shots // batch)
 
     def test_excitations_match_the_slice_propagators(self):
         # |u_10|^2 of the propagators, for resonant and detuned rows, both
@@ -871,16 +899,16 @@ class TestKernel:
             tiny[:, [0, 6]] = np.where((np.arange(8) % 4 < 2)[:, None], 0.0, field)
             table[12:20, 1] = 3.0 / field[:, 0]
             offsets = rng.normal(0.0, 0.5, (60, 5))
-            for ions in ((TARGET, SPECTATOR), (SPECTATOR,)):
-                probs = _excitations(table[:, None], offsets, 0.7, ions)
-                u = _slice_propagators(table[:, None], offsets, 0.7, ions)
-                assert probs.shape == (60, 5, len(ions))
-                assert np.max(np.abs(probs - np.abs(u[..., 1, 0]) ** 2)) < 1e-14
+            u = _slice_propagators(table[:, None], offsets, 0.7)
+            for ion in (TARGET, SPECTATOR):
+                probs = _excitations(table[:, None], offsets, 0.7, ion)
+                assert probs.shape == (60, 5)
+                assert np.max(np.abs(probs - np.abs(u[..., ion, 1, 0]) ** 2)) < 1e-14
                 assert (probs[:8] == 0.0).all() and (probs[8:12] == 0.0).all()
                 assert (probs[12:20] > 0.0).all()
         offsets[3, 2] = math.nan
         with pytest.raises(ValueError, match="non-finite input"):
-            _excitations(table[:, None], offsets, 0.7, (SPECTATOR,))
+            _excitations(table[:, None], offsets, 0.7, SPECTATOR)
 
     def test_shot_products_match_matmul(self):
         # a step takes each shot's state c to u c, c_i = u_i0 c_0 + u_i1 c_1:
@@ -899,11 +927,13 @@ class TestKernel:
             ids = _distinct(table, lengths)[0]
             u = _slice_propagators(table.reshape(points, 2, 1, _COLUMNS), offsets[:, None], 0.7,
                                    ions)  # (point, row, shot, ion, i, j)
-            one = _shot_states(table, ids, begin, np.ones(points, dtype=int), offsets, 0.7, ions)
-            assert one.shape == (points, shots, len(ions), 2)
-            assert np.array_equal(one, u[:, 0, ..., 0])
-            two = _shot_states(table, ids, begin, lengths, offsets, 0.7, ions)
-            assert np.max(np.abs(two - np.matmul(u[:, 1], u[:, 0])[..., 0])) < 1e-15
+            for i, ion in enumerate(ions):
+                one = _shot_states(table, ids, begin, np.ones(points, dtype=int), offsets, 0.7,
+                                   ion)
+                assert one.shape == (points, shots)
+                assert np.array_equal(one, u[:, 0, :, i, 1, 0])
+                two = _shot_states(table, ids, begin, lengths, offsets, 0.7, ion)
+                assert np.max(np.abs(two - np.matmul(u[:, 1], u[:, 0])[:, :, i, 1, 0])) < 1e-15
 
     def test_trains_are_prefixes_of_the_longest(self):
         setting = CompensationSetting(1.0, math.pi)
@@ -951,16 +981,115 @@ class TestKernel:
         assert scan.amplitudes.shape == (0, 2, 2)
         assert scan.populations.shape == scan.sampled.shape == (0, 2)
 
-    def test_phase_noise_needs_shots(self):
-        # the offsets used to be dropped, giving the noiseless 3.4e-34
-        seq = with_pcc(square_pi(OMEGA), CTX, CompensationSetting(1.0, math.pi))
-        with pytest.raises(ValueError, match="phase_noise needs shots"):
-            simulate_scan([seq], CTX, phase_noise=[np.ones(10)])
-
     def test_non_finite_state_rejected(self):
         ctx = CrosstalkContext(omega_0=1e300, f_ct=0.096)
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="must be finite"):
             simulate_scan([square_pi(1e300)], ctx)
+
+
+@st.composite
+def noisy_scans(draw):
+    """A random noisy scan: its context, a compiler of per-point values
+    (``_train_table`` for x-error and z-error trains, ``_compile_scan`` for
+    a phase or flop scan), the values, a shot count and one row of
+    spectator phase offsets per point."""
+    from xtalk.kernel import _compile_scan
+    from xtalk.pulses import _target_drive, _train_table
+
+    ctx = CrosstalkContext(omega_0=OMEGA, f_ct=0.096,
+                           delta_ct=draw(st.sampled_from([0.0, 0.05 * OMEGA])),
+                           pol_overlap=draw(st.sampled_from([1.0, 0.8])), ct_phase=0.7)
+    kind = draw(st.sampled_from(["x-error", "z-error", "phase", "duration"]))
+    if kind in ("x-error", "z-error"):
+        method = draw(st.sampled_from(["none", "pcc", "sk1", "quad"]))
+        values = draw(st.lists(st.integers(1, 9), min_size=2, max_size=5))
+
+        def build(counts):
+            closes = [math.pi + 0.1 * n for n in counts] if kind == "z-error" else None
+            return _train_table(method, counts, ctx, CompensationSetting(0.9, math.pi + 0.8),
+                                closes)
+    else:
+        template = with_pcc(_target_drive(OMEGA, 2.0 * ctx.t_pi_ct), ctx,
+                            CompensationSetting(0.97, 0.0))
+        high = 2.0 * math.pi if kind == "phase" else 3.0 * ctx.t_pi_ct
+        values = draw(st.lists(st.floats(0.0, high), min_size=1, max_size=6))
+
+        def build(values):
+            return _compile_scan(template, ctx, kind, np.array(values))
+    shots = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    return ctx, build, values, shots, rng.normal(0.0, 0.3, (len(values), shots))
+
+
+def _scan_bytes(res, point=slice(None)):
+    return [None if a is None else a[point].tobytes()
+            for a in (res.amplitudes, res.populations, res.sampled)]
+
+
+class TestKernelProperties:
+    """The kernel's invariants over random noisy scans, through ``_evaluate``
+    for either sampled ion: they need no reference output."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(scan=noisy_scans())
+    def test_each_point_is_its_scan_alone(self, scan):
+        ctx, build, values, shots, offsets = scan
+        for ion in (TARGET, SPECTATOR):
+            whole = evaluate_compiled(build(values), ctx, shots, 5, offsets=offsets, ion=ion)
+            for i, value in enumerate(values):
+                alone = evaluate_compiled(build([value]), ctx, shots, 5, keys=[i],
+                                          offsets=offsets[i:i + 1], ion=ion)
+                assert _scan_bytes(alone) == _scan_bytes(whole, [i])
+
+    @settings(max_examples=40, deadline=None)
+    @given(scan=noisy_scans(), batch=st.sampled_from([8, 64]), data=st.data())
+    def test_results_ignore_the_batch_point_order_and_shot_passes(self, scan, batch, data):
+        # a batch of 8 or 64 cuts columns, groups, windows and shot passes
+        # that a batch of 4,096 holds whole
+        from xtalk import kernel
+
+        ctx, build, values, shots, offsets = scan
+        order = data.draw(st.permutations(range(len(values))))
+        moved = build([values[i] for i in order])
+        for ion in (TARGET, SPECTATOR):
+            probs = kernel._propagate(*build(values), offsets, ctx.ct_phase, ion)[1]
+            whole = evaluate_compiled(build(values), ctx, shots, 5, offsets=offsets, ion=ion)
+            with mock.patch.object(kernel, "_BATCH", batch):
+                cut = kernel._propagate(*build(values), offsets, ctx.ct_phase, ion)[1]
+                batched = evaluate_compiled(build(values), ctx, shots, 5, offsets=offsets,
+                                            ion=ion)
+            assert cut.tobytes() == probs.tobytes()
+            assert _scan_bytes(batched) == _scan_bytes(whole)
+            reordered = kernel._propagate(*moved, offsets[order], ctx.ct_phase, ion)[1]
+            permuted = evaluate_compiled(moved, ctx, shots, 5, keys=order, offsets=offsets[order],
+                                         ion=ion)
+            assert reordered.tobytes() == probs[order].tobytes()
+            assert _scan_bytes(permuted) == _scan_bytes(whole, order)
+
+    @settings(max_examples=40, deadline=None)
+    @given(scan=noisy_scans())
+    def test_noisy_column_0_is_the_noiseless_one(self, scan):
+        ctx, build, values, shots, offsets = scan
+        clean = evaluate_compiled(build(values), ctx)
+        for ion in (TARGET, SPECTATOR):
+            noisy = evaluate_compiled(build(values), ctx, shots, 5, offsets=offsets, ion=ion)
+            assert _scan_bytes(noisy)[:2] == _scan_bytes(clean)[:2]
+
+    @settings(max_examples=40, deadline=None)
+    @given(scan=noisy_scans())
+    def test_populations_lie_in_the_unit_interval(self, scan):
+        # and column 0 stays unitary
+        from xtalk.kernel import _propagate
+
+        ctx, build, values, shots, offsets = scan
+        u, _ = _propagate(*build(values), None, ctx.ct_phase)
+        product = u @ np.swapaxes(u.conj(), -1, -2)
+        assert np.max(np.abs(product - np.eye(2)), initial=0.0) <= 1e-14
+        for ion in (TARGET, SPECTATOR):
+            probs = _propagate(*build(values), offsets, ctx.ct_phase, ion)[1]
+            res = evaluate_compiled(build(values), ctx, shots, 5, offsets=offsets, ion=ion)
+            for p in (probs, res.populations, res.sampled[:, ion]):
+                assert ((p >= 0.0) & (p <= 1.0)).all()
 
 
 def _template_cases(ctx):
@@ -1006,19 +1135,20 @@ class TestTemplateScans:
     @pytest.mark.parametrize("case", range(4), ids=["target-flop", "spectator-flop", "phase",
                                                     "stark"])
     def test_scan_is_the_unrolled_scan(self, case):
-        from xtalk.kernel import _compile_scan
+        from xtalk.kernel import _compile, _compile_scan
 
         template, varied, values, seqs = _template_cases(self.CTX)[case]
         keys = list(range(7, 7 + len(seqs)))
         noise = np.random.default_rng(case).normal(0.0, 0.2, size=(len(seqs), 30))
-        for kwargs in ({}, {"shots": 200, "seed": 3, "point_indices": keys},
-                       {"shots": 30, "seed": 4, "phase_noise": noise}):
+        for kwargs in ({}, {"shots": 200, "seed": 3, "keys": keys},
+                       {"shots": 30, "seed": 4, "offsets": noise, "ion": TARGET},
+                       {"shots": 30, "seed": 4, "offsets": noise, "ion": SPECTATOR}):
             got = evaluate_compiled(_compile_scan(template, self.CTX, varied, values), self.CTX,
                                     **kwargs)
-            ref = simulate_scan(seqs, self.CTX, **kwargs)
+            ref = evaluate_compiled(_compile(seqs, self.CTX), self.CTX, **kwargs)
             for a, b in zip((got.amplitudes, got.populations, got.sampled),
                             (ref.amplitudes, ref.populations, ref.sampled)):
-                assert (a is None and b is None) or np.array_equal(a, b)
+                assert (a is None and b is None) or np.array_equal(a, b, equal_nan=True)
 
     @pytest.mark.parametrize("varied, bad", [
         ("duration", -1e-9), ("duration", math.nan), ("duration", -math.inf),
@@ -1086,6 +1216,7 @@ class TestTrainScans:
     @pytest.mark.parametrize("wrapped", [False, True], ids=["x-error", "z-error"])
     @pytest.mark.parametrize("method", ["none", "pcc", "sk1", "quad"])
     def test_scan_is_the_unrolled_scan(self, method, wrapped):
+        from xtalk.kernel import _compile
         from xtalk.pulses import _train_table
 
         counts = self.COUNTS[-1]
@@ -1093,14 +1224,15 @@ class TestTrainScans:
         seqs = self._unrolled(method, counts, closes)
         noise = np.random.default_rng(4).normal(0.0, 0.2, size=(len(counts), 30))
         for kwargs in ({}, {"shots": 1, "seed": 2}, {"shots": 200, "seed": 3,
-                                                     "point_indices": [9, 7, 5, 3, 1]},
-                       {"shots": 30, "seed": 4, "phase_noise": noise}):
+                                                     "keys": [9, 7, 5, 3, 1]},
+                       {"shots": 30, "seed": 4, "offsets": noise, "ion": TARGET},
+                       {"shots": 30, "seed": 4, "offsets": noise, "ion": SPECTATOR}):
             got = evaluate_compiled(_train_table(method, counts, self.CTX, self.SETTING, closes),
                                     self.CTX, **kwargs)
-            ref = simulate_scan(seqs, self.CTX, **kwargs)
+            ref = evaluate_compiled(_compile(seqs, self.CTX), self.CTX, **kwargs)
             for a, b in zip((got.amplitudes, got.populations, got.sampled),
                             (ref.amplitudes, ref.populations, ref.sampled)):
-                assert (a is None and b is None) or np.array_equal(a, b)
+                assert (a is None and b is None) or np.array_equal(a, b, equal_nan=True)
 
     def test_checks_are_pi_trains_checks(self):
         from xtalk.pulses import _train_table

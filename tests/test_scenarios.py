@@ -384,7 +384,7 @@ class TestStatisticsAndRuntime:
     def test_noisy_train_memory_is_bounded_per_shot(self):
         # the shot columns of a train point used to take about 460 B a shot
         # at once (some 46 MB here); in passes, the drift offsets, draws and
-        # excited populations remain, about 60 B a shot
+        # excited populations remain, about 41 B a shot
         import tracemalloc
 
         cfg = make_cfg("x-error", method="pcc", scan={"n_values": [8]}, shots=100_000,
@@ -417,10 +417,10 @@ class TestStatisticsAndRuntime:
     ])
     def test_peak_memory_is_within_the_plan(self, scenario, doc):
         # the bytes each size of the admission plan is priced at, checked:
-        # a noisy point-shot takes 57 B, or up to 90 B where one point of
-        # one slice runs alone, a quad train pulse 3.2 KB and a sample its
-        # _SAMPLE_BYTES; 2 MB covers the kernel's batch of propagators and
-        # the optics' chunk at these sizes, which no count grows
+        # a noisy point-shot takes 41 B, one point of one slice alone or
+        # not, a quad train pulse 3.2 KB and a sample its _SAMPLE_BYTES;
+        # 2 MB covers the kernel's batch of propagators and the optics'
+        # chunk at these sizes, which no count grows
         import tracemalloc
 
         from xtalk import scenarios
@@ -431,7 +431,7 @@ class TestStatisticsAndRuntime:
         top = {"shots": cfg.shots, "method": cfg.method}
         sizes = {quantity: value for quantity, value, _, _ in scenarios._plan(
             scenario, top, cfg.scan, cfg.noise, cfg.context, cfg.setting)}
-        budget = (2e6 + 90 * sizes.get("draws", 0) + 3200 * sizes.get("pulses", 0)
+        budget = (2e6 + 45 * sizes.get("draws", 0) + 3200 * sizes.get("pulses", 0)
                   + sizes.get("samples", 0))
         run_scenario(make_cfg("x-error", scan={"n_values": [1]}))  # caches filled once
         tracemalloc.start()
@@ -474,8 +474,9 @@ class TestDeterminism:
         assert first == second
         assert len(calls) <= 1
 
-    # simulate_scan's shot counts of both ions, out of 60, for z-error
-    # trains of 3, 1, 6 and 2 pulses under phase noise
+    # each ion's shot counts, out of 60, for z-error trains of 3, 1, 6 and 2
+    # pulses under phase noise: each ion reads its own draws, so these are
+    # the counts of sampling both ions at once
     BOTH_IONS_SAMPLED = {
         "none": [[59, 6], [59, 1], [0, 22], [0, 2]],
         "pcc": [[59, 2], [59, 0], [0, 14], [0, 1]],
@@ -501,29 +502,35 @@ class TestDeterminism:
         single = [run_scenario(cfg).to_csv() for cfg in cfgs]
         sampled = []
 
-        def both_ions(evaluate):
-            def run(*args, ions=None):
-                if ions is None:  # z-error quad's noiseless closing-phase scan
-                    return evaluate(*args)
-                one, both = evaluate(*args, ions=ions), evaluate(*args)
-                sampled.append(ions)
-                spectator = both.sampled[:, SPECTATOR]
-                assert np.array_equal(one.sampled[:, SPECTATOR], spectator)
-                assert np.isnan(one.sampled[:, TARGET]).all() and np.isfinite(both.sampled).all()
-                return both
+        def each_ion(evaluate):
+            def run(*args, ion=SPECTATOR):
+                if len(args) < 6:  # z-error quad's noiseless closing-phase scan
+                    return evaluate(*args, ion=ion)
+                one, other = evaluate(*args, ion=ion), evaluate(*args, ion=TARGET)
+                sampled.append(ion)
+                assert np.isnan(one.sampled[:, TARGET]).all()
+                assert np.isfinite(one.sampled[:, SPECTATOR]).all()
+                assert np.isnan(other.sampled[:, SPECTATOR]).all()
+                assert np.isfinite(other.sampled[:, TARGET]).all()
+                assert np.array_equal(one.populations, other.populations)
+                return one
             return run
 
-        monkeypatch.setattr(scenarios, "_evaluate", both_ions(scenarios._evaluate))
+        monkeypatch.setattr(scenarios, "_evaluate", each_ion(scenarios._evaluate))
         assert [run_scenario(cfg).to_csv() for cfg in cfgs] == single
-        assert sampled == [(SPECTATOR,)] * len(cfgs)
-        # the public scan still samples both ions, with the same draws
+        assert sampled == [SPECTATOR] * len(cfgs)
+        # either ion sampled under the same noise, with the same draws
+        from xtalk.kernel import _compile
+        from xtalk.pulses import _evaluate
+
         ctx = CrosstalkContext(omega_0=OMEGA, f_ct=0.096, delta_ct=0.05 * OMEGA,
                                pol_overlap=0.8, ct_phase=0.7)
         trains = pi_trains(method, OMEGA, [3, 1, 6, 2], ctx, CompensationSetting(1.0, math.pi + 0.7))
         noise = np.random.default_rng(4).normal(0.0, 0.5, size=(4, 60))
-        res = simulate_scan([ramsey_wrap(seq, OMEGA) for seq, _ in trains], ctx, shots=60, seed=4,
-                            phase_noise=noise)
-        assert np.array_equal(res.sampled * 60, self.BOTH_IONS_SAMPLED[method])
+        compiled = _compile([ramsey_wrap(seq, OMEGA) for seq, _ in trains], ctx)
+        counts = [_evaluate(*compiled, ctx, 60, 4, noise, ion=ion).sampled[:, ion] * 60
+                  for ion in (TARGET, SPECTATOR)]
+        assert np.array_equal(np.column_stack(counts), self.BOTH_IONS_SAMPLED[method])
 
     def test_noise_block_reproducible(self):
         cfg = make_cfg(
