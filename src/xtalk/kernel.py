@@ -1,51 +1,31 @@
 """The simulation kernel: slice tables of whole scans and their propagators.
 
 A scan is compiled in one numpy pass into one slice table holding each
-point's own slices in turn: per time slice its start, duration, detuning,
-the fixed field and the spectator channel's term, whose phase moves with the
-per-shot spectator phase offset.  The table is cut from segment columns
-(amplitude, phase, detuning, start, end): :func:`_segments` reads them from
-sequences, and :func:`_train_segments` tiles them from the one block a train
-repeats and each point's block count, with a train's Ramsey pulses and dark
-gaps where ``pulses.ramsey_wrap`` puts them, so the table of an x-error or
-z-error scan is built without unrolling its trains.  Each quantity has one
-path.  Column 0, the noiseless evolution behind the amplitudes and
-populations, runs the points longest first and multiplies them slice by
-slice through ``np.matmul`` of (matrices, 2, 2) stacks for both ions,
-evaluating only the slices of the points still running; leading slices the
-points share, as a shorter train shares those of a longer one, are
-multiplied once.  A noisy scan adds one shot column per shot, each under its
-own spectator phase offset, for the one ion it samples.  Per point, it
-evaluates each distinct slice once for all its shots: rows compare by bit
-pattern, their start only where an ion is detuned.  A shot column carries
-only that ion's state from the ground state, updated in place through the
-2x2 entry products written out elementwise; these round differently but make
-one numpy pass instead of one matrix call per shot.  Shots go in passes of at
-most a batch of propagators per slice, or of point-shots in a one-slice
-scan, which bounds their memory.  A shot column ends as the excited
-population ``|c_1|^2`` that its draws read, so a sampled value can change
-only where a draw lands within a few ulps of its probability.  Each point's
-result is bit-identical to simulating it alone.  A scan that only varies one
-value of a one-slice sequence (a calibration flop, dial or resonance scan)
-tiles that sequence's one slice, read from its segments, instead of
-compiling every point, with the same table.  A scan whose points hold at most
-one slice each, as such a scan's do, skips the products: a point's
-propagator is its slice's, the value a product from the identity gives (a
-product could only flip the sign of a zero), and each shot's excited
-population comes from the Rabi formula, with no shot propagator
-(:func:`_excitations`).  :mod:`xtalk.pulses` compiles the scans, calls the
-kernel, which returns whole arrays in the caller's point order, and reads
-each state, from the ground state, as its propagator's first column.  Whole
-2x2 products are kept: ``np.matmul`` on that column alone rounds differently
-(in most entries of random stacks, numpy 2.4) and would move the exactly
-compared ``stderr`` outputs.  Every array is point-major; a shot array is
-``(points, shots)``.
+point's slices in turn: per slice its start, duration, detuning, the fixed
+field and the spectator channel's term, whose phase moves with each shot's
+phase offset.  :func:`_segments` cuts it from sequences, :func:`_train_segments`
+from the block a train repeats, Ramsey-wrapped or not, with a plan
+(:func:`_compile_train`), and :func:`_compile_scan` from a one-slice template.
+Column 0, the noiseless evolution, runs the points longest first through
+``np.matmul`` of (matrices, 2, 2) stacks for both ions, leading slices the
+points share multiplied once; whole 2x2 products are kept, since ``np.matmul``
+on the first column alone rounds differently and would move the exactly
+compared ``stderr`` outputs.  A noisy scan adds a shot column per shot for
+the one ion it samples, in unit quaternions: its head, its first block's
+product raised to the block count in closed form, and its tail
+(:func:`_shot_propagate`), so a shot costs as much at any pulse count.  Its
+population feeds only the draws, which move only where one lands within
+about 1e-11 of its probability.  Points of at most one slice skip the
+products: a propagator is its slice's, and a shot's population the Rabi
+formula's (:func:`_excitations`).  Shots go in passes of at most ``_BATCH``
+point-shots, which bounds their memory.  Each point's result is
+bit-identical to simulating it alone.  Every array is point-major.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain
+from itertools import accumulate, chain
 from operator import attrgetter
 
 import numpy as np
@@ -63,6 +43,7 @@ SPECTATOR = 1
 _ION_COLUMNS = 6
 _COLUMNS = 2 + 2 * _ION_COLUMNS
 _BATCH = 1 << 12  # slice propagators evaluated at once, bounds the kernel's memory
+_FIELDS = attrgetter("amplitude", "phase", "detuning", "duration")  # a segment's columns
 
 
 def _segments(seqs: list):
@@ -71,8 +52,7 @@ def _segments(seqs: list):
     count of each (point, channel) row, ``2 * point + channel``."""
     per_row = [seq.channel(ch).segments for seq in seqs for ch in (TARGET, SPECTATOR)]
     counts = np.fromiter(map(len, per_row), int, len(per_row))
-    fields = map(attrgetter("amplitude", "phase", "detuning", "duration"),
-                 chain.from_iterable(per_row))
+    fields = map(_FIELDS, chain.from_iterable(per_row))
     values = np.fromiter(chain.from_iterable(fields), float, 4 * counts.sum())
     return _columns(values.reshape(-1, 4), counts)
 
@@ -88,8 +68,7 @@ def _train_segments(block, blocks: np.ndarray, offsets=None, wrap=None):
     longest = int(blocks.max(initial=0))
     tiled, sizes = [], []
     for ch in (TARGET, SPECTATOR):
-        one = np.array([(s.amplitude, s.phase, s.detuning, s.duration)
-                        for s in block.channel(ch).segments], dtype=float).reshape(-1, 4)
+        one = np.array(list(map(_FIELDS, block.channel(ch).segments)), dtype=float).reshape(-1, 4)
         rows = np.tile(one, (longest, 1))
         if ch == TARGET and offsets is not None:
             rows[:, 1] = (one[:, 1] + np.asarray(offsets)[:, None]).ravel()
@@ -120,8 +99,7 @@ def _train_segments(block, blocks: np.ndarray, offsets=None, wrap=None):
 
 def _one(segment):
     """A segment's values as one row, and its channel's total duration."""
-    values = (segment.amplitude, segment.phase, segment.detuning, segment.duration)
-    return np.array([values]), 0.0 + segment.duration
+    return np.array([_FIELDS(segment)]), 0.0 + segment.duration
 
 
 def _columns(values: np.ndarray, counts: np.ndarray):
@@ -222,7 +200,8 @@ def _compile(seqs: list, ctx: CrosstalkContext):
     """Slice tables of all scan points in one pass.
 
     Returns every point's slices (see :func:`_grid`), point after point, as
-    one table of shape ``(slices, _COLUMNS)``, and each point's slice count.
+    one table of shape ``(slices, _COLUMNS)``, each point's slice count and
+    no train plan (None, see :func:`_compile_train`).
     """
     return _compile_segments(_segments(seqs), ctx)
 
@@ -230,7 +209,24 @@ def _compile(seqs: list, ctx: CrosstalkContext):
 def _compile_segments(segments, ctx: CrosstalkContext):
     """:func:`_compile` from the segment columns and row counts instead."""
     start, end, _, lengths, channels = _grid(*segments)
-    return _table(start, end, channels, ctx), lengths
+    return _table(start, end, channels, ctx), lengths, None
+
+
+def _compile_train(block, blocks: np.ndarray, offsets, wrap, alpha: float, ctx: CrosstalkContext):
+    """:func:`_compile` of the trains of :func:`_train_segments` with their
+    plan: each point's head rows (``wrap``'s opener), block count, the
+    block's row count and per ion the frame step ``phi = d T + alpha``:
+    block m + 1 is block m turned, ``Rz(phi) B Rz(-phi)``, as its rows start
+    ``T`` later at detuning ``d`` and ``offsets`` (quad's frames) drive it
+    ``alpha`` further.  Other compiles plan None: every row in the head."""
+    table, lengths, _ = _compile_segments(_train_segments(block, blocks, offsets, wrap), ctx)
+    ends = {t for cp in block.channels for t in accumulate(s.duration for s in cp.segments)}
+    size = len(ends - {0.0})  # the block's slices end where either channel's segments do
+    head = 0 if wrap is None else 1
+    det = table[head:head + size, 2::_ION_COLUMNS]  # the first block's, per ion: 0 or its d
+    d = det[np.abs(det).argmax(axis=0), [TARGET, SPECTATOR]] if len(det) else 0.0
+    step = d * block.total_duration + alpha
+    return table, lengths, (np.full(len(lengths), head), blocks, size, step)
 
 
 def _compile_scan(seq, ctx: CrosstalkContext, varied: str, values: np.ndarray):
@@ -277,7 +273,7 @@ def _compile_scan(seq, ctx: CrosstalkContext, varied: str, values: np.ndarray):
     keep = end - start > 1e-9 * np.maximum(end, 1e-300)
     start, end, lit, amp, phase, det = (a[..., keep] for a in (start, end, lit, amp, phase, det))
     lengths = keep.astype(int)
-    return _table(start, end, (lit, amp, phase, det), ctx), lengths
+    return _table(start, end, (lit, amp, phase, det), ctx), lengths, None
 
 
 def _table(start, end, channels, ctx: CrosstalkContext) -> np.ndarray:
@@ -441,26 +437,23 @@ def _products(table, begin, count, out, ct_phase: float, marks=None) -> np.ndarr
     return out
 
 
-def _propagate(table: np.ndarray, lengths: np.ndarray, offsets, ct_phase: float,
+def _propagate(table: np.ndarray, lengths: np.ndarray, plan, offsets, ct_phase: float,
                ion: int = SPECTATOR):
     """The kernel: each point's noiseless propagator per ion, shape
     ``(points, 2, 2, 2)``, and the excited populations of its shot columns
     for ``ion``, shape ``(points, shots)``, or None.
 
-    Takes the compiled table, each point's slice count and, in a noisy
-    scan, one row of spectator phase offsets (rad) per point, one per shot
-    (else None).  Each quantity has one owner: :func:`_column_propagate`
-    multiplies column 0, the noiseless evolution, and
-    :func:`_shot_propagate` the shot columns.  A scan whose points have at
-    most one slice each, as every template scan's do, takes neither:
-    :func:`_one_slice_propagate` evaluates each slice once, with no
-    products, and its shot populations by the Rabi formula
-    (:func:`_excitations`).  Points come in the caller's order.
+    Takes the compiled table, slice counts and train plan, and in a noisy
+    scan one row of spectator phase offsets (rad) per point, one per shot
+    (else None).  :func:`_column_propagate` multiplies column 0, the
+    noiseless evolution, and :func:`_shot_propagate` the shot columns.  A
+    scan whose points have at most one slice each takes neither
+    (:func:`_one_slice_propagate`).  Points come in the caller's order.
     """
     if lengths.max(initial=0) <= 1:
         return _one_slice_propagate(table, lengths, offsets, ct_phase, ion)
-    return (_column_propagate(table, lengths, ct_phase),
-            None if offsets is None else _shot_propagate(table, lengths, offsets, ct_phase, ion))
+    return (_column_propagate(table, lengths, ct_phase), None if offsets is None else
+            _shot_propagate(table, lengths, plan, offsets, ct_phase, ion))
 
 
 def _column_propagate(table, lengths, ct_phase: float) -> np.ndarray:
@@ -502,11 +495,9 @@ def _column_propagate(table, lengths, ct_phase: float) -> np.ndarray:
 
 def _one_slice_propagate(table, lengths, offsets, ct_phase: float, ion: int):
     """:func:`_propagate` of points of at most one slice each: a point's
-    propagator is its slice's, and its shot columns' excited populations
-    those of :func:`_excitations`.  Column 0 goes in groups of ``_BATCH // 2``
-    points, a batch of propagators, and the shots in passes of at most
-    ``_BATCH`` point-shots: consecutive points, or one point's consecutive
-    shots."""
+    propagator is its slice's, evaluated once with no products, in groups of
+    ``_BATCH // 2`` points, and its shots' excited populations those of the
+    Rabi formula (:func:`_excitations`), in :func:`_passes`."""
     n = len(lengths)
     # a point without a slice reads a dark row, whose propagators are exact identities
     rows = np.where(lengths > 0, np.cumsum(lengths) - 1, len(table))
@@ -516,104 +507,79 @@ def _one_slice_propagate(table, lengths, offsets, ct_phase: float, ion: int):
         u[g0:g0 + _BATCH // 2] = _slice_propagators(table[rows[g0:g0 + _BATCH // 2]], 0.0, ct_phase)
     if offsets is None:
         return u, None
-    width = offsets.shape[1]
-    probs = np.empty((n, width))
-    group = max(1, _BATCH // width)
-    for g0 in range(0, n, group):
-        where = table[rows[g0:g0 + group], None]
-        for s0 in range(0, width, _BATCH):
-            probs[g0:g0 + group, s0:s0 + _BATCH] = _excitations(
-                where, offsets[g0:g0 + group, s0:s0 + _BATCH], ct_phase, ion)
+    probs = np.empty(offsets.shape)
+    for p, s in _passes(*offsets.shape):
+        probs[p, s] = _excitations(table[rows[p], None], offsets[p, s], ct_phase, ion)
     return u, probs
 
 
-def _distinct(table: np.ndarray, lengths: np.ndarray):
-    """Each row's id among the distinct rows of its point, and each point's
-    count of them.  Rows compare by bit pattern, their start only where an
-    ion is detuned: only a detuned lit slice reads it, in its Z-frame
-    sandwich."""
-    point = np.repeat(np.arange(len(lengths)), lengths)
-    keys = np.column_stack([point, table.view(np.int64)])
-    keys[(table[:, 2] == 0.0) & (table[:, 2 + _ION_COLUMNS] == 0.0), 1] = 0
-    rows = keys.view(np.dtype((np.void, keys.shape[1] * 8))).ravel()  # one bytes value a row
-    _, rep, ids = np.unique(rows, return_index=True, return_inverse=True)
-    return ids, np.bincount(point[rep], minlength=len(lengths))
+def _passes(points: int, width: int) -> list:
+    """``(points, shots)`` slices in passes of at most ``_BATCH``
+    point-shots: consecutive points, or one point's consecutive shots."""
+    group = max(1, _BATCH // width)
+    return [(slice(g0, g0 + group), slice(s0, s0 + _BATCH))
+            for g0 in range(0, points, group) for s0 in range(0, width, _BATCH)]
 
 
-def _windows(ids: list, ends: list, cost: int) -> list:
-    """Cuts of a group's steps, step k holding entries ``ends[k]`` to
-    ``ends[k + 1]`` of ``ids``, into runs whose distinct ids take at most
-    ``_BATCH`` propagators of ``cost`` each, at least one step a run."""
-    if len(set(ids)) * cost <= _BATCH:
-        return [0, len(ends) - 1]
-    cuts, seen = [0], set()
-    for k in range(len(ends) - 1):
-        step = set(ids[ends[k]:ends[k + 1]])
-        if seen and (len(seen) + len(step - seen)) * cost > _BATCH:
-            cuts.append(k)
-            seen = set()
-        seen |= step
-    return cuts + [len(ends) - 1]
+def _hamilton(p, q) -> tuple:
+    """The Hamilton product ``p q`` of quaternions ``(a, b, c, d)``: that of
+    their propagators ``U = a - i(b X + c Y + d Z)``, in that order."""
+    a, b, c, d = p
+    w, x, y, z = q
+    return (a * w - b * x - c * y - d * z, a * x + b * w + c * z - d * y,
+            a * y - b * z + c * w + d * x, a * z + b * y - c * x + d * w)
 
 
-def _shot_propagate(table, lengths, offsets, ct_phase: float, ion: int) -> np.ndarray:
+def _power(q, k, phi: float) -> tuple:
+    """``Rz(k phi) (Rz(-phi) q)^k`` of quaternions ``q`` and powers ``k``,
+    with ``Rz(x) = (cos x/2, 0, 0, sin x/2)``: a unit quaternion
+    ``(cos t, sin t v)`` to the power k is ``(cos kt, sin kt v)``."""
+    if phi:
+        q = _hamilton((math.cos(0.5 * phi), 0.0, 0.0, -math.sin(0.5 * phi)), q)
+    norm = np.hypot(np.hypot(q[1], q[2]), q[3])
+    angle = k * np.arctan2(norm, q[0])
+    scale = np.sin(angle) / np.where(norm > 0.0, norm, 1.0)
+    power = (np.cos(angle), *(scale * x for x in q[1:]))
+    if phi:
+        power = _hamilton((np.cos(0.5 * k * phi), 0.0, 0.0, np.sin(0.5 * k * phi)), power)
+    return power
+
+
+def _shot_propagate(table, lengths, plan, offsets, ct_phase: float, ion: int) -> np.ndarray:
     """The shot columns of :func:`_propagate`: per point and shot, the
-    excited population ``|c_1|^2`` of ``ion``'s state from the ground state
-    under that shot's phase offset, shape ``(points, shots)``.
+    excited population of ``ion``'s state from the ground state under that
+    shot's phase offset, shape ``(points, shots)``.
 
-    Shots run in passes of at most ``_BATCH``; each shot's arithmetic is
-    elementwise, so a pass leaves every value as it is.  Per point, each
-    distinct table row (:func:`_distinct`) is evaluated once for all the
-    pass's shots.  Consecutive points whose distinct rows take at most
-    ``_BATCH`` propagators run as one group through :func:`_shot_states`; a
-    point beyond that runs alone.
+    A propagator is a unit quaternion (:func:`_hamilton`) and a state from
+    the ground state its first column, ``(a - i d, c - i b)``, of population
+    ``b^2 + c^2``.  A point-shot's state is ``tail Rz(k phi) (Rz(-phi) B)^k
+    head`` (:func:`_power`), B its first block's product under its offset.
+    Each call of a pass (:func:`_passes`) evaluates at most a batch of
+    propagators, at least one row of the pass.
     """
-    n, width = offsets.shape
-    out = np.empty((n, width))
-    first = np.cumsum(lengths) - lengths
-    ids, distinct = _distinct(table, lengths)
-    for s0 in range(0, width, _BATCH):
-        part_offsets = offsets[:, s0:s0 + _BATCH]
-        cost = part_offsets.shape[1]  # propagators evaluated per distinct row
-        weight = (np.maximum(distinct, 1) * cost).tolist()  # a state costs as much as a row
-        g0 = 0
-        while g0 < n:
-            g1, total = g0 + 1, weight[g0]
-            while g1 < n and total + weight[g1] <= _BATCH:
-                total, g1 = total + weight[g1], g1 + 1
-            part = np.arange(g0, g1)
-            order = part[np.argsort(-lengths[part], kind="stable")]  # longest first
-            c1 = _shot_states(table, ids, first[order], lengths[order], part_offsets[order],
-                              ct_phase, ion)
-            out[order, s0:s0 + _BATCH] = _abs2(c1.real, c1.imag)
-            g0 = g1
+    head, blocks, size, step = plan or (lengths, 0 * lengths, 0, (0.0, 0.0))
+    # per point its head, first block and tail rows, then dark rows: identities
+    count = lengths - (blocks - 1) * size
+    j = np.arange(count.max(initial=0))
+    skipped = np.where(j >= (head + size)[:, None], (blocks - 1)[:, None] * size, 0)
+    real = j < count[:, None]
+    at = np.where(real, (np.cumsum(lengths) - lengths)[:, None] + j + skipped, 0)
+    rows = np.where(real[..., None], table[at], 0.0)
+    opened = head.max(initial=0)  # a train's head is its opener, the same on every point
+    out = np.empty(offsets.shape)
+    for p, s in _passes(*offsets.shape):
+        state = block = None
+        run = _BATCH // offsets[p, s].size
+        for r0 in range(0, rows.shape[1], run):
+            u = _slice_propagators(rows[p, r0:r0 + run, None].swapaxes(0, 1), offsets[p, s],
+                                   ct_phase, (ion,))
+            for r, (u00, u10) in enumerate(np.moveaxis(u[..., 0, :, 0], -1, 1), r0):
+                q = (u00.real, -u10.imag, u10.real, -u00.imag)
+                if opened <= r < opened + size:
+                    block = q if block is None else _hamilton(q, block)
+                    if r < opened + size - 1:
+                        continue
+                    q = _power(block, blocks[p, None], step[ion])
+                state = q if state is None else _hamilton(q, state)
+        out[p, s] = state[1] * state[1] + state[2] * state[2]
     return out
-
-
-def _shot_states(table, ids, begin, count, offsets, ct_phase: float, ion: int) -> np.ndarray:
-    """The excited amplitudes ``c_1`` of :func:`_shot_propagate`'s states
-    for points longest first, shape ``(points, shots)``.
-
-    The steps go in :func:`_windows`, each evaluating its distinct rows in
-    one call, and step k updates the states of the leading ``m_k`` points
-    in place, each entry ``c_i`` becoming ``u_i0 c_0 + u_i1 c_1``.
-    """
-    points, width = offsets.shape
-    steps = np.arange(count[0])
-    running = np.searchsorted(-count, -steps)
-    ends = np.cumsum(np.append(0, running))  # entries before each step
-    live = np.arange(points) < running[:, None]
-    rows, at = (begin + steps[:, None])[live], np.nonzero(live)[1]  # step-major entries
-    keys = ids[rows]
-    c0, c1 = np.ones((points, width), dtype=complex), np.zeros((points, width), dtype=complex)
-    cuts = _windows(keys.tolist(), ends.tolist(), width)
-    for k0, k1 in zip(cuts[:-1], cuts[1:]):
-        e0, e1 = ends[k0], ends[k1]
-        _, pick, inverse = np.unique(keys[e0:e1], return_index=True, return_inverse=True)
-        u = _slice_propagators(table[rows[e0:e1][pick, None]], offsets[at[e0:e1][pick]], ct_phase,
-                               (ion,))[..., 0, :, :]
-        for k in range(k0, k1):
-            m, step = running[k], u[inverse[ends[k] - e0:ends[k + 1] - e0]]
-            c0[:m], c1[:m] = (step[..., 0, 0] * c0[:m] + step[..., 0, 1] * c1[:m],
-                              step[..., 1, 0] * c0[:m] + step[..., 1, 1] * c1[:m])
-    return c1

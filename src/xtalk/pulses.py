@@ -17,10 +17,10 @@ for any other initial state (``gate @ state.vector``).  Trains of pi pulses
 repeat one block (``_train``): :func:`pi_trains` unrolls it, the shorter
 trains prefixes of the longest, whose shared slices the kernel multiplies
 once.  ``_train_table`` compiles the trains, Ramsey-wrapped or not, from the
-block and each train's block count without building them, and
-``kernel._compile_scan`` a scan that varies only the duration, the tone's
-dial or the target detuning of one square pulse: the same tables, byte for
-byte.
+block and each train's block count without building them, with the plan
+that raises a noisy shot's block to its count, and ``kernel._compile_scan``
+a scan that varies only the duration, the tone's dial or the target
+detuning of one square pulse: the same tables, byte for byte.
 """
 
 from __future__ import annotations
@@ -36,8 +36,7 @@ import numpy as np
 from .dynamics import check_states
 from .errors import ChannelConflictError
 from .field import CompensationSetting, CrosstalkContext
-from .kernel import (SPECTATOR, TARGET, _abs2, _compile, _compile_segments, _propagate,
-                     _train_segments)
+from .kernel import SPECTATOR, TARGET, _abs2, _compile, _compile_train, _propagate
 from .noise import _streams
 
 __all__ = [
@@ -332,8 +331,7 @@ class SimulationResult:
 
 def sequence_unitaries(seq: PulseSequence, ctx: CrosstalkContext) -> dict:
     """Total qubit-frame propagator per ion for the full sequence."""
-    table, lengths = _compile([seq], ctx)
-    [u], _ = _propagate(table, lengths, None, ctx.ct_phase)
+    [u], _ = _propagate(*_compile([seq], ctx), None, ctx.ct_phase)
     return {ch: u[ch] for ch in (TARGET, SPECTATOR)}
 
 
@@ -358,23 +356,24 @@ def _train_table(method: str, counts, ctx: CrosstalkContext, setting=None, close
     """``kernel._compile`` of ``pi_trains(method, ctx.omega_0, counts, ctx,
     setting)``, each train :func:`ramsey_wrap`-ped with its closing phase if
     ``close_phases`` holds one per train, without building them: the kernel
-    tiles the trains' block (``kernel._train_segments``), byte for byte."""
+    tiles the trains' block (``kernel._train_segments``), byte for byte, and
+    plans their shots as block powers (``kernel._compile_train``)."""
     block, blocks, _, offsets = _train(method, ctx.omega_0, counts, ctx, setting, 0.0)
     wrap = None if close_phases is None else (
         _ramsey_pulse(ctx.omega_0, 0.0), [_ramsey_pulse(ctx.omega_0, c) for c in close_phases])
-    segments = _train_segments(block, np.array(blocks, dtype=int), offsets, wrap)
-    return _compile_segments(segments, ctx)
+    alpha = quad_frame_step() if method == "quad" else 0.0
+    return _compile_train(block, np.array(blocks, dtype=int), offsets, wrap, alpha, ctx)
 
 
-def _evaluate(table, lengths, ctx: CrosstalkContext, shots=None, seed=None, offsets=None,
+def _evaluate(table, lengths, plan, ctx: CrosstalkContext, shots=None, seed=None, offsets=None,
               keys=None, ion=SPECTATOR) -> SimulationResult:
-    """The scan result of a compiled table, sampled as :func:`simulate_scan`
-    describes if given shots, point i from the stream ``(seed, keys[i])``
-    (``keys`` defaults to ``0, 1, ...``).  ``offsets``, one row of spectator
-    phase offsets (rad) per point, one per shot, makes a noisy scan: only
-    ``ion`` is sampled, the other's entries NaN."""
+    """The scan result of a compiled table and train plan, sampled as
+    :func:`simulate_scan` describes if given shots, point i from the stream
+    ``(seed, keys[i])`` (``keys`` defaults to ``0, 1, ...``).  ``offsets``,
+    one row of spectator phase offsets (rad) per point, one per shot, makes
+    a noisy scan: only ``ion`` is sampled, the other's entries NaN."""
     n = len(lengths)
-    u, excited = _propagate(table, lengths, offsets, ctx.ct_phase, ion)
+    u, excited = _propagate(table, lengths, plan, offsets, ctx.ct_phase, ion)
     amplitudes = u[..., 0]
     check_states(amplitudes)
     populations = _abs2(amplitudes[..., 1].real, amplitudes[..., 1].imag)
@@ -388,7 +387,7 @@ def _evaluate(table, lengths, ctx: CrosstalkContext, shots=None, seed=None, offs
         draws = np.empty((n, shots, 2))
         for stream, out in zip(streams, draws):
             stream.random(out=out)
-        hits = draws[..., ion] < np.clip(excited, 0.0, 1.0)
+        hits = draws[..., ion] < np.clip(excited, 0.0, 1.0, out=excited)
         sampled[:, ion] = np.count_nonzero(hits, axis=1) / shots
     else:
         # analytic populations may round just past 1

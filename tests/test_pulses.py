@@ -494,7 +494,7 @@ class TestKernel:
                 ChannelPulse(SPECTATOR, (PulseSegment(0.0, 0.0, 0.0, 1e-5),
                                          PulseSegment(0.5 * OMEGA, -0.0, -0.0, 1e-5))))))
             scales = rng.uniform(0.0, 1.5, size=len(seqs))
-            table, lengths = _compile([scaled(s, x) for s, x in zip(seqs, scales)], ctx)
+            table, lengths, _ = _compile([scaled(s, x) for s, x in zip(seqs, scales)], ctx)
             reference = np.concatenate([loop_table(s, ctx, x) for s, x in zip(seqs, scales)])
             assert lengths.tolist() == [len(loop_table(s, ctx, x)) for s, x in zip(seqs, scales)]
             assert np.array_equal(table.view(np.int64), reference.view(np.int64))
@@ -511,9 +511,9 @@ class TestKernel:
             seqs = [random_sequence(rng, ctx) for _ in range(3)]
             scales = rng.uniform(0.5, 1.5, size=3)
             offsets = rng.normal(size=(3, 3))  # one per shot
-            table, lengths = _compile([scaled(s, x) for s, x in zip(seqs, scales)], ctx)
+            compiled = _compile([scaled(s, x) for s, x in zip(seqs, scales)], ctx)
             for ion in (TARGET, SPECTATOR):
-                kernel = zip(*_propagate(table, lengths, offsets, ctx.ct_phase, ion))
+                kernel = zip(*_propagate(*compiled, offsets, ctx.ct_phase, ion))
                 for seq, scale, shifts, (u, probs) in zip(seqs, scales, offsets, kernel):
                     # column 0 the whole noiseless gate of both ions, each
                     # shot ion's excited population from the ground state
@@ -540,8 +540,7 @@ class TestKernel:
         from xtalk.kernel import _compile, _propagate
 
         def first_point(seqs):
-            table, lengths = _compile(seqs, CTX)
-            return _propagate(table, lengths, None, CTX.ct_phase)[0][0]
+            return _propagate(*_compile(seqs, CTX), None, CTX.ct_phase)[0][0]
 
         (quad_1, _), (quad_3, _) = pi_trains("quad", OMEGA, [1, 3], CTX)
         [(sk1_3, _)] = pi_trains("sk1", OMEGA, [3], CTX)
@@ -669,8 +668,8 @@ class TestKernel:
 
     @pytest.mark.parametrize("method", ["pcc", "quad"])
     def test_unsorted_points_beyond_one_group_match_alone(self, method):
-        # 200 shots make groups of a few points, and the longer points run
-        # alone in windows; shorter points leave a group as they finish
+        # 200 shots make passes of a few points, each point's block raised
+        # to its own count
         ctx = CrosstalkContext(omega_0=OMEGA, f_ct=0.096, delta_ct=0.05 * OMEGA,
                                pol_overlap=0.8, ct_phase=0.7)
         setting = CompensationSetting(0.9, math.pi + 0.8)
@@ -689,10 +688,11 @@ class TestKernel:
                 assert np.array_equal(scan.sampled[i], alone.sampled[0], equal_nan=True)
 
     @pytest.mark.parametrize("batch, shots", [(4096, 200), (64, 6), (64, 40), (4, 1)])
-    def test_only_real_slices_are_evaluated(self, monkeypatch, batch, shots):
-        # the shot path evaluates each distinct row of a point once per shot
-        # of the sampled ion, and no column-0 propagator; shots run in
-        # passes of at most a batch of propagators per row
+    def test_a_shot_evaluates_one_block_at_any_count(self, monkeypatch, batch, shots):
+        # per shot, a noisy train evaluates its head rows (the opener), one
+        # block and its tail rows (the closer), and no column-0 propagator:
+        # as many at n_values [1, 2] as at [1, 200]; a call evaluates at
+        # most a batch of propagators, at least one row of a pass
         from xtalk import kernel
         from xtalk.pulses import _train_table
 
@@ -702,41 +702,28 @@ class TestKernel:
         def counted(table, offsets, ct_phase, ions=(TARGET, SPECTATOR)):
             if np.ndim(offsets):  # a shot call, one offset per shot; column 0 passes 0.0
                 assert len(ions) == 1
-                assert np.shape(offsets)[-1] in (min(shots, batch), shots % batch)
                 sizes.append(np.broadcast(table[..., 0], offsets).size)
             return evaluate(table, offsets, ct_phase, ions)
 
         monkeypatch.setattr(kernel, "_BATCH", batch)
         monkeypatch.setattr(kernel, "_slice_propagators", counted)
-        counts = [5, 1, 12, 1, 7, 3, 2]
-        noise = np.random.default_rng(3).normal(0.0, 0.2, size=(len(counts), shots))
-        detuned = CrosstalkContext(omega_0=OMEGA, f_ct=0.096, delta_ct=0.05 * OMEGA,
-                                   pol_overlap=0.8)
-        for ctx in (CTX, detuned):
-            seqs = [seq for seq, _ in pi_trains("sk1", OMEGA, counts, ctx)]
-            table, lengths = kernel._compile(seqs, ctx)
-            # a slice reads its start only where an ion is detuned
-            keys = table.copy()
-            keys[(keys[:, 2] == 0.0) & (keys[:, 8] == 0.0), 0] = 0.0
-            rows = np.split(keys, np.cumsum(lengths)[:-1])
-            distinct = np.array([len({row.tobytes() for row in point}) for point in rows])
-            for ion in (TARGET, SPECTATOR):
-                sizes.clear()
-                evaluate_compiled(_train_table("sk1", counts, ctx), ctx, shots=shots,
-                                  offsets=noise, ion=ion)
-                cost = shots
-                if distinct.max() * cost <= batch:
-                    assert sum(sizes) == cost * distinct.sum()
-                else:  # a longer point is cut into runs of rows, each run deduplicated
-                    assert cost * distinct.sum() <= sum(sizes) <= cost * lengths.sum()
-                # one call per run of steps; a run exceeds the batch only
-                # when one row of one point does
-                assert max(sizes) <= max(batch, cost)
-                # every run but the last of a group or point holds more than
-                # half a batch
-                cut = np.count_nonzero(distinct * cost > batch)
-                assert len(sizes) <= 2 * sum(sizes) / batch + 1 + cut
-        assert distinct.sum() == lengths.sum()  # detuned: every start is read
+        ctx = CrosstalkContext(omega_0=OMEGA, f_ct=0.096, delta_ct=0.05 * OMEGA,
+                               pol_overlap=0.8)
+        setting = CompensationSetting(0.9, math.pi + 0.8)
+        noise = np.random.default_rng(3).normal(0.0, 0.2, size=(2, shots))
+        for method, rows in (("none", 1), ("pcc", 1), ("sk1", 3), ("quad", 4)):
+            for wrapped in (False, True):
+                for ion in (TARGET, SPECTATOR):
+                    counted_at = []
+                    for counts in ([1, 2], [1, 200]):
+                        sizes.clear()
+                        close = [math.pi] * 2 if wrapped else None
+                        evaluate_compiled(_train_table(method, counts, ctx, setting, close), ctx,
+                                          shots=shots, offsets=noise, ion=ion)
+                        assert sum(sizes) == 2 * shots * (rows + 2 * wrapped)
+                        assert max(sizes) <= batch
+                        counted_at.append(list(sizes))
+                    assert counted_at[0] == counted_at[1]
 
     @pytest.mark.parametrize("ions", [(TARGET, SPECTATOR), (SPECTATOR,)],
                              ids=["both", "spectator"])
@@ -910,30 +897,33 @@ class TestKernel:
         with pytest.raises(ValueError, match="non-finite input"):
             _excitations(table[:, None], offsets, 0.7, SPECTATOR)
 
-    def test_shot_products_match_matmul(self):
-        # a step takes each shot's state c to u c, c_i = u_i0 c_0 + u_i1 c_1:
-        # from the ground state exactly u's first column, and after that
-        # within rounding of np.matmul's first column
-        from xtalk.kernel import _COLUMNS, _distinct, _shot_states, _slice_propagators
+    def test_block_power_matches_matrix_power(self):
+        # a quaternion's product and power are those of its propagator
+        # U = a - i(b X + c Y + d Z): Rz(k phi) (Rz(-phi) B)^k against
+        # np.linalg.matrix_power, at k = 0, for identities and past a turn
+        from xtalk.kernel import _hamilton, _power
+
+        def matrix(q):
+            a, b, c, d = (np.asarray(x) for x in q)
+            return np.moveaxis(np.array([[a - 1j * d, -c - 1j * b], [c - 1j * b, a + 1j * d]]),
+                               (0, 1), (-2, -1))
 
         rng = np.random.default_rng(9)
-        for points, ions, shots in ((1, (SPECTATOR,), 1), (3, (TARGET, SPECTATOR), 7),
-                                    (5, (TARGET,), 200)):
-            table = np.zeros((2 * points, _COLUMNS))
-            table[:, 1] = rng.uniform(0.1, 2.0, 2 * points) * CTX.t_pi
-            table[:, 2:] = rng.normal(0.0, 0.3 * OMEGA, (2 * points, _COLUMNS - 2))
-            offsets = rng.normal(0.0, 0.5, (points, shots))
-            lengths, begin = np.full(points, 2), 2 * np.arange(points)
-            ids = _distinct(table, lengths)[0]
-            u = _slice_propagators(table.reshape(points, 2, 1, _COLUMNS), offsets[:, None], 0.7,
-                                   ions)  # (point, row, shot, ion, i, j)
-            for i, ion in enumerate(ions):
-                one = _shot_states(table, ids, begin, np.ones(points, dtype=int), offsets, 0.7,
-                                   ion)
-                assert one.shape == (points, shots)
-                assert np.array_equal(one, u[:, 0, :, i, 1, 0])
-                two = _shot_states(table, ids, begin, lengths, offsets, 0.7, ion)
-                assert np.max(np.abs(two - np.matmul(u[:, 1], u[:, 0])[:, :, i, 1, 0])) < 1e-15
+        q = rng.normal(size=(4, 200))
+        q /= np.linalg.norm(q, axis=0)
+        q[:, :2] = [[1.0, -1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+        p = rng.normal(size=(4, 200))
+        p /= np.linalg.norm(p, axis=0)
+        product = matrix(_hamilton(tuple(p), tuple(q)))
+        assert np.max(np.abs(product - matrix(p) @ matrix(q))) < 1e-15
+        k = rng.integers(0, 300, 200)
+        k[2:4] = 0
+        for phi in (0.0, 0.3, -2.1):
+            powered = matrix(_power(tuple(q), k, phi))
+            for i, n in enumerate(k.tolist()):
+                framed = rz(-phi) @ matrix(q[:, i])
+                ref = rz(n * phi) @ np.linalg.matrix_power(framed, n)
+                assert np.max(np.abs(powered[i] - ref)) < 1e-12 * max(n, 1)
 
     def test_trains_are_prefixes_of_the_longest(self):
         setting = CompensationSetting(1.0, math.pi)
@@ -959,7 +949,7 @@ class TestKernel:
         pulse = PulseSequence((ChannelPulse(TARGET, (PulseSegment(OMEGA, 0.3, 0.0, 2**-17),)),))
         gap = PulseSequence((ChannelPulse(TARGET, (PulseSegment(0.0, 0.0, 0.0, 2.0**-19),)),))
         seqs = [concat(pulse, gap, pulse), concat(pulse, pulse)]
-        table, lengths = _compile(seqs, CTX)
+        table, lengths, _ = _compile(seqs, CTX)
         assert lengths.tolist() == [3, 2]
         assert not table[1, 2:].any()  # no light on either ion during the gap
         with_gap, without = (sequence_unitaries(seq, CTX) for seq in seqs)
@@ -1091,6 +1081,41 @@ class TestKernelProperties:
             for p in (probs, res.populations, res.sampled[:, ion]):
                 assert ((p >= 0.0) & (p <= 1.0)).all()
 
+    @settings(max_examples=30, deadline=None)
+    @given(wrapped=st.booleans(), delta_ct=st.sampled_from([0.0, 0.05 * OMEGA]),
+           pol_overlap=st.sampled_from([1.0, 0.8]),
+           counts=st.lists(st.integers(1, 300), min_size=1, max_size=3),
+           shots=st.integers(1, 6), seed=st.integers(0, 2**16))
+    def test_noisy_train_shots_are_the_slice_product(self, wrapped, delta_ct, pol_overlap,
+                                                     counts, shots, seed):
+        # a train's shots, head, block power and tail, against the product
+        # of its table rows from the ground state; each block row lasts as
+        # long as the first block's, as in the power: the table's durations,
+        # differences of running sums, alone move a population by up to
+        # 3e-11 at 300 pulses
+        from xtalk.kernel import _propagate, _slice_propagators
+        from xtalk.pulses import _train_table
+
+        ctx = CrosstalkContext(omega_0=OMEGA, f_ct=0.096, delta_ct=delta_ct,
+                               pol_overlap=pol_overlap, ct_phase=0.7)
+        closes = [math.pi + 0.1 * n for n in counts] if wrapped else None
+        offsets = np.random.default_rng(seed).normal(0.0, 0.3, (len(counts), shots))
+        for method in ("none", "pcc", "sk1", "quad"):
+            table, lengths, plan = _train_table(method, counts, ctx,
+                                                CompensationSetting(0.9, math.pi + 0.8), closes)
+            head, blocks, size, _ = plan
+            for ion in (TARGET, SPECTATOR):
+                probs = _propagate(table, lengths, plan, offsets, ctx.ct_phase, ion)[1]
+                for i, (begin, n) in enumerate(zip(np.cumsum(lengths) - lengths, lengths)):
+                    rows = table[begin:begin + n].copy()
+                    block = rows[head[i]:head[i] + size, 1]
+                    rows[head[i]:head[i] + blocks[i] * size, 1] = np.tile(block, blocks[i])
+                    state = np.zeros((shots, 2, 1), dtype=complex)
+                    state[:, 0] = 1.0
+                    for u in _slice_propagators(rows[:, None], offsets[i], ctx.ct_phase, (ion,)):
+                        state = np.matmul(u[:, 0], state)
+                    assert np.max(np.abs(probs[i] - np.abs(state[:, 1, 0]) ** 2)) < 1e-11
+
 
 def _template_cases(ctx):
     """(template, varied, values, unrolled sequences) per calibration scan."""
@@ -1127,8 +1152,8 @@ class TestTemplateScans:
         from xtalk.kernel import _compile, _compile_scan
 
         template, varied, values, seqs = _template_cases(self.CTX)[case]
-        table, lengths = _compile_scan(template, self.CTX, varied, values)
-        ref_table, ref_lengths = _compile(seqs, self.CTX)
+        table, lengths, _ = _compile_scan(template, self.CTX, varied, values)
+        ref_table, ref_lengths, _ = _compile(seqs, self.CTX)
         assert np.array_equal(lengths, ref_lengths)
         assert table.tobytes() == ref_table.tobytes()
 
@@ -1207,9 +1232,9 @@ class TestTrainScans:
         block, blocks, _, offsets = _train(method, OMEGA, counts, self.CTX, self.SETTING, 0.0)
         wrap = None if closes is None else (_ramsey_pulse(OMEGA, 0.0),
                                             [_ramsey_pulse(OMEGA, c) for c in closes])
-        table, lengths = _compile_segments(
+        table, lengths, _ = _compile_segments(
             _train_segments(block, np.array(blocks), offsets, wrap), self.CTX)
-        ref_table, ref_lengths = _compile(self._unrolled(method, counts, closes), self.CTX)
+        ref_table, ref_lengths, _ = _compile(self._unrolled(method, counts, closes), self.CTX)
         assert np.array_equal(lengths, ref_lengths)
         assert table.tobytes() == ref_table.tobytes()
 
