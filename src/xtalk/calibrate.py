@@ -106,7 +106,6 @@ def _measure(seq, varied, values, ctx, shots, seed, keys, channel=SPECTATOR) -> 
     next ``k`` of ``keys``, a counter shared by repeated scans so that they
     never share draws; without, the analytic populations are returned.
     """
-    shots = shots or None
     if shots is not None and shots < 1:
         raise ValueError("shots must be >= 1")
     idx = None if shots is None else [next(keys) for _ in values]
@@ -124,7 +123,7 @@ def _fit_flop_half_period(seq, ctx, t_guess, shots, seed, keys) -> tuple[float, 
     period and fit a sinusoid."""
     durations = np.linspace(0.0, 2.0 * t_guess, FLOP_POINTS + 1)[1:]
     pops = _measure(seq, "duration", durations, ctx, shots, seed, keys)
-    floor = 5.0 * math.sqrt(0.25 / shots) if shots else 1e-9
+    floor = 1e-9 if shots is None else 5.0 * math.sqrt(0.25 / shots)
     if float(np.max(pops) - np.min(pops)) < floor:
         raise LowSignalError("flop contrast below five times the shot-noise floor")
 
@@ -278,7 +277,7 @@ def _phase_scan_fit(
                 np.array([1.5, 1.5, best + math.pi])),
         jacobian=jacobian,
     )
-    floor = 3.0 * math.sqrt(0.25 / shots) if shots else 1e-6
+    floor = 1e-6 if shots is None else 3.0 * math.sqrt(0.25 / shots)
     if not fit.converged and fit.residual_rms > floor:
         raise FitFailureError("phase fit diverged", diagnostics=fit.diagnostics())
     dial_star = (math.pi + fit.params[2]) % (2.0 * math.pi)

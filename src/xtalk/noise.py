@@ -43,7 +43,6 @@ _POOL = 4
 _STATE_WORDS = 8
 
 
-@lru_cache(maxsize=None)
 def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
     """``init * mult**k`` modulo 2**32 for ``k < n``, a read-only column;
     computed as masked Python ints, as numpy scalars would warn on overflow."""
@@ -53,6 +52,8 @@ def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
     return consts
 
 
+# one hashmix call per pool word, then per ordered pair of them; per state word
+_HASH_A = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL + 1)
 _HASH_B = _hash_constants(_INIT_B, _MULT_B, _STATE_WORDS + 1)
 _OTHERS = [np.array([d for d in range(_POOL) if d != s]) for s in range(_POOL)]
 _STATE_ROWS = np.arange(_STATE_WORDS) % _POOL  # the pool word each state word hashes
@@ -93,46 +94,32 @@ def _seeded_type() -> type:
     return Seeded
 
 
-def _streams(prefix, keys) -> list:
-    """The random stream keyed on ``(*prefix, key)`` for every key of
-    ``keys``, each word modulo 2**64: ``default_rng(SeedSequence(words))``,
-    bit for bit, keyed in one pass as uint32 arithmetic over all keys of one
-    word count at once.
+def _streams(seed, keys) -> list:
+    """The random stream keyed on ``(seed, key)``, or on ``key`` alone if
+    ``seed`` is None, for every key of ``keys``, each value modulo 2**64:
+    ``default_rng(SeedSequence(words))``, bit for bit, keyed in one pass as
+    uint32 arithmetic over all keys at once.
 
+    The seed's one or two words and the key's low and high words fill the
+    four pool words, 0 in any slot left: SeedSequence hashes 0 for every
+    pool word past its entropy, so a key below 2**32 keys as its one word.
     Every seeded draw in the package comes from here, so it never depends on
     the order in which scan points are evaluated.
     """
-    head = [w for p in prefix for w in _words(p)]
+    head = [] if seed is None else _words(seed)
     keyed = np.array([int(k) & _MASK64 for k in keys], dtype=np.uint64)
-    low, high = (keyed & _MASK32).astype(np.uint32), (keyed >> 32).astype(np.uint32)
-    out = [None] * len(keyed)
+    pool = np.zeros((_POOL, len(keyed)), dtype=np.uint32)
+    pool[:len(head)] = np.array(head, dtype=np.uint32)[:, None]
+    pool[len(head)], pool[len(head) + 1] = keyed & _MASK32, keyed >> 32
+    pool = _hashmix(pool, _HASH_A, 0, _POOL)
+    for src, others in enumerate(_OTHERS):  # after the pool's calls and earlier sources'
+        j = _POOL + len(others) * src
+        pool[others] = _mix(pool[others], _hashmix(pool[src], _HASH_A, j, len(others)))
+    words = _hashmix(pool[_STATE_ROWS], _HASH_B, 0, _STATE_WORDS).astype(np.uint64)
+    # uint64 word k is 32-bit words 2k (low) and 2k + 1, per key
+    state = np.ascontiguousarray((words[0::2] | words[1::2] << 32).T)
     seeded = _seeded_type()
-    for where, tail in ((high == 0, (low,)), (high > 0, (low, high))):
-        idx = np.flatnonzero(where)
-        if not len(idx):
-            continue
-        entropy = np.empty((len(head) + len(tail), len(idx)), dtype=np.uint32)
-        entropy[:len(head)] = np.array(head, dtype=np.uint32)[:, None]
-        entropy[len(head):] = [t[idx] for t in tail]
-        # one hashmix call per pool word, per ordered pair of them, then per
-        # pool word and entropy word beyond the pool
-        consts = _hash_constants(_INIT_A, _MULT_A, _POOL * max(len(entropy), _POOL) + 1)
-        pool = np.zeros((_POOL, len(idx)), dtype=np.uint32)
-        pool[:len(entropy)] = entropy[:_POOL]
-        pool = _hashmix(pool, consts, 0, _POOL)
-        j = _POOL
-        for src, others in enumerate(_OTHERS):
-            pool[others] = _mix(pool[others], _hashmix(pool[src], consts, j, len(others)))
-            j += len(others)
-        for word in entropy[_POOL:]:
-            pool = _mix(pool, _hashmix(word, consts, j, _POOL))
-            j += _POOL
-        words = _hashmix(pool[_STATE_ROWS], _HASH_B, 0, _STATE_WORDS).astype(np.uint64)
-        # uint64 word k is 32-bit words 2k (low) and 2k + 1, per key
-        state = np.ascontiguousarray((words[0::2] | words[1::2] << 32).T)
-        for i, s in zip(idx.tolist(), state):
-            out[i] = np.random.Generator(np.random.PCG64(seeded(s)))
-    return out
+    return [np.random.Generator(np.random.PCG64(seeded(s))) for s in state]
 
 
 @dataclass(frozen=True)
@@ -205,11 +192,13 @@ def _drift_traces(process: DriftProcess, duration_min: float, dt_min: float, see
         return np.tile(trace, (len(seeds), 1))
     sigma = math.sqrt(process.diffusion * dt_min)
     steps = np.zeros((len(seeds), n_steps + 1))
-    for row, stream in zip(steps, _streams([], seeds)):
+    for row, stream in zip(steps, _streams(None, seeds)):
         row[1:] = stream.normal(0.0, sigma, size=n_steps)
-    # a sequential sum along each row, as each walk's own np.cumsum: 0 + d is
-    # d, since a draw, 0 + sigma * z, is never -0.0
-    return trace + np.cumsum(steps, axis=1)
+    # a sequential sum along each row, in place, as each walk's own
+    # np.cumsum: 0 + d is d, since a draw, 0 + sigma * z, is never -0.0
+    np.cumsum(steps, axis=1, out=steps)
+    steps += trace
+    return steps
 
 
 @dataclass(frozen=True)
@@ -361,5 +350,5 @@ def ramsey_phase_probe(delta_phi, shots: int, seed: int = 0) -> np.ndarray:
         raise ValueError("shots must be >= 1")
     phases = np.ravel(delta_phi).tolist()
     probs = [min(max(0.5 * (1.0 - math.cos(phi)), 0.0), 1.0) for phi in phases]
-    streams = _streams([seed], range(len(probs)))
+    streams = _streams(seed, range(len(probs)))
     return np.array([float(s.binomial(shots, p)) / shots for p, s in zip(probs, streams)])

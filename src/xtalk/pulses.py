@@ -379,7 +379,7 @@ def _evaluate(table, lengths, plan, ctx: CrosstalkContext, shots=None, seed=None
     populations = _abs2(amplitudes[..., 1].real, amplitudes[..., 1].imag)
     if shots is None:
         return SimulationResult(amplitudes, populations)
-    streams = _streams([0 if seed is None else seed], range(n) if keys is None else keys)
+    streams = _streams(0 if seed is None else seed, range(n) if keys is None else keys)
     sampled = np.full((n, 2), np.nan)
     if excited is not None:
         # two draws per shot, column 0 the target's and 1 the spectator's,

@@ -61,7 +61,7 @@ _NOISY = {**_DRIVEN, "noise": (dict, None, "")}
 # what a scenario without these keys runs with, hashes and prints
 _UNREAD = {"method": "none", "physics": {}, "noise": None, "shots": 200}
 # Per quantity of a config's plan (_plan): its bound and message.  A size bound
-# holds a tracemalloc peak near 0.6 GB (40 B a noisy point-shot; 3.2 KB a quad
+# holds a tracemalloc peak near 0.6 GB (33 B a noisy point-shot; 3.2 KB a quad
 # pulse; a sample its _SAMPLE_BYTES).  Past 2**42 rad an angle's float64
 # spacing exceeds 1e-3 rad: a read channel keeps no digit.
 _NOISY_DRAWS = 10**7

@@ -26,6 +26,20 @@ OMEGA = 2 * math.pi * 50e3
 CTX = CrosstalkContext(omega_0=OMEGA, f_ct=0.096)
 
 
+@pytest.mark.parametrize("calibrate", [
+    lambda shots: measure_pi_time(CTX, shots=shots),
+    lambda shots: calibrate_amplitude(CTX, CTX.t_pi_ct, shots=shots),
+    lambda shots: calibrate_phase(CTX, 1.0, shots=shots),
+    lambda shots: calibrate_stark_shift(CTX, shots=shots),
+    lambda shots: run_full_calibration(CTX, shots=shots),
+], ids=["pi-time", "amplitude", "phase", "stark", "full-chain"])
+@pytest.mark.parametrize("shots", [0, -1])
+def test_calibrators_refuse_fewer_than_one_shot(calibrate, shots):
+    # zero shots is not the analytic populations, which shots=None asks for
+    with pytest.raises(ValueError, match="shots must be >= 1"):
+        calibrate(shots)
+
+
 class TestMeasurePiTime:
     def test_noiseless_closed_form(self):
         t_pi = measure_pi_time(CTX, shots=None)

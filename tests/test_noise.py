@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xtalk.noise import (
     AomModel,
@@ -20,30 +22,28 @@ def _seed_sequence_stream(*words):
     return np.random.default_rng(np.random.SeedSequence([w & 0xFFFFFFFFFFFFFFFF for w in words]))
 
 
-@pytest.mark.parametrize("key", [(0,), (7, 3), (-1, 2**64 + 5), (2**70, -(2**65), 11)])
+# (key,) or (seed, key); the last fills all four pool words with two each
+@pytest.mark.parametrize("key", [(0,), (7, 3), (-1, 2**64 + 5), (2**70 + 2**40 + 9, -(2**33) - 11)])
 def test_rng_is_the_seed_sequence_stream(key):
     from xtalk.noise import _streams
 
     # the stream keyed on ``key``, each word taken modulo 2**64
-    (stream,) = _streams(key[:-1], [key[-1]])
+    (stream,) = _streams(key[0] if len(key) == 2 else None, [key[-1]])
     reference = _seed_sequence_stream(*key)
     assert np.array_equal(stream.random(16), reference.random(16))
 
 
-@pytest.mark.parametrize("prefix", [
-    (0,), (12345,), (2**64 + 17,), (-1,), (),
-    # more than the four pool words: the entropy beyond the pool mixes in
-    (2**40, 7, 2**63, 5),
-], ids=["zero", "small", "past-64-bits", "minus-one", "no-seed", "long"])
-def test_streams_key_each_point_as_seed_sequence(prefix):
+@pytest.mark.parametrize("seed", [0, 12345, 2**64 + 17, -1, None, 2**63 + 2**40 + 5],
+                         ids=["zero", "small", "past-64-bits", "minus-one", "no-seed", "two-words"])
+def test_streams_key_each_point_as_seed_sequence(seed):
     from xtalk.noise import _streams
 
     # one and two 32-bit words in one call, each modulo 2**64
     keys = [0, 1, 2**32, 2**64 + 5, -1, 2**32 - 1, np.int64(9), 2**33 + 7]
-    streams = _streams(prefix, keys)
+    streams = _streams(seed, keys)
     assert len(streams) == len(keys)
     for stream, key in zip(streams, keys):
-        reference = _seed_sequence_stream(*prefix, int(key))
+        reference = _seed_sequence_stream(*([] if seed is None else [seed]), int(key))
         assert stream.bit_generator.state == reference.bit_generator.state
         assert np.array_equal(stream.random(8), reference.random(8))
 
@@ -51,7 +51,21 @@ def test_streams_key_each_point_as_seed_sequence(prefix):
 def test_streams_of_no_keys():
     from xtalk.noise import _streams
 
-    assert _streams([3], []) == []
+    assert _streams(3, []) == []
+
+
+_VALUES = st.integers(-(2**70), 2**70)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.none() | _VALUES, keys=st.lists(_VALUES, min_size=1, max_size=20))
+def test_streams_are_seed_sequence_streams(seed, keys):
+    from xtalk.noise import _streams
+
+    words = [] if seed is None else [seed]
+    for stream, key in zip(_streams(seed, keys), keys, strict=True):
+        reference = _seed_sequence_stream(*words, key)
+        assert stream.bit_generator.state == reference.bit_generator.state
 
 
 class TestSlowDrift:

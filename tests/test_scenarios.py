@@ -384,7 +384,7 @@ class TestStatisticsAndRuntime:
     def test_noisy_train_memory_is_bounded_per_shot(self):
         # the shot columns of a train point used to take about 460 B a shot
         # at once (some 46 MB here); in passes, the drift offsets, draws and
-        # excited populations remain, about 40 B a shot for a lone point
+        # excited populations remain, about 33 B a shot for a lone point
         import tracemalloc
 
         cfg = make_cfg("x-error", method="pcc", scan={"n_values": [8]}, shots=100_000,
@@ -417,8 +417,8 @@ class TestStatisticsAndRuntime:
     ])
     def test_peak_memory_is_within_the_plan(self, scenario, doc):
         # the bytes each size of the admission plan is priced at, checked:
-        # a noisy point-shot takes 33 B, trains or one slice (40 B for a
-        # lone point, whose drift walk peaks higher), a quad train pulse
+        # a noisy point-shot takes 33 B, trains or one slice, a lone point
+        # too (its drift walk is summed in place), a quad train pulse
         # 3.2 KB and a sample its _SAMPLE_BYTES; 2 MB covers the kernel's
         # batch of propagators and the optics' chunk at these sizes, which
         # no count grows
@@ -432,7 +432,7 @@ class TestStatisticsAndRuntime:
         top = {"shots": cfg.shots, "method": cfg.method}
         sizes = {quantity: value for quantity, value, _, _ in scenarios._plan(
             scenario, top, cfg.scan, cfg.noise, cfg.context, cfg.setting)}
-        budget = (2e6 + 41 * sizes.get("draws", 0) + 3200 * sizes.get("pulses", 0)
+        budget = (2e6 + 34 * sizes.get("draws", 0) + 3200 * sizes.get("pulses", 0)
                   + sizes.get("samples", 0))
         run_scenario(make_cfg("x-error", scan={"n_values": [1]}))  # caches filled once
         tracemalloc.start()
