@@ -106,8 +106,6 @@ def _measure(seq, varied, values, ctx, shots, seed, keys, channel=SPECTATOR) -> 
     next ``k`` of ``keys``, a counter shared by repeated scans so that they
     never share draws; without, the analytic populations are returned.
     """
-    if shots is not None and shots < 1:
-        raise ValueError("shots must be >= 1")
     idx = None if shots is None else [next(keys) for _ in values]
     scan = _evaluate(*_compile_scan(seq, ctx, varied, values), ctx, shots, seed, keys=idx)
     return (scan.populations if shots is None else scan.sampled)[:, channel]

@@ -4,22 +4,22 @@ A scan is compiled in one numpy pass into one slice table holding each
 point's slices in turn: per slice its start, duration, detuning, the fixed
 field and the spectator channel's term, whose phase moves with each shot's
 phase offset.  :func:`_segments` cuts it from sequences, :func:`_train_segments`
-from the block a train repeats, Ramsey-wrapped or not, with a plan
-(:func:`_compile_train`), and :func:`_compile_scan` from a one-slice template.
-Column 0, the noiseless evolution, runs the points longest first through
-``np.matmul`` of (matrices, 2, 2) stacks for both ions, leading slices the
-points share multiplied once; whole 2x2 products are kept, since ``np.matmul``
-on the first column alone rounds differently and would move the exactly
-compared ``stderr`` outputs.  A noisy scan adds a shot column per shot for
-the one ion it samples, in unit quaternions: its head, its first block's
-product raised to the block count in closed form, and its tail
-(:func:`_shot_propagate`), so a shot costs as much at any pulse count.  Its
-population feeds only the draws, which move only where one lands within
-about 1e-11 of its probability.  Points of at most one slice skip the
-products: a propagator is its slice's, and a shot's population the Rabi
-formula's (:func:`_excitations`).  Shots go in passes of at most ``_BATCH``
-point-shots, which bounds their memory.  Each point's result is
-bit-identical to simulating it alone.  Every array is point-major.
+from the block a train repeats (an x-error table holds the longest train
+alone), and :func:`_compile_scan` from a one-slice template, each with a plan
+of the rows a point reads and shares (:func:`_compile`).  Column 0, the
+noiseless evolution, multiplies shared rows once, then the rest longest first
+through ``np.matmul`` of (matrices, 2, 2) stacks for both ions; whole 2x2
+products are kept, since ``np.matmul`` on the first column alone rounds
+differently and would move the exactly compared ``stderr`` outputs.  A noisy
+scan adds a shot column per shot for the one ion it samples, in unit
+quaternions: its head, its first block's product raised to the block count
+in closed form, and its tail (:func:`_shot_propagate`), so a shot costs as
+much at any pulse count.  Its population feeds only the draws, which move
+only where one lands within about 1e-11 of its probability.  Points of at
+most one slice skip the products: a propagator is its slice's, and a shot's
+population the Rabi formula's (:func:`_excitations`).  Shots go in passes of
+at most ``_BATCH`` point-shots, which bounds their memory.  Each point's
+result is bit-identical to simulating it alone.  Every array is point-major.
 """
 
 from __future__ import annotations
@@ -61,7 +61,8 @@ def _train_segments(block, blocks: np.ndarray, offsets=None, wrap=None):
     """:func:`_segments` of trains that repeat the sequence ``block``
     ``blocks[i]`` times each, without building them: the block's segments
     tiled.  With ``offsets``, repeat j drives the target at the block's
-    phases plus ``offsets[j]``.  ``wrap``, an opening spectator segment and
+    phases plus ``offsets[j]``.  Unwrapped, only the longest train is cut:
+    every other is its prefix.  ``wrap``, an opening spectator segment and
     one closing segment per train, puts each train between them as
     ``pulses.concat`` does: the other channel dark beside them, and after
     the train a dark gap on a channel that ends before the other."""
@@ -75,7 +76,7 @@ def _train_segments(block, blocks: np.ndarray, offsets=None, wrap=None):
         tiled.append(rows)
         sizes.append(len(one))
     if wrap is None:
-        parts = [rows[:k * size] for k in blocks.tolist() for rows, size in zip(tiled, sizes)]
+        parts = tiled if len(blocks) else []
     else:
         # each channel's duration after each segment of the longest train,
         # summed from 0 in order as ChannelPulse.total_duration sums
@@ -199,9 +200,12 @@ def _grid(columns, counts: np.ndarray):
 def _compile(seqs: list, ctx: CrosstalkContext):
     """Slice tables of all scan points in one pass.
 
-    Returns every point's slices (see :func:`_grid`), point after point, as
-    one table of shape ``(slices, _COLUMNS)``, each point's slice count and
-    no train plan (None, see :func:`_compile_train`).
+    Returns every point's slices (see :func:`_grid`) as one table of shape
+    ``(slices, _COLUMNS)``, each point's slice count and the plan ``(first,
+    head, blocks, size, step)``: per point its first row and block count, the
+    head's and a block's row counts and the frame step (:func:`_compile_train`).
+    A point's first ``head + blocks size`` rows are those of the point of the
+    most blocks; here, of none (:func:`_plan`).
     """
     return _compile_segments(_segments(seqs), ctx)
 
@@ -209,24 +213,32 @@ def _compile(seqs: list, ctx: CrosstalkContext):
 def _compile_segments(segments, ctx: CrosstalkContext):
     """:func:`_compile` from the segment columns and row counts instead."""
     start, end, _, lengths, channels = _grid(*segments)
-    return _table(start, end, channels, ctx), lengths, None
+    return _table(start, end, channels, ctx), lengths, _plan(lengths)
+
+
+def _plan(lengths: np.ndarray) -> tuple:
+    """The plan of points that repeat no block, each after the last."""
+    return np.cumsum(lengths) - lengths, 0, 0 * lengths, 0, (0.0, 0.0)
 
 
 def _compile_train(block, blocks: np.ndarray, offsets, wrap, alpha: float, ctx: CrosstalkContext):
     """:func:`_compile` of the trains of :func:`_train_segments` with their
-    plan: each point's head rows (``wrap``'s opener), block count, the
-    block's row count and per ion the frame step ``phi = d T + alpha``:
-    block m + 1 is block m turned, ``Rz(phi) B Rz(-phi)``, as its rows start
-    ``T`` later at detuning ``d`` and ``offsets`` (quad's frames) drive it
-    ``alpha`` further.  Other compiles plan None: every row in the head."""
-    table, lengths, _ = _compile_segments(_train_segments(block, blocks, offsets, wrap), ctx)
+    plan: one head row (``wrap``'s opener) or none, each train's block
+    count, the block's row count and per ion the frame step ``phi = d T +
+    alpha``: block m + 1 is block m turned, ``Rz(phi) B Rz(-phi)``, as its
+    rows start ``T`` later at detuning ``d`` and ``offsets`` (quad's frames)
+    drive it ``alpha`` further.  Unwrapped, every point reads its rows from
+    row 0, of the longest train."""
+    table, lengths, plan = _compile_segments(_train_segments(block, blocks, offsets, wrap), ctx)
     ends = {t for cp in block.channels for t in accumulate(s.duration for s in cp.segments)}
     size = len(ends - {0.0})  # the block's slices end where either channel's segments do
     head = 0 if wrap is None else 1
     det = table[head:head + size, 2::_ION_COLUMNS]  # the first block's, per ion: 0 or its d
     d = det[np.abs(det).argmax(axis=0), [TARGET, SPECTATOR]] if len(det) else 0.0
     step = d * block.total_duration + alpha
-    return table, lengths, (np.full(len(lengths), head), blocks, size, step)
+    if wrap is None:  # the table holds the longest train alone, every other its prefix
+        return table, blocks * size, (0 * blocks, head, blocks, size, step)
+    return table, lengths, (plan[0], head, blocks, size, step)
 
 
 def _compile_scan(seq, ctx: CrosstalkContext, varied: str, values: np.ndarray):
@@ -273,7 +285,7 @@ def _compile_scan(seq, ctx: CrosstalkContext, varied: str, values: np.ndarray):
     keep = end - start > 1e-9 * np.maximum(end, 1e-300)
     start, end, lit, amp, phase, det = (a[..., keep] for a in (start, end, lit, amp, phase, det))
     lengths = keep.astype(int)
-    return _table(start, end, (lit, amp, phase, det), ctx), lengths, None
+    return _table(start, end, (lit, amp, phase, det), ctx), lengths, _plan(lengths)
 
 
 def _table(start, end, channels, ctx: CrosstalkContext) -> np.ndarray:
@@ -451,56 +463,41 @@ def _propagate(table: np.ndarray, lengths: np.ndarray, plan, offsets, ct_phase: 
     (:func:`_one_slice_propagate`).  Points come in the caller's order.
     """
     if lengths.max(initial=0) <= 1:
-        return _one_slice_propagate(table, lengths, offsets, ct_phase, ion)
-    return (_column_propagate(table, lengths, ct_phase), None if offsets is None else
+        return _one_slice_propagate(table, lengths, plan, offsets, ct_phase, ion)
+    return (_column_propagate(table, lengths, plan, ct_phase), None if offsets is None else
             _shot_propagate(table, lengths, plan, offsets, ct_phase, ion))
 
 
-def _column_propagate(table, lengths, ct_phase: float) -> np.ndarray:
+def _column_propagate(table, lengths, plan, ct_phase: float) -> np.ndarray:
     """Column 0 of :func:`_propagate`: each point's noiseless propagator per
-    ion.  The leading rows a point shares with the longest point (a shorter
-    train is a prefix of a longer one) are multiplied once, on the longest
-    point; the other rows go through :func:`_products` in groups of
-    ``_BATCH // 2`` points.  Every product is a sequential left product, so
-    each element is bit-identical to multiplying one point's propagators in
-    turn."""
-    n = len(lengths)
-    first = np.cumsum(lengths) - lengths
-    done = np.zeros(n, dtype=int)
-    shared_products = {0: _identities(1)}  # keyed by the rows a point shares
-    if n > 1 and len(table):
-        longest = int(np.argmax(lengths))
-        # each row against the longest point's row at the same position
-        pos = np.arange(len(table)) - np.repeat(first, lengths)
-        ref = first[longest] + np.minimum(pos, lengths[longest] - 1)
-        bits = table.view(np.int64)
-        differs = (bits != bits[ref]).any(axis=1) | (pos >= lengths[longest])
-        differs = np.append(np.flatnonzero(differs), len(table))
-        shared = np.minimum(differs[np.searchsorted(differs, first)] - first, lengths)
-        if np.count_nonzero(shared) > 1:  # not the longest point alone
-            done = shared
-            shared_products = dict.fromkeys(done.tolist()) | shared_products
-            _products(table, first[[longest]], done[[longest]], _identities(1), ct_phase,
-                      shared_products)
-    out = np.empty((n, 2, 2, 2), dtype=complex)
-    group = _BATCH // 2
-    for g0 in range(0, n, group):
-        part = np.arange(g0, min(g0 + group, n))
-        order = part[np.argsort(done[part] - lengths[part], kind="stable")]  # longest first
-        u = np.concatenate([shared_products[k] for k in done[order].tolist()])
-        out[order] = _products(table, first[order] + done[order], lengths[order] - done[order],
+    ion.  The rows a point shares (:func:`_compile`) are multiplied once, on
+    the point of the most blocks, a mark kept at each point's shared count; the
+    rows past it go through :func:`_products` in groups of ``_BATCH // 2``
+    points.  Every product is a sequential left product, so each element is
+    bit-identical to multiplying one point's propagators in turn."""
+    first, head, blocks, size, _ = plan
+    shared = head + blocks * size
+    longest = [int(np.argmax(blocks))]
+    marks = dict.fromkeys(shared.tolist()) | {0: _identities(1)}
+    _products(table, first[longest], shared[longest], _identities(1), ct_phase, marks)
+    out = np.empty((len(lengths), 2, 2, 2), dtype=complex)
+    for g0 in range(0, len(lengths), _BATCH // 2):
+        part = np.arange(g0, min(g0 + _BATCH // 2, len(lengths)))
+        order = part[np.argsort(shared[part] - lengths[part], kind="stable")]  # longest first
+        u = np.concatenate([marks[k] for k in shared[order].tolist()])
+        out[order] = _products(table, first[order] + shared[order], lengths[order] - shared[order],
                                u, ct_phase)
     return out
 
 
-def _one_slice_propagate(table, lengths, offsets, ct_phase: float, ion: int):
+def _one_slice_propagate(table, lengths, plan, offsets, ct_phase: float, ion: int):
     """:func:`_propagate` of points of at most one slice each: a point's
     propagator is its slice's, evaluated once with no products, in groups of
     ``_BATCH // 2`` points, and its shots' excited populations those of the
     Rabi formula (:func:`_excitations`), in :func:`_passes`."""
     n = len(lengths)
     # a point without a slice reads a dark row, whose propagators are exact identities
-    rows = np.where(lengths > 0, np.cumsum(lengths) - 1, len(table))
+    rows = np.where(lengths > 0, plan[0], len(table))
     table = np.append(table, np.zeros((1, _COLUMNS)), axis=0)
     u = np.empty((n, 2, 2, 2), dtype=complex)
     for g0 in range(0, n, _BATCH // 2):
@@ -557,15 +554,14 @@ def _shot_propagate(table, lengths, plan, offsets, ct_phase: float, ion: int) ->
     Each call of a pass (:func:`_passes`) evaluates at most a batch of
     propagators, at least one row of the pass.
     """
-    head, blocks, size, step = plan or (lengths, 0 * lengths, 0, (0.0, 0.0))
+    first, head, blocks, size, step = plan
     # per point its head, first block and tail rows, then dark rows: identities
     count = lengths - (blocks - 1) * size
     j = np.arange(count.max(initial=0))
-    skipped = np.where(j >= (head + size)[:, None], (blocks - 1)[:, None] * size, 0)
+    skipped = np.where(j >= head + size, (blocks - 1)[:, None] * size, 0)
     real = j < count[:, None]
-    at = np.where(real, (np.cumsum(lengths) - lengths)[:, None] + j + skipped, 0)
+    at = np.where(real, first[:, None] + j + skipped, 0)
     rows = np.where(real[..., None], table[at], 0.0)
-    opened = head.max(initial=0)  # a train's head is its opener, the same on every point
     out = np.empty(offsets.shape)
     for p, s in _passes(*offsets.shape):
         state = block = None
@@ -575,9 +571,9 @@ def _shot_propagate(table, lengths, plan, offsets, ct_phase: float, ion: int) ->
                                    ct_phase, (ion,))
             for r, (u00, u10) in enumerate(np.moveaxis(u[..., 0, :, 0], -1, 1), r0):
                 q = (u00.real, -u10.imag, u10.real, -u00.imag)
-                if opened <= r < opened + size:
+                if head <= r < head + size:
                     block = q if block is None else _hamilton(q, block)
-                    if r < opened + size - 1:
+                    if r < head + size - 1:
                         continue
                     q = _power(block, blocks[p, None], step[ion])
                 state = q if state is None else _hamilton(q, state)

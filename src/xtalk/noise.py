@@ -178,13 +178,23 @@ def sample_slow_drift(
     return _drift_traces(process, duration_min, dt_min, [seed])[0]
 
 
+def _check_shots(shots) -> None:
+    """Refuse a shot count that is not an integer >= 1, or is a bool."""
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
+        raise ValueError(f"shots must be an integer, got {shots!r}")
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
+
+
 def _drift_traces(process: DriftProcess, duration_min: float, dt_min: float, seeds) -> np.ndarray:
     """:func:`sample_slow_drift` for each of ``seeds`` (rows), their streams
     keyed in one pass."""
-    if dt_min <= 0.0:
-        raise ValueError("dt_min must be > 0")
-    if duration_min < 0.0:
-        raise ValueError("duration_min must be >= 0")
+    if not 0.0 < dt_min < math.inf:
+        raise ValueError(f"dt_min must be finite and > 0, got {dt_min!r}")
+    if not 0.0 <= duration_min < math.inf:
+        raise ValueError(f"duration_min must be finite and >= 0, got {duration_min!r}")
+    if not duration_min / dt_min < 2**63:
+        raise ValueError("duration_min / dt_min, the step count, must be < 2^63")
     n_steps = int(round(duration_min / dt_min))
     t = np.arange(n_steps + 1) * dt_min
     trace = process.linear_rate * t
@@ -346,8 +356,7 @@ def ramsey_phase_probe(delta_phi, shots: int, seed: int = 0) -> np.ndarray:
 
     The exact probability is ``(1 - cos(delta_phi)) / 2``.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    _check_shots(shots)
     phases = np.ravel(delta_phi).tolist()
     probs = [min(max(0.5 * (1.0 - math.cos(phi)), 0.0), 1.0) for phi in phases]
     streams = _streams(seed, range(len(probs)))

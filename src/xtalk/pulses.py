@@ -6,21 +6,21 @@ its own channel's field plus a fraction ``f_ct`` of the other channel's
 field (the crosstalk), evolved exactly with 2x2 propagators in the ion's own
 frame so that off-resonant light also produces the physical phase shifts.
 
-Simulation runs in one kernel, :mod:`xtalk.kernel`, in three calls: compile
-a slice table, propagate it (``kernel._propagate``), sample it
-(``_evaluate``).  :func:`simulate_scan` evolves both ions from the ground
-state through one sequence per scan point, noiseless; phase noise comes
-only from a scenario's ``noise`` block, whose drift offsets ``_evaluate``
-applies to the spectator channel, sampling the one ion the scenario
-reports.  :func:`sequence_unitaries` returns one sequence's gate per ion,
-for any other initial state (``gate @ state.vector``).  Trains of pi pulses
-repeat one block (``_train``): :func:`pi_trains` unrolls it, the shorter
-trains prefixes of the longest, whose shared slices the kernel multiplies
-once.  ``_train_table`` compiles the trains, Ramsey-wrapped or not, from the
-block and each train's block count without building them, with the plan
-that raises a noisy shot's block to its count, and ``kernel._compile_scan``
-a scan that varies only the duration, the tone's dial or the target
-detuning of one square pulse: the same tables, byte for byte.
+Simulation runs in one kernel, :mod:`xtalk.kernel`, in three calls: compile a
+slice table, propagate it (``kernel._propagate``), sample it (``_evaluate``).
+:func:`simulate_scan` evolves both ions from the ground state through one
+sequence per scan point, noiseless; phase noise comes only from a scenario's
+``noise`` block, whose drift offsets ``_evaluate`` applies to the spectator
+channel, sampling the one ion the scenario reports.
+:func:`sequence_unitaries` returns one sequence's gate per ion, for any other
+initial state (``gate @ state.vector``).  Trains of pi pulses repeat one block
+(``_train``): :func:`pi_trains` unrolls it, the shorter trains prefixes of the
+longest.  ``_train_table`` compiles the trains, Ramsey-wrapped or not, from
+the block and each train's block count without building them, with the plan
+naming the rows each shares with the longest, multiplied once, and raising a
+noisy shot's block to its count; and ``kernel._compile_scan`` a scan that
+varies only the duration, the tone's dial or the target detuning of one square
+pulse: the same rows, byte for byte.  Sequences compiled apart share no rows.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .dynamics import check_states
 from .errors import ChannelConflictError
 from .field import CompensationSetting, CrosstalkContext
 from .kernel import SPECTATOR, TARGET, _abs2, _compile, _compile_train, _propagate
-from .noise import _streams
+from .noise import _check_shots, _streams
 
 __all__ = [
     "TARGET",
@@ -347,8 +347,8 @@ def simulate_scan(seqs, ctx: CrosstalkContext, shots: int | None = None,
     leading point axis.  A drive amplitude scale goes into the sequences
     (:func:`scaled`).
     """
-    if shots is not None and shots < 1:
-        raise ValueError("shots must be >= 1")
+    if shots is not None:  # named before the sequences compile
+        _check_shots(shots)
     return _evaluate(*_compile(seqs, ctx), ctx, shots, seed)
 
 
@@ -357,7 +357,7 @@ def _train_table(method: str, counts, ctx: CrosstalkContext, setting=None, close
     setting)``, each train :func:`ramsey_wrap`-ped with its closing phase if
     ``close_phases`` holds one per train, without building them: the kernel
     tiles the trains' block (``kernel._train_segments``), byte for byte, and
-    plans their shots as block powers (``kernel._compile_train``)."""
+    plans their shared rows and shots (``kernel._compile_train``)."""
     block, blocks, _, offsets = _train(method, ctx.omega_0, counts, ctx, setting, 0.0)
     wrap = None if close_phases is None else (
         _ramsey_pulse(ctx.omega_0, 0.0), [_ramsey_pulse(ctx.omega_0, c) for c in close_phases])
@@ -379,6 +379,7 @@ def _evaluate(table, lengths, plan, ctx: CrosstalkContext, shots=None, seed=None
     populations = _abs2(amplitudes[..., 1].real, amplitudes[..., 1].imag)
     if shots is None:
         return SimulationResult(amplitudes, populations)
+    _check_shots(shots)
     streams = _streams(0 if seed is None else seed, range(n) if keys is None else keys)
     sampled = np.full((n, 2), np.nan)
     if excited is not None:

@@ -21,6 +21,8 @@ from xtalk.errors import (
 )
 from xtalk.field import (CrosstalkContext, effective_magnitude_polarized, pi_pulse_error,
                          relative_error)
+from xtalk.noise import ramsey_phase_probe
+from xtalk.pulses import simulate_scan, square_pi
 
 OMEGA = 2 * math.pi * 50e3
 CTX = CrosstalkContext(omega_0=OMEGA, f_ct=0.096)
@@ -38,6 +40,24 @@ def test_calibrators_refuse_fewer_than_one_shot(calibrate, shots):
     # zero shots is not the analytic populations, which shots=None asks for
     with pytest.raises(ValueError, match="shots must be >= 1"):
         calibrate(shots)
+
+
+@pytest.mark.parametrize("draw", [
+    lambda shots: measure_pi_time(CTX, shots=shots),
+    lambda shots: calibrate_amplitude(CTX, CTX.t_pi_ct, shots=shots),
+    lambda shots: calibrate_phase(CTX, 1.0, shots=shots),
+    lambda shots: calibrate_stark_shift(CTX, shots=shots),
+    lambda shots: run_full_calibration(CTX, shots=shots),
+    lambda shots: simulate_scan([square_pi(1.0)], CrosstalkContext(omega_0=1.0, f_ct=0.1),
+                                shots=shots),
+    lambda shots: ramsey_phase_probe([1.0], shots),
+], ids=["pi-time", "amplitude", "phase", "stark", "full-chain", "simulate-scan", "ramsey-probe"])
+@pytest.mark.parametrize("shots", [2.5, True], ids=["float", "bool"])
+def test_shot_counts_must_be_integers(draw, shots):
+    # a fraction sampled over 2.5 shots, such as 0.8, is no count, and
+    # True is no shot count either
+    with pytest.raises(ValueError, match="shots must be an integer"):
+        draw(shots)
 
 
 class TestMeasurePiTime:

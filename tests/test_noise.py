@@ -104,6 +104,17 @@ class TestSlowDrift:
         with pytest.raises(ValueError):
             sample_slow_drift(DriftProcess.enclosed(), 8.0, 0.0)
 
+    @pytest.mark.parametrize("duration, dt, match", [
+        (1.0, math.inf, "dt_min"),
+        (math.inf, 1.0, "duration_min"),
+        (math.nan, 1.0, "duration_min"),
+        (1e300, 1e-300, "step count"),
+    ], ids=["inf-dt", "inf-duration", "nan-duration", "steps-overflow"])
+    def test_rejects_non_finite_inputs(self, duration, dt, match):
+        # refused naming the argument, not a NaN trace or a bare OverflowError
+        with pytest.raises(ValueError, match=match):
+            sample_slow_drift(DriftProcess.enclosed(), duration, dt)
+
 
 class TestAomCurves:
     def test_absorption_far_detuned(self):

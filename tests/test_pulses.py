@@ -1103,13 +1103,13 @@ class TestKernelProperties:
         for method in ("none", "pcc", "sk1", "quad"):
             table, lengths, plan = _train_table(method, counts, ctx,
                                                 CompensationSetting(0.9, math.pi + 0.8), closes)
-            head, blocks, size, _ = plan
+            first, head, blocks, size, _ = plan
             for ion in (TARGET, SPECTATOR):
                 probs = _propagate(table, lengths, plan, offsets, ctx.ct_phase, ion)[1]
-                for i, (begin, n) in enumerate(zip(np.cumsum(lengths) - lengths, lengths)):
+                for i, (begin, n) in enumerate(zip(first, lengths)):
                     rows = table[begin:begin + n].copy()
-                    block = rows[head[i]:head[i] + size, 1]
-                    rows[head[i]:head[i] + blocks[i] * size, 1] = np.tile(block, blocks[i])
+                    block = rows[head:head + size, 1]
+                    rows[head:head + blocks[i] * size, 1] = np.tile(block, blocks[i])
                     state = np.zeros((shots, 2, 1), dtype=complex)
                     state[:, 0] = 1.0
                     for u in _slice_propagators(rows[:, None], offsets[i], ctx.ct_phase, (ion,)):
@@ -1225,18 +1225,24 @@ class TestTrainScans:
     @pytest.mark.parametrize("wrapped", [False, True], ids=["x-error", "z-error"])
     @pytest.mark.parametrize("method", ["none", "pcc", "sk1", "quad"])
     def test_table_is_the_unrolled_table(self, method, wrapped, counts):
-        from xtalk.kernel import _compile, _compile_segments, _train_segments
-        from xtalk.pulses import _ramsey_pulse, _train
+        # each point's rows, located by the plan, are the table of its
+        # unrolled train alone, bit for bit; an x-error table holds the
+        # longest train alone, and every point's head and blocks are the
+        # rows of the train of the most blocks
+        from xtalk.kernel import _compile
+        from xtalk.pulses import _train_table
 
         closes = self._closes(method, counts) if wrapped else None
-        block, blocks, _, offsets = _train(method, OMEGA, counts, self.CTX, self.SETTING, 0.0)
-        wrap = None if closes is None else (_ramsey_pulse(OMEGA, 0.0),
-                                            [_ramsey_pulse(OMEGA, c) for c in closes])
-        table, lengths, _ = _compile_segments(
-            _train_segments(block, np.array(blocks), offsets, wrap), self.CTX)
-        ref_table, ref_lengths, _ = _compile(self._unrolled(method, counts, closes), self.CTX)
-        assert np.array_equal(lengths, ref_lengths)
-        assert table.tobytes() == ref_table.tobytes()
+        table, lengths, (first, head, blocks, size, _) = _train_table(
+            method, counts, self.CTX, self.SETTING, closes)
+        for i, seq in enumerate(self._unrolled(method, counts, closes)):
+            ref_table, ref_lengths, _ = _compile([seq], self.CTX)
+            assert lengths[i] == ref_lengths[0]
+            assert table[first[i]:first[i] + lengths[i]].tobytes() == ref_table.tobytes()
+        assert len(table) == (lengths.sum() if wrapped else blocks.max() * size)
+        longest = table[first[np.argmax(blocks)]:]
+        for begin, shared in zip(first, head + blocks * size):
+            assert table[begin:begin + shared].tobytes() == longest[:shared].tobytes()
 
     @pytest.mark.parametrize("wrapped", [False, True], ids=["x-error", "z-error"])
     @pytest.mark.parametrize("method", ["none", "pcc", "sk1", "quad"])
